@@ -26,9 +26,6 @@ def vec_add(u, v):
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
-def vec_scale(u, c):
-    return tuple(a * c for a in u)
-
 def vec_is_zero(u) -> bool:
     return all(not (a.a or a.b) for a in u)
 

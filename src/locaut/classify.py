@@ -135,29 +135,43 @@ def _family_verdict(shape: CanonicalShape) -> str:
     return AUTOMORPHISM if shape.is_automorphism_family() else ANTI_AUTOMORPHISM
 
 
-def fit_shape_family(model, d: Matrix, epsilon: int, sigma: str):
+def basis_images(model, d: Matrix) -> list:
+    """Delta(b) for every basis element b, in basis order: the columns of d."""
+    return [model.matrix(d.column(k)) for k in range(model.dim)]
+
+
+def fit_shape_family(model, d: Matrix, epsilon: int, sigma: str, images=None):
     """Intertwiner space of the family equations Delta(sigma(e)) a = epsilon a e.
 
     Returns (space, witness) where witness is an invertible element or None.
     A witness makes Delta(x) = epsilon * a * sigma(x) * a^-1 hold for every x.
+    images are the basis images of d (computed when not given).
+
+    The pair for the strongly regular h0 goes first.  It is a linear
+    combination of the basis pairs, so it leaves the space unchanged, but it
+    cuts the n^2 unknowns to at most n directions before the sparse
+    root-vector pairs are imposed.
     """
-    pairs = []
-    for e in model.basis:
-        se = e.T if sigma == SIGMA_T else e
-        pairs.append((model.apply_map(d, se), e * epsilon))
+    if images is None:
+        images = basis_images(model, d)
+    h0 = model.strongly_regular_element()  # diagonal, so sigma(h0) = h0
+    pairs = [(model.apply_map(d, h0), h0 * epsilon)]
+    order = model.transpose_index if sigma == SIGMA_T else range(model.dim)
+    pairs.extend((images[k], e * epsilon) for k, e in zip(order, model.basis))
     space = intertwiner_space(pairs)
     a = invertible_element(space, model.n)
     return space, a
 
 
-def _verify_shape(model, d: Matrix, shape: CanonicalShape) -> bool:
+def _verify_shape(model, images, shape: CanonicalShape) -> bool:
+    """The shape reproduces the basis images of the map."""
     ainv = inverse(shape.a)
-    for e in model.basis:
+    for e, want in zip(model.basis, images):
         y = e.T if shape.sigma == SIGMA_T else e
         img = shape.a @ y @ ainv
         if shape.epsilon == -1:
             img = -img
-        if img != model.apply_map(d, e):
+        if img != want:
             return False
     return True
 
@@ -196,10 +210,14 @@ def local_aut_probe(model: SlnModel, d: Matrix):
     return p, required, lam_sq, lam
 
 
-def square_zero_counterexample(model: SlnModel, d: Matrix) -> Matrix | None:
-    """First spanning-set element whose square-zero property the map breaks."""
-    for x in model.square_zero_spanning_set():
-        y = model.apply_map(d, x)
+def square_zero_counterexample(model: SlnModel, d: Matrix, images) -> Matrix | None:
+    """First spanning-set element whose square-zero property the map breaks.
+
+    images are the basis images of d."""
+    roots = len(model.off_pairs)
+    for k, x in enumerate(model.square_zero_spanning_set()):
+        # the first elements of the spanning set are the root-vector basis
+        y = images[k] if k < roots else model.apply_map(d, x)
         if not (y @ y).is_zero():
             return x
     return None
@@ -223,9 +241,9 @@ def random_traceless_nilpotent(model: SlnModel, rng: random.Random) -> Matrix:
         return m
 
 
-def preserves_square_zero(model: SlnModel, d: Matrix, trials: int = 0, seed: int = 0):
+def preserves_square_zero(model: SlnModel, d: Matrix, images, trials: int = 0, seed: int = 0):
     """(ok, counterexample): spanning set first, then seeded random nilpotents."""
-    bad = square_zero_counterexample(model, d)
+    bad = square_zero_counterexample(model, d, images)
     if bad is not None:
         return False, bad
     rng = random.Random(seed)
@@ -251,17 +269,18 @@ def classify_sln(model: SlnModel, d: Matrix) -> Verdict:
     ker = kernel(d)
     if ker.dim > 0:
         return Verdict(NOT_LOCAL, obstruction=NotInjective(ker.basis[0]))
-    ok, bad = preserves_square_zero(model, d)
+    images = basis_images(model, d)
+    ok, bad = preserves_square_zero(model, d, images)
     if not ok:
         return Verdict(NOT_LOCAL, obstruction=SquareZeroBroken(bad))
     fits = []
     dims = []
     for eps, sigma in SHAPE_FAMILIES:
-        space, a = fit_shape_family(model, d, eps, sigma)
+        space, a = fit_shape_family(model, d, eps, sigma, images)
         dims.append(((eps, sigma), space.dim))
         if a is not None:
             shape = CanonicalShape(eps, sigma, a)
-            assert _verify_shape(model, d, shape)
+            assert _verify_shape(model, images, shape)
             fits.append(shape)
             if model.n >= 3:
                 break
@@ -300,13 +319,14 @@ def classify_mn(model: MnModel, d: Matrix) -> Verdict:
     d_one = model.apply_map(d, one)
     if d_one != one:
         return Verdict(NOT_LOCAL, obstruction=IdentityNotFixed(d_one))
+    images = basis_images(model, d)
     dims = []
     for eps, sigma in MN_FAMILIES:
-        space, a = fit_shape_family(model, d, eps, sigma)
+        space, a = fit_shape_family(model, d, eps, sigma, images)
         dims.append(((eps, sigma), space.dim))
         if a is not None:
             shape = CanonicalShape(eps, sigma, a)
-            assert _verify_shape(model, d, shape)
+            assert _verify_shape(model, images, shape)
             verdict = AUTOMORPHISM if sigma == SIGMA_ID else ANTI_AUTOMORPHISM
             return Verdict(verdict, shape=shape, shapes=(shape,))
     return Verdict(NOT_LOCAL, obstruction=NoShapeFits(tuple(dims), None, None))

@@ -194,6 +194,8 @@ def cmd_leibniz_decide(args) -> int:
 
 
 def cmd_filiform_demo(args) -> int:
+    if args.samples < 1:
+        raise InputError("--samples must be positive")
     fl = model_filiform(args.n)
     rep = counterexample_demo(fl, samples=args.samples, seed=args.seed)
     lines = [

@@ -76,9 +76,6 @@ class GaussianRational:
     def is_one(self) -> bool:
         return self.a == self.d and self.b == 0
 
-    def is_real(self) -> bool:
-        return self.b == 0
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational._raw(self.a, -self.b, self.d)
 

@@ -309,7 +309,6 @@ class SemidirectLeibniz:
                     table[self.dim_s + p][a][self.dim_s + q] = c
         labels = list(model.labels) + module.labels()
         self.algebra = StructureAlgebra(dim, labels, table)
-        self._h0 = None
         self._y = None
 
     def embed_s(self, v):
@@ -326,9 +325,7 @@ class SemidirectLeibniz:
 
     @property
     def h0(self) -> Matrix:
-        if self._h0 is None:
-            self._h0 = self.model.strongly_regular_element()
-        return self._h0
+        return self.model.strongly_regular_element()
 
     @property
     def y_beta(self):

@@ -50,10 +50,6 @@ class Matrix:
         n = len(es)
         return cls(tuple(tuple(es[i] if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def from_column(cls, v) -> "Matrix":
-        return cls(tuple((x,) for x in v))
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
@@ -445,9 +441,10 @@ def invariant_factors(m: Matrix) -> tuple:
 def intertwiner_space(pairs) -> Subspace:
     """All a with A a = a B for every pair (A, B), as a subspace of Q(i)^(n*n).
 
-    Refines incrementally: keeps a basis of the current solution space and
-    imposes one pair at a time, so the large n^2 x n^2 system is only ever
-    solved against a few surviving directions.
+    The first pair is imposed on all n^2 entries at once: for the unit basis,
+    (A E_ij - E_ij B)[r][c] = A[r][i] [c = j] - B[j][c] [r = i], so its
+    n^2 x n^2 system is written down directly.  Each later pair refines the
+    surviving directions, so put the most restrictive pair first.
     """
     pairs = list(pairs)
     if not pairs:
@@ -456,23 +453,32 @@ def intertwiner_space(pairs) -> Subspace:
     for a, b in pairs:
         if a.nrows != n or a.ncols != n or b.nrows != n or b.ncols != n:
             raise ValueError("pairs must be square matrices of equal size")
-    basis = [Matrix(tuple(tuple(1 if (i, j) == (r, c) else 0 for c in range(n)) for r in range(n)))
-             for i in range(n) for j in range(n)]
-    for a, b in pairs:
+    a, b = pairs[0]
+    first = [[GR_ZERO] * (n * n) for _ in range(n * n)]
+    for r in range(n):
+        for c in range(n):
+            row = first[r * n + c]
+            for k in range(n):
+                row[k * n + c] = a.data[r][k]
+            for k in range(n):
+                row[r * n + k] = row[r * n + k] - b.data[k][c]
+    basis = list(kernel(Matrix(first)).basis)
+    for a, b in pairs[1:]:
         if not basis:
             break
-        cols = [(a @ m - m @ b).flatten() for m in basis]
-        constraint = Matrix(zip(*cols))
-        coeff_space = kernel(constraint)
-        new_basis = []
-        for coeffs in coeff_space.basis:
-            acc = Matrix.zeros(n, n)
-            for c, m in zip(coeffs, basis):
-                if c.a or c.b:
-                    acc = acc + m * c
-            new_basis.append(acc)
-        basis = new_basis
-    return Subspace(n * n, [m.flatten() for m in basis])
+        cols = [(a @ m - m @ b).flatten() for m in (matrix_from_flat(v, n) for v in basis)]
+        coeff_space = kernel(Matrix(zip(*cols)))
+        basis = [_combine(coeffs, basis) for coeffs in coeff_space.basis]
+    return Subspace(n * n, basis)
+
+
+def _combine(coeffs, vectors) -> Vector:
+    """sum_k coeffs[k] * vectors[k]."""
+    out = [GR_ZERO] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c.a or c.b:
+            out = [x + c * y for x, y in zip(out, v)]
+    return tuple(out)
 
 
 def matrix_from_flat(v, n: int) -> Matrix:

@@ -36,6 +36,13 @@ class SlnModel:
             basis.append(_unit_matrix(n, k, k) - _unit_matrix(n, k + 1, k + 1))
         self.basis = tuple(basis)
         self._off_index = {pair: a for a, pair in enumerate(self.off_pairs)}
+        # transpose_index[k] is the index of basis[k].T: e_ij <-> e_ji, h_k fixed.
+        self.transpose_index = tuple(self._off_index[(j, i)] for i, j in self.off_pairs) + tuple(
+            range(len(self.off_pairs), self.dim)
+        )
+        # Filled on first use, so that building a model stays cheap.
+        self._h0 = None
+        self._square_zero = None
 
     def e(self, i: int, j: int) -> Matrix:
         """Root vector E_ij (1-indexed arguments not used: i, j are 0-based)."""
@@ -57,16 +64,20 @@ class SlnModel:
         return tuple(out)
 
     def matrix(self, v) -> Matrix:
+        """Inverse of coords: off-diagonal entries in place, then the diagonal
+        entry k is h_k - h_(k-1), and the last one is -h_(n-1)."""
         if len(v) != self.dim:
             raise ValueError("coordinate vector has wrong length")
-        acc = Matrix.zeros(self.n, self.n)
-        for c, b in zip(v, self.basis):
-            if isinstance(c, GaussianRational):
-                if c.a or c.b:
-                    acc = acc + b * c
-            else:
-                acc = acc + b * GaussianRational(c)
-        return acc
+        n = self.n
+        rows = [[GR_ZERO] * n for _ in range(n)]
+        for (i, j), c in zip(self.off_pairs, v):
+            rows[i][j] = c
+        prev = GR_ZERO
+        for k, c in enumerate(v[len(self.off_pairs):]):
+            rows[k][k] = c - prev
+            prev = c
+        rows[n - 1][n - 1] = -prev
+        return Matrix(rows)
 
     @staticmethod
     def bracket(x: Matrix, y: Matrix) -> Matrix:
@@ -102,21 +113,21 @@ class SlnModel:
     def positive_roots(self):
         return [(i, j) for i in range(self.n) for j in range(i + 1, self.n) ]
 
-    def all_roots(self):
-        return list(self.off_pairs)
-
     @staticmethod
     def root_value(h: Matrix, i: int, j: int) -> GaussianRational:
         """alpha_ij(h) = h_ii - h_jj for diagonal h."""
         return h[i, i] - h[j, j]
 
     def strongly_regular_element(self) -> Matrix:
-        """diag(4, 4^2, ..., 4^n) minus its trace average; verified regular."""
-        powers = [4 ** (k + 1) for k in range(self.n)]
-        avg = Fraction(sum(powers), self.n)
-        h0 = Matrix.diagonal([Fraction(p) - avg for p in powers])
-        assert self.is_strongly_regular(h0)
-        return h0
+        """diag(4, 4^2, ..., 4^n) minus its trace average; verified regular
+        once per model."""
+        if self._h0 is None:
+            powers = [4 ** (k + 1) for k in range(self.n)]
+            avg = Fraction(sum(powers), self.n)
+            h0 = Matrix.diagonal([Fraction(p) - avg for p in powers])
+            assert self.is_strongly_regular(h0)
+            self._h0 = h0
+        return self._h0
 
     def is_strongly_regular(self, h: Matrix) -> bool:
         """Pairwise-distinct root values and centralizer equal to the Cartan."""
@@ -145,21 +156,25 @@ class SlnModel:
         """Square-zero matrices spanning sl_n: the e_ij plus rank-one fills.
 
         The fills are (E_k + E_k+1)(E_k - E_k+1)^T, which recover the Cartan
-        directions modulo off-diagonal terms.
+        directions modulo off-diagonal terms.  The first dim - (n - 1)
+        elements are the root vectors in basis order.  Built and verified
+        once per model.
         """
-        out = [self.e(i, j) for i, j in self.off_pairs]
-        for k in range(self.n - 1):
-            m = (
-                _unit_matrix(self.n, k, k)
-                - _unit_matrix(self.n, k, k + 1)
-                + _unit_matrix(self.n, k + 1, k)
-                - _unit_matrix(self.n, k + 1, k + 1)
-            )
-            assert (m @ m).is_zero()
-            out.append(m)
-        span = Subspace(self.dim, [self.coords(m) for m in out])
-        assert span.dim == self.dim
-        return out
+        if self._square_zero is None:
+            out = [self.e(i, j) for i, j in self.off_pairs]
+            for k in range(self.n - 1):
+                m = (
+                    _unit_matrix(self.n, k, k)
+                    - _unit_matrix(self.n, k, k + 1)
+                    + _unit_matrix(self.n, k + 1, k)
+                    - _unit_matrix(self.n, k + 1, k + 1)
+                )
+                assert (m @ m).is_zero()
+                out.append(m)
+            span = Subspace(self.dim, [self.coords(m) for m in out])
+            assert span.dim == self.dim
+            self._square_zero = tuple(out)
+        return self._square_zero
 
 
 class MnModel:
@@ -172,6 +187,12 @@ class MnModel:
             _unit_matrix(n, i, j) for i in range(n) for j in range(n)
         )
         self.labels = [f"e{i+1}{j+1}" for i in range(n) for j in range(n)]
+        self.transpose_index = tuple(j * n + i for i in range(n) for j in range(n))
+
+    def strongly_regular_element(self) -> Matrix:
+        """diag(1, 2, ..., n): distinct eigenvalues, so its centralizer is the
+        diagonal matrices."""
+        return Matrix.diagonal(range(1, self.n + 1))
 
     def coords(self, x: Matrix):
         if x.nrows != self.n or x.ncols != self.n:

@@ -12,14 +12,15 @@ from locaut.classify import (
     NOT_LOCAL,
     classify_mn,
     classify_sln,
+    fit_shape_family,
     local_aut_probe,
     pointwise_witness,
     random_unimodular,
     required_probe_charpoly,
 )
 from locaut.exact import GR_ONE, GaussianRational, Polynomial, parse_scalar
-from locaut.linalg import Matrix, det, inverse
-from locaut.sln import SIGMA_ID, SIGMA_T, CanonicalShape, MnModel, SlnModel
+from locaut.linalg import Matrix, det, intertwiner_space, inverse
+from locaut.sln import SHAPE_FAMILIES, SIGMA_ID, SIGMA_T, CanonicalShape, MnModel, SlnModel
 
 
 def conjugation_map(model, g):
@@ -275,3 +276,31 @@ def test_random_conjugations_classify_as_automorphisms(seed):
 def test_unimodular_has_unit_determinant(seed):
     g = random_unimodular(3, random.Random(seed))
     assert det(g) == GR_ONE
+
+
+# -- the fit path -------------------------------------------------------------
+
+
+def fit_maps(model, seed):
+    """A conjugation, its transpose twist, a scaling and a random integer map."""
+    rng = random.Random(seed)
+    g = random_unimodular(model.n, rng)
+    conj = conjugation_map(model, g)
+    twisted = conj @ model.map_matrix(lambda x: x.T)
+    rows = tuple(tuple(rng.randint(-2, 2) for _ in range(model.dim)) for _ in range(model.dim))
+    return [conj, twisted, model.map_matrix(lambda x: x * 2), Matrix(rows)]
+
+
+@pytest.mark.parametrize(
+    "model", [SlnModel(2), SlnModel(3), MnModel(2)], ids=["sl2", "sl3", "M2"]
+)
+@pytest.mark.parametrize("eps,sigma", SHAPE_FAMILIES)
+def test_fit_space_unchanged_by_leading_h0_pair(model, eps, sigma):
+    # the prepended (Delta(h0), eps h0) pair follows from the basis pairs by
+    # linearity, so the canonical space is the same without it
+    for d in fit_maps(model, seed=model.dim):
+        plain = intertwiner_space(
+            (model.apply_map(d, e.T if sigma == SIGMA_T else e), e * eps) for e in model.basis
+        )
+        space, _ = fit_shape_family(model, d, eps, sigma)
+        assert space == plain

@@ -268,6 +268,14 @@ def test_filiform_demo_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_filiform_demo_rejects_non_positive_samples(capsys, samples):
+    code, out, err = run(capsys, ["filiform-demo", "--n", "4", "--samples", samples])
+    assert code == 2
+    assert out == ""
+    assert "--samples must be positive" in err
+
+
 # -- selfcheck --------------------------------------------------------------
 
 

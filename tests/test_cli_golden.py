@@ -1,0 +1,102 @@
+"""Byte-for-byte CLI output on the files scripts/make_inputs.py writes.
+
+The expected stdout and exit code of each invocation, in text and in JSON
+mode, live in tests/golden/cli_outputs.json.  Rewrite that file only for an
+intended output change:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --record
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from locaut.cli import main
+
+GOLDEN = Path(__file__).with_name("golden") / "cli_outputs.json"
+MAKE_INPUTS = Path(__file__).resolve().parents[1] / "scripts" / "make_inputs.py"
+
+# Input file names are relative to the make_inputs.py output directory.
+INVOCATIONS = (
+    [
+        ("classify-sln", "--n", str(n), "--map", f"{name}{n}.json")
+        for n in (2, 3, 4)
+        for name in ("transpose", "negation", "double", "conjugation")
+    ]
+    + [
+        ("witness", "--n", str(n), "--map", f"negation{n}.json", "--at", f"point_e12_{n}.json")
+        for n in (2, 3, 4)
+    ]
+    + [
+        ("witness", "--n", "3", "--map", f"{name}3.json", "--at", "point_h_3.json")
+        for name in ("conjugation", "double")
+    ]
+    + [
+        ("leibniz-decide", "--n", "2", "--module", "vm:2", "--map", f"blockmap_{name}_vm2.json")
+        for name in ("identity", "transpose")
+    ]
+)
+CASES = [inv + mode for inv in INVOCATIONS for mode in ((), ("--json",))]
+
+
+def case_id(argv) -> str:
+    return " ".join(argv)
+
+
+def make_inputs(out_dir: Path) -> None:
+    spec = importlib.util.spec_from_file_location("make_inputs", MAKE_INPUTS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    with contextlib.redirect_stdout(io.StringIO()):
+        mod.main(["--out-dir", str(out_dir)])
+
+
+def run_cli(argv, inputs: Path):
+    resolved = [str(inputs / a) if a.endswith(".json") else a for a in argv]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(resolved)
+    return {"exit": code, "stdout": buf.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("inputs")
+    make_inputs(out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(case_id(c) for c in CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=case_id)
+def test_cli_output_matches_golden(argv, inputs, golden):
+    assert run_cli(argv, inputs) == golden[case_id(argv)]
+
+
+def record() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        make_inputs(Path(tmp))
+        out = {case_id(c): run_cli(c, Path(tmp)) for c in CASES}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(f"usage: {sys.argv[0]} --record")
+    record()

@@ -258,6 +258,52 @@ def test_plain_transpose_on_sl2_has_no_intertwiner():
     assert intertwiner_space(pairs).dim == 0
 
 
+def kronecker_intertwiner_space(pairs) -> Subspace:
+    """Brute force: the kernel of the stacked system A (x) I - I (x) B^T,
+    which sends the row-major flattening of a to that of A a - a B."""
+    n = pairs[0][0].nrows
+    rows = []
+    for a, b in pairs:
+        for r in range(n):
+            for c in range(n):
+                rows.append(
+                    tuple(
+                        (a[r, i] if j == c else GR_ZERO) - (b[j, c] if i == r else GR_ZERO)
+                        for i in range(n)
+                        for j in range(n)
+                    )
+                )
+    return kernel(Matrix(rows))
+
+
+def gaussian_matrices(n, lo=-2, hi=2):
+    entry = st.builds(GaussianRational, st.integers(lo, hi), st.integers(lo, hi))
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n).map(
+        int_matrix
+    )
+
+
+@st.composite
+def intertwiner_pairs(draw):
+    """1-3 pairs of size 1-3: random (A, B), or (g x g^-1, x) for a shared
+    invertible g, so that the solution space is not always zero."""
+    n = draw(st.integers(1, 3))
+    g = draw(gaussian_matrices(n))
+    similar = draw(st.booleans()) and not det(g).is_zero()
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = draw(gaussian_matrices(n))
+        y = g @ x @ inverse(g) if similar else draw(gaussian_matrices(n))
+        pairs.append((y, x))
+    return pairs
+
+
+@given(intertwiner_pairs())
+@settings(max_examples=60, deadline=None)
+def test_intertwiner_space_matches_kronecker_kernel(pairs):
+    assert intertwiner_space(pairs) == kronecker_intertwiner_space(pairs)
+
+
 def test_matrix_from_flat_roundtrip():
     m = int_matrix([[1, 2], [3, 4]])
     assert matrix_from_flat(m.flatten(), 2) == m

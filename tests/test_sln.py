@@ -1,6 +1,8 @@
 """Coordinate model of sl_n, canonical shapes, structure constants."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locaut.exact import GaussianRational
 from locaut.linalg import Matrix, inverse
@@ -41,6 +43,33 @@ def test_coords_matrix_roundtrip():
     assert m.matrix(m.coords(x)) == x
     v = tuple(GaussianRational(k) for k in (1, 2, 3, 4, 5, 6, -7, 8))
     assert m.coords(m.matrix(v)) == v
+
+
+@st.composite
+def sln_coordinates(draw):
+    """(n, coordinate vector) with Q(i) entries, n = 2..5."""
+    n = draw(st.integers(2, 5))
+    part = st.integers(-9, 9)
+    entry = st.builds(
+        lambda a, b, d: GaussianRational(a, b) / d, part, part, st.integers(1, 4)
+    )
+    return n, tuple(draw(st.lists(entry, min_size=n * n - 1, max_size=n * n - 1)))
+
+
+@given(sln_coordinates())
+@settings(max_examples=60, deadline=None)
+def test_coords_matrix_roundtrip_qi(case):
+    n, v = case
+    m = SlnModel(n)
+    x = m.matrix(v)
+    assert x.trace().is_zero()
+    assert m.coords(x) == v
+    assert m.matrix(m.coords(x)) == x
+    # the same matrix as the coordinate-weighted sum of the basis
+    acc = Matrix.zeros(n, n)
+    for c, b in zip(v, m.basis):
+        acc = acc + b * c
+    assert x == acc
 
 
 def test_coords_rejects_trace():
