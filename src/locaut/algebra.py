@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import GR_ONE, GR_ZERO, GaussianRational, format_scalar, parse_scalar
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, det, kernel
 
 
 def _as_vec(v, dim: int):
@@ -36,7 +36,7 @@ def unit_vector(i: int, dim: int):
 class StructureAlgebra:
     """Finite-dimensional algebra given by its structure constants."""
 
-    __slots__ = ("dim", "labels", "table")
+    __slots__ = ("dim", "labels", "table", "_nonzero")
 
     def __init__(self, dim: int, labels, table):
         self.dim = dim
@@ -45,6 +45,12 @@ class StructureAlgebra:
             raise ValueError("label count must match dimension")
         self.table = tuple(
             tuple(_as_vec(table[i][j], dim) for j in range(dim)) for i in range(dim)
+        )
+        # _nonzero[i][j]: the (k, c) with c = c_ijk != 0, the only terms any
+        # product needs.
+        self._nonzero = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(v) if c.a or c.b) for v in row)
+            for row in self.table
         )
 
     def zero(self):
@@ -58,15 +64,33 @@ class StructureAlgebra:
         for i, xi in enumerate(x):
             if not (xi.a or xi.b):
                 continue
-            row = self.table[i]
+            row = self._nonzero[i]
             for j, yj in enumerate(y):
-                if not (yj.a or yj.b):
-                    continue
-                f = xi * yj
-                for k, c in enumerate(row[j]):
-                    if c.a or c.b:
+                terms = row[j]
+                if terms and (yj.a or yj.b):
+                    f = xi * yj
+                    for k, c in terms:
                         out[k] = out[k] + f * c
         return tuple(out)
+
+    def automorphism_check(self, m: Matrix):
+        """(ok, failing_pair): m is invertible and m [e_i, e_j] = [m e_i, m e_j]
+        on every basis pair.  Pairs are scanned with i outer, j inner, and the
+        first failing one is returned; a singular m gives (False, None)."""
+        if det(m).is_zero():
+            return False, None
+        images = [m.column(k) for k in range(self.dim)]
+        for i, row in enumerate(self._nonzero):
+            for j, terms in enumerate(row):
+                # m c_ij = sum_k c_ijk m e_k over the nonzero constants
+                want = [GR_ZERO] * self.dim
+                for k, c in terms:
+                    for r, x in enumerate(images[k]):
+                        if x.a or x.b:
+                            want[r] = want[r] + c * x
+                if tuple(want) != self.bracket(images[i], images[j]):
+                    return False, (i, j)
+        return True, None
 
     def validate_lie(self):
         """List of violated identities: ("alt", i, j) or ("jacobi", i, j, k)."""

@@ -19,13 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial, format_scalar
+from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial, format_scalar, internal_check
 from .linalg import (
     Matrix,
     charpoly,
     det,
     intertwiner_space,
-    inverse,
     invertible_element,
     kernel,
     similarity_witness,
@@ -165,15 +164,7 @@ def fit_shape_family(model, d: Matrix, epsilon: int, sigma: str, images=None):
 
 def _verify_shape(model, images, shape: CanonicalShape) -> bool:
     """The shape reproduces the basis images of the map."""
-    ainv = inverse(shape.a)
-    for e, want in zip(model.basis, images):
-        y = e.T if shape.sigma == SIGMA_T else e
-        img = shape.a @ y @ ainv
-        if shape.epsilon == -1:
-            img = -img
-        if img != want:
-            return False
-    return True
+    return all(shape.apply(e) == want for e, want in zip(model.basis, images))
 
 
 def probe_element(model: SlnModel) -> Matrix:
@@ -237,7 +228,7 @@ def random_traceless_nilpotent(model: SlnModel, rng: random.Random) -> Matrix:
         if not any(v):
             continue
         m = Matrix(tuple(tuple(ui * vj for vj in v) for ui in u))
-        assert (m @ m).is_zero() and m.trace().is_zero()
+        internal_check((m @ m).is_zero() and m.trace().is_zero(), "random nilpotent is not square-zero traceless")
         return m
 
 
@@ -280,7 +271,7 @@ def classify_sln(model: SlnModel, d: Matrix) -> Verdict:
         dims.append(((eps, sigma), space.dim))
         if a is not None:
             shape = CanonicalShape(eps, sigma, a)
-            assert _verify_shape(model, images, shape)
+            internal_check(_verify_shape(model, images, shape), "fitted shape does not reproduce the map")
             fits.append(shape)
             if model.n >= 3:
                 break
@@ -326,7 +317,7 @@ def classify_mn(model: MnModel, d: Matrix) -> Verdict:
         dims.append(((eps, sigma), space.dim))
         if a is not None:
             shape = CanonicalShape(eps, sigma, a)
-            assert _verify_shape(model, images, shape)
+            internal_check(_verify_shape(model, images, shape), "fitted shape does not reproduce the map")
             verdict = AUTOMORPHISM if sigma == SIGMA_ID else ANTI_AUTOMORPHISM
             return Verdict(verdict, shape=shape, shapes=(shape,))
     return Verdict(NOT_LOCAL, obstruction=NoShapeFits(tuple(dims), None, None))
@@ -365,5 +356,5 @@ def random_unimodular(n: int, rng: random.Random, steps: int | None = None) -> M
         c = GaussianRational(rng.choice([-2, -1, 1, 2]))
         rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
     m = Matrix(tuple(tuple(r) for r in rows))
-    assert not det(m).is_zero()
+    internal_check(not det(m).is_zero(), "product of shears is singular")
     return m

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 for any definite verdict (NotLocal is a verdict, not an
-error), 1 when selfcheck finds a failing invariant, 2 for unusable input.
+error), 1 when selfcheck finds a failing invariant, 2 for unusable input,
+3 when an internal consistency check fails (a bug, not a verdict).
 Given identical inputs and seed, output bytes are identical run to run.
 """
 
@@ -22,7 +23,7 @@ from .classify import (
     pointwise_witness,
     random_unimodular,
 )
-from .exact import GaussianRational, parse_scalar
+from .exact import GaussianRational, InternalCheckError, parse_scalar
 from .filiform import model_filiform, phi_is_automorphism, psi_is_automorphism, counterexample_demo
 from .leibniz import (
     BlockMap,
@@ -519,6 +520,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,6 +17,16 @@ from math import gcd, isqrt
 Rational = Fraction
 
 
+class InternalCheckError(Exception):
+    """An internal consistency check failed: a bug in this package, never bad
+    input.  Raised explicitly so that `python -O` cannot strip the check."""
+
+
+def internal_check(cond, msg: str) -> None:
+    if not cond:
+        raise InternalCheckError(msg)
+
+
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a non-negative rational, or None."""
     if q < 0:
@@ -181,7 +191,7 @@ class GaussianRational:
         if c is None or c == 0:
             return None
         w = GaussianRational(c, B / (2 * c))
-        assert w * w == self
+        internal_check(w * w == self, "square root does not square back")
         return w
 
     def __eq__(self, other):

@@ -21,14 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import StructureAlgebra, unit_vector, vec_is_zero, vec_sub
+from .algebra import StructureAlgebra, unit_vector, vec_is_zero
 from .classify import (
     AUTOMORPHISM,
     NOT_LOCAL,
     Verdict,
     classify_sln,
 )
-from .exact import GR_ZERO, GaussianRational, format_scalar
+from .exact import GR_ZERO, GaussianRational, format_scalar, internal_check
 from .linalg import (
     Matrix,
     Subspace,
@@ -59,49 +59,35 @@ class RightModule:
             if bad:
                 raise ValueError(f"right-module law fails at basis pairs {bad[:3]}")
 
+    def _combine(self, coeffs) -> Matrix:
+        """sum_k c_k R_k over the nonzero coefficients c_k."""
+        acc = Matrix.zeros(self.dim, self.dim)
+        for c, r in zip(coeffs, self.actions):
+            if c.a or c.b:
+                acc = acc + r * c
+        return acc
+
     def law_violations(self):
         """Pairs (i, j) where R([b_i, b_j]) != R(b_j)R(b_i) - R(b_i)R(b_j)."""
-        sc = _structure_cache(self.model)
+        sc = self.model.structure_algebra().table
         bad = []
         for i in range(self.model.dim):
             ri = self.actions[i]
             for j in range(self.model.dim):
                 rj = self.actions[j]
-                lhs = Matrix.zeros(self.dim, self.dim)
-                for k, c in enumerate(sc[i][j]):
-                    if c.a or c.b:
-                        lhs = lhs + self.actions[k] * c
-                if lhs != rj @ ri - ri @ rj:
+                if self._combine(sc[i][j]) != rj @ ri - ri @ rj:
                     bad.append((i, j))
         return bad
 
     def action_of(self, g: Matrix) -> Matrix:
         """Action matrix of an arbitrary sl_n element (linear extension)."""
-        coords = self.model.coords(g)
-        acc = Matrix.zeros(self.dim, self.dim)
-        for c, r in zip(coords, self.actions):
-            if c.a or c.b:
-                acc = acc + r * c
-        return acc
+        return self._combine(self.model.coords(g))
 
     def act(self, v, g: Matrix):
         return self.action_of(g).apply(v)
 
     def labels(self):
         return [f"v{p+1}" for p in range(self.dim)]
-
-
-_STRUCTURE_CACHE: dict = {}
-
-
-def _structure_cache(model: SlnModel):
-    key = model.n
-    if key not in _STRUCTURE_CACHE:
-        _STRUCTURE_CACHE[key] = [
-            [model.coords(model.bracket(a, b)) for b in model.basis]
-            for a in model.basis
-        ]
-    return _STRUCTURE_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +127,7 @@ def module_natural(n: int) -> RightModule:
 
 def module_adjoint(model: SlnModel) -> RightModule:
     """sl_n acting on itself from the right: v.g = [v, g]."""
-    sc = _structure_cache(model)
+    sc = model.structure_algebra().table
     actions = []
     for j in range(model.dim):
         rows = [[sc[i][j][k] for i in range(model.dim)] for k in range(model.dim)]
@@ -238,15 +224,19 @@ def weight_decomposition(module: RightModule):
     ]
 
 
+def _highest_weight_space(module: RightModule) -> Subspace:
+    """The joint kernel of the positive-root actions."""
+    model = module.model
+    rows = []
+    for pair in model.positive_roots():
+        rows.extend(module.actions[model.off_pairs.index(pair)].data)
+    return kernel(Matrix(rows))
+
+
 def highest_weight_vector(module: RightModule):
     """The joint kernel of the positive-root actions, normalized; errors if
     that kernel is not a line (i.e. the module is not irreducible)."""
-    model = module.model
-    rows = []
-    for (i, j) in model.positive_roots():
-        idx = model.off_pairs.index((i, j))
-        rows.extend(module.actions[idx].data)
-    ker = kernel(Matrix(rows))
+    ker = _highest_weight_space(module)
     if ker.dim != 1:
         raise ValueError(f"highest-weight space has dimension {ker.dim}, expected 1")
     return ker.basis[0]
@@ -255,12 +245,7 @@ def highest_weight_vector(module: RightModule):
 def is_irreducible(module: RightModule) -> bool:
     """Complete reducibility holds for sl_n modules, so one highest-weight
     line means exactly one irreducible summand."""
-    model = module.model
-    rows = []
-    for (i, j) in model.positive_roots():
-        idx = model.off_pairs.index((i, j))
-        rows.extend(module.actions[idx].data)
-    return kernel(Matrix(rows)).dim == 1
+    return _highest_weight_space(module).dim == 1
 
 
 def weight_of_vector(module: RightModule, v):
@@ -295,7 +280,7 @@ class SemidirectLeibniz:
         self.dim_s = model.dim
         self.dim_i = module.dim
         self.dim = self.dim_s + self.dim_i
-        sc = _structure_cache(model)
+        sc = model.structure_algebra().table
         dim = self.dim
         table = [[[GR_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         for i in range(self.dim_s):
@@ -335,13 +320,13 @@ class SemidirectLeibniz:
 
     def beta(self):
         w = weight_of_vector(self.module, self.y_beta)
-        assert w is not None
+        internal_check(w is not None, "y_beta is not a weight vector")
         return w
 
 
 def build_semidirect(model: SlnModel, module: RightModule) -> SemidirectLeibniz:
     lb = SemidirectLeibniz(model, module)
-    assert not lb.algebra.validate_leibniz(), "semidirect table violates the Leibniz identity"
+    internal_check(not lb.algebra.validate_leibniz(), "semidirect table violates the Leibniz identity")
     return lb
 
 
@@ -427,17 +412,7 @@ class BlockMap:
 def is_automorphism(lb: SemidirectLeibniz, bm: BlockMap):
     """(ok, failing_pair): bracket preservation on all basis pairs plus
     bijectivity.  failing_pair = (i, j) indices into the combined basis."""
-    full = bm.full_matrix()
-    if det(full).is_zero():
-        return False, None
-    images = [full.apply(unit_vector(i, lb.dim)) for i in range(lb.dim)]
-    for i in range(lb.dim):
-        for j in range(lb.dim):
-            lhs = full.apply(lb.algebra.table[i][j])
-            rhs = lb.bracket(images[i], images[j])
-            if not vec_is_zero(vec_sub(lhs, rhs)):
-                return False, (i, j)
-    return True, None
+    return lb.algebra.automorphism_check(bm.full_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +422,8 @@ def is_automorphism(lb: SemidirectLeibniz, bm: BlockMap):
 def twist_module(module: RightModule, phi_s: Matrix) -> RightModule:
     """Same space with action v .' g = v . phi_s(g); a right module again
     exactly when phi_s is an automorphism of sl_n (validated)."""
-    model = module.model
-    actions = []
-    for a in range(model.dim):
-        col = phi_s.column(a)
-        acc = Matrix.zeros(module.dim, module.dim)
-        for c, r in zip(col, module.actions):
-            if c.a or c.b:
-                acc = acc + r * c
-        actions.append(acc)
-    return RightModule(model, f"{module.name}^twist", actions)
+    actions = [module._combine(phi_s.column(a)) for a in range(module.model.dim)]
+    return RightModule(module.model, f"{module.name}^twist", actions)
 
 
 def module_isomorphism(m1: RightModule, m2: RightModule) -> Matrix | None:
@@ -470,9 +437,9 @@ def module_isomorphism(m1: RightModule, m2: RightModule) -> Matrix | None:
     space = intertwiner_space(pairs)
     if space.dim == 0:
         return None
-    assert space.dim == 1, "endomorphism space of an irreducible pair exceeded a line"
+    internal_check(space.dim == 1, "endomorphism space of an irreducible pair exceeded a line")
     t = matrix_from_flat(space.basis[0], m1.dim)
-    assert not det(t).is_zero(), "nonzero intertwiner of irreducibles must be invertible"
+    internal_check(not det(t).is_zero(), "nonzero intertwiner of irreducibles must be invertible")
     return t
 
 
@@ -493,16 +460,11 @@ def extend_automorphism(lb: SemidirectLeibniz, phi_s: Matrix, omega=0) -> BlockM
     modules).
     """
     omega = omega if isinstance(omega, GaussianRational) else GaussianRational(omega)
-    model = lb.model
-    if det(phi_s).is_zero():
+    ok, pair = lb.model.structure_algebra().automorphism_check(phi_s)
+    if not ok and pair is None:
         raise ValueError("the S map is singular, so not an automorphism")
-    images = [model.matrix(phi_s.column(a)) for a in range(lb.dim_s)]
-    for i, x in enumerate(model.basis):
-        for j, y in enumerate(model.basis):
-            want = phi_s.apply(model.coords(model.bracket(x, y)))
-            got = model.coords(model.bracket(images[i], images[j]))
-            if tuple(want) != tuple(got):
-                raise ValueError("the S map is not an automorphism of sl_n")
+    if not ok:
+        raise ValueError("the S map is not an automorphism of sl_n")
     twisted = twist_module(lb.module, phi_s)
     phi_i = module_isomorphism(lb.module, twisted)
     if phi_i is None:
@@ -514,7 +476,7 @@ def extend_automorphism(lb: SemidirectLeibniz, phi_s: Matrix, omega=0) -> BlockM
             coupling = theta * omega
     bm = BlockMap(phi_s, coupling, phi_i)
     ok, pair = is_automorphism(lb, bm)
-    assert ok, f"extension failed the bracket check at {pair}"
+    internal_check(ok, f"extension failed the bracket check at {pair}")
     return bm
 
 
@@ -536,14 +498,14 @@ def highest_weight_scaling_check(lb: SemidirectLeibniz, bm: BlockMap) -> Gaussia
     for ws in weight_decomposition(lb.module):
         sub = Subspace(lb.dim_i, ws.basis)
         for v in ws.basis:
-            assert sub.contains(bm.i_block.apply(v)), "weight space not preserved"
+            internal_check(sub.contains(bm.i_block.apply(v)), "weight space not preserved")
     y = lb.y_beta
     img = bm.i_block.apply(y)
     idx = next(i for i, x in enumerate(y) if x.a or x.b)
     lam = img[idx] * y[idx].inverse()
     if any((a - lam * b).a or (a - lam * b).b for a, b in zip(img, y)):
         raise ValueError(f"image of the highest-weight vector left its line: {img}")
-    assert not lam.is_zero()
+    internal_check(not lam.is_zero(), "highest-weight scale is zero")
     return lam
 
 
@@ -704,7 +666,7 @@ def _weight_components(lb: SemidirectLeibniz, v):
             meta.append(ws.values)
     big = Matrix(zip(*cols))
     sol = solve_linear(big, v)
-    assert sol is not None, "weight spaces do not span the module"
+    internal_check(sol is not None, "weight spaces do not span the module")
     comps: dict = {}
     for c, values in zip(sol, meta):
         if c.a or c.b:
@@ -767,11 +729,11 @@ def decide_local_aut(lb: SemidirectLeibniz, bm: BlockMap) -> LeibnizVerdict:
     # Normalize the S-block by undoing its inner part, then inspect weights.
     shape = s_verdict.shape
     reducer = extend_automorphism(lb, inner_automorphism_matrix(lb.model, shape.a), 0)
-    assert reducer is not None, "inner automorphisms always extend"
+    internal_check(reducer is not None, "inner automorphisms always extend")
     reduced = reducer.inv().compose(bm)
     cert = _weight_obstruction(lb, bm, reducer, reduced)
     if cert is not None:
         return LeibnizVerdict(NOT_LOCAL, cert)
     ok, pair = is_automorphism(lb, bm)
-    assert not ok, "anti-family S-block cannot give a full automorphism"
+    internal_check(not ok, "anti-family S-block cannot give a full automorphism")
     return LeibnizVerdict(NOT_LOCAL, BracketFailure(*pair))

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial, format_scalar, parse_scalar
+from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial, format_scalar, internal_check, parse_scalar
 
 Vector = tuple
 
@@ -430,7 +430,7 @@ def invariant_factors(m: Matrix) -> tuple:
     diag = _smith_diagonal(_poly_matrix_char(m))
     factors = [p for p in diag if p.degree >= 1]
     for p, q in zip(factors, factors[1:]):
-        assert (q % p).is_zero(), "invariant factor chain broken"
+        internal_check((q % p).is_zero(), "invariant factor chain broken")
     return tuple(factors)
 
 
@@ -563,6 +563,6 @@ def similarity_witness(x: Matrix, y: Matrix) -> Matrix | None:
         if invariant_factors(x) != invariant_factors(y):
             return None
         a = invertible_element(space, n, persistent=True)
-        assert a is not None
-    assert y @ a == a @ x
+        internal_check(a is not None, "persistent search found no invertible intertwiner")
+    internal_check(y @ a == a @ x, "similarity witness does not intertwine")
     return a

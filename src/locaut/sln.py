@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import StructureAlgebra
-from .exact import GR_ONE, GR_ZERO, GaussianRational
+from .exact import GR_ZERO, GaussianRational, internal_check
 from .linalg import Matrix, Subspace, inverse, kernel
 
 
@@ -43,6 +44,7 @@ class SlnModel:
         # Filled on first use, so that building a model stays cheap.
         self._h0 = None
         self._square_zero = None
+        self._structure = None
 
     def e(self, i: int, j: int) -> Matrix:
         """Root vector E_ij (1-indexed arguments not used: i, j are 0-based)."""
@@ -84,11 +86,14 @@ class SlnModel:
         return x @ y - y @ x
 
     def structure_algebra(self) -> StructureAlgebra:
-        table = [
-            [self.coords(self.bracket(a, b)) for b in self.basis]
-            for a in self.basis
-        ]
-        return StructureAlgebra(self.dim, self.labels, table)
+        """The structure constants of sl_n in this basis, built once per model."""
+        if self._structure is None:
+            table = [
+                [self.coords(self.bracket(a, b)) for b in self.basis]
+                for a in self.basis
+            ]
+            self._structure = StructureAlgebra(self.dim, self.labels, table)
+        return self._structure
 
     def map_matrix(self, f) -> Matrix:
         """Coordinate matrix of the linear map x -> f(x) on sl_n."""
@@ -125,7 +130,7 @@ class SlnModel:
             powers = [4 ** (k + 1) for k in range(self.n)]
             avg = Fraction(sum(powers), self.n)
             h0 = Matrix.diagonal([Fraction(p) - avg for p in powers])
-            assert self.is_strongly_regular(h0)
+            internal_check(self.is_strongly_regular(h0), "h0 is not strongly regular")
             self._h0 = h0
         return self._h0
 
@@ -169,10 +174,10 @@ class SlnModel:
                     + _unit_matrix(self.n, k + 1, k)
                     - _unit_matrix(self.n, k + 1, k + 1)
                 )
-                assert (m @ m).is_zero()
+                internal_check((m @ m).is_zero(), "Cartan fill does not square to zero")
                 out.append(m)
             span = Subspace(self.dim, [self.coords(m) for m in out])
-            assert span.dim == self.dim
+            internal_check(span.dim == self.dim, "square-zero set does not span sl_n")
             self._square_zero = tuple(out)
         return self._square_zero
 
@@ -232,9 +237,13 @@ class CanonicalShape:
         if self.sigma not in (SIGMA_ID, SIGMA_T):
             raise ValueError(f"unknown sigma {self.sigma!r}")
 
+    @cached_property
+    def _a_inverse(self) -> Matrix:
+        return inverse(self.a)
+
     def apply(self, x: Matrix) -> Matrix:
         y = x.T if self.sigma == SIGMA_T else x
-        out = self.a @ y @ inverse(self.a)
+        out = self.a @ y @ self._a_inverse
         return out if self.epsilon == 1 else -out
 
     def is_automorphism_family(self) -> bool:
@@ -250,14 +259,3 @@ class CanonicalShape:
 
 def shape_map_matrix(model: SlnModel, shape: CanonicalShape) -> Matrix:
     return model.map_matrix(shape.apply)
-
-
-def shape_preserves_bracket(model: SlnModel, shape: CanonicalShape) -> bool:
-    """Direct bracket check on all basis pairs; cross-validates the family label."""
-    for x in model.basis:
-        fx = shape.apply(x)
-        for y in model.basis:
-            lhs = shape.apply(model.bracket(x, y))
-            if lhs != model.bracket(fx, shape.apply(y)):
-                return False
-    return True

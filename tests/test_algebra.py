@@ -1,4 +1,11 @@
-"""Structure-constant algebras: identities, ideals, quotients, filiformity."""
+"""Structure-constant algebras: identities, ideals, quotients, filiformity,
+the bracket and the bracket-preservation check."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locaut.algebra import (
     StructureAlgebra,
@@ -6,8 +13,11 @@ from locaut.algebra import (
     unit_vector,
     vec_is_zero,
 )
+from locaut.classify import random_unimodular
 from locaut.exact import GR_ZERO, GaussianRational
 from locaut.filiform import model_filiform
+from locaut.leibniz import build_semidirect, inner_automorphism_matrix, module_vm
+from locaut.linalg import det
 from locaut.sln import SlnModel
 
 
@@ -148,3 +158,87 @@ def test_filiform_check_non_adapted_basis():
     chk = filiform_check(StructureAlgebra(n, ["e1", "e2", "e3", "e4"], t))
     assert chk.filiform
     assert not chk.adapted
+
+
+# -- bracket and automorphism_check against reference loops -----------------
+
+
+def matrix_bracket_reference(model, phi):
+    """(ok, failing_pair) from matrix commutators, pairs scanned i outer and
+    j inner: the check extend_automorphism used to carry inline."""
+    if det(phi).is_zero():
+        return False, None
+    images = [model.matrix(phi.column(a)) for a in range(model.dim)]
+    for i, x in enumerate(model.basis):
+        for j, y in enumerate(model.basis):
+            want = phi.apply(model.coords(model.bracket(x, y)))
+            got = model.coords(model.bracket(images[i], images[j]))
+            if tuple(want) != tuple(got):
+                return False, (i, j)
+    return True, None
+
+
+def sln_maps(model, rng):
+    """(name, map, is an automorphism or None for singular)."""
+    singular = model.map_matrix(lambda x: x - x.T)
+    return [
+        ("inner", inner_automorphism_matrix(model, random_unimodular(model.n, rng)), True),
+        ("minus_transpose", model.map_matrix(lambda x: -x.T), True),
+        ("transpose", model.transpose_map(), False),
+        ("scalar_2", model.scalar_map(2), False),
+        ("invertible_non_aut", random_unimodular(model.dim, rng), False),
+        ("singular", singular, None),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_automorphism_check_matches_matrix_brackets(n):
+    model = SlnModel(n)
+    alg = model.structure_algebra()
+    for name, phi, is_aut in sln_maps(model, random.Random(n)):
+        got = alg.automorphism_check(phi)
+        assert got == matrix_bracket_reference(model, phi), name
+        if is_aut is None:
+            assert got == (False, None), name
+        else:
+            assert got[0] is is_aut, name
+            assert (got[1] is None) is is_aut, name
+
+
+def test_sln_structure_algebra_is_built_once_per_model():
+    model = SlnModel(3)
+    assert model.structure_algebra() is model.structure_algebra()
+
+
+def dense_bracket_reference(alg, x, y):
+    out = [GR_ZERO] * alg.dim
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                out[k] = out[k] + x[i] * y[j] * alg.table[i][j][k]
+    return tuple(out)
+
+
+_small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+# zeros are drawn often, so the sparse loops skip coordinates
+_qi = st.one_of(st.just(GR_ZERO), st.builds(GaussianRational, _small, _small))
+
+_BRACKET_ALGEBRAS = {
+    "sl3": lambda: SlnModel(3).structure_algebra(),
+    "filiform6": lambda: model_filiform(6).algebra,
+    "vm2_semidirect": lambda: build_semidirect(SlnModel(2), module_vm(2)).algebra,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_BRACKET_ALGEBRAS))
+def bracket_algebra(request):
+    return _BRACKET_ALGEBRAS[request.param]()
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_bracket_matches_dense_reference(bracket_algebra, data):
+    alg = bracket_algebra
+    vec = st.lists(_qi, min_size=alg.dim, max_size=alg.dim).map(tuple)
+    x, y = data.draw(vec), data.draw(vec)
+    assert alg.bracket(x, y) == dense_bracket_reference(alg, x, y)

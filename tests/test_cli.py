@@ -1,12 +1,17 @@
 """End-to-end command line behavior: verdicts, JSON, exit codes."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import locaut
+import locaut.cli
 from locaut.cli import main
+from locaut.exact import InternalCheckError
 from locaut.leibniz import BlockMap, build_module, build_semidirect
 from locaut.linalg import Matrix
 from locaut.sln import MnModel, SlnModel
@@ -297,6 +302,31 @@ def test_selfcheck_json(capsys):
     assert data["seed"] == 5
     assert data["failures"] == 0
     assert all(c["status"] == "PASS" for c in data["checks"])
+
+
+# -- internal checks ---------------------------------------------------------
+
+
+def test_no_assert_statements_in_package():
+    """python -O strips asserts, so no check in the package may be one."""
+    found = []
+    for path in sorted(Path(locaut.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(model, d):
+        raise InternalCheckError("fitted shape does not reproduce the map")
+
+    monkeypatch.setattr(locaut.cli, "classify_sln", broken)
+    code, out, err = run(capsys, ["classify-sln", "--n", "2", "--map", transpose_file(tmp_path)])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: fitted shape does not reproduce the map\n"
+    assert not issubclass(InternalCheckError, ValueError)
 
 
 # -- process-level checks ---------------------------------------------------

@@ -14,7 +14,6 @@ from locaut.sln import (
     MnModel,
     SlnModel,
     shape_map_matrix,
-    shape_preserves_bracket,
 )
 
 
@@ -179,10 +178,15 @@ def test_shape_json_roundtrip():
 def test_bracket_behavior_by_family():
     model = SlnModel(2)
     g = Matrix(((2, 1), (1, 1)))
-    assert shape_preserves_bracket(model, CanonicalShape(1, SIGMA_ID, g))
-    assert shape_preserves_bracket(model, CanonicalShape(-1, SIGMA_T, g))
-    assert not shape_preserves_bracket(model, CanonicalShape(1, SIGMA_T, g))
-    assert not shape_preserves_bracket(model, CanonicalShape(-1, SIGMA_ID, g))
+
+    def preserves(eps, sigma):
+        d = shape_map_matrix(model, CanonicalShape(eps, sigma, g))
+        return model.structure_algebra().automorphism_check(d)[0]
+
+    assert preserves(1, SIGMA_ID)
+    assert preserves(-1, SIGMA_T)
+    assert not preserves(1, SIGMA_T)
+    assert not preserves(-1, SIGMA_ID)
 
 
 def test_anti_families_reverse_brackets():
