@@ -14,13 +14,14 @@ from pathlib import Path
 from locaut.classify import random_unimodular
 from locaut.leibniz import BlockMap
 from locaut.linalg import Matrix, inverse
-from locaut.sln import SlnModel
+from locaut.sln import MnModel, SlnModel
 
 
 @dataclass
 class Config:
     out_dir: Path = Path("inputs")
     n_values: tuple = (2, 3, 4)
+    mn_values: tuple = (2, 3)
     seed: int = 20240817
 
 
@@ -42,6 +43,7 @@ def main(argv=None) -> int:
     for n in cfg.n_values:
         model = SlnModel(n)
         dump(cfg, f"transpose{n}.json", model.transpose_map().to_json())
+        dump(cfg, f"negtranspose{n}.json", model.map_matrix(lambda x: -x.T).to_json())
         dump(cfg, f"negation{n}.json", model.scalar_map(-1).to_json())
         dump(cfg, f"double{n}.json", model.scalar_map(2).to_json())
         g = random_unimodular(n, rng)
@@ -56,6 +58,19 @@ def main(argv=None) -> int:
     dump(cfg, "blockmap_identity_vm2.json", ident.to_json())
     anti = BlockMap(model.transpose_map(), Matrix.zeros(3, 3), Matrix.identity(3))
     dump(cfg, "blockmap_transpose_vm2.json", anti.to_json())
+
+    # Maps on M_n: an anti-automorphism, an automorphism, a scaling that moves
+    # the identity, a singular map, and an injective unital map fitting no shape.
+    for n in cfg.mn_values:
+        model = MnModel(n)
+        dump(cfg, f"mn_transpose{n}.json", model.map_matrix(lambda x: x.T).to_json())
+        g = random_unimodular(n, rng)
+        ginv = inverse(g)
+        dump(cfg, f"mn_conjugation{n}.json", model.map_matrix(lambda x: g @ x @ ginv).to_json())
+        dump(cfg, f"mn_double{n}.json", model.map_matrix(lambda x: x * 2).to_json())
+        # e12 is the second coordinate: kill it, or stretch it.
+        dump(cfg, f"mn_singular{n}.json", Matrix.diagonal([1, 0] + [1] * (model.dim - 2)).to_json())
+        dump(cfg, f"mn_stretch{n}.json", Matrix.diagonal([1, 2] + [1] * (model.dim - 2)).to_json())
     return 0
 
 

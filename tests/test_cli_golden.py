@@ -43,6 +43,18 @@ INVOCATIONS = (
         ("leibniz-decide", "--n", "2", "--module", "vm:2", "--map", f"blockmap_{name}_vm2.json")
         for name in ("identity", "transpose")
     ]
+    + [
+        ("classify-mn", "--n", str(n), "--map", f"mn_{name}{n}.json")
+        for n in (2, 3)
+        for name in ("transpose", "conjugation", "double", "singular", "stretch")
+    ]
+    + [
+        ("leibniz-build", "--n", "2", "--module", "vm:2", "--map", "conjugation2.json"),
+        ("leibniz-build", "--n", "2", "--module", "adjoint", "--map", "conjugation2.json", "--omega", "3"),
+        ("leibniz-build", "--n", "3", "--module", "natural", "--map", "conjugation3.json"),
+        ("leibniz-build", "--n", "3", "--module", "natural", "--map", "negtranspose3.json"),
+        ("leibniz-build", "--n", "2", "--module", "vm:2", "--map", "transpose2.json"),
+    ]
 )
 CASES = [inv + mode for inv in INVOCATIONS for mode in ((), ("--json",))]
 
