@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Generate ready-to-use JSON input files for the locaut CLI.
 
-Writes matrices (maps and points) plus two block maps into a directory, so
-the README examples can be run verbatim.
+Writes maps and points on sl_n, maps on M_n and two block maps into a
+directory, so the README examples can be run verbatim.
 """
 
 import argparse
@@ -63,11 +63,11 @@ def main(argv=None) -> int:
     # the identity, a singular map, and an injective unital map fitting no shape.
     for n in cfg.mn_values:
         model = MnModel(n)
-        dump(cfg, f"mn_transpose{n}.json", model.map_matrix(lambda x: x.T).to_json())
+        dump(cfg, f"mn_transpose{n}.json", model.transpose_map().to_json())
         g = random_unimodular(n, rng)
         ginv = inverse(g)
         dump(cfg, f"mn_conjugation{n}.json", model.map_matrix(lambda x: g @ x @ ginv).to_json())
-        dump(cfg, f"mn_double{n}.json", model.map_matrix(lambda x: x * 2).to_json())
+        dump(cfg, f"mn_double{n}.json", model.scalar_map(2).to_json())
         # e12 is the second coordinate: kill it, or stretch it.
         dump(cfg, f"mn_singular{n}.json", Matrix.diagonal([1, 0] + [1] * (model.dim - 2)).to_json())
         dump(cfg, f"mn_stretch{n}.json", Matrix.diagonal([1, 2] + [1] * (model.dim - 2)).to_json())

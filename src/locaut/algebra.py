@@ -53,9 +53,6 @@ class StructureAlgebra:
             for row in self.table
         )
 
-    def zero(self):
-        return (GR_ZERO,) * self.dim
-
     def unit(self, i: int):
         return unit_vector(i, self.dim)
 

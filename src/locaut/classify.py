@@ -167,6 +167,35 @@ def _verify_shape(model, images, shape: CanonicalShape) -> bool:
     return all(shape.apply(e) == want for e, want in zip(model.basis, images))
 
 
+def _fit_families(model, d: Matrix, images, families, first_only: bool):
+    """Fit each family in order; returns (verdict, fit_dimensions).
+
+    verdict is None when no family fits; otherwise its primary shape is the
+    first fit, and with first_only=False every fitting family is listed.
+    """
+    fits = []
+    dims = []
+    for eps, sigma in families:
+        space, a = fit_shape_family(model, d, eps, sigma, images)
+        dims.append(((eps, sigma), space.dim))
+        if a is not None:
+            shape = CanonicalShape(eps, sigma, a)
+            internal_check(_verify_shape(model, images, shape), "fitted shape does not reproduce the map")
+            fits.append(shape)
+            if first_only:
+                break
+    verdict = Verdict(_family_verdict(fits[0]), shape=fits[0], shapes=tuple(fits)) if fits else None
+    return verdict, tuple(dims)
+
+
+def _injectivity_verdict(model, d: Matrix) -> Verdict | None:
+    """NotLocal with a kernel vector when d is singular, else None."""
+    if d.nrows != model.dim or d.ncols != model.dim:
+        raise ValueError("map matrix has wrong size for this model")
+    ker = kernel(d)
+    return Verdict(NOT_LOCAL, obstruction=NotInjective(ker.basis[0])) if ker.dim else None
+
+
 def probe_element(model: SlnModel) -> Matrix:
     entries = [1, -1] + [0] * (model.n - 2)
     return Matrix.diagonal(entries)
@@ -255,29 +284,16 @@ def classify_sln(model: SlnModel, d: Matrix) -> Verdict:
     order is the primary shape.  For n >= 3 the family is unique and the scan
     stops at the first fit.
     """
-    if d.nrows != model.dim or d.ncols != model.dim:
-        raise ValueError("map matrix has wrong size for this model")
-    ker = kernel(d)
-    if ker.dim > 0:
-        return Verdict(NOT_LOCAL, obstruction=NotInjective(ker.basis[0]))
+    verdict = _injectivity_verdict(model, d)
+    if verdict is not None:
+        return verdict
     images = basis_images(model, d)
     ok, bad = preserves_square_zero(model, d, images)
     if not ok:
         return Verdict(NOT_LOCAL, obstruction=SquareZeroBroken(bad))
-    fits = []
-    dims = []
-    for eps, sigma in SHAPE_FAMILIES:
-        space, a = fit_shape_family(model, d, eps, sigma, images)
-        dims.append(((eps, sigma), space.dim))
-        if a is not None:
-            shape = CanonicalShape(eps, sigma, a)
-            internal_check(_verify_shape(model, images, shape), "fitted shape does not reproduce the map")
-            fits.append(shape)
-            if model.n >= 3:
-                break
-    if fits:
-        primary = fits[0]
-        return Verdict(_family_verdict(primary), shape=primary, shapes=tuple(fits))
+    verdict, dims = _fit_families(model, d, images, SHAPE_FAMILIES, first_only=model.n >= 3)
+    if verdict is not None:
+        return verdict
     probe, required, lam_sq, lam = local_aut_probe(model, d)
     if lam_sq is not None and not (lam_sq - GR_ONE).is_zero():
         return Verdict(
@@ -288,7 +304,7 @@ def classify_sln(model: SlnModel, d: Matrix) -> Verdict:
         )
     return Verdict(
         NOT_LOCAL,
-        obstruction=NoShapeFits(tuple(dims), probe, required),
+        obstruction=NoShapeFits(dims, probe, required),
     )
 
 
@@ -301,26 +317,17 @@ def classify_mn(model: MnModel, d: Matrix) -> Verdict:
     Unital algebra maps must fix the identity, which rules out sign twists;
     Delta(1) != 1 is therefore already a complete obstruction.
     """
-    if d.nrows != model.dim or d.ncols != model.dim:
-        raise ValueError("map matrix has wrong size for this model")
-    ker = kernel(d)
-    if ker.dim > 0:
-        return Verdict(NOT_LOCAL, obstruction=NotInjective(ker.basis[0]))
+    verdict = _injectivity_verdict(model, d)
+    if verdict is not None:
+        return verdict
     one = Matrix.identity(model.n)
     d_one = model.apply_map(d, one)
     if d_one != one:
         return Verdict(NOT_LOCAL, obstruction=IdentityNotFixed(d_one))
-    images = basis_images(model, d)
-    dims = []
-    for eps, sigma in MN_FAMILIES:
-        space, a = fit_shape_family(model, d, eps, sigma, images)
-        dims.append(((eps, sigma), space.dim))
-        if a is not None:
-            shape = CanonicalShape(eps, sigma, a)
-            internal_check(_verify_shape(model, images, shape), "fitted shape does not reproduce the map")
-            verdict = AUTOMORPHISM if sigma == SIGMA_ID else ANTI_AUTOMORPHISM
-            return Verdict(verdict, shape=shape, shapes=(shape,))
-    return Verdict(NOT_LOCAL, obstruction=NoShapeFits(tuple(dims), None, None))
+    verdict, dims = _fit_families(model, d, basis_images(model, d), MN_FAMILIES, first_only=True)
+    if verdict is not None:
+        return verdict
+    return Verdict(NOT_LOCAL, obstruction=NoShapeFits(dims, None, None))
 
 
 def pointwise_witness(model: SlnModel, d: Matrix, x: Matrix) -> CanonicalShape | None:

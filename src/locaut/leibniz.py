@@ -25,13 +25,16 @@ from .algebra import StructureAlgebra, unit_vector, vec_is_zero
 from .classify import (
     AUTOMORPHISM,
     NOT_LOCAL,
+    NotInjective,
     Verdict,
     classify_sln,
+    fit_shape_family,
 )
 from .exact import GR_ZERO, GaussianRational, format_scalar, internal_check
 from .linalg import (
     Matrix,
     Subspace,
+    combine,
     det,
     intertwiner_space,
     inverse,
@@ -39,7 +42,7 @@ from .linalg import (
     matrix_from_flat,
     solve_linear,
 )
-from .sln import SIGMA_T, SlnModel
+from .sln import SIGMA_ID, SIGMA_T, CanonicalShape, SlnModel, shape_map_matrix
 
 
 class RightModule:
@@ -94,15 +97,16 @@ class RightModule:
 # Module constructors
 
 
-def module_vm(m: int) -> RightModule:
+def module_vm(model: SlnModel, m: int) -> RightModule:
     """The (m+1)-dimensional irreducible right sl_2-module V(m).
 
     Built from the standard left highest-weight action rho and converted via
     v.g = -rho(g) v, which is what the right-module law demands.
     """
+    if model.n != 2:
+        raise ValueError("V(m) modules are defined for sl_2 only")
     if m < 0:
         raise ValueError("V(m) needs m >= 0")
-    model = SlnModel(2)
     d = m + 1
     e_rows = [[0] * d for _ in range(d)]
     f_rows = [[0] * d for _ in range(d)]
@@ -119,9 +123,8 @@ def module_vm(m: int) -> RightModule:
     return RightModule(model, f"V({m})", actions)
 
 
-def module_natural(n: int) -> RightModule:
+def module_natural(model: SlnModel) -> RightModule:
     """Column space Q(i)^n with v.g = -g v."""
-    model = SlnModel(n)
     return RightModule(model, "natural", [-b for b in model.basis])
 
 
@@ -138,11 +141,9 @@ def module_adjoint(model: SlnModel) -> RightModule:
 def build_module(model: SlnModel, name: str) -> RightModule:
     """Module from a short name: "vm:<m>" (n = 2 only), "natural", "adjoint"."""
     if name.startswith("vm:"):
-        if model.n != 2:
-            raise ValueError("V(m) modules are defined for sl_2 only")
-        return module_vm(int(name[3:]))
+        return module_vm(model, int(name[3:]))
     if name == "natural":
-        return module_natural(model.n)
+        return module_natural(model)
     if name == "adjoint":
         return module_adjoint(model)
     raise ValueError(f"unknown module {name!r}")
@@ -191,14 +192,7 @@ def _split_by_operator(vectors, op: Matrix, ambient: int):
         ker = kernel(shifted)
         if ker.dim == 0:
             continue
-        vecs = []
-        for w in ker.basis:
-            acc = [GR_ZERO] * ambient
-            for c, b in zip(w, space.basis):
-                if c.a or c.b:
-                    acc = [x + c * y for x, y in zip(acc, b)]
-            vecs.append(tuple(acc))
-        parts.append((Fraction(lam), vecs))
+        parts.append((Fraction(lam), [combine(w, space.basis) for w in ker.basis]))
         total += ker.dim
     if total != k:
         raise ValueError("weights are not integral: eigenvalue scan incomplete")
@@ -444,8 +438,7 @@ def module_isomorphism(m1: RightModule, m2: RightModule) -> Matrix | None:
 
 
 def inner_automorphism_matrix(model: SlnModel, a: Matrix) -> Matrix:
-    ainv = inverse(a)
-    return model.map_matrix(lambda x: a @ x @ ainv)
+    return shape_map_matrix(model, CanonicalShape(1, SIGMA_ID, a))
 
 
 def extend_automorphism(lb: SemidirectLeibniz, phi_s: Matrix, omega=0) -> BlockMap | None:
@@ -512,11 +505,8 @@ def highest_weight_scaling_check(lb: SemidirectLeibniz, bm: BlockMap) -> Gaussia
 def diagonal_conjugator_check(model: SlnModel, phi_s: Matrix) -> Matrix | None:
     """For an S-automorphism sending h0 to -h0: exhibit the diagonal a with
     phi_s(x) = -a x^T a^-1, or None if the fit fails or a is not diagonal."""
-    from .classify import fit_shape_family
-
     h0 = model.strongly_regular_element()
-    img = model.matrix(phi_s.apply(model.coords(h0)))
-    if img != -h0:
+    if model.apply_map(phi_s, h0) != -h0:
         raise ValueError("check applies to maps sending h0 to -h0")
     space, a = fit_shape_family(model, phi_s, -1, SIGMA_T)
     if a is None:
@@ -540,16 +530,6 @@ class InheritedSlnObstruction:
 
     def to_json(self):
         return {"kind": self.kind, "sln_verdict": self.verdict.to_json()}
-
-
-@dataclass(frozen=True)
-class FullMapNotInjective:
-    kernel_vector: tuple
-
-    kind = "not_injective"
-
-    def to_json(self):
-        return {"kind": self.kind, "kernel_vector": [format_scalar(x) for x in self.kernel_vector]}
 
 
 @dataclass(frozen=True)
@@ -712,7 +692,7 @@ def decide_local_aut(lb: SemidirectLeibniz, bm: BlockMap) -> LeibnizVerdict:
     full = bm.full_matrix()
     ker = kernel(full)
     if ker.dim > 0:
-        return LeibnizVerdict(NOT_LOCAL, FullMapNotInjective(ker.basis[0]))
+        return LeibnizVerdict(NOT_LOCAL, NotInjective(ker.basis[0]))
     s_verdict = classify_sln(lb.model, bm.s_block)
     if s_verdict.verdict == NOT_LOCAL:
         return LeibnizVerdict(NOT_LOCAL, InheritedSlnObstruction(s_verdict))

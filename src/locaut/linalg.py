@@ -8,7 +8,6 @@ normalized, so fraction-free pivoting buys nothing here.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import product
 
 from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial, format_scalar, internal_check, parse_scalar
@@ -468,12 +467,12 @@ def intertwiner_space(pairs) -> Subspace:
             break
         cols = [(a @ m - m @ b).flatten() for m in (matrix_from_flat(v, n) for v in basis)]
         coeff_space = kernel(Matrix(zip(*cols)))
-        basis = [_combine(coeffs, basis) for coeffs in coeff_space.basis]
+        basis = [combine(coeffs, basis) for coeffs in coeff_space.basis]
     return Subspace(n * n, basis)
 
 
-def _combine(coeffs, vectors) -> Vector:
-    """sum_k coeffs[k] * vectors[k]."""
+def combine(coeffs, vectors) -> Vector:
+    """sum_k coeffs[k] * vectors[k] over the nonzero Q(i) coefficients."""
     out = [GR_ZERO] * len(vectors[0])
     for c, v in zip(coeffs, vectors):
         if c.a or c.b:
@@ -503,16 +502,13 @@ def invertible_element(space: Subspace, n: int, persistent: bool = False) -> Mat
     k = space.dim
     if k == 0:
         return None
-    mats = [matrix_from_flat(v, n) for v in space.basis]
 
     def candidate(coeffs) -> Matrix | None:
-        acc = Matrix.zeros(n, n)
-        for c, m in zip(coeffs, mats):
-            if c:
-                acc = acc + m * GaussianRational(c)
-        if acc.is_zero():
+        flat = combine([GaussianRational(c) for c in coeffs], space.basis)
+        if not any(x.a or x.b for x in flat):
             return None
-        return acc if not det(acc).is_zero() else None
+        m = matrix_from_flat(flat, n)
+        return m if not det(m).is_zero() else None
 
     if k <= 3:
         for coeffs in product(range(n + 1), repeat=k):

@@ -1,10 +1,11 @@
-"""Independent re-verification of verdicts and certificates.
+"""Re-verification of verdicts and certificates.
 
-Everything here recomputes claims from first principles: determinants by
-cofactor expansion, characteristic polynomials from the polynomial-entry
-matrix, brackets straight from structure constants, weight data from a fresh
-decomposition.  The point is that a verdict produced by the decision code can
-be checked without trusting the decision code.
+Most checks recompute claims from first principles: determinants by cofactor
+expansion, conjugator inverses by adjugates, characteristic polynomials from
+the polynomial-entry matrix (n <= 4), brackets straight from structure
+constants.  Some reuse decision code: no_shape_fits re-runs fit_shape_family,
+bracket preservation goes through is_automorphism, and the weight certificate
+takes its weight spaces from weight_decomposition.
 
 All checks raise RecheckError with a description on failure and return None
 on success.
@@ -130,26 +131,36 @@ def adjugate_inverse(m: Matrix) -> Matrix:
 # sl_n verdicts
 
 
+def _adjugate_shape(shape: CanonicalShape):
+    """x -> epsilon * a * sigma(x) * adj(a)/det(a): the shape's map with the
+    conjugator inverted once by adjugate, not by CanonicalShape.apply."""
+    ainv = adjugate_inverse(shape.a)
+
+    def apply(x: Matrix) -> Matrix:
+        img = shape.a @ (x.T if shape.sigma == SIGMA_T else x) @ ainv
+        return img if shape.epsilon == 1 else -img
+
+    return apply
+
+
 def recheck_shape(model: SlnModel, d: Matrix, shape: CanonicalShape):
     """The shape reproduces the map on every basis element, with the
     conjugator inverted by adjugate."""
-    ainv = adjugate_inverse(shape.a)
+    apply = _adjugate_shape(shape)
     for e in model.basis:
-        y = e.T if shape.sigma == SIGMA_T else e
-        img = shape.a @ y @ ainv
-        if shape.epsilon == -1:
-            img = -img
-        _need(img == model.apply_map(d, e), "shape does not reproduce the map")
+        _need(apply(e) == model.apply_map(d, e), "shape does not reproduce the map")
 
 
 def recheck_witness_at(model: SlnModel, d: Matrix, x: Matrix, shape: CanonicalShape):
     """A pointwise witness: the shape agrees with the map at x exactly."""
-    ainv = adjugate_inverse(shape.a)
-    y = x.T if shape.sigma == SIGMA_T else x
-    img = shape.a @ y @ ainv
-    if shape.epsilon == -1:
-        img = -img
-    _need(img == model.apply_map(d, x), "witness does not match the map at x")
+    _need(_adjugate_shape(shape)(x) == model.apply_map(d, x), "witness does not match the map at x")
+
+
+def _probe_charpoly(model: SlnModel, d: Matrix):
+    """charpoly of the probe's image: cofactor expansion for n <= 4, and
+    linalg.charpoly beyond, where the expansion is exponential."""
+    img = model.apply_map(d, probe_element(model))
+    return charpoly_via_cofactor(img) if model.n <= 4 else charpoly(img)
 
 
 def recheck_sln_verdict(model: SlnModel, d: Matrix, v: Verdict):
@@ -179,8 +190,7 @@ def recheck_sln_verdict(model: SlnModel, d: Matrix, v: Verdict):
         y = model.apply_map(d, x)
         _need(not (y @ y).is_zero(), "image square vanishes after all")
     elif kind == "lambda_not_unit":
-        img = model.apply_map(d, probe_element(model))
-        p = charpoly_via_cofactor(img) if model.n <= 4 else charpoly(img)
+        p = _probe_charpoly(model, d)
         _need(p == ob.probe_charpoly, "stored probe polynomial is wrong")
         _need(
             ob.required_charpoly == required_probe_charpoly(model.n),
@@ -204,9 +214,7 @@ def recheck_sln_verdict(model: SlnModel, d: Matrix, v: Verdict):
             _need(space.dim == dim, "stored fit dimension is wrong")
             _need(a is None, "a family fits after all")
         if ob.probe_charpoly is not None:
-            img = model.apply_map(d, probe_element(model))
-            p = charpoly_via_cofactor(img) if model.n <= 4 else charpoly(img)
-            _need(p == ob.probe_charpoly, "stored probe polynomial is wrong")
+            _need(_probe_charpoly(model, d) == ob.probe_charpoly, "stored probe polynomial is wrong")
     elif kind == "identity_not_fixed":
         one = Matrix.identity(model.n)
         img = model.apply_map(d, one)

@@ -13,14 +13,43 @@ from functools import cached_property
 
 from .algebra import StructureAlgebra
 from .exact import GR_ZERO, GaussianRational, internal_check
-from .linalg import Matrix, Subspace, inverse, kernel
+from .linalg import Matrix, Subspace, inverse, kernel, matrix_from_flat
 
 
 def _unit_matrix(n: int, i: int, j: int) -> Matrix:
     return Matrix(tuple(tuple(1 if (r, c) == (i, j) else 0 for c in range(n)) for r in range(n)))
 
 
-class SlnModel:
+class MatrixModel:
+    """Linear maps on n x n matrices in an ordered basis.  Subclasses set n,
+    dim and basis and define coords and its inverse, matrix."""
+
+    @cached_property
+    def transpose_index(self) -> tuple:
+        """transpose_index[k] is the index of basis[k].T in the basis."""
+        index = {b: k for k, b in enumerate(self.basis)}
+        return tuple(index[b.T] for b in self.basis)
+
+    def map_matrix(self, f) -> Matrix:
+        """Coordinate matrix of the linear map x -> f(x)."""
+        cols = [self.coords(f(b)) for b in self.basis]
+        return Matrix(zip(*cols))
+
+    def apply_map(self, d: Matrix, x: Matrix) -> Matrix:
+        return self.matrix(d.apply(self.coords(x)))
+
+    def identity_map(self) -> Matrix:
+        return Matrix.identity(self.dim)
+
+    def scalar_map(self, lam) -> Matrix:
+        lam = lam if isinstance(lam, GaussianRational) else GaussianRational(lam)
+        return self.map_matrix(lambda x: x * lam)
+
+    def transpose_map(self) -> Matrix:
+        return self.map_matrix(lambda x: x.T)
+
+
+class SlnModel(MatrixModel):
     """sl_n with a fixed ordered basis and exact coordinate maps."""
 
     def __init__(self, n: int):
@@ -37,10 +66,6 @@ class SlnModel:
             basis.append(_unit_matrix(n, k, k) - _unit_matrix(n, k + 1, k + 1))
         self.basis = tuple(basis)
         self._off_index = {pair: a for a, pair in enumerate(self.off_pairs)}
-        # transpose_index[k] is the index of basis[k].T: e_ij <-> e_ji, h_k fixed.
-        self.transpose_index = tuple(self._off_index[(j, i)] for i, j in self.off_pairs) + tuple(
-            range(len(self.off_pairs), self.dim)
-        )
         # Filled on first use, so that building a model stays cheap.
         self._h0 = None
         self._square_zero = None
@@ -94,24 +119,6 @@ class SlnModel:
             ]
             self._structure = StructureAlgebra(self.dim, self.labels, table)
         return self._structure
-
-    def map_matrix(self, f) -> Matrix:
-        """Coordinate matrix of the linear map x -> f(x) on sl_n."""
-        cols = [self.coords(f(b)) for b in self.basis]
-        return Matrix(zip(*cols))
-
-    def apply_map(self, d: Matrix, x: Matrix) -> Matrix:
-        return self.matrix(d.apply(self.coords(x)))
-
-    def identity_map(self) -> Matrix:
-        return Matrix.identity(self.dim)
-
-    def scalar_map(self, lam) -> Matrix:
-        lam = lam if isinstance(lam, GaussianRational) else GaussianRational(lam)
-        return self.map_matrix(lambda x: x * lam)
-
-    def transpose_map(self) -> Matrix:
-        return self.map_matrix(lambda x: x.T)
 
     # -- roots -------------------------------------------------------------
 
@@ -182,7 +189,7 @@ class SlnModel:
         return self._square_zero
 
 
-class MnModel:
+class MnModel(MatrixModel):
     """Full matrix algebra M_n with flattened row-major coordinates."""
 
     def __init__(self, n: int):
@@ -192,7 +199,6 @@ class MnModel:
             _unit_matrix(n, i, j) for i in range(n) for j in range(n)
         )
         self.labels = [f"e{i+1}{j+1}" for i in range(n) for j in range(n)]
-        self.transpose_index = tuple(j * n + i for i in range(n) for j in range(n))
 
     def strongly_regular_element(self) -> Matrix:
         """diag(1, 2, ..., n): distinct eigenvalues, so its centralizer is the
@@ -205,14 +211,7 @@ class MnModel:
         return x.flatten()
 
     def matrix(self, v) -> Matrix:
-        return Matrix(tuple(tuple(v[i * self.n + j] for j in range(self.n)) for i in range(self.n)))
-
-    def map_matrix(self, f) -> Matrix:
-        cols = [self.coords(f(b)) for b in self.basis]
-        return Matrix(zip(*cols))
-
-    def apply_map(self, d: Matrix, x: Matrix) -> Matrix:
-        return self.matrix(d.apply(self.coords(x)))
+        return matrix_from_flat(v, self.n)
 
 
 SIGMA_ID = "identity"

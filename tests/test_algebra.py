@@ -226,7 +226,7 @@ _qi = st.one_of(st.just(GR_ZERO), st.builds(GaussianRational, _small, _small))
 _BRACKET_ALGEBRAS = {
     "sl3": lambda: SlnModel(3).structure_algebra(),
     "filiform6": lambda: model_filiform(6).algebra,
-    "vm2_semidirect": lambda: build_semidirect(SlnModel(2), module_vm(2)).algebra,
+    "vm2_semidirect": lambda: build_semidirect(m := SlnModel(2), module_vm(m, 2)).algebra,
 }
 
 

@@ -56,13 +56,13 @@ def weight_flip(dim):
 
 
 def test_module_vm_satisfies_law():
-    assert module_vm(2).law_violations() == []
-    assert module_vm(5).law_violations() == []
+    assert module_vm(SlnModel(2), 2).law_violations() == []
+    assert module_vm(SlnModel(2), 5).law_violations() == []
 
 
 def test_module_constructor_rejects_bad_actions():
     model = SlnModel(2)
-    good = module_vm(1)
+    good = module_vm(model, 1)
     broken = list(good.actions)
     broken[0] = broken[0] + Matrix.identity(2)
     with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ def test_module_constructor_rejects_bad_actions():
 
 
 def test_vm_action_values():
-    vm = module_vm(2)
+    vm = module_vm(SlnModel(2), 2)
     m2 = vm.model
     y = vec(1, 0, 0)
     # the top vector scales by -m under h1 in the right action
@@ -82,7 +82,7 @@ def test_vm_action_values():
 
 
 def test_natural_action_is_negated_matrix_action():
-    nat = module_natural(3)
+    nat = module_natural(SlnModel(3))
     m3 = nat.model
     assert nat.act(vec(0, 1, 0), m3.e(0, 1)) == vec(-1, 0, 0)
 
@@ -108,17 +108,26 @@ def test_build_module_parsing():
         build_module(m2, "spin")
 
 
+@pytest.mark.parametrize("n, name", [(2, "vm:2"), (3, "natural"), (3, "adjoint")])
+def test_build_module_reuses_the_given_model(n, name):
+    model = SlnModel(n)
+    module = build_module(model, name)
+    assert module.model is model
+    lb = build_semidirect(model, module)
+    assert lb.module.model is lb.model
+
+
 # -- weights ----------------------------------------------------------------
 
 
 def test_vm2_weight_decomposition():
-    ws = weight_decomposition(module_vm(2))
+    ws = weight_decomposition(module_vm(SlnModel(2), 2))
     assert [w.values for w in ws] == [(Fraction(2),), (Fraction(0),), (Fraction(-2),)]
     assert all(len(w.basis) == 1 for w in ws)
 
 
 def test_natural3_weight_decomposition():
-    ws = weight_decomposition(module_natural(3))
+    ws = weight_decomposition(module_natural(SlnModel(3)))
     values = [w.values for w in ws]
     assert values == sorted(values, reverse=True)
     assert len(ws) == 3 and all(len(w.basis) == 1 for w in ws)
@@ -132,12 +141,12 @@ def test_adjoint3_zero_weight_plane():
 
 
 def test_highest_weight_vectors():
-    assert highest_weight_vector(module_vm(2)) == vec(1, 0, 0)
-    assert highest_weight_vector(module_natural(3)) == vec(1, 0, 0)
+    assert highest_weight_vector(module_vm(SlnModel(2), 2)) == vec(1, 0, 0)
+    assert highest_weight_vector(module_natural(SlnModel(3))) == vec(1, 0, 0)
 
 
 def test_weight_of_vector():
-    vm = module_vm(2)
+    vm = module_vm(SlnModel(2), 2)
     assert weight_of_vector(vm, vec(1, 0, 0)) == (Fraction(-2),)
     assert weight_of_vector(vm, vec(0, 1, 0)) == (Fraction(0),)
     # mixed vectors have no single weight
@@ -145,11 +154,11 @@ def test_weight_of_vector():
 
 
 def test_irreducibility():
-    assert is_irreducible(module_vm(0))
-    assert is_irreducible(module_vm(4))
-    assert is_irreducible(module_natural(3))
+    assert is_irreducible(module_vm(SlnModel(2), 0))
+    assert is_irreducible(module_vm(SlnModel(2), 4))
+    assert is_irreducible(module_natural(SlnModel(3)))
     assert is_irreducible(module_adjoint(SlnModel(3)))
-    vm1 = module_vm(1)
+    vm1 = module_vm(SlnModel(2), 1)
     doubled = [
         Matrix(
             tuple(tuple(a.data[p] + (GR_ZERO, GR_ZERO) for p in range(2))
@@ -281,13 +290,13 @@ def test_is_automorphism_failure_pair():
 
 
 def test_twist_by_identity_preserves_actions():
-    vm = module_vm(2)
+    vm = module_vm(SlnModel(2), 2)
     tw = twist_module(vm, Matrix.identity(3))
     assert tw.actions == vm.actions
 
 
 def test_twist_by_inner_stays_isomorphic():
-    vm = module_vm(3)
+    vm = module_vm(SlnModel(2), 3)
     phi = inner_automorphism_matrix(vm.model, Matrix(((2, 1), (1, 1))))
     t = module_isomorphism(vm, twist_module(vm, phi))
     assert t is not None
@@ -295,7 +304,7 @@ def test_twist_by_inner_stays_isomorphic():
 
 
 def test_module_isomorphism_of_identical_modules():
-    vm = module_vm(2)
+    vm = module_vm(SlnModel(2), 2)
     t = module_isomorphism(vm, vm)
     assert t is not None
     c = t[0, 0]
@@ -303,13 +312,13 @@ def test_module_isomorphism_of_identical_modules():
 
 
 def test_module_isomorphism_dimension_mismatch():
-    assert module_isomorphism(module_vm(1), module_vm(2)) is None
+    assert module_isomorphism(module_vm(SlnModel(2), 1), module_vm(SlnModel(2), 2)) is None
 
 
 def test_natural_twisted_by_neg_transpose_not_isomorphic():
     # -x^T turns the natural module into its dual, a different module for n = 3
     m3 = SlnModel(3)
-    nat = module_natural(3)
+    nat = module_natural(SlnModel(3))
     phi = m3.map_matrix(lambda x: -(x.T))
     assert module_isomorphism(nat, twist_module(nat, phi)) is None
     lb3 = build_semidirect(m3, nat)
