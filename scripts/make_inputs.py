@@ -21,7 +21,6 @@ from locaut.sln import MnModel, SlnModel
 class Config:
     out_dir: Path = Path("inputs")
     n_values: tuple = (2, 3, 4)
-    mn_values: tuple = (2, 3)
     seed: int = 20240817
 
 
@@ -60,8 +59,9 @@ def main(argv=None) -> int:
     dump(cfg, "blockmap_transpose_vm2.json", anti.to_json())
 
     # Maps on M_n: an anti-automorphism, an automorphism, a scaling that moves
-    # the identity, a singular map, and an injective unital map fitting no shape.
-    for n in cfg.mn_values:
+    # the identity, a singular map, and an injective unital map fitting no shape,
+    # on the M_n sizes the golden CLI cases use.
+    for n in (2, 3):
         model = MnModel(n)
         dump(cfg, f"mn_transpose{n}.json", model.transpose_map().to_json())
         g = random_unimodular(n, rng)

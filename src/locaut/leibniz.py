@@ -141,6 +141,8 @@ def module_adjoint(model: SlnModel) -> RightModule:
 def build_module(model: SlnModel, name: str) -> RightModule:
     """Module from a short name: "vm:<m>" (n = 2 only), "natural", "adjoint"."""
     if name.startswith("vm:"):
+        if model.n != 2:
+            raise ValueError("V(m) modules are defined for sl_2 only")
         return module_vm(model, int(name[3:]))
     if name == "natural":
         return module_natural(model)

@@ -104,6 +104,8 @@ def test_build_module_parsing():
     assert build_module(m3, "adjoint").dim == 8
     with pytest.raises(ValueError):
         build_module(m3, "vm:2")
+    with pytest.raises(ValueError, match="sl_2 only"):
+        build_module(m3, "vm:x")
     with pytest.raises(ValueError):
         build_module(m2, "spin")
 
