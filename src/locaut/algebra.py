@@ -154,13 +154,8 @@ class StructureAlgebra:
         free = [j for j in range(self.dim) if j not in set(pivot_cols)]
 
         def project(v):
-            v = list(v)
-            for row in ideal.basis:
-                p = next(j for j, x in enumerate(row) if x.a or x.b)
-                f = v[p]
-                if f.a or f.b:
-                    v = [x - f * y for x, y in zip(v, row)]
-            return tuple(v[j] for j in free)
+            residual = ideal.reduce(v)[1]
+            return tuple(residual[j] for j in free)
 
         table = [
             [

@@ -243,38 +243,6 @@ def square_zero_counterexample(model: SlnModel, d: Matrix, images) -> Matrix | N
     return None
 
 
-def random_traceless_nilpotent(model: SlnModel, rng: random.Random) -> Matrix:
-    """Random rank-one u v^T with v^T u = 0: square-zero and traceless."""
-    n = model.n
-    while True:
-        u = [rng.randint(-3, 3) for _ in range(n)]
-        if not any(u):
-            continue
-        w = [rng.randint(-3, 3) for _ in range(n)]
-        uu = sum(x * x for x in u)
-        uw = sum(x * y for x, y in zip(u, w))
-        v = [uu * y - uw * x for x, y in zip(u, w)]
-        if not any(v):
-            continue
-        m = Matrix(tuple(tuple(ui * vj for vj in v) for ui in u))
-        internal_check((m @ m).is_zero() and m.trace().is_zero(), "random nilpotent is not square-zero traceless")
-        return m
-
-
-def preserves_square_zero(model: SlnModel, d: Matrix, images, trials: int = 0, seed: int = 0):
-    """(ok, counterexample): spanning set first, then seeded random nilpotents."""
-    bad = square_zero_counterexample(model, d, images)
-    if bad is not None:
-        return False, bad
-    rng = random.Random(seed)
-    for _ in range(trials):
-        x = random_traceless_nilpotent(model, rng)
-        y = model.apply_map(d, x)
-        if not (y @ y).is_zero():
-            return False, x
-    return True, None
-
-
 def classify_sln(model: SlnModel, d: Matrix) -> Verdict:
     """Full classification of a linear self-map of sl_n in model coordinates.
 
@@ -288,8 +256,8 @@ def classify_sln(model: SlnModel, d: Matrix) -> Verdict:
     if verdict is not None:
         return verdict
     images = basis_images(model, d)
-    ok, bad = preserves_square_zero(model, d, images)
-    if not ok:
+    bad = square_zero_counterexample(model, d, images)
+    if bad is not None:
         return Verdict(NOT_LOCAL, obstruction=SquareZeroBroken(bad))
     verdict, dims = _fit_families(model, d, images, SHAPE_FAMILIES, first_only=model.n >= 3)
     if verdict is not None:
@@ -349,13 +317,11 @@ def pointwise_witness(model: SlnModel, d: Matrix, x: Matrix) -> CanonicalShape |
 # -- handy map constructors (used by tests, scripts and the CLI) -----------
 
 
-def random_unimodular(n: int, rng: random.Random, steps: int | None = None) -> Matrix:
-    """Product of random integer shears: unimodular, so the inverse is exact
-    and stays small."""
-    if steps is None:
-        steps = 3 * n * n
+def random_unimodular(n: int, rng: random.Random) -> Matrix:
+    """Product of 3 n^2 random integer shears: unimodular, so the inverse is
+    exact and stays small."""
     rows = [[GaussianRational(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
+    for _ in range(3 * n * n):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:

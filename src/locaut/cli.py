@@ -142,11 +142,11 @@ def _leibniz_setup(args):
         module = build_module(model, args.module)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    return model, build_semidirect(model, module)
+    return build_semidirect(model, module)
 
 
 def cmd_leibniz_build(args) -> int:
-    model, lb = _leibniz_setup(args)
+    lb = _leibniz_setup(args)
     payload = {
         "dim": lb.dim,
         "dim_s": lb.dim_s,
@@ -173,7 +173,7 @@ def cmd_leibniz_build(args) -> int:
 
 
 def cmd_leibniz_decide(args) -> int:
-    model, lb = _leibniz_setup(args)
+    lb = _leibniz_setup(args)
     data = _load_json(args.map)
     try:
         bm = BlockMap.from_json(data)

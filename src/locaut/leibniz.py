@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import StructureAlgebra, unit_vector, vec_is_zero
 from .classify import (
@@ -48,7 +49,7 @@ from .sln import SIGMA_ID, SIGMA_T, CanonicalShape, SlnModel, shape_map_matrix
 class RightModule:
     """A right sl_n-module given by one action matrix per model basis element."""
 
-    def __init__(self, model: SlnModel, name: str, actions, validate: bool = True):
+    def __init__(self, model: SlnModel, name: str, actions):
         self.model = model
         self.name = name
         self.actions = tuple(actions)
@@ -57,10 +58,9 @@ class RightModule:
         self.dim = self.actions[0].nrows
         if any(a.nrows != self.dim or a.ncols != self.dim for a in self.actions):
             raise ValueError("action matrices must be square and equally sized")
-        if validate:
-            bad = self.law_violations()
-            if bad:
-                raise ValueError(f"right-module law fails at basis pairs {bad[:3]}")
+        bad = self.law_violations()
+        if bad:
+            raise ValueError(f"right-module law fails at basis pairs {bad[:3]}")
 
     def _combine(self, coeffs) -> Matrix:
         """sum_k c_k R_k over the nonzero coefficients c_k."""
@@ -244,18 +244,25 @@ def is_irreducible(module: RightModule) -> bool:
     return _highest_weight_space(module).dim == 1
 
 
+def _line_scale(v, img) -> GaussianRational | None:
+    """lam with img = lam * v for a nonzero v, or None when img is off that line."""
+    idx = next(i for i, x in enumerate(v) if x.a or x.b)
+    lam = img[idx] * v[idx].inverse()
+    if any((x - lam * y).a or (x - lam * y).b for x, y in zip(img, v)):
+        return None
+    return lam
+
+
 def weight_of_vector(module: RightModule, v):
     """Cartan values of an eigenvector v; None if v is not a joint eigenvector."""
+    if vec_is_zero(v):
+        return None
     model = module.model
     n_off = len(model.off_pairs)
     values = []
-    idx = next((i for i, x in enumerate(v) if x.a or x.b), None)
-    if idx is None:
-        return None
     for k in range(model.n - 1):
-        img = module.actions[n_off + k].apply(v)
-        lam = img[idx] * v[idx].inverse()
-        if any((x - lam * y).a or (x - lam * y).b for x, y in zip(img, v)):
+        lam = _line_scale(v, module.actions[n_off + k].apply(v))
+        if lam is None:
             return None
         values.append(lam.re)
     return tuple(values)
@@ -266,12 +273,11 @@ def weight_of_vector(module: RightModule, v):
 
 
 class SemidirectLeibniz:
-    """L = sl_n + I with basis: model basis first, then module basis."""
+    """L = sl_n + I with basis: model basis first, then module basis.  The
+    sl_n model is the module's own."""
 
-    def __init__(self, model: SlnModel, module: RightModule):
-        if module.model.n != model.n:
-            raise ValueError("module was built over a different sl_n")
-        self.model = model
+    def __init__(self, module: RightModule):
+        self.model = model = module.model
         self.module = module
         self.dim_s = model.dim
         self.dim_i = module.dim
@@ -290,7 +296,6 @@ class SemidirectLeibniz:
                     table[self.dim_s + p][a][self.dim_s + q] = c
         labels = list(model.labels) + module.labels()
         self.algebra = StructureAlgebra(dim, labels, table)
-        self._y = None
 
     def embed_s(self, v):
         return tuple(v) + (GR_ZERO,) * self.dim_i
@@ -308,11 +313,14 @@ class SemidirectLeibniz:
     def h0(self) -> Matrix:
         return self.model.strongly_regular_element()
 
-    @property
+    @cached_property
     def y_beta(self):
-        if self._y is None:
-            self._y = highest_weight_vector(self.module)
-        return self._y
+        return highest_weight_vector(self.module)
+
+    @cached_property
+    def weights(self):
+        """weight_decomposition of the module, computed once per algebra."""
+        return weight_decomposition(self.module)
 
     def beta(self):
         w = weight_of_vector(self.module, self.y_beta)
@@ -321,7 +329,9 @@ class SemidirectLeibniz:
 
 
 def build_semidirect(model: SlnModel, module: RightModule) -> SemidirectLeibniz:
-    lb = SemidirectLeibniz(model, module)
+    if module.model.n != model.n:
+        raise ValueError("module was built over a different sl_n")
+    lb = SemidirectLeibniz(module)
     internal_check(not lb.algebra.validate_leibniz(), "semidirect table violates the Leibniz identity")
     return lb
 
@@ -490,15 +500,13 @@ def highest_weight_scaling_check(lb: SemidirectLeibniz, bm: BlockMap) -> Gaussia
     ok, _ = is_automorphism(lb, bm)
     if not ok:
         raise ValueError("scaling check applies to automorphisms only")
-    for ws in weight_decomposition(lb.module):
+    for ws in lb.weights:
         sub = Subspace(lb.dim_i, ws.basis)
         for v in ws.basis:
             internal_check(sub.contains(bm.i_block.apply(v)), "weight space not preserved")
-    y = lb.y_beta
-    img = bm.i_block.apply(y)
-    idx = next(i for i, x in enumerate(y) if x.a or x.b)
-    lam = img[idx] * y[idx].inverse()
-    if any((a - lam * b).a or (a - lam * b).b for a, b in zip(img, y)):
+    img = bm.i_block.apply(lb.y_beta)
+    lam = _line_scale(lb.y_beta, img)
+    if lam is None:
         raise ValueError(f"image of the highest-weight vector left its line: {img}")
     internal_check(not lam.is_zero(), "highest-weight scale is zero")
     return lam
@@ -637,12 +645,12 @@ def _obstruction_points(lb: SemidirectLeibniz):
     return pts
 
 
-def _weight_components(lb: SemidirectLeibniz, v):
-    """Decompose a module vector over the weight spaces: {weight: component}."""
-    decomp = weight_decomposition(lb.module)
+def weight_components(lb: SemidirectLeibniz, v):
+    """Decompose a module vector over the weight spaces of I: {weight: the
+    nonzero coefficients of v on that space's basis}."""
     cols = []
     meta = []
-    for ws in decomp:
+    for ws in lb.weights:
         for b in ws.basis:
             cols.append(b)
             meta.append(ws.values)
@@ -656,7 +664,7 @@ def _weight_components(lb: SemidirectLeibniz, v):
     return comps
 
 
-def _weight_obstruction(lb: SemidirectLeibniz, bm: BlockMap, reducer: BlockMap, reduced: BlockMap) -> WeightObstruction | None:
+def _weight_obstruction(lb: SemidirectLeibniz, reducer: BlockMap, reduced: BlockMap) -> WeightObstruction | None:
     """Check the h0 + y_beta point against the forced weight structure."""
     h0c = lb.model.coords(lb.h0)
     img_h0 = reduced.s_block.apply(h0c)
@@ -676,7 +684,7 @@ def _weight_obstruction(lb: SemidirectLeibniz, bm: BlockMap, reducer: BlockMap, 
     zero_w = tuple(Fraction(0) for _ in beta)
     z = tuple(a + b for a, b in zip(lb.embed_s(h0c), lb.embed_i(lb.y_beta)))
     _, i_part = lb.split(reduced.apply(z))
-    comps = _weight_components(lb, i_part)
+    comps = weight_components(lb, i_part)
     bad = any(w not in (zero_w, target) for w in comps)
     if target not in comps:
         bad = True
@@ -713,7 +721,7 @@ def decide_local_aut(lb: SemidirectLeibniz, bm: BlockMap) -> LeibnizVerdict:
     reducer = extend_automorphism(lb, inner_automorphism_matrix(lb.model, shape.a), 0)
     internal_check(reducer is not None, "inner automorphisms always extend")
     reduced = reducer.inv().compose(bm)
-    cert = _weight_obstruction(lb, bm, reducer, reduced)
+    cert = _weight_obstruction(lb, reducer, reduced)
     if cert is not None:
         return LeibnizVerdict(NOT_LOCAL, cert)
     ok, pair = is_automorphism(lb, bm)

@@ -222,19 +222,12 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v) -> bool:
-        v = [_coerce_entry(x) for x in v]
-        if len(v) != self.ambient:
-            return False
-        for row in self.basis:
-            p = next(j for j, x in enumerate(row) if x.a or x.b)
-            f = v[p]
-            if f.a or f.b:
-                v = [x - f * y for x, y in zip(v, row)]
-        return all(not (x.a or x.b) for x in v)
+    def reduce(self, v):
+        """(coeffs, residual) with v = sum coeffs[k] * basis[k] + residual.
 
-    def coordinates(self, v):
-        """Coefficients of v in the canonical basis, or None if outside."""
+        The residual vanishes at every pivot column, so it is zero exactly
+        when v lies in the subspace.
+        """
         v = [_coerce_entry(x) for x in v]
         coeffs = []
         for row in self.basis:
@@ -243,9 +236,17 @@ class Subspace:
             coeffs.append(f)
             if f.a or f.b:
                 v = [x - f * y for x, y in zip(v, row)]
-        if any(x.a or x.b for x in v):
-            return None
-        return tuple(coeffs)
+        return tuple(coeffs), tuple(v)
+
+    def contains(self, v) -> bool:
+        if len(v) != self.ambient:
+            return False
+        return not any(x.a or x.b for x in self.reduce(v)[1])
+
+    def coordinates(self, v):
+        """Coefficients of v in the canonical basis, or None if outside."""
+        coeffs, residual = self.reduce(v)
+        return None if any(x.a or x.b for x in residual) else coeffs
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

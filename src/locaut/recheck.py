@@ -1,11 +1,13 @@
 """Re-verification of verdicts and certificates.
 
-Most checks recompute claims from first principles: determinants by cofactor
-expansion, conjugator inverses by adjugates, characteristic polynomials from
-the polynomial-entry matrix (n <= 4), brackets straight from structure
-constants.  Some reuse decision code: no_shape_fits re-runs fit_shape_family,
-bracket preservation goes through is_automorphism, and the weight certificate
-takes its weight spaces from weight_decomposition.
+Most checks recompute claims from first principles: determinants, adjugate
+inverses of conjugators and characteristic polynomials of the polynomial-entry
+matrix (n <= 4) all come from one Laplace expansion, not from elimination;
+brackets come straight from structure constants.  Some reuse decision code:
+no_shape_fits re-runs fit_shape_family, bracket preservation goes through
+is_automorphism, and the weight certificate splits the image over the weight
+spaces with leibniz.weight_components, the same weight_decomposition and
+component solve that the decision uses.
 
 All checks raise RecheckError with a description on failure and return None
 on success.
@@ -31,10 +33,10 @@ from .leibniz import (
     SemidirectLeibniz,
     highest_weight_vector,
     is_automorphism,
-    weight_decomposition,
+    weight_components,
     weight_of_vector,
 )
-from .linalg import Matrix, charpoly, solve_linear
+from .linalg import Matrix, _poly_matrix_char, charpoly
 from .sln import SIGMA_T, CanonicalShape, SlnModel
 
 
@@ -51,53 +53,30 @@ def _need(cond: bool, msg: str):
 # First-principles scalar/polynomial linear algebra
 
 
-def cofactor_det(m: Matrix) -> GaussianRational:
-    """Laplace expansion along the first row; exponential, for small sizes."""
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("determinant of non-square matrix")
-    if n == 1:
-        return m[0, 0]
-    acc = GR_ZERO
-    sign = GR_ONE
-    for j in range(n):
-        c = m[0, j]
-        if c.a or c.b:
-            minor = Matrix(
-                tuple(tuple(m[i, k] for k in range(n) if k != j) for i in range(1, n))
-            )
-            acc = acc + sign * c * cofactor_det(minor)
-        sign = -sign
-    return acc
-
-
-def _poly_det(grid) -> Polynomial:
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    acc = Polynomial(())
-    for j in range(n):
-        c = grid[0][j]
+def _laplace(rows):
+    """Determinant of a square grid of Q(i) or polynomial entries by Laplace
+    expansion along the first row, minors as row slices; exponential, for
+    small sizes."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = rows[0][0] * 0  # the zero of the entries' ring
+    for j, c in enumerate(rows[0]):
         if not c.is_zero():
-            minor = [[row[k] for k in range(n) if k != j] for row in grid[1:]]
-            term = c * _poly_det(minor)
-            if j % 2:
-                term = -term
-            acc = acc + term
+            term = c * _laplace([row[:j] + row[j + 1 :] for row in rows[1:]])
+            acc = acc - term if j % 2 else acc + term
     return acc
+
+
+def cofactor_det(m: Matrix) -> GaussianRational:
+    """Determinant by Laplace expansion, independent of elimination code."""
+    if not m.is_square():
+        raise ValueError("determinant of non-square matrix")
+    return _laplace(m.data)
 
 
 def charpoly_via_cofactor(m: Matrix) -> Polynomial:
     """det(tI - m) expanded entry-wise over the polynomial ring."""
-    n = m.nrows
-    grid = [
-        [
-            Polynomial((-m[i, j], GR_ONE)) if i == j else Polynomial((-m[i, j],))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return _poly_det(grid)
+    return _laplace(_poly_matrix_char(m))
 
 
 def adjugate_inverse(m: Matrix) -> Matrix:
@@ -112,17 +91,9 @@ def adjugate_inverse(m: Matrix) -> Matrix:
     for i in range(n):
         row = []
         for j in range(n):
-            minor = Matrix(
-                tuple(
-                    tuple(m[r, c] for c in range(n) if c != i)
-                    for r in range(n)
-                    if r != j
-                )
-            )
-            cof = cofactor_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof * dinv)
+            # cofactor (j, i): delete row j and column i
+            cof = _laplace([r[:i] + r[i + 1 :] for k, r in enumerate(m.data) if k != j])
+            row.append((-cof if (i + j) % 2 else cof) * dinv)
         rows.append(tuple(row))
     return Matrix(rows)
 
@@ -299,23 +270,10 @@ def _recheck_weight_obstruction(lb: SemidirectLeibniz, bm: BlockMap, cert):
     _need(_vec_eq(img_h0, want), "reduced S-block does not send h0 to sign*h0")
     _, i_part = lb.split(cert.reduced.full_matrix().apply(z))
     _need(_vec_eq(i_part, cert.i_part), "stored I-part of the image is wrong")
-    # fresh weight decomposition, fresh component solve
-    decomp = weight_decomposition(lb.module)
-    cols = []
-    meta = []
-    for ws in decomp:
-        for b in ws.basis:
-            cols.append(b)
-            meta.append(ws.values)
-    sol = solve_linear(Matrix(zip(*cols)), i_part)
-    _need(sol is not None, "weight spaces fail to span")
+    comps = weight_components(lb, i_part)
     target = cert.beta if cert.sign == 1 else tuple(-b for b in cert.beta)
     zero_w = tuple(0 * b for b in cert.beta)
-    seen = set()
-    for c, w in zip(sol, meta):
-        if c.a or c.b:
-            seen.add(w)
-    violated = (target not in seen) or any(w not in (zero_w, target) for w in seen)
+    violated = (target not in comps) or any(w not in (zero_w, target) for w in comps)
     _need(violated, "image respects the forced weight structure after all")
 
 

@@ -20,7 +20,7 @@ from locaut.classify import (
 )
 from locaut.exact import GR_ONE, GaussianRational, Polynomial, parse_scalar
 from locaut.linalg import Matrix, det, intertwiner_space, inverse
-from locaut.sln import SHAPE_FAMILIES, SIGMA_ID, SIGMA_T, CanonicalShape, MnModel, SlnModel
+from locaut.sln import SHAPE_FAMILIES, SIGMA_ID, SIGMA_T, MnModel, SlnModel
 
 
 def conjugation_map(model, g):

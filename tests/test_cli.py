@@ -12,7 +12,7 @@ import locaut
 import locaut.cli
 from locaut.cli import main
 from locaut.exact import InternalCheckError
-from locaut.leibniz import BlockMap, build_module, build_semidirect
+from locaut.leibniz import BlockMap
 from locaut.linalg import Matrix
 from locaut.sln import MnModel, SlnModel
 
@@ -314,6 +314,29 @@ def test_no_assert_statements_in_package():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _unused_imports(path: Path):
+    """Names an import binds that the module never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_unused_imports():
+    """Every import in the package and the tests is used; the package
+    __init__ re-exports by design."""
+    paths = sorted(Path(locaut.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    found = [u for p in paths if p.name != "__init__.py" for u in _unused_imports(p)]
     assert found == []
 
 

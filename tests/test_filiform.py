@@ -38,6 +38,19 @@ def test_model_filiform_valid(n):
     )
 
 
+def test_model_filiform_validates_jacobi_once(monkeypatch):
+    calls = []
+    validate_lie = StructureAlgebra.validate_lie
+
+    def counting(alg):
+        calls.append(alg.dim)
+        return validate_lie(alg)
+
+    monkeypatch.setattr(StructureAlgebra, "validate_lie", counting)
+    model_filiform(5)
+    assert calls == [5]
+
+
 def test_model_filiform_dimension_floor():
     with pytest.raises(ValueError):
         model_filiform(2)

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from locaut.exact import GR_ONE, GR_ZERO, GaussianRational
+from locaut.exact import GR_ZERO, GaussianRational
 from locaut.leibniz import (
     LOCAL_AUT,
     BlockMap,
     RightModule,
-    SemidirectLeibniz,
     build_module,
     build_semidirect,
     decide_local_aut,
@@ -117,6 +116,14 @@ def test_build_module_reuses_the_given_model(n, name):
     assert module.model is model
     lb = build_semidirect(model, module)
     assert lb.module.model is lb.model
+
+
+def test_semidirect_takes_the_module_model():
+    # a second model over the same n is accepted, but the algebra keeps one
+    lb = build_semidirect(SlnModel(2), module_vm(SlnModel(2), 2))
+    assert lb.model is lb.module.model
+    with pytest.raises(ValueError, match="different sl_n"):
+        build_semidirect(SlnModel(3), module_vm(SlnModel(2), 2))
 
 
 # -- weights ----------------------------------------------------------------

@@ -355,6 +355,33 @@ def test_subspace_membership():
     assert not s.contains((GR_ZERO, GR_ZERO, GR_ONE))
 
 
+_qi = st.one_of(
+    st.just(GR_ZERO),
+    st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3)),
+)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_subspace_reduce_round_trip(data):
+    ambient = data.draw(st.integers(1, 4))
+    vec = st.lists(_qi, min_size=ambient, max_size=ambient).map(tuple)
+    gens = data.draw(st.lists(vec, max_size=3))
+    space = Subspace(ambient, gens)
+    in_span = st.lists(_qi, min_size=len(gens), max_size=len(gens)).map(
+        lambda cs: tuple(sum((c * g[i] for c, g in zip(cs, gens)), GR_ZERO) for i in range(ambient))
+    )
+    # a vector of the span half the time, so both outcomes of contains occur
+    v = data.draw(st.one_of(vec, in_span))
+    coeffs, residual = space.reduce(v)
+    assert len(coeffs) == space.dim
+    total = residual
+    for c, b in zip(coeffs, space.basis):
+        total = tuple(x + c * y for x, y in zip(total, b))
+    assert total == v
+    assert all(x.is_zero() for x in residual) == space.contains(v)
+
+
 def test_subspace_coordinates():
     s = Subspace(2, [(1, 1)])
     v = (GaussianRational(3), GaussianRational(3))

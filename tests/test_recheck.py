@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from locaut import leibniz, recheck
 from locaut.classify import classify_sln, classify_mn, pointwise_witness
-from locaut.exact import GR_ONE, GaussianRational, Polynomial
+from locaut.exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial
 from locaut.leibniz import (
     BlockMap,
     LeibnizVerdict,
@@ -15,6 +19,7 @@ from locaut.leibniz import (
     decide_local_aut,
     extend_automorphism,
     inner_automorphism_matrix,
+    weight_decomposition,
 )
 from locaut.linalg import Matrix, charpoly, det, inverse
 from locaut.recheck import (
@@ -24,7 +29,6 @@ from locaut.recheck import (
     cofactor_det,
     recheck_extension_structure,
     recheck_leibniz_verdict,
-    recheck_shape,
     recheck_sln_verdict,
     recheck_witness_at,
 )
@@ -73,6 +77,25 @@ def test_charpoly_via_cofactor_example():
     m = Matrix.diagonal([gr(3), gr(-1)])
     assert charpoly_via_cofactor(m) == Polynomial.from_roots([3, -1])
     assert charpoly_via_cofactor(m) == charpoly(m)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_qi = st.one_of(st.just(GR_ZERO), st.builds(GaussianRational, _small, _small))
+
+
+@st.composite
+def qi_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return Matrix(tuple(tuple(draw(_qi) for _ in range(n)) for _ in range(n)))
+
+
+@given(qi_matrices())
+@settings(max_examples=80, deadline=None)
+def test_laplace_kernels_match_elimination(m):
+    assert cofactor_det(m) == det(m)
+    assert charpoly_via_cofactor(m) == charpoly(m)
+    if not det(m).is_zero():
+        assert adjugate_inverse(m) == inverse(m)
 
 
 # -- sl_n verdicts: positives then tampering --------------------------------
@@ -259,6 +282,25 @@ def test_tampered_weight_certificate_rejected():
         recheck_leibniz_verdict(
             lb, bm, replace(v, certificate=replace(cert, reduced=bm))
         )
+
+
+def test_weight_decomposition_runs_once_per_algebra(monkeypatch):
+    """Deciding and rechecking a weight_structure verdict share the
+    algebra's one weight decomposition."""
+    calls = []
+
+    def counting(module):
+        calls.append(module.name)
+        return weight_decomposition(module)
+
+    monkeypatch.setattr(leibniz, "weight_decomposition", counting)
+    monkeypatch.setattr(recheck, "weight_decomposition", counting, raising=False)
+    lb = semidirect(2, "vm:2")
+    bm = BlockMap(lb.model.scalar_map(-1), Matrix.zeros(lb.dim_i, lb.dim_s), Matrix.identity(lb.dim_i))
+    v = decide_local_aut(lb, bm)
+    assert v.certificate.kind == "weight_structure"
+    recheck_leibniz_verdict(lb, bm, v)
+    assert calls == ["V(2)"]
 
 
 def test_tampered_bracket_failure_rejected():
