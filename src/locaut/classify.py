@@ -25,8 +25,8 @@ from .linalg import (
     charpoly,
     det,
     intertwiner_space,
-    invertible_element,
     kernel,
+    matrix_from_flat,
     similarity_witness,
 )
 from .sln import (
@@ -142,9 +142,15 @@ def basis_images(model, d: Matrix) -> list:
 def fit_shape_family(model, d: Matrix, epsilon: int, sigma: str, images=None):
     """Intertwiner space of the family equations Delta(sigma(e)) a = epsilon a e.
 
-    Returns (space, witness) where witness is an invertible element or None.
-    A witness makes Delta(x) = epsilon * a * sigma(x) * a^-1 hold for every x.
-    images are the basis images of d (computed when not given).
+    Returns (space, witness) where witness is the basis vector of a line, or
+    None for the zero space.  A witness makes Delta(x) = epsilon * a *
+    sigma(x) * a^-1 hold for every x.  images are the basis images of d
+    (computed when not given).
+
+    No search is needed: a v = 0 gives a e v = 0 for every basis element e,
+    so ker a is invariant under the irreducible action of sl_n (or M_n) on
+    Q(i)^n.  Every nonzero a is therefore invertible, and a^-1 b commutes
+    with sl_n, so it is a scalar: the space is 0 or a line.
 
     The pair for the strongly regular h0 goes first.  It is a linear
     combination of the basis pairs, so it leaves the space unchanged, but it
@@ -158,7 +164,11 @@ def fit_shape_family(model, d: Matrix, epsilon: int, sigma: str, images=None):
     order = model.transpose_index if sigma == SIGMA_T else range(model.dim)
     pairs.extend((images[k], e * epsilon) for k, e in zip(order, model.basis))
     space = intertwiner_space(pairs)
-    a = invertible_element(space, model.n)
+    internal_check(space.dim <= 1, "fit space of an irreducible family exceeded a line")
+    if space.dim == 0:
+        return space, None
+    a = matrix_from_flat(space.basis[0], model.n)
+    internal_check(not det(a).is_zero(), "nonzero fit of an irreducible family must be invertible")
     return space, a
 
 

@@ -489,20 +489,19 @@ _RANDOM_TRIES = 64
 _GRID_CAP = 200_000
 
 
-def invertible_element(space: Subspace, n: int, persistent: bool = False) -> Matrix | None:
+def invertible_element(space: Subspace, n: int) -> Matrix:
     """An invertible n x n matrix inside a subspace of flattened matrices.
 
-    det is a polynomial of degree <= n in each basis coefficient, so an
-    exhaustive grid over {0..n}^dim is a complete zero test.  The grid is only
-    walked in full for dim <= 3 or when it stays below a documented cap;
-    beyond that, deterministic pseudo-random integer points are tried, which
-    finds a witness immediately whenever invertible elements are dense.  With
-    persistent=True the search never gives up (use only when existence is
-    guaranteed); termination is then almost sure rather than bounded.
+    Precondition: the subspace holds one; callers decide that first, so a
+    miss is an internal failure.  det is a polynomial of degree <= n in each
+    basis coefficient, so the grid {0..n}^dim is a complete zero test.  For
+    dim <= 3 the grid is walked at once; beyond that, pseudo-random integer
+    points come first, then the grid if it stays under _GRID_CAP, else more
+    random points with a doubling spread (terminating almost surely).
     """
     k = space.dim
-    if k == 0:
-        return None
+    internal_check(k > 0, "no invertible element in the zero space")
+    rng = random.Random(0x1E7E57)
 
     def candidate(coeffs) -> Matrix | None:
         flat = combine([GaussianRational(c) for c in coeffs], space.basis)
@@ -511,55 +510,37 @@ def invertible_element(space: Subspace, n: int, persistent: bool = False) -> Mat
         m = matrix_from_flat(flat, n)
         return m if not det(m).is_zero() else None
 
-    if k <= 3:
-        for coeffs in product(range(n + 1), repeat=k):
-            got = candidate(coeffs)
-            if got is not None:
-                return got
-        return None
+    def first_hit(points) -> Matrix | None:
+        return next((m for m in map(candidate, points) if m is not None), None)
 
-    rng = random.Random(0x1E7E57)
-    for _ in range(_RANDOM_TRIES):
-        got = candidate(tuple(rng.randint(-n, n) for _ in range(k)))
-        if got is not None:
-            return got
-    if (n + 1) ** k <= _GRID_CAP:
-        for coeffs in product(range(n + 1), repeat=k):
-            got = candidate(coeffs)
-            if got is not None:
-                return got
-        return None
-    if not persistent:
-        return None
-    spread = n + 1
-    while True:
-        for _ in range(_RANDOM_TRIES):
-            got = candidate(tuple(rng.randint(-spread, spread) for _ in range(k)))
-            if got is not None:
-                return got
-        spread *= 2
+    def random_points(spread):
+        return (tuple(rng.randint(-spread, spread) for _ in range(k)) for _ in range(_RANDOM_TRIES))
+
+    a = None
+    if k > 3:
+        a = first_hit(random_points(n))
+        spread = n + 1
+        while a is None and (n + 1) ** k > _GRID_CAP:
+            a = first_hit(random_points(spread))
+            spread *= 2
+    if a is None:
+        a = first_hit(product(range(n + 1), repeat=k))
+        internal_check(a is not None, "complete grid holds no invertible element")
+    return a
 
 
 def similarity_witness(x: Matrix, y: Matrix) -> Matrix | None:
     """Invertible a with a x a^-1 = y, or None when x and y are not similar.
 
     Similarity over Q(i) is equivalent to equality of invariant factors, and
-    both are insensitive to field extension, so the answer is definitive.
-    The invertible intertwiner is searched first; invariant factors are only
-    computed to certify the negative answer (or to force persistence when the
-    quick search comes back empty-handed despite similarity).
+    both are insensitive to field extension, so the answer is definitive.  It
+    is decided before the search, which then must succeed.
     """
     if x.nrows != y.nrows or not x.is_square() or not y.is_square():
         raise ValueError("similarity needs square matrices of equal size")
-    n = x.nrows
     space = intertwiner_space([(y, x)])  # a with y a = a x, i.e. a x a^-1 = y
-    if space.dim == 0:
+    if space.dim == 0 or invariant_factors(x) != invariant_factors(y):
         return None
-    a = invertible_element(space, n)
-    if a is None:
-        if invariant_factors(x) != invariant_factors(y):
-            return None
-        a = invertible_element(space, n, persistent=True)
-        internal_check(a is not None, "persistent search found no invertible intertwiner")
+    a = invertible_element(space, x.nrows)
     internal_check(y @ a == a @ x, "similarity witness does not intertwine")
     return a

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locaut import linalg
 from locaut.classify import (
     ANTI_AUTOMORPHISM,
     AUTOMORPHISM,
@@ -19,8 +20,16 @@ from locaut.classify import (
     required_probe_charpoly,
 )
 from locaut.exact import GR_ONE, GaussianRational, Polynomial, parse_scalar
-from locaut.linalg import Matrix, det, intertwiner_space, inverse
-from locaut.sln import SHAPE_FAMILIES, SIGMA_ID, SIGMA_T, MnModel, SlnModel
+from locaut.linalg import Matrix, det, intertwiner_space, inverse, matrix_from_flat
+from locaut.sln import (
+    SHAPE_FAMILIES,
+    SIGMA_ID,
+    SIGMA_T,
+    CanonicalShape,
+    MnModel,
+    SlnModel,
+    shape_map_matrix,
+)
 
 
 def conjugation_map(model, g):
@@ -304,3 +313,64 @@ def test_fit_space_unchanged_by_leading_h0_pair(model, eps, sigma):
         )
         space, _ = fit_shape_family(model, d, eps, sigma)
         assert space == plain
+
+
+# -- fit spaces are at most a line ------------------------------------------
+
+
+@st.composite
+def maps_near_families(draw):
+    """A model, and on it a family map or the zero map plus a sparse integer
+    perturbation, which may be empty so that the map fits exactly."""
+    model = draw(st.sampled_from([SlnModel(2), SlnModel(3), MnModel(2), MnModel(3)]))
+    if draw(st.booleans()):
+        eps, sigma = draw(st.sampled_from(SHAPE_FAMILIES))
+        g = random_unimodular(model.n, random.Random(draw(st.integers(0, 10_000))))
+        rows = [list(r) for r in shape_map_matrix(model, CanonicalShape(eps, sigma, g)).data]
+        changes = draw(st.integers(0, 2))
+    else:
+        rows = [[GaussianRational(0)] * model.dim for _ in range(model.dim)]
+        changes = 2 * model.dim
+    for _ in range(changes):
+        i = draw(st.integers(0, model.dim - 1))
+        j = draw(st.integers(0, model.dim - 1))
+        rows[i][j] = rows[i][j] + draw(st.integers(-2, 2))
+    return model, Matrix(rows)
+
+
+@given(maps_near_families())
+@settings(max_examples=100, deadline=None)
+def test_fit_space_is_at_most_a_line_of_invertibles(case):
+    # the kernel of a fit is invariant under the irreducible action on Q(i)^n,
+    # so every nonzero fit is invertible and two fits differ by a scalar
+    model, d = case
+    for eps, sigma in SHAPE_FAMILIES:
+        space, a = fit_shape_family(model, d, eps, sigma)
+        assert space.dim <= 1
+        if space.dim == 0:
+            assert a is None
+        else:
+            b = matrix_from_flat(space.basis[0], model.n)
+            assert not det(b).is_zero()
+            assert a == b
+
+
+def test_dim7_near_miss_is_decided_without_search(monkeypatch):
+    # e12 -> e12 + e23 changes the Jordan type at e12, and the intertwiner
+    # space there has dimension 7: invariant factors settle it, no search runs
+    model = SlnModel(4)
+    e12 = model.e(0, 1)
+    d = model.map_matrix(lambda x: x + model.e(1, 2) * x[0, 1])
+    assert intertwiner_space([(model.apply_map(d, e12), e12)]).dim == 7
+    calls = []
+    search = linalg.invertible_element
+
+    def counting(space, n):
+        calls.append(space.dim)
+        return search(space, n)
+
+    monkeypatch.setattr(linalg, "invertible_element", counting)
+    assert pointwise_witness(model, d, e12) is None
+    assert calls == []
+    assert pointwise_witness(model, model.transpose_map(), e12) is not None
+    assert len(calls) == 1
