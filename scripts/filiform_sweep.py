@@ -6,6 +6,7 @@ and how many sampled points were covered by which witness family.
 """
 
 import argparse
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +47,9 @@ def main(argv=None) -> int:
         print(f"n={n}  phi_alpha automorphism?  " + "  ".join(verdicts))
         _, pair = map_is_automorphism(fl, delta_map(fl))
         rep = counterexample_demo(fl, samples=cfg.samples, seed=cfg.seed)
-        assert rep.all_verified
+        if not rep.all_verified:
+            print(f"n={n}: a sampled point has no verified witness", file=sys.stderr)
+            return 1
         print(
             f"      delta breaks bracket at basis pair {pair}; "
             f"{rep.samples} points covered "

@@ -1,14 +1,16 @@
 """Deciding which linear maps on sl_n (or M_n) are local automorphisms.
 
-The decision pipeline for sl_n:
+A map is local iff it fits a family x -> epsilon * a * sigma(x) * a^-1, so
+the exact fit against the families decides, and runs first.  A fitted
+map is bijective and keeps square-zero elements square-zero, so the screens
+only pick the NotLocal certificate of a map that fits no family:
 
 1. injectivity,
-2. preservation of square-zero elements on a spanning set,
-3. exact fit against the four canonical families
-   x -> epsilon * a * sigma(x) * a^-1,
-4. the scaled-shape probe at y = diag(1, -1, 0, ..., 0): any local
+2. preservation of square-zero elements on a spanning set (M_n: Delta(1) = 1),
+3. the scaled-shape probe at y = diag(1, -1, 0, ..., 0): any local
    automorphism must give char(Delta(y)) = (t-1)(t+1)t^(n-2), and a scaled
-   family produces (t-lambda)(t+lambda)t^(n-2), exposing the scalar.
+   family produces (t-lambda)(t+lambda)t^(n-2), exposing the scalar,
+4. else the fit dimensions.
 
 Every negative answer carries a certificate that can be re-verified without
 trusting this module's code path.
@@ -136,6 +138,8 @@ def _family_verdict(shape: CanonicalShape) -> str:
 
 def basis_images(model, d: Matrix) -> list:
     """Delta(b) for every basis element b, in basis order: the columns of d."""
+    if d.nrows != model.dim or d.ncols != model.dim:
+        raise ValueError("map matrix has wrong size for this model")
     return [model.matrix(d.column(k)) for k in range(model.dim)]
 
 
@@ -200,8 +204,6 @@ def _fit_families(model, d: Matrix, images, families, first_only: bool):
 
 def _injectivity_verdict(model, d: Matrix) -> Verdict | None:
     """NotLocal with a kernel vector when d is singular, else None."""
-    if d.nrows != model.dim or d.ncols != model.dim:
-        raise ValueError("map matrix has wrong size for this model")
     ker = kernel(d)
     return Verdict(NOT_LOCAL, obstruction=NotInjective(ker.basis[0])) if ker.dim else None
 
@@ -262,16 +264,16 @@ def classify_sln(model: SlnModel, d: Matrix) -> Verdict:
     order is the primary shape.  For n >= 3 the family is unique and the scan
     stops at the first fit.
     """
-    verdict = _injectivity_verdict(model, d)
-    if verdict is not None:
-        return verdict
     images = basis_images(model, d)
-    bad = square_zero_counterexample(model, d, images)
-    if bad is not None:
-        return Verdict(NOT_LOCAL, obstruction=SquareZeroBroken(bad))
     verdict, dims = _fit_families(model, d, images, SHAPE_FAMILIES, first_only=model.n >= 3)
     if verdict is not None:
         return verdict
+    verdict = _injectivity_verdict(model, d)
+    if verdict is not None:
+        return verdict
+    bad = square_zero_counterexample(model, d, images)
+    if bad is not None:
+        return Verdict(NOT_LOCAL, obstruction=SquareZeroBroken(bad))
     probe, required, lam_sq, lam = local_aut_probe(model, d)
     if lam_sq is not None and not (lam_sq - GR_ONE).is_zero():
         return Verdict(
@@ -295,6 +297,9 @@ def classify_mn(model: MnModel, d: Matrix) -> Verdict:
     Unital algebra maps must fix the identity, which rules out sign twists;
     Delta(1) != 1 is therefore already a complete obstruction.
     """
+    verdict, dims = _fit_families(model, d, basis_images(model, d), MN_FAMILIES, first_only=True)
+    if verdict is not None:
+        return verdict
     verdict = _injectivity_verdict(model, d)
     if verdict is not None:
         return verdict
@@ -302,9 +307,6 @@ def classify_mn(model: MnModel, d: Matrix) -> Verdict:
     d_one = model.apply_map(d, one)
     if d_one != one:
         return Verdict(NOT_LOCAL, obstruction=IdentityNotFixed(d_one))
-    verdict, dims = _fit_families(model, d, basis_images(model, d), MN_FAMILIES, first_only=True)
-    if verdict is not None:
-        return verdict
     return Verdict(NOT_LOCAL, obstruction=NoShapeFits(dims, None, None))
 
 

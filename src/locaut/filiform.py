@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import StructureAlgebra, filiform_check, unit_vector
-from .exact import GR_ONE, GR_ZERO, GaussianRational, format_scalar, internal_check
+from .exact import GR_ONE, GR_ZERO, GaussianRational, internal_check
 from .linalg import Matrix
 
 
@@ -69,9 +69,6 @@ class PhiAlpha:
         rows[n - 1][2] = rows[n - 1][2] + GR_ONE
         return Matrix(rows)
 
-    def to_json(self):
-        return {"family": "phi", "alpha": format_scalar(self.alpha)}
-
 
 @dataclass(frozen=True)
 class PsiBeta:
@@ -84,9 +81,6 @@ class PsiBeta:
         rows = [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
         rows[n - 1][1] = rows[n - 1][1] + self.beta
         return Matrix(rows)
-
-    def to_json(self):
-        return {"family": "psi", "beta": format_scalar(self.beta)}
 
 
 def _as_scalar(x) -> GaussianRational:

@@ -486,22 +486,20 @@ def matrix_from_flat(v, n: int) -> Matrix:
 
 
 _RANDOM_TRIES = 64
-_GRID_CAP = 200_000
 
 
 def invertible_element(space: Subspace, n: int) -> Matrix:
     """An invertible n x n matrix inside a subspace of flattened matrices.
 
     Precondition: the subspace holds one; callers decide that first, so a
-    miss is an internal failure.  det is a polynomial of degree <= n in each
-    basis coefficient, so the grid {0..n}^dim is a complete zero test.  For
-    dim <= 3 the grid is walked at once; beyond that, pseudo-random integer
-    points come first, then the grid if it stays under _GRID_CAP, else more
-    random points with a doubling spread (terminating almost surely).
+    miss is an internal failure.  det is then a nonzero polynomial of total
+    degree <= n, so the grid {0..n}^dim is a complete zero test; for
+    dim <= 3 it is walked at once.  Beyond that, 64 seeded random points in
+    [-n, n]^dim come first (by Schwartz-Zippel all miss with probability
+    below 2^-64), so the witness is fixed by the seed whenever one hits.
     """
     k = space.dim
     internal_check(k > 0, "no invertible element in the zero space")
-    rng = random.Random(0x1E7E57)
 
     def candidate(coeffs) -> Matrix | None:
         flat = combine([GaussianRational(c) for c in coeffs], space.basis)
@@ -513,16 +511,10 @@ def invertible_element(space: Subspace, n: int) -> Matrix:
     def first_hit(points) -> Matrix | None:
         return next((m for m in map(candidate, points) if m is not None), None)
 
-    def random_points(spread):
-        return (tuple(rng.randint(-spread, spread) for _ in range(k)) for _ in range(_RANDOM_TRIES))
-
     a = None
     if k > 3:
-        a = first_hit(random_points(n))
-        spread = n + 1
-        while a is None and (n + 1) ** k > _GRID_CAP:
-            a = first_hit(random_points(spread))
-            spread *= 2
+        rng = random.Random(0x1E7E57)
+        a = first_hit(tuple(rng.randint(-n, n) for _ in range(k)) for _ in range(_RANDOM_TRIES))
     if a is None:
         a = first_hit(product(range(n + 1), repeat=k))
         internal_check(a is not None, "complete grid holds no invertible element")
@@ -533,14 +525,15 @@ def similarity_witness(x: Matrix, y: Matrix) -> Matrix | None:
     """Invertible a with a x a^-1 = y, or None when x and y are not similar.
 
     Similarity over Q(i) is equivalent to equality of invariant factors, and
-    both are insensitive to field extension, so the answer is definitive.  It
-    is decided before the search, which then must succeed.
+    both are insensitive to field extension, so the comparison decides and
+    comes first.  Only a similar pair builds its intertwiner space, which
+    then holds an invertible element for the search to find.
     """
     if x.nrows != y.nrows or not x.is_square() or not y.is_square():
         raise ValueError("similarity needs square matrices of equal size")
-    space = intertwiner_space([(y, x)])  # a with y a = a x, i.e. a x a^-1 = y
-    if space.dim == 0 or invariant_factors(x) != invariant_factors(y):
+    if invariant_factors(x) != invariant_factors(y):
         return None
+    space = intertwiner_space([(y, x)])  # a with y a = a x, i.e. a x a^-1 = y
     a = invertible_element(space, x.nrows)
     internal_check(y @ a == a @ x, "similarity witness does not intertwine")
     return a

@@ -333,9 +333,11 @@ def _unused_imports(path: Path):
 
 
 def test_no_unused_imports():
-    """Every import in the package and the tests is used; the package
-    __init__ re-exports by design."""
-    paths = sorted(Path(locaut.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    """Every import in the package, the tests and the scripts is used; the
+    package __init__ re-exports by design."""
+    here = Path(__file__).parent
+    paths = sorted(Path(locaut.__file__).parent.glob("*.py")) + sorted(here.glob("*.py"))
+    paths += sorted((here.parent / "scripts").glob("*.py"))
     found = [u for p in paths if p.name != "__init__.py" for u in _unused_imports(p)]
     assert found == []
 

@@ -1,0 +1,271 @@
+"""Each decider runs its defining test first and only then picks a certificate.
+
+The reference functions below keep the screen-first order the deciders used
+before: injectivity, then the square-zero screen (sl_n) or Delta(1) = 1
+(M_n), then the family fit; and for sl_n + I the kernel, then the sl_n
+verdict of the S-block, then the bracket check.  The verdict JSON of both
+orders must agree on inputs that reach every certificate kind.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from locaut import classify, leibniz, linalg
+from locaut.classify import (
+    AUTOMORPHISM,
+    MN_FAMILIES,
+    NOT_LOCAL,
+    IdentityNotFixed,
+    LambdaNotUnit,
+    NoShapeFits,
+    NotInjective,
+    SquareZeroBroken,
+    Verdict,
+    _fit_families,
+    basis_images,
+    classify_mn,
+    classify_sln,
+    local_aut_probe,
+    pointwise_witness,
+    random_unimodular,
+    square_zero_counterexample,
+)
+from locaut.exact import GR_ONE, GaussianRational, internal_check
+from locaut.leibniz import (
+    LOCAL_AUT,
+    BlockMap,
+    BracketFailure,
+    InheritedSlnObstruction,
+    LeibnizVerdict,
+    _obstruction_points,
+    _weight_obstruction,
+    bracket_square_obstruction,
+    build_module,
+    build_semidirect,
+    decide_local_aut,
+    extend_automorphism,
+    inner_automorphism_matrix,
+    is_automorphism,
+)
+from locaut.linalg import Matrix, inverse, kernel
+from locaut.sln import SHAPE_FAMILIES, SIGMA_T, CanonicalShape, MnModel, SlnModel, shape_map_matrix
+
+# -- screen-first references --------------------------------------------------
+
+
+def reference_injectivity(model, d):
+    if d.nrows != model.dim or d.ncols != model.dim:
+        raise ValueError("map matrix has wrong size for this model")
+    ker = kernel(d)
+    return Verdict(NOT_LOCAL, obstruction=NotInjective(ker.basis[0])) if ker.dim else None
+
+
+def reference_classify_sln(model, d):
+    verdict = reference_injectivity(model, d)
+    if verdict is not None:
+        return verdict
+    images = basis_images(model, d)
+    bad = square_zero_counterexample(model, d, images)
+    if bad is not None:
+        return Verdict(NOT_LOCAL, obstruction=SquareZeroBroken(bad))
+    verdict, dims = _fit_families(model, d, images, SHAPE_FAMILIES, first_only=model.n >= 3)
+    if verdict is not None:
+        return verdict
+    probe, required, lam_sq, lam = local_aut_probe(model, d)
+    if lam_sq is not None and not (lam_sq - GR_ONE).is_zero():
+        return Verdict(NOT_LOCAL, obstruction=LambdaNotUnit(lam, lam_sq, probe, required))
+    return Verdict(NOT_LOCAL, obstruction=NoShapeFits(dims, probe, required))
+
+
+def reference_classify_mn(model, d):
+    verdict = reference_injectivity(model, d)
+    if verdict is not None:
+        return verdict
+    one = Matrix.identity(model.n)
+    d_one = model.apply_map(d, one)
+    if d_one != one:
+        return Verdict(NOT_LOCAL, obstruction=IdentityNotFixed(d_one))
+    verdict, dims = _fit_families(model, d, basis_images(model, d), MN_FAMILIES, first_only=True)
+    if verdict is not None:
+        return verdict
+    return Verdict(NOT_LOCAL, obstruction=NoShapeFits(dims, None, None))
+
+
+def reference_decide_local_aut(lb, bm):
+    ker = kernel(bm.full_matrix())
+    if ker.dim > 0:
+        return LeibnizVerdict(NOT_LOCAL, NotInjective(ker.basis[0]))
+    s_verdict = reference_classify_sln(lb.model, bm.s_block)
+    if s_verdict.verdict == NOT_LOCAL:
+        return LeibnizVerdict(NOT_LOCAL, InheritedSlnObstruction(s_verdict))
+    if s_verdict.verdict == AUTOMORPHISM:
+        ok, pair = is_automorphism(lb, bm)
+        if ok:
+            return LeibnizVerdict(LOCAL_AUT)
+        return LeibnizVerdict(NOT_LOCAL, BracketFailure(*pair))
+    for z in _obstruction_points(lb):
+        cert = bracket_square_obstruction(lb, bm, z)
+        if cert is not None:
+            return LeibnizVerdict(NOT_LOCAL, cert)
+    reducer = extend_automorphism(lb, inner_automorphism_matrix(lb.model, s_verdict.shape.a), 0)
+    reduced = reducer.inv().compose(bm)
+    cert = _weight_obstruction(lb, reducer, reduced)
+    if cert is not None:
+        return LeibnizVerdict(NOT_LOCAL, cert)
+    ok, pair = is_automorphism(lb, bm)
+    internal_check(not ok, "anti-family S-block cannot give a full automorphism")
+    return LeibnizVerdict(NOT_LOCAL, BracketFailure(*pair))
+
+
+# -- seeded inputs ------------------------------------------------------------
+
+
+def conjugated(model, rng, map_matrix):
+    """map_matrix followed by conjugation with a random unimodular g."""
+    g = random_unimodular(model.n, rng)
+    ginv = inverse(g)
+    return model.map_matrix(lambda x: g @ x @ ginv) @ map_matrix
+
+
+def screen_evading_map():
+    """n = 2: fixes e12, e21 and sends h to (3/5)h + (4/5)(e12 + e21); it
+    passes injectivity, the square-zero screen and the probe, yet fits no
+    family."""
+    return Matrix([[1, 0, Fraction(4, 5)], [0, 1, Fraction(4, 5)], [0, 0, Fraction(3, 5)]])
+
+
+def sln_maps(model, rng):
+    identity = Matrix.identity(model.dim)
+    cases = []
+    for eps, sigma in SHAPE_FAMILIES:
+        g = random_unimodular(model.n, rng)
+        cases.append(("family", shape_map_matrix(model, CanonicalShape(eps, sigma, g))))
+    for lam in (GaussianRational(2), GaussianRational(0, 1)):
+        cases.append(("scaled", conjugated(model, rng, identity) * lam))
+    drop = rng.randrange(model.dim)
+    proj = Matrix.diagonal([0 if i == drop else 1 for i in range(model.dim)])
+    cases.append(("singular", conjugated(model, rng, proj)))
+    rows = [list(r) for r in identity.data]
+    rows[len(model.off_pairs) + rng.randrange(model.n - 1)][rng.randrange(len(model.off_pairs))] = 1
+    cases.append(("square_zero_breaker", conjugated(model, rng, Matrix(rows))))
+    if model.n == 2:
+        cases.append(("screen_evader", conjugated(model, rng, screen_evading_map())))
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classify_sln_matches_screen_first_reference(n):
+    model = SlnModel(n)
+    kinds = set()
+    for label, d in sln_maps(model, random.Random(7000 + n)):
+        got = classify_sln(model, d).to_json()
+        assert got == reference_classify_sln(model, d).to_json(), label
+        kinds.add(got["verdict"] if got["obstruction"] is None else got["obstruction"]["kind"])
+    expected = {"Automorphism", "AntiAutomorphism", "lambda_not_unit", "not_injective", "square_zero_broken"}
+    assert kinds == expected | ({"no_shape_fits"} if n == 2 else set())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_classify_mn_matches_screen_first_reference(n):
+    model = MnModel(n)
+    rng = random.Random(7100 + n)
+    identity = Matrix.identity(model.dim)
+    unfit = Matrix.diagonal([2 if i == 1 else 1 for i in range(model.dim)])  # scales e12 only
+    maps = [conjugated(model, rng, identity), conjugated(model, rng, model.map_matrix(lambda x: x.T))]
+    maps += [conjugated(model, rng, identity) * GaussianRational(2), conjugated(model, rng, unfit)]
+    maps.append(conjugated(model, rng, Matrix.diagonal([0] + [1] * (model.dim - 1))))
+    kinds = set()
+    for d in maps:
+        got = classify_mn(model, d).to_json()
+        assert got == reference_classify_mn(model, d).to_json()
+        kinds.add(got["verdict"] if got["obstruction"] is None else got["obstruction"]["kind"])
+    assert kinds == {"Automorphism", "AntiAutomorphism", "identity_not_fixed", "no_shape_fits", "not_injective"}
+
+
+def leibniz_maps(lb, rng):
+    model = lb.model
+    ds, di = lb.dim_s, lb.dim_i
+    ext = [extend_automorphism(lb, inner_automorphism_matrix(model, random_unimodular(model.n, rng)), omega)
+           for omega in (0, 1)]
+    base = ext[1]
+    p, q = rng.randrange(di), rng.randrange(ds)
+    bump = Matrix(tuple(tuple(1 if (r, s) == (p, q) else 0 for s in range(ds)) for r in range(di)))
+    proj = Matrix.diagonal([0] + [1] * (di - 1))
+    return ext + [
+        BlockMap(model.transpose_map(), Matrix.zeros(di, ds), Matrix.identity(di) * GaussianRational(2)),
+        BlockMap(model.scalar_map(-1), Matrix.zeros(di, ds), Matrix.identity(di)),
+        BlockMap(base.s_block, base.coupling + bump, base.i_block),
+        BlockMap(base.s_block, base.coupling, base.i_block @ proj),
+        BlockMap(base.s_block * GaussianRational(2), base.coupling, base.i_block),
+    ]
+
+
+@pytest.mark.parametrize("n, name", [(2, "vm:2"), (3, "natural")])
+def test_decide_local_aut_matches_screen_first_reference(n, name):
+    model = SlnModel(n)
+    lb = build_semidirect(model, build_module(model, name))
+    kinds = []
+    for bm in leibniz_maps(lb, random.Random(7200 + n)):
+        got = decide_local_aut(lb, bm).to_json()
+        assert got == reference_decide_local_aut(lb, bm).to_json()
+        kinds.append(got["verdict"] if got["certificate"] is None else got["certificate"]["kind"])
+    assert kinds == [LOCAL_AUT, LOCAL_AUT, "bracket_square", "weight_structure", "bracket_failure",
+                     "not_injective", "sln_block"]
+
+
+# -- call counts ----------------------------------------------------------------
+
+
+def counting(monkeypatch, module, name):
+    """Rebind module.name to a wrapper that records each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_local_automorphism_classifies_no_s_block(monkeypatch):
+    model = SlnModel(2)
+    lb = build_semidirect(model, build_module(model, "vm:2"))
+    calls = counting(monkeypatch, leibniz, "classify_sln")
+    for bm in leibniz_maps(lb, random.Random(1))[:2]:
+        assert decide_local_aut(lb, bm).verdict == LOCAL_AUT
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fitted_map_runs_no_screen(monkeypatch, n):
+    model = SlnModel(n)
+    injectivity = counting(monkeypatch, classify, "_injectivity_verdict")
+    square_zero = counting(monkeypatch, classify, "square_zero_counterexample")
+    for eps, sigma in SHAPE_FAMILIES:
+        d = shape_map_matrix(model, CanonicalShape(eps, sigma, random_unimodular(n, random.Random(n))))
+        assert classify_sln(model, d).obstruction is None
+    assert injectivity == [] and square_zero == []
+    singular = Matrix.diagonal([0] + [1] * (model.dim - 1))
+    assert classify_sln(model, singular).obstruction.kind == "not_injective"
+    assert len(injectivity) == 1 and square_zero == []
+
+
+def test_pointwise_witness_builds_intertwiners_only_for_similar_pairs(monkeypatch):
+    calls = counting(monkeypatch, linalg, "intertwiner_space")
+    # the dim-7 near-miss: e12 and its image have different Jordan types, and
+    # so has -(e12^T)
+    model = SlnModel(4)
+    e12 = model.e(0, 1)
+    d = model.map_matrix(lambda x: x + model.e(1, 2) * x[0, 1])
+    assert pointwise_witness(model, d, e12) is None
+    assert calls == []
+    # x -> -x at diag(1, 1, -2): x and -x are not similar, but -(x^T) = -x is
+    model = SlnModel(3)
+    x = Matrix.diagonal([1, 1, -2])
+    shape = pointwise_witness(model, model.scalar_map(-1), x)
+    assert (shape.epsilon, shape.sigma) == (-1, SIGMA_T)
+    assert len(calls) == 1

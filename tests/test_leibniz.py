@@ -126,6 +126,16 @@ def test_semidirect_takes_the_module_model():
         build_semidirect(SlnModel(3), module_vm(SlnModel(2), 2))
 
 
+@pytest.mark.parametrize(
+    "n, name",
+    [(2, f"vm:{m}") for m in range(7)] + [(n, "natural") for n in (2, 3, 4)] + [(2, "adjoint"), (3, "adjoint")],
+)
+def test_semidirect_table_satisfies_leibniz_identity(n, name):
+    # build_semidirect does not validate: the identity follows from the sl_n
+    # table and the right-module law
+    assert semidirect(n, name).algebra.validate_leibniz() == []
+
+
 # -- weights ----------------------------------------------------------------
 
 
@@ -500,6 +510,14 @@ def test_decide_bracket_failure_on_scaled_module():
     v = decide_local_aut(lb, bm)
     assert v.verdict == NOT_LOCAL
     assert v.certificate.kind == "bracket_failure"
+
+
+@pytest.mark.parametrize("dim_s, dim_i", [(3, 4), (8, 3)])
+def test_decide_rejects_block_sizes_of_another_algebra(dim_s, dim_i):
+    lb = semidirect(2, "vm:2")
+    bm = BlockMap(Matrix.identity(dim_s), Matrix.zeros(dim_i, dim_s), Matrix.identity(dim_i))
+    with pytest.raises(ValueError, match="block sizes do not match the algebra"):
+        decide_local_aut(lb, bm)
 
 
 def test_verdict_json_kinds():
