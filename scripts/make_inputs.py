@@ -52,6 +52,12 @@ def main(argv=None) -> int:
         dump(cfg, f"point_e12_{n}.json", model.e(0, 1).to_json())
         dump(cfg, f"point_h_{n}.json", model.strongly_regular_element().to_json())
 
+    # A fixed regular point of sl_3, not drawn from rng so that the files
+    # above stay the same: e1 is a cyclic vector of x and of -x^T, and
+    # tr(x^3) != 0 rules out x ~ -x.
+    point = Matrix(((1, 1, 0), (0, 2, 1), (1, 0, -3)))
+    dump(cfg, "point_regular_3.json", point.to_json())
+
     model = SlnModel(2)
     ident = BlockMap(Matrix.identity(3), Matrix.zeros(3, 3), Matrix.identity(3))
     dump(cfg, "blockmap_identity_vm2.json", ident.to_json())

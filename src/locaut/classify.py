@@ -25,11 +25,13 @@ from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial, format_scalar,
 from .linalg import (
     Matrix,
     charpoly,
+    conjugator,
     det,
     intertwiner_space,
+    invariant_factors,
     kernel,
     matrix_from_flat,
-    similarity_witness,
+    negated_factors,
 )
 from .sln import (
     SHAPE_FAMILIES,
@@ -164,9 +166,9 @@ def fit_shape_family(model, d: Matrix, epsilon: int, sigma: str, images=None):
     if images is None:
         images = basis_images(model, d)
     h0 = model.strongly_regular_element()  # diagonal, so sigma(h0) = h0
-    pairs = [(model.apply_map(d, h0), h0 * epsilon)]
+    pairs = [(model.apply_map(d, h0), h0 if epsilon == 1 else -h0)]
     order = model.transpose_index if sigma == SIGMA_T else range(model.dim)
-    pairs.extend((images[k], e * epsilon) for k, e in zip(order, model.basis))
+    pairs.extend((images[k], e if epsilon == 1 else -e) for k, e in zip(order, model.basis))
     space = intertwiner_space(pairs)
     internal_check(space.dim <= 1, "fit space of an irreducible family exceeded a line")
     if space.dim == 0:
@@ -314,15 +316,18 @@ def pointwise_witness(model: SlnModel, d: Matrix, x: Matrix) -> CanonicalShape |
     """An automorphism of sl_n agreeing with the map at the single point x.
 
     Tries conjugation first, then the standard anti-twist x -> -a x^T a^-1,
-    which together exhaust the automorphisms of sl_n.
+    which together exhaust the automorphisms of sl_n.  Invariant factors
+    decide which one matches: one Smith form of x and one of Delta(x)
+    settle both, since those of -x^T follow from x's by negated_factors.
+    Only the matching candidate builds a conjugator.
     """
     target = model.apply_map(d, x)
-    a = similarity_witness(x, target)
-    if a is not None:
-        return CanonicalShape(1, SIGMA_ID, a)
-    b = similarity_witness(-(x.T), target)
-    if b is not None:
-        return CanonicalShape(-1, SIGMA_T, b)
+    fx = invariant_factors(x)
+    ft = invariant_factors(target)
+    if fx == ft:
+        return CanonicalShape(1, SIGMA_ID, conjugator(x, target))
+    if negated_factors(fx) == ft:
+        return CanonicalShape(-1, SIGMA_T, conjugator(-(x.T), target))
     return None
 
 

@@ -121,7 +121,7 @@ class Matrix:
             for col in bt:
                 acc = GR_ZERO
                 for a, b in zip(row, col):
-                    if a.a or a.b:
+                    if (a.a or a.b) and (b.a or b.b):
                         acc = acc + a * b
                 out_row.append(acc)
             out.append(tuple(out_row))
@@ -434,6 +434,17 @@ def invariant_factors(m: Matrix) -> tuple:
     return tuple(factors)
 
 
+def negated_factors(factors) -> tuple:
+    """Invariant factors of -m (and of -m^T) from those of m.
+
+    tI + m = -((-t)I - m), so each factor p(t) becomes the monic p(-t), in
+    the same divisibility order; m^T ~ m gives the same for -m^T.
+    """
+    return tuple(
+        Polynomial(tuple(-c if k % 2 else c for k, c in enumerate(p.coeffs))).monic() for p in factors
+    )
+
+
 # ---------------------------------------------------------------------------
 # Intertwiners and similarity
 
@@ -441,10 +452,14 @@ def invariant_factors(m: Matrix) -> tuple:
 def intertwiner_space(pairs) -> Subspace:
     """All a with A a = a B for every pair (A, B), as a subspace of Q(i)^(n*n).
 
-    The first pair is imposed on all n^2 entries at once: for the unit basis,
-    (A E_ij - E_ij B)[r][c] = A[r][i] [c = j] - B[j][c] [r = i], so its
-    n^2 x n^2 system is written down directly.  Each later pair refines the
-    surviving directions, so put the most restrictive pair first.
+    The first pair is imposed on all n^2 entries at once.  When its B is
+    diagonal, A a = a B says column by column that column c of a lies in
+    ker(A - B[c][c] I), so n kernels of n x n matrices are solved.  Otherwise
+    the n^2 x n^2 system is written down directly: for the unit basis,
+    (A E_ij - E_ij B)[r][c] = A[r][i] [c = j] - B[j][c] [r = i].  Each later
+    pair refines the surviving directions, so put the most restrictive pair
+    first.  The space comes back in canonical form, so its basis does not
+    depend on how the first pair was solved.
     """
     pairs = list(pairs)
     if not pairs:
@@ -454,15 +469,23 @@ def intertwiner_space(pairs) -> Subspace:
         if a.nrows != n or a.ncols != n or b.nrows != n or b.ncols != n:
             raise ValueError("pairs must be square matrices of equal size")
     a, b = pairs[0]
-    first = [[GR_ZERO] * (n * n) for _ in range(n * n)]
-    for r in range(n):
+    if all(not (e.a or e.b) for i, row in enumerate(b.data) for j, e in enumerate(row) if i != j):
+        basis = []
         for c in range(n):
-            row = first[r * n + c]
-            for k in range(n):
-                row[k * n + c] = a.data[r][k]
-            for k in range(n):
-                row[r * n + k] = row[r * n + k] - b.data[k][c]
-    basis = list(kernel(Matrix(first)).basis)
+            for v in kernel(a - Matrix.diagonal([b.data[c][c]] * n)).basis:
+                flat = [GR_ZERO] * (n * n)
+                flat[c::n] = v
+                basis.append(tuple(flat))
+    else:
+        first = [[GR_ZERO] * (n * n) for _ in range(n * n)]
+        for r in range(n):
+            for c in range(n):
+                row = first[r * n + c]
+                for k in range(n):
+                    row[k * n + c] = a.data[r][k]
+                for k in range(n):
+                    row[r * n + k] = row[r * n + k] - b.data[k][c]
+        basis = list(kernel(Matrix(first)).basis)
     for a, b in pairs[1:]:
         if not basis:
             break
@@ -521,19 +544,48 @@ def invertible_element(space: Subspace, n: int) -> Matrix:
     return a
 
 
+def _krylov(m: Matrix, v) -> Matrix:
+    """The Krylov matrix [v, m v, ..., m^(n-1) v], by columns."""
+    cols = [tuple(v)]
+    for _ in range(m.nrows - 1):
+        cols.append(m.apply(cols[-1]))
+    return Matrix(zip(*cols))
+
+
+def conjugator(x: Matrix, y: Matrix) -> Matrix:
+    """Invertible a with a x a^-1 = y; precondition: x and y are similar.
+
+    Take the first unit vector v with K_x(v) = [v, x v, ..., x^(n-1) v]
+    invertible.  An intertwiner a (y a = a x) sends x^k v to y^k (a v), so
+    a = K_y(a v) K_x(v)^-1; conversely every w gives the intertwiner
+    K_y(w) K_x(v)^-1, because chi_x(y) = chi_y(y) = 0.  The n matrices
+    K_y(e_j) K_x(v)^-1 therefore span the intertwiner space, and only n x n
+    products are needed.  When no unit vector is cyclic (x derogatory, or
+    diagonal-like), intertwiner_space solves the n^2 x n^2 system instead.
+    Both give the same canonical space, so the same witness.
+    """
+    n = x.nrows
+    units = [tuple(GR_ONE if i == j else GR_ZERO for i in range(n)) for j in range(n)]
+    cyclic = next((k for k in (_krylov(x, v) for v in units) if not det(k).is_zero()), None)
+    if cyclic is None:
+        space = intertwiner_space([(y, x)])  # a with y a = a x, i.e. a x a^-1 = y
+    else:
+        k_inv = inverse(cyclic)
+        space = Subspace(n * n, [(_krylov(y, e) @ k_inv).flatten() for e in units])
+    a = invertible_element(space, n)
+    internal_check(y @ a == a @ x, "similarity witness does not intertwine")
+    return a
+
+
 def similarity_witness(x: Matrix, y: Matrix) -> Matrix | None:
     """Invertible a with a x a^-1 = y, or None when x and y are not similar.
 
     Similarity over Q(i) is equivalent to equality of invariant factors, and
     both are insensitive to field extension, so the comparison decides and
-    comes first.  Only a similar pair builds its intertwiner space, which
-    then holds an invertible element for the search to find.
+    comes first.  Only a similar pair goes on to conjugator.
     """
     if x.nrows != y.nrows or not x.is_square() or not y.is_square():
         raise ValueError("similarity needs square matrices of equal size")
     if invariant_factors(x) != invariant_factors(y):
         return None
-    space = intertwiner_space([(y, x)])  # a with y a = a x, i.e. a x a^-1 = y
-    a = invertible_element(space, x.nrows)
-    internal_check(y @ a == a @ x, "similarity witness does not intertwine")
-    return a
+    return conjugator(x, y)

@@ -102,29 +102,32 @@ def adjugate_inverse(m: Matrix) -> Matrix:
 # sl_n verdicts
 
 
-def _adjugate_shape(shape: CanonicalShape):
-    """x -> epsilon * a * sigma(x) * adj(a)/det(a): the shape's map with the
-    conjugator inverted once by adjugate, not by CanonicalShape.apply."""
-    ainv = adjugate_inverse(shape.a)
-
-    def apply(x: Matrix) -> Matrix:
-        img = shape.a @ (x.T if shape.sigma == SIGMA_T else x) @ ainv
-        return img if shape.epsilon == 1 else -img
-
-    return apply
-
-
 def recheck_shape(model: SlnModel, d: Matrix, shape: CanonicalShape):
     """The shape reproduces the map on every basis element, with the
-    conjugator inverted by adjugate."""
-    apply = _adjugate_shape(shape)
+    conjugator inverted once by adjugate, not by CanonicalShape.apply."""
+    ainv = adjugate_inverse(shape.a)
     for e in model.basis:
-        _need(apply(e) == model.apply_map(d, e), "shape does not reproduce the map")
+        img = shape.a @ (e.T if shape.sigma == SIGMA_T else e) @ ainv
+        _need(
+            (img if shape.epsilon == 1 else -img) == model.apply_map(d, e),
+            "shape does not reproduce the map",
+        )
 
 
 def recheck_witness_at(model: SlnModel, d: Matrix, x: Matrix, shape: CanonicalShape):
-    """A pointwise witness: the shape agrees with the map at x exactly."""
-    _need(_adjugate_shape(shape)(x) == model.apply_map(d, x), "witness does not match the map at x")
+    """A pointwise witness: the shape agrees with the map at x exactly.
+
+    With det(a) != 0 by Laplace expansion, epsilon a sigma(x) a^-1 =
+    Delta(x) is the product identity epsilon a sigma(x) = Delta(x) a, so
+    no inverse is formed.
+    """
+    a = shape.a
+    _need(not cofactor_det(a).is_zero(), "matrix is singular")
+    img = a @ (x.T if shape.sigma == SIGMA_T else x)
+    _need(
+        (img if shape.epsilon == 1 else -img) == model.apply_map(d, x) @ a,
+        "witness does not match the map at x",
+    )
 
 
 def _probe_charpoly(model: SlnModel, d: Matrix):

@@ -40,6 +40,10 @@ INVOCATIONS = (
         for name in ("conjugation", "double")
     ]
     + [
+        ("witness", "--n", "3", "--map", f"{name}3.json", "--at", "point_regular_3.json")
+        for name in ("transpose", "negation")
+    ]
+    + [
         ("leibniz-decide", "--n", "2", "--module", "vm:2", "--map", f"blockmap_{name}_vm2.json")
         for name in ("identity", "transpose")
     ]

@@ -50,7 +50,7 @@ from locaut.leibniz import (
     is_automorphism,
 )
 from locaut.linalg import Matrix, inverse, kernel
-from locaut.sln import SHAPE_FAMILIES, SIGMA_T, CanonicalShape, MnModel, SlnModel, shape_map_matrix
+from locaut.sln import SHAPE_FAMILIES, SIGMA_ID, SIGMA_T, CanonicalShape, MnModel, SlnModel, shape_map_matrix
 
 # -- screen-first references --------------------------------------------------
 
@@ -269,3 +269,19 @@ def test_pointwise_witness_builds_intertwiners_only_for_similar_pairs(monkeypatc
     shape = pointwise_witness(model, model.scalar_map(-1), x)
     assert (shape.epsilon, shape.sigma) == (-1, SIGMA_T)
     assert len(calls) == 1
+
+
+def test_pointwise_witness_at_a_cyclic_point_takes_one_smith_form_each(monkeypatch):
+    # e1 is a cyclic vector of x and of -x^T, and x is not similar to -x, so
+    # the transpose map matches by conjugation and the negation by the
+    # anti-twist, both through the Krylov conjugator
+    factors = counting(monkeypatch, classify, "invariant_factors")
+    spaces = [counting(monkeypatch, module, "intertwiner_space") for module in (linalg, classify)]
+    model = SlnModel(3)
+    x = Matrix(((1, 1, 0), (0, 2, 1), (1, 0, -3)))
+    for d, family in ((model.transpose_map(), (1, SIGMA_ID)), (model.scalar_map(-1), (-1, SIGMA_T))):
+        factors.clear()
+        shape = pointwise_witness(model, d, x)
+        assert (shape.epsilon, shape.sigma) == family
+        assert len(factors) == 2
+    assert spaces == [[], []]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locaut import linalg
 from locaut.classify import random_unimodular
 from locaut.exact import GR_ONE, GR_ZERO, GaussianRational, InternalCheckError, Polynomial
 from locaut.linalg import (
@@ -14,6 +15,7 @@ from locaut.linalg import (
     Subspace,
     charpoly,
     combine,
+    conjugator,
     det,
     intertwiner_space,
     invariant_factors,
@@ -21,6 +23,7 @@ from locaut.linalg import (
     invertible_element,
     kernel,
     matrix_from_flat,
+    negated_factors,
     rank,
     rref,
     similarity_witness,
@@ -223,6 +226,17 @@ def test_invariant_factor_product_is_charpoly(m):
     for p in invariant_factors(m):
         prod = prod * p
     assert prod == charpoly(m)
+
+
+@given(
+    st.one_of(
+        *(square_matrices(n, -3, 3) for n in (1, 2, 3)),
+        st.integers(2, 4).flatmap(lambda n: jordan_matrices(n)),
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_negated_factors_are_those_of_minus_transpose(m):
+    assert negated_factors(invariant_factors(m)) == invariant_factors(-(m.T))
 
 
 # -- intertwiners and similarity --------------------------------------------
@@ -455,6 +469,116 @@ def test_similarity_witness_matches_search_first_reference(pair):
         assert got is None
     else:
         assert got == reference_similarity_witness(x, y)
+
+
+# -- reference: the Kronecker first pair ------------------------------------
+#
+# intertwiner_space as it was before a diagonal first pair was split by
+# columns: the first pair always went in as one n^2 x n^2 system.  The space
+# is canonical, so the split must give the very same basis.
+
+
+def reference_intertwiner_space(pairs) -> Subspace:
+    pairs = list(pairs)
+    n = pairs[0][0].nrows
+    a, b = pairs[0]
+    first = [[GR_ZERO] * (n * n) for _ in range(n * n)]
+    for r in range(n):
+        for c in range(n):
+            row = first[r * n + c]
+            for k in range(n):
+                row[k * n + c] = a.data[r][k]
+            for k in range(n):
+                row[r * n + k] = row[r * n + k] - b.data[k][c]
+    basis = list(kernel(Matrix(first)).basis)
+    for a, b in pairs[1:]:
+        if not basis:
+            break
+        cols = [(a @ m - m @ b).flatten() for m in (matrix_from_flat(v, n) for v in basis)]
+        coeff_space = kernel(Matrix(zip(*cols)))
+        basis = [combine(coeffs, basis) for coeffs in coeff_space.basis]
+    return Subspace(n * n, basis)
+
+
+@st.composite
+def diagonal_first_pairs(draw):
+    """A diagonal first B with repeated and zero entries, an A that shares
+    some of its eigenvalues (g D' g^-1) or a random one, then 0-2 more
+    pairs, similar through one g or random."""
+    n = draw(st.integers(1, 4))
+    values = st.sampled_from([0, 0, 1, -1, 2, GaussianRational(0, 1)])
+    b = Matrix.diagonal([draw(values) for _ in range(n)])
+    g = random_unimodular(n, random.Random(draw(st.integers(0, 10_000))))
+    ginv = inverse(g)
+    if draw(st.booleans()):
+        a = g @ Matrix.diagonal([draw(values) for _ in range(n)]) @ ginv
+    else:
+        a = draw(gaussian_matrices(n, -1, 1))
+    pairs = [(a, b)]
+    for _ in range(draw(st.integers(0, 2))):
+        x = draw(gaussian_matrices(n, -1, 1))
+        pairs.append((g @ x @ ginv if draw(st.booleans()) else draw(gaussian_matrices(n, -1, 1)), x))
+    return pairs
+
+
+@given(diagonal_first_pairs())
+@settings(max_examples=80, deadline=None)
+def test_column_split_matches_kronecker_first_pair(pairs):
+    assert intertwiner_space(pairs) == reference_intertwiner_space(pairs)
+
+
+def reference_conjugator(x, y):
+    """similarity_witness on a similar pair, as it was before conjugator:
+    the search over the Kronecker intertwiner space."""
+    return invertible_element(reference_intertwiner_space([(y, x)]), x.nrows)
+
+
+@st.composite
+def similar_pairs(draw):
+    """(x, g x g^-1) for n = 2..4 where x is a random integer matrix (cyclic,
+    with a cyclic unit vector, in most draws), diag(1, .., n) (cyclic, but no
+    unit vector is) or a conjugated Jordan form with eigenvalues in {0, 1}
+    (often derogatory)."""
+    n = draw(st.integers(2, 4))
+    h = random_unimodular(n, random.Random(draw(st.integers(0, 10_000))))
+    kind = draw(st.sampled_from(["random", "diagonal", "jordan"]))
+    if kind == "random":
+        x = draw(square_matrices(n, -3, 3))
+    elif kind == "diagonal":
+        x = Matrix.diagonal(range(1, n + 1))
+    else:
+        x = h @ draw(jordan_matrices(n)) @ inverse(h)
+    g = random_unimodular(n, random.Random(draw(st.integers(0, 10_000))))
+    return x, g @ x @ inverse(g)
+
+
+@given(similar_pairs())
+@settings(max_examples=60, deadline=None)
+def test_conjugator_matches_kronecker_search(pair):
+    x, y = pair
+    assert conjugator(x, y) == reference_conjugator(x, y)
+
+
+@pytest.mark.parametrize(
+    "x, krylov",
+    [
+        (int_matrix([[1, 1, 0], [0, 2, 1], [1, 0, -3]]), True),  # e1 is cyclic
+        (Matrix.diagonal([1, 2, 3]), False),  # cyclic, but no unit vector is
+        (int_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), False),  # derogatory
+    ],
+)
+def test_conjugator_solves_the_kronecker_system_only_without_a_cyclic_unit_vector(monkeypatch, x, krylov):
+    calls = []
+
+    def counted(pairs):
+        calls.append(pairs)
+        return intertwiner_space(pairs)
+
+    monkeypatch.setattr(linalg, "intertwiner_space", counted)
+    g = random_unimodular(3, random.Random(7))
+    y = g @ x @ inverse(g)
+    assert conjugator(x, y) == reference_conjugator(x, y)
+    assert len(calls) == (0 if krylov else 1)
 
 
 # -- subspaces --------------------------------------------------------------

@@ -32,7 +32,7 @@ from locaut.recheck import (
     recheck_sln_verdict,
     recheck_witness_at,
 )
-from locaut.sln import MnModel, SlnModel
+from locaut.sln import SIGMA_ID, CanonicalShape, MnModel, SlnModel
 
 
 def gr(x):
@@ -197,6 +197,15 @@ def test_recheck_witness_at():
     recheck_witness_at(m2, d, x, shape)
     with pytest.raises(RecheckError):
         recheck_witness_at(m2, d, m2.e(0, 1) + m2.h(0), shape)
+
+
+def test_recheck_witness_at_rejects_a_singular_conjugator():
+    # a = 0 satisfies epsilon a sigma(x) = Delta(x) a at every x; only the
+    # determinant rules it out
+    m2 = SlnModel(2)
+    d = m2.transpose_map()
+    with pytest.raises(RecheckError, match="singular"):
+        recheck_witness_at(m2, d, m2.e(0, 1), CanonicalShape(1, SIGMA_ID, Matrix.zeros(2, 2)))
 
 
 def test_recheck_mn_identity_not_fixed():
