@@ -9,7 +9,6 @@ yet fits no conjugation family.
 
 import argparse
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from locaut.classify import classify_sln, random_unimodular
@@ -19,11 +18,7 @@ from locaut.recheck import recheck_sln_verdict
 from locaut.sln import SlnModel
 
 
-@dataclass
-class SurveyConfig:
-    n_values: tuple = (2, 3)
-    conjugations: int = 3
-    seed: int = 11
+N_VALUES = (2, 3)
 
 
 def screen_evading_map() -> Matrix:
@@ -41,15 +36,15 @@ def screen_evading_map() -> Matrix:
     )
 
 
-def catalog(model: SlnModel, cfg: SurveyConfig):
-    rng = random.Random(cfg.seed)
+def catalog(model: SlnModel, conjugations: int, seed: int):
+    rng = random.Random(seed)
     yield "identity", model.identity_map()
     yield "transpose", model.transpose_map()
     yield "negation", model.scalar_map(-1)
     yield "neg-transpose", model.map_matrix(lambda x: -(x.T))
     yield "doubling", model.scalar_map(2)
     yield "i-scaling", model.scalar_map(GaussianRational(0, 1))
-    for k in range(cfg.conjugations):
+    for k in range(conjugations):
         g = random_unimodular(model.n, rng)
         ginv = inverse(g)
         yield f"conjugation #{k + 1}", model.map_matrix(lambda x: g @ x @ ginv)
@@ -68,18 +63,13 @@ def describe(v) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, action="append", dest="n_values")
-    parser.add_argument("--conjugations", type=int, default=SurveyConfig.conjugations)
-    parser.add_argument("--seed", type=int, default=SurveyConfig.seed)
+    parser.add_argument("--conjugations", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args(argv)
-    cfg = SurveyConfig(
-        n_values=tuple(args.n_values) if args.n_values else SurveyConfig.n_values,
-        conjugations=args.conjugations,
-        seed=args.seed,
-    )
-    for n in cfg.n_values:
+    for n in args.n_values or N_VALUES:
         model = SlnModel(n)
         print(f"sl_{n}")
-        for name, d in catalog(model, cfg):
+        for name, d in catalog(model, args.conjugations, args.seed):
             v = classify_sln(model, d)
             recheck_sln_verdict(model, d, v)
             print(f"  {name:28s} {v.verdict:18s} {describe(v)}")

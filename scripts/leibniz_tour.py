@@ -8,7 +8,6 @@ blocks are refuted with a concrete square certificate.
 
 import argparse
 import random
-from dataclasses import dataclass
 
 from locaut.classify import random_unimodular
 from locaut.exact import format_scalar, parse_scalar
@@ -26,12 +25,7 @@ from locaut.recheck import recheck_leibniz_verdict
 from locaut.sln import SlnModel
 
 
-@dataclass
-class TourConfig:
-    n: int = 2
-    modules: tuple = ("vm:2", "vm:3", "adjoint")
-    omega: str = "1"
-    seed: int = 3
+MODULES = ("vm:2", "vm:3", "adjoint")
 
 
 def labelled(lb, v) -> str:
@@ -45,21 +39,22 @@ def labelled(lb, v) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def tour_module(cfg: TourConfig, module_text: str) -> None:
-    model = SlnModel(cfg.n)
+def tour_module(args, module_text: str) -> None:
+    """One module's tour; args holds the parsed n, omega and seed."""
+    model = SlnModel(args.n)
     module = build_module(model, module_text)
     lb = build_semidirect(model, module)
-    print(f"sl_{cfg.n} + I for module {module_text}")
+    print(f"sl_{args.n} + I for module {module_text}")
     print(f"  dim {lb.dim} = {lb.dim_s} + {lb.dim_i}")
     spaces = weight_decomposition(module)
     desc = ", ".join(f"{tuple(map(str, ws.values))}:{len(ws.basis)}" for ws in spaces)
     print(f"  weights {desc}")
     print(f"  highest weight vector {labelled(lb, lb.embed_i(lb.y_beta))}")
 
-    rng = random.Random(cfg.seed)
-    g = random_unimodular(cfg.n, rng)
+    rng = random.Random(args.seed)
+    g = random_unimodular(args.n, rng)
     phi_s = inner_automorphism_matrix(model, g)
-    bm = extend_automorphism(lb, phi_s, parse_scalar(cfg.omega))
+    bm = extend_automorphism(lb, phi_s, parse_scalar(args.omega))
     v = decide_local_aut(lb, bm)
     recheck_leibniz_verdict(lb, bm, v)
     coupling = "zero" if bm.coupling.is_zero() else "nonzero"
@@ -83,19 +78,13 @@ def tour_module(cfg: TourConfig, module_text: str) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=TourConfig.n)
+    parser.add_argument("--n", type=int, default=2)
     parser.add_argument("--module", action="append", dest="modules")
-    parser.add_argument("--omega", default=TourConfig.omega)
-    parser.add_argument("--seed", type=int, default=TourConfig.seed)
+    parser.add_argument("--omega", default="1")
+    parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args(argv)
-    cfg = TourConfig(
-        n=args.n,
-        modules=tuple(args.modules) if args.modules else TourConfig.modules,
-        omega=args.omega,
-        seed=args.seed,
-    )
-    for module_text in cfg.modules:
-        tour_module(cfg, module_text)
+    for module_text in args.modules or MODULES:
+        tour_module(args, module_text)
     return 0
 
 

@@ -8,7 +8,6 @@ directory, so the README examples can be run verbatim.
 import argparse
 import json
 import random
-from dataclasses import dataclass
 from pathlib import Path
 
 from locaut.classify import random_unimodular
@@ -17,66 +16,62 @@ from locaut.linalg import Matrix, inverse
 from locaut.sln import MnModel, SlnModel
 
 
-@dataclass
-class Config:
-    out_dir: Path = Path("inputs")
-    n_values: tuple = (2, 3, 4)
-    seed: int = 20240817
+N_VALUES = (2, 3, 4)
 
 
-def dump(cfg: Config, name: str, payload) -> None:
-    path = cfg.out_dir / name
+def dump(out_dir: Path, name: str, payload) -> None:
+    path = out_dir / name
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {path}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out-dir", type=Path, default=Config.out_dir)
-    parser.add_argument("--seed", type=int, default=Config.seed)
+    parser.add_argument("--out-dir", type=Path, default=Path("inputs"))
+    parser.add_argument("--seed", type=int, default=20240817)
     args = parser.parse_args(argv)
-    cfg = Config(out_dir=args.out_dir, seed=args.seed)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    out = args.out_dir
+    out.mkdir(parents=True, exist_ok=True)
 
-    rng = random.Random(cfg.seed)
-    for n in cfg.n_values:
+    rng = random.Random(args.seed)
+    for n in N_VALUES:
         model = SlnModel(n)
-        dump(cfg, f"transpose{n}.json", model.transpose_map().to_json())
-        dump(cfg, f"negtranspose{n}.json", model.map_matrix(lambda x: -x.T).to_json())
-        dump(cfg, f"negation{n}.json", model.scalar_map(-1).to_json())
-        dump(cfg, f"double{n}.json", model.scalar_map(2).to_json())
+        dump(out, f"transpose{n}.json", model.transpose_map().to_json())
+        dump(out, f"negtranspose{n}.json", model.map_matrix(lambda x: -x.T).to_json())
+        dump(out, f"negation{n}.json", model.scalar_map(-1).to_json())
+        dump(out, f"double{n}.json", model.scalar_map(2).to_json())
         g = random_unimodular(n, rng)
         ginv = inverse(g)
         conj = model.map_matrix(lambda x: g @ x @ ginv)
-        dump(cfg, f"conjugation{n}.json", conj.to_json())
-        dump(cfg, f"point_e12_{n}.json", model.e(0, 1).to_json())
-        dump(cfg, f"point_h_{n}.json", model.strongly_regular_element().to_json())
+        dump(out, f"conjugation{n}.json", conj.to_json())
+        dump(out, f"point_e12_{n}.json", model.e(0, 1).to_json())
+        dump(out, f"point_h_{n}.json", model.strongly_regular_element().to_json())
 
     # A fixed regular point of sl_3, not drawn from rng so that the files
     # above stay the same: e1 is a cyclic vector of x and of -x^T, and
     # tr(x^3) != 0 rules out x ~ -x.
     point = Matrix(((1, 1, 0), (0, 2, 1), (1, 0, -3)))
-    dump(cfg, "point_regular_3.json", point.to_json())
+    dump(out, "point_regular_3.json", point.to_json())
 
     model = SlnModel(2)
     ident = BlockMap(Matrix.identity(3), Matrix.zeros(3, 3), Matrix.identity(3))
-    dump(cfg, "blockmap_identity_vm2.json", ident.to_json())
+    dump(out, "blockmap_identity_vm2.json", ident.to_json())
     anti = BlockMap(model.transpose_map(), Matrix.zeros(3, 3), Matrix.identity(3))
-    dump(cfg, "blockmap_transpose_vm2.json", anti.to_json())
+    dump(out, "blockmap_transpose_vm2.json", anti.to_json())
 
     # Maps on M_n: an anti-automorphism, an automorphism, a scaling that moves
     # the identity, a singular map, and an injective unital map fitting no shape,
     # on the M_n sizes the golden CLI cases use.
     for n in (2, 3):
         model = MnModel(n)
-        dump(cfg, f"mn_transpose{n}.json", model.transpose_map().to_json())
+        dump(out, f"mn_transpose{n}.json", model.transpose_map().to_json())
         g = random_unimodular(n, rng)
         ginv = inverse(g)
-        dump(cfg, f"mn_conjugation{n}.json", model.map_matrix(lambda x: g @ x @ ginv).to_json())
-        dump(cfg, f"mn_double{n}.json", model.scalar_map(2).to_json())
+        dump(out, f"mn_conjugation{n}.json", model.map_matrix(lambda x: g @ x @ ginv).to_json())
+        dump(out, f"mn_double{n}.json", model.scalar_map(2).to_json())
         # e12 is the second coordinate: kill it, or stretch it.
-        dump(cfg, f"mn_singular{n}.json", Matrix.diagonal([1, 0] + [1] * (model.dim - 2)).to_json())
-        dump(cfg, f"mn_stretch{n}.json", Matrix.diagonal([1, 2] + [1] * (model.dim - 2)).to_json())
+        dump(out, f"mn_singular{n}.json", Matrix.diagonal([1, 0] + [1] * (model.dim - 2)).to_json())
+        dump(out, f"mn_stretch{n}.json", Matrix.diagonal([1, 2] + [1] * (model.dim - 2)).to_json())
     return 0
 
 

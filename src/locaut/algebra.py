@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import GR_ONE, GR_ZERO, GaussianRational, format_scalar, parse_scalar
+from .exact import GR_ONE, GR_ZERO, as_scalar, format_scalar, parse_scalar
 from .linalg import Matrix, Subspace, det, kernel
 
 
 def _as_vec(v, dim: int):
-    out = tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in v)
+    out = tuple(as_scalar(x) for x in v)
     if len(out) != dim:
         raise ValueError("coordinate vector has wrong length")
     return out
@@ -36,7 +36,7 @@ def unit_vector(i: int, dim: int):
 class StructureAlgebra:
     """Finite-dimensional algebra given by its structure constants."""
 
-    __slots__ = ("dim", "labels", "table", "_nonzero")
+    __slots__ = ("dim", "labels", "table", "alternating", "_nonzero")
 
     def __init__(self, dim: int, labels, table):
         self.dim = dim
@@ -45,6 +45,11 @@ class StructureAlgebra:
             raise ValueError("label count must match dimension")
         self.table = tuple(
             tuple(_as_vec(table[i][j], dim) for j in range(dim)) for i in range(dim)
+        )
+        t = self.table
+        self.alternating = all(
+            vec_is_zero(t[i][i]) and all(vec_is_zero(vec_add(t[i][j], t[j][i])) for j in range(i))
+            for i in range(dim)
         )
         # _nonzero[i][j]: the (k, c) with c = c_ijk != 0, the only terms any
         # product needs.
@@ -73,12 +78,17 @@ class StructureAlgebra:
     def automorphism_check(self, m: Matrix):
         """(ok, failing_pair): m is invertible and m [e_i, e_j] = [m e_i, m e_j]
         on every basis pair.  Pairs are scanned with i outer, j inner, and the
-        first failing one is returned; a singular m gives (False, None)."""
+        first failing one is returned; a singular m gives (False, None).
+
+        On an alternating table both sides are alternating in (i, j): (i, j)
+        fails iff (j, i) does, and (i, i) never fails.  The first failing pair
+        of the full scan therefore has i < j, and scanning j > i finds it."""
         if det(m).is_zero():
             return False, None
         images = [m.column(k) for k in range(self.dim)]
         for i, row in enumerate(self._nonzero):
-            for j, terms in enumerate(row):
+            for j in range(i + 1 if self.alternating else 0, self.dim):
+                terms = row[j]
                 # m c_ij = sum_k c_ijk m e_k over the nonzero constants
                 want = [GR_ZERO] * self.dim
                 for k, c in terms:
@@ -90,7 +100,11 @@ class StructureAlgebra:
         return True, None
 
     def validate_lie(self):
-        """List of violated identities: ("alt", i, j) or ("jacobi", i, j, k)."""
+        """List of violated identities: ("alt", i, j) or ("jacobi", i, j, k).
+
+        Jacobi is checked on i < j < k only.  On an alternating table the
+        Jacobi sum is alternating in (i, j, k), so these triples decide it; on
+        any other table the list already holds an alternation violation."""
         bad = []
         for i in range(self.dim):
             if not vec_is_zero(self.table[i][i]):
@@ -99,8 +113,8 @@ class StructureAlgebra:
                 if not vec_is_zero(vec_add(self.table[i][j], self.table[j][i])):
                     bad.append(("alt", i, j))
         for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
+            for j in range(i + 1, self.dim):
+                for k in range(j + 1, self.dim):
                     s = self.bracket(self.table[i][j], self.unit(k))
                     s = vec_add(s, self.bracket(self.table[j][k], self.unit(i)))
                     s = vec_add(s, self.bracket(self.table[k][i], self.unit(j)))

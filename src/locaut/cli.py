@@ -99,18 +99,12 @@ def _render_verdict(v) -> list:
 # Subcommands
 
 
-def cmd_classify_sln(args) -> int:
-    model = SlnModel(args.n)
+def cmd_classify(args) -> int:
+    """classify-sln and classify-mn: args.model is the model class and
+    args.classify its classifier."""
+    model = args.model(args.n)
     d = _load_matrix(args.map, model.dim, model.dim)
-    v = classify_sln(model, d)
-    _emit(args, v.to_json(), _render_verdict(v))
-    return 0
-
-
-def cmd_classify_mn(args) -> int:
-    model = MnModel(args.n)
-    d = _load_matrix(args.map, model.dim, model.dim)
-    v = classify_mn(model, d)
+    v = args.classify(model, d)
     _emit(args, v.to_json(), _render_verdict(v))
     return 0
 
@@ -179,14 +173,7 @@ def cmd_leibniz_decide(args) -> int:
         bm = BlockMap.from_json(data)
     except Exception as exc:
         raise InputError(f"{args.map}: {exc}") from None
-    if (
-        bm.s_block.nrows != lb.dim_s
-        or bm.i_block.nrows != lb.dim_i
-        or bm.coupling.nrows != lb.dim_i
-        or bm.coupling.ncols != lb.dim_s
-    ):
-        raise InputError("block sizes do not match the algebra")
-    v = decide_local_aut(lb, bm)
+    v = decide_local_aut(lb, bm)  # checks the block sizes
     lines = [f"verdict: {v.verdict}"]
     if v.certificate is not None:
         lines.append(f"certificate: {json.dumps(v.certificate.to_json())}")
@@ -469,12 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify-sln", help="classify a linear self-map of sl_n")
     common(sp)
     sp.add_argument("--map", required=True, help="coordinate matrix JSON file")
-    sp.set_defaults(fn=cmd_classify_sln)
+    sp.set_defaults(fn=cmd_classify, model=SlnModel, classify=classify_sln)
 
     sp = sub.add_parser("classify-mn", help="classify a linear self-map of M_n")
     common(sp)
     sp.add_argument("--map", required=True, help="coordinate matrix JSON file")
-    sp.set_defaults(fn=cmd_classify_mn)
+    sp.set_defaults(fn=cmd_classify, model=MnModel, classify=classify_mn)
 
     sp = sub.add_parser("witness", help="pointwise automorphism witness on sl_n")
     common(sp)
@@ -514,10 +501,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:

@@ -215,6 +215,12 @@ class GaussianRational:
         return format_scalar(self)
 
 
+def as_scalar(x) -> GaussianRational:
+    """x as a GaussianRational: returned as is, or converted (int, Fraction,
+    or any string Fraction accepts)."""
+    return x if isinstance(x, GaussianRational) else GaussianRational(x)
+
+
 def _coerce(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
@@ -301,10 +307,6 @@ class Polynomial:
         while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls((c,))
 
     @classmethod
     def x(cls) -> "Polynomial":

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import StructureAlgebra, filiform_check, unit_vector
-from .exact import GR_ONE, GR_ZERO, GaussianRational, internal_check
+from .exact import GR_ONE, GR_ZERO, GaussianRational, as_scalar, internal_check
 from .linalg import Matrix
 
 
@@ -83,21 +83,17 @@ class PsiBeta:
         return Matrix(rows)
 
 
-def _as_scalar(x) -> GaussianRational:
-    return x if isinstance(x, GaussianRational) else GaussianRational(x)
-
-
 def map_is_automorphism(fl: FiliformAlgebra, m: Matrix):
     """(ok, failing_pair): bijectivity plus bracket preservation on basis pairs."""
     return fl.algebra.automorphism_check(m)
 
 
 def phi_is_automorphism(fl: FiliformAlgebra, alpha):
-    return map_is_automorphism(fl, PhiAlpha(_as_scalar(alpha)).matrix(fl))
+    return map_is_automorphism(fl, PhiAlpha(as_scalar(alpha)).matrix(fl))
 
 
 def psi_is_automorphism(fl: FiliformAlgebra, beta):
-    return map_is_automorphism(fl, PsiBeta(_as_scalar(beta)).matrix(fl))
+    return map_is_automorphism(fl, PsiBeta(as_scalar(beta)).matrix(fl))
 
 
 def delta_map(fl: FiliformAlgebra) -> Matrix:
@@ -112,7 +108,7 @@ def filiform_local_witness(fl: FiliformAlgebra, x):
     beta = x_3 / x_2 adds beta x_2 e_n = x_3 e_n.  Either way the value at x
     is exactly delta(x); both facts are re-verified here, not trusted.
     """
-    x = tuple(_as_scalar(c) for c in x)
+    x = tuple(as_scalar(c) for c in x)
     if len(x) != fl.n:
         raise ValueError("point has wrong dimension")
     if x[1].is_zero():

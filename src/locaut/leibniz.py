@@ -32,7 +32,7 @@ from .classify import (
     classify_sln,
     fit_shape_family,
 )
-from .exact import GR_ZERO, GaussianRational, format_scalar, internal_check
+from .exact import GR_ZERO, GaussianRational, as_scalar, format_scalar, internal_check
 from .linalg import (
     Matrix,
     Subspace,
@@ -59,25 +59,25 @@ class RightModule:
         self.dim = self.actions[0].nrows
         if any(a.nrows != self.dim or a.ncols != self.dim for a in self.actions):
             raise ValueError("action matrices must be square and equally sized")
+        self._flat = tuple(a.flatten() for a in self.actions)
         bad = self.law_violations()
         if bad:
             raise ValueError(f"right-module law fails at basis pairs {bad[:3]}")
 
     def _combine(self, coeffs) -> Matrix:
         """sum_k c_k R_k over the nonzero coefficients c_k."""
-        acc = Matrix.zeros(self.dim, self.dim)
-        for c, r in zip(coeffs, self.actions):
-            if c.a or c.b:
-                acc = acc + r * c
-        return acc
+        return matrix_from_flat(combine(coeffs, self._flat), self.dim)
 
     def law_violations(self):
-        """Pairs (i, j) where R([b_i, b_j]) != R(b_j)R(b_i) - R(b_i)R(b_j)."""
+        """Pairs i < j where R([b_i, b_j]) != R(b_j)R(b_i) - R(b_i)R(b_j).
+
+        The sl_n table is alternating, so both sides change sign under
+        i <-> j and read 0 = 0 at i = j: the pairs i < j decide the law."""
         sc = self.model.structure_algebra().table
         bad = []
         for i in range(self.model.dim):
             ri = self.actions[i]
-            for j in range(self.model.dim):
+            for j in range(i + 1, self.model.dim):
                 rj = self.actions[j]
                 if self._combine(sc[i][j]) != rj @ ri - ri @ rj:
                     bad.append((i, j))
@@ -86,9 +86,6 @@ class RightModule:
     def action_of(self, g: Matrix) -> Matrix:
         """Action matrix of an arbitrary sl_n element (linear extension)."""
         return self._combine(self.model.coords(g))
-
-    def act(self, v, g: Matrix):
-        return self.action_of(g).apply(v)
 
     def labels(self):
         return [f"v{p+1}" for p in range(self.dim)]
@@ -466,7 +463,7 @@ def extend_automorphism(lb: SemidirectLeibniz, phi_s: Matrix, omega=0) -> BlockM
     the first place (anti-automorphisms included: their twists are not right
     modules).
     """
-    omega = omega if isinstance(omega, GaussianRational) else GaussianRational(omega)
+    omega = as_scalar(omega)
     ok, pair = lb.model.structure_algebra().automorphism_check(phi_s)
     if not ok and pair is None:
         raise ValueError("the S map is singular, so not an automorphism")

@@ -10,22 +10,16 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial, format_scalar, internal_check, parse_scalar
+from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial, as_scalar, format_scalar, internal_check, parse_scalar
 
 Vector = tuple
-
-
-def _coerce_entry(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(x)
 
 
 class Matrix:
     __slots__ = ("nrows", "ncols", "data")
 
     def __init__(self, rows):
-        data = tuple(tuple(_coerce_entry(x) for x in row) for row in rows)
+        data = tuple(tuple(as_scalar(x) for x in row) for row in rows)
         if not data:
             raise ValueError("matrix needs at least one row")
         ncols = len(data[0])
@@ -52,9 +46,6 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
-
-    def row(self, i: int):
-        return self.data[i]
 
     def column(self, j: int):
         return tuple(r[j] for r in self.data)
@@ -104,7 +95,7 @@ class Matrix:
         return Matrix(tuple(tuple(-a for a in row) for row in self.data))
 
     def __mul__(self, scalar):
-        s = _coerce_entry(scalar)
+        s = as_scalar(scalar)
         return Matrix(tuple(tuple(a * s for a in row) for row in self.data))
 
     __rmul__ = __mul__
@@ -208,7 +199,7 @@ class Subspace:
     __slots__ = ("ambient", "basis")
 
     def __init__(self, ambient: int, vectors):
-        rows = [[_coerce_entry(x) for x in v] for v in vectors]
+        rows = [[as_scalar(x) for x in v] for v in vectors]
         for v in rows:
             if len(v) != ambient:
                 raise ValueError("vector has wrong ambient dimension")
@@ -228,7 +219,7 @@ class Subspace:
         The residual vanishes at every pivot column, so it is zero exactly
         when v lies in the subspace.
         """
-        v = [_coerce_entry(x) for x in v]
+        v = [as_scalar(x) for x in v]
         coeffs = []
         for row in self.basis:
             p = next(j for j, x in enumerate(row) if x.a or x.b)
@@ -274,7 +265,7 @@ def kernel(m: Matrix) -> Subspace:
 
 def solve_linear(a: Matrix, b) -> Vector | None:
     """One exact solution of a x = b (free variables set to 0), or None."""
-    rows = [list(r) + [_coerce_entry(x)] for r, x in zip(a.data, b)]
+    rows = [list(r) + [as_scalar(x)] for r, x in zip(a.data, b)]
     if len(b) != a.nrows:
         raise ValueError("right-hand side has wrong length")
     pivots = _rref_in_place(rows, a.ncols + 1)

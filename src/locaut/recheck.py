@@ -3,8 +3,10 @@
 Most checks recompute claims from first principles: determinants, adjugate
 inverses of conjugators and characteristic polynomials of the polynomial-entry
 matrix (n <= 4) all come from one Laplace expansion, not from elimination;
-brackets come straight from structure constants.  Some reuse decision code:
-no_shape_fits re-runs fit_shape_family, bracket preservation goes through
+brackets come straight from structure constants, and a stored vector must
+equal the recomputed one entry for entry, length included.  Some reuse
+decision code: no_shape_fits re-runs fit_shape_family on exactly the model's
+families, in the classifier's order, bracket preservation goes through
 is_automorphism, and the weight certificate splits the image over the weight
 spaces with leibniz.weight_components, the same weight_decomposition and
 component solve that the decision uses.
@@ -19,8 +21,10 @@ from .algebra import unit_vector
 from .classify import (
     AUTOMORPHISM,
     ANTI_AUTOMORPHISM,
+    MN_FAMILIES,
     NOT_LOCAL,
     Verdict,
+    basis_images,
     fit_shape_family,
     probe_element,
     required_probe_charpoly,
@@ -37,7 +41,7 @@ from .leibniz import (
     weight_of_vector,
 )
 from .linalg import Matrix, _poly_matrix_char, charpoly
-from .sln import SIGMA_T, CanonicalShape, SlnModel
+from .sln import SHAPE_FAMILIES, SIGMA_T, CanonicalShape, MnModel, SlnModel
 
 
 class RecheckError(Exception):
@@ -102,16 +106,21 @@ def adjugate_inverse(m: Matrix) -> Matrix:
 # sl_n verdicts
 
 
-def recheck_shape(model: SlnModel, d: Matrix, shape: CanonicalShape):
-    """The shape reproduces the map on every basis element, with the
-    conjugator inverted once by adjugate, not by CanonicalShape.apply."""
+def _recheck_kernel_vector(m: Matrix, vker):
+    """vker is a nonzero vector of the right length that m sends to zero."""
+    _need(len(vker) == m.ncols, "kernel vector has the wrong length")
+    _need(any(x.a or x.b for x in vker), "kernel vector is zero")
+    _need(all(x.is_zero() for x in m.apply(vker)), "kernel vector not annihilated")
+
+
+def recheck_shape(model: SlnModel, images, shape: CanonicalShape):
+    """The shape reproduces the basis images of the map (the columns of its
+    matrix, classify.basis_images), with the conjugator inverted once by
+    adjugate, not by CanonicalShape.apply."""
     ainv = adjugate_inverse(shape.a)
-    for e in model.basis:
+    for e, want in zip(model.basis, images):
         img = shape.a @ (e.T if shape.sigma == SIGMA_T else e) @ ainv
-        _need(
-            (img if shape.epsilon == 1 else -img) == model.apply_map(d, e),
-            "shape does not reproduce the map",
-        )
+        _need((img if shape.epsilon == 1 else -img) == want, "shape does not reproduce the map")
 
 
 def recheck_witness_at(model: SlnModel, d: Matrix, x: Matrix, shape: CanonicalShape):
@@ -145,19 +154,17 @@ def recheck_sln_verdict(model: SlnModel, d: Matrix, v: Verdict):
             (v.verdict == AUTOMORPHISM) == want_auto,
             "verdict label disagrees with the shape family",
         )
-        recheck_shape(model, d, v.shape)
-        for extra in v.shapes:
-            recheck_shape(model, d, extra)
+        images = basis_images(model, d)
+        # v.shape heads v.shapes: each distinct shape is checked once
+        for shape in dict.fromkeys((v.shape, *v.shapes)):
+            recheck_shape(model, images, shape)
         return
     _need(v.verdict == NOT_LOCAL, f"unknown verdict {v.verdict}")
     ob = v.obstruction
     _need(ob is not None, "negative verdict without a certificate")
     kind = ob.kind
     if kind == "not_injective":
-        vker = ob.kernel_vector
-        _need(any(x.a or x.b for x in vker), "kernel vector is zero")
-        img = d.apply(vker)
-        _need(all(x.is_zero() for x in img), "kernel vector not annihilated")
+        _recheck_kernel_vector(d, ob.kernel_vector)
     elif kind == "square_zero_broken":
         x = ob.witness
         _need((x @ x).is_zero(), "witness is not square-zero")
@@ -183,8 +190,14 @@ def recheck_sln_verdict(model: SlnModel, d: Matrix, v: Verdict):
                 "stored lambda is not a square root",
             )
     elif kind == "no_shape_fits":
+        families = MN_FAMILIES if isinstance(model, MnModel) else SHAPE_FAMILIES
+        _need(
+            tuple(fam for fam, _ in ob.fit_dimensions) == families,
+            "certificate does not list the model's families in order",
+        )
+        images = basis_images(model, d)
         for (eps, sigma), dim in ob.fit_dimensions:
-            space, a = fit_shape_family(model, d, eps, sigma)
+            space, a = fit_shape_family(model, d, eps, sigma, images)
             _need(space.dim == dim, "stored fit dimension is wrong")
             _need(a is None, "a family fits after all")
         if ob.probe_charpoly is not None:
@@ -202,10 +215,6 @@ def recheck_sln_verdict(model: SlnModel, d: Matrix, v: Verdict):
 # Leibniz verdicts
 
 
-def _vec_eq(u, v) -> bool:
-    return all((a - b).is_zero() for a, b in zip(u, v))
-
-
 def recheck_leibniz_verdict(lb: SemidirectLeibniz, bm: BlockMap, v: LeibnizVerdict):
     if v.verdict == LOCAL_AUT:
         ok, pair = is_automorphism(lb, bm)
@@ -218,17 +227,16 @@ def recheck_leibniz_verdict(lb: SemidirectLeibniz, bm: BlockMap, v: LeibnizVerdi
     if kind == "sln_block":
         recheck_sln_verdict(lb.model, bm.s_block, cert.verdict)
     elif kind == "not_injective":
-        vker = cert.kernel_vector
-        _need(any(x.a or x.b for x in vker), "kernel vector is zero")
-        img = bm.full_matrix().apply(vker)
-        _need(all(x.is_zero() for x in img), "kernel vector not annihilated")
+        _recheck_kernel_vector(bm.full_matrix(), cert.kernel_vector)
     elif kind == "bracket_square":
-        z = cert.z
-        _need(_vec_eq(lb.bracket(z, z), [GR_ZERO] * lb.dim), "[z, z] is not zero")
+        z = tuple(cert.z)
+        zero = (GR_ZERO,) * lb.dim
+        _need(len(z) == lb.dim, "stored z has the wrong length")
+        _need(lb.bracket(z, z) == zero, "[z, z] is not zero")
         dz = bm.full_matrix().apply(z)
         sq = lb.bracket(dz, dz)
-        _need(_vec_eq(sq, cert.image_square), "stored image square is wrong")
-        _need(not _vec_eq(sq, [GR_ZERO] * lb.dim), "image square vanishes")
+        _need(sq == tuple(cert.image_square), "stored image square is wrong")
+        _need(sq != zero, "image square vanishes")
     elif kind == "weight_structure":
         _recheck_weight_obstruction(lb, bm, cert)
     elif kind == "bracket_failure":
@@ -238,7 +246,7 @@ def recheck_leibniz_verdict(lb: SemidirectLeibniz, bm: BlockMap, v: LeibnizVerdi
         rhs = lb.bracket(
             full.apply(unit_vector(i, lb.dim)), full.apply(unit_vector(j, lb.dim))
         )
-        _need(not _vec_eq(lhs, rhs), "brackets agree at the stored pair")
+        _need(lhs != rhs, "brackets agree at the stored pair")
     else:
         raise RecheckError(f"unknown certificate kind {kind}")
 
@@ -267,12 +275,12 @@ def _recheck_weight_obstruction(lb: SemidirectLeibniz, bm: BlockMap, cert):
     _need(any(b != 0 for b in beta), "beta is zero: certificate not applicable")
     h0c = lb.model.coords(lb.h0)
     z = tuple(a + b for a, b in zip(lb.embed_s(h0c), lb.embed_i(y)))
-    _need(_vec_eq(z, cert.z), "stored z is not h0 + y_beta")
+    _need(z == tuple(cert.z), "stored z is not h0 + y_beta")
     img_h0 = cert.reduced.s_block.apply(h0c)
     want = h0c if cert.sign == 1 else tuple(-x for x in h0c)
-    _need(_vec_eq(img_h0, want), "reduced S-block does not send h0 to sign*h0")
+    _need(img_h0 == want, "reduced S-block does not send h0 to sign*h0")
     _, i_part = lb.split(cert.reduced.full_matrix().apply(z))
-    _need(_vec_eq(i_part, cert.i_part), "stored I-part of the image is wrong")
+    _need(i_part == tuple(cert.i_part), "stored I-part of the image is wrong")
     comps = weight_components(lb, i_part)
     target = cert.beta if cert.sign == 1 else tuple(-b for b in cert.beta)
     zero_w = tuple(0 * b for b in cert.beta)

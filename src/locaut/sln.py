@@ -42,7 +42,6 @@ class MatrixModel:
         return Matrix.identity(self.dim)
 
     def scalar_map(self, lam) -> Matrix:
-        lam = lam if isinstance(lam, GaussianRational) else GaussianRational(lam)
         return self.map_matrix(lambda x: x * lam)
 
     def transpose_map(self) -> Matrix:

@@ -14,10 +14,17 @@ from locaut.algebra import (
     vec_is_zero,
 )
 from locaut.classify import random_unimodular
-from locaut.exact import GR_ZERO, GaussianRational
-from locaut.filiform import model_filiform
-from locaut.leibniz import build_semidirect, inner_automorphism_matrix, module_vm
-from locaut.linalg import det
+from locaut.exact import GR_ONE, GR_ZERO, GaussianRational
+from locaut.filiform import PhiAlpha, model_filiform
+from locaut.leibniz import (
+    RightModule,
+    build_module,
+    build_semidirect,
+    extend_automorphism,
+    inner_automorphism_matrix,
+    module_vm,
+)
+from locaut.linalg import Matrix, det, inverse
 from locaut.sln import SlnModel
 
 
@@ -242,3 +249,205 @@ def test_bracket_matches_dense_reference(bracket_algebra, data):
     vec = st.lists(_qi, min_size=alg.dim, max_size=alg.dim).map(tuple)
     x, y = data.draw(vec), data.draw(vec)
     assert alg.bracket(x, y) == dense_bracket_reference(alg, x, y)
+
+
+# -- one ordering per alternating identity, against the full scans ----------
+
+
+def full_scan_automorphism_check(alg, m):
+    """automorphism_check as it scanned every ordered pair (i outer, j inner)."""
+    if det(m).is_zero():
+        return False, None
+    images = [m.column(k) for k in range(alg.dim)]
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            want = [GR_ZERO] * alg.dim
+            for k, c in enumerate(alg.table[i][j]):
+                for r, x in enumerate(images[k]):
+                    want[r] = want[r] + c * x
+            if tuple(want) != alg.bracket(images[i], images[j]):
+                return False, (i, j)
+    return True, None
+
+
+def full_scan_validate_lie(alg):
+    """validate_lie as it checked Jacobi on every ordered triple."""
+    bad = []
+    for i in range(alg.dim):
+        if not vec_is_zero(alg.table[i][i]):
+            bad.append(("alt", i, i))
+        for j in range(i + 1, alg.dim):
+            if not vec_is_zero(tuple(a + b for a, b in zip(alg.table[i][j], alg.table[j][i]))):
+                bad.append(("alt", i, j))
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                s = alg.bracket(alg.table[i][j], alg.unit(k))
+                s = tuple(a + b for a, b in zip(s, alg.bracket(alg.table[j][k], alg.unit(i))))
+                s = tuple(a + b for a, b in zip(s, alg.bracket(alg.table[k][i], alg.unit(j))))
+                if not vec_is_zero(s):
+                    bad.append(("jacobi", i, j, k))
+    return bad
+
+
+def full_scan_law_violations(model, actions):
+    """RightModule.law_violations as it scanned every ordered pair."""
+    sc = model.structure_algebra().table
+    bad = []
+    for i in range(model.dim):
+        for j in range(model.dim):
+            lhs = Matrix.zeros(actions[0].nrows, actions[0].ncols)
+            for c, r in zip(sc[i][j], actions):
+                lhs = lhs + r * c
+            if lhs != actions[j] @ actions[i] - actions[i] @ actions[j]:
+                bad.append((i, j))
+    return bad
+
+
+# sparse constants: most draws are zero
+_sparse = st.one_of(
+    st.just(GR_ZERO), st.just(GR_ZERO), st.just(GR_ZERO),
+    st.builds(GaussianRational, st.integers(-2, 2), st.integers(-1, 1)),
+)
+
+
+@st.composite
+def alternating_tables(draw):
+    """(dim, table) with c_ii = 0 and c_ji = -c_ij; rarely a Lie table."""
+    n = draw(st.integers(2, 6))
+    t = zero_table(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = tuple(draw(_sparse) for _ in range(n))
+            t[i][j] = v
+            t[j][i] = tuple(-x for x in v)
+    return n, t
+
+
+@st.composite
+def square_maps(draw, n):
+    """A random sparse map, or the identity with one entry changed."""
+    if draw(st.booleans()):
+        return Matrix(tuple(tuple(draw(_sparse) for _ in range(n)) for _ in range(n)))
+    rows = [[GaussianRational(int(i == j)) for j in range(n)] for i in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    rows[i][j] = rows[i][j] + draw(_sparse)
+    return Matrix(rows)
+
+
+def assert_validate_lie_matches_full_scan(alg):
+    """Same alternation entries, the Jacobi entries on sorted triples, and
+    an empty list exactly when the full scan's is empty."""
+    got, want = alg.validate_lie(), full_scan_validate_lie(alg)
+    assert got == [b for b in want if b[0] == "alt" or b[1] < b[2] < b[3]]
+    assert (got == []) == (want == [])
+
+
+def perturbed(n, t, data):
+    """The table with one constant changed, sometimes keeping alternation."""
+    t = [[list(v) for v in row] for row in t]
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    c = data.draw(st.builds(GaussianRational, st.integers(1, 3)))
+    t[i][j][k] = t[i][j][k] + c
+    if i != j and data.draw(st.booleans()):
+        t[j][i][k] = t[j][i][k] - c
+    return t
+
+
+@given(alternating_tables(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_alternating_scan_matches_full_scan_on_random_tables(table, data):
+    n, t = table
+    alg = StructureAlgebra(n, [f"e{i}" for i in range(n)], t)
+    assert alg.alternating
+    for _ in range(3):
+        m = data.draw(square_maps(n))
+        assert alg.automorphism_check(m) == full_scan_automorphism_check(alg, m)
+    assert alg.automorphism_check(Matrix.identity(n)) == (True, None)
+    assert_validate_lie_matches_full_scan(alg)
+    assert_validate_lie_matches_full_scan(StructureAlgebra(n, alg.labels, perturbed(n, t, data)))
+
+
+_LIE_ALGEBRAS = {
+    "sl2": lambda: SlnModel(2).structure_algebra(),
+    "sl3": lambda: SlnModel(3).structure_algebra(),
+    "heisenberg": heisenberg,
+    "filiform5": lambda: model_filiform(5).algebra,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LIE_ALGEBRAS))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_validate_lie_matches_full_scan_on_perturbed_lie_tables(name, data):
+    alg = _LIE_ALGEBRAS[name]()
+    assert alg.alternating and alg.validate_lie() == [] == full_scan_validate_lie(alg)
+    assert_validate_lie_matches_full_scan(
+        StructureAlgebra(alg.dim, alg.labels, perturbed(alg.dim, alg.table, data))
+    )
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_filiform_maps_match_full_scan(n):
+    fl = model_filiform(n)
+    for alpha in (0, 1, 2):  # phi_0 is delta
+        m = PhiAlpha(GaussianRational(alpha)).matrix(fl)
+        assert fl.algebra.automorphism_check(m) == full_scan_automorphism_check(fl.algebra, m)
+
+
+_SEMIDIRECT = {
+    "vm2": (2, "vm:2"),
+    "vm3": (2, "vm:3"),
+    "natural3": (3, "natural"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_SEMIDIRECT))
+def semidirect_with_automorphism(request):
+    """(algebra, an extended inner automorphism as a full matrix)."""
+    n, text = _SEMIDIRECT[request.param]
+    model = SlnModel(n)
+    lb = build_semidirect(model, build_module(model, text))
+    g = random_unimodular(n, random.Random(n))
+    return lb.algebra, extend_automorphism(lb, inner_automorphism_matrix(model, g), 0).full_matrix()
+
+
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_leibniz_tables_keep_the_full_scan(semidirect_with_automorphism, data):
+    alg, aut = semidirect_with_automorphism
+    assert not alg.alternating
+    maps = [aut, data.draw(square_maps(alg.dim))]
+    rows = [list(r) for r in aut.data]
+    rows[data.draw(st.integers(0, alg.dim - 1))][data.draw(st.integers(0, alg.dim - 1))] += GR_ONE
+    maps.append(Matrix(rows))
+    for m in maps:
+        assert alg.automorphism_check(m) == full_scan_automorphism_check(alg, m)
+
+
+_MODULES = (("vm:2", 2), ("vm:3", 2), ("natural", 3), ("adjoint", 2))
+
+
+@pytest.mark.parametrize("text, n", _MODULES)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_module_law_matches_full_scan(text, n, data):
+    model = SlnModel(n)
+    module = build_module(model, text)
+    assert module.law_violations() == [] == full_scan_law_violations(model, module.actions)
+    # a change of basis keeps the law; one changed entry usually breaks it
+    g = random_unimodular(module.dim, random.Random(data.draw(st.integers(0, 2**16))))
+    gi = inverse(g)
+    conjugated = [gi @ r @ g for r in module.actions]
+    rows = [list(r) for r in module.actions[data.draw(st.integers(0, model.dim - 1))].data]
+    rows[data.draw(st.integers(0, module.dim - 1))][data.draw(st.integers(0, module.dim - 1))] += GR_ONE
+    k = data.draw(st.integers(0, model.dim - 1))
+    bent = list(module.actions)
+    bent[k] = Matrix(rows)
+    for actions in (conjugated, bent):
+        want = full_scan_law_violations(model, actions)
+        try:
+            got = RightModule(model, "candidate", actions).law_violations()
+        except ValueError:
+            got = None
+        assert (got == []) == (want == [])

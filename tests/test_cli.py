@@ -249,6 +249,30 @@ def test_leibniz_decide_size_mismatch(tmp_path, capsys):
     assert "block sizes" in err
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        # S-block 2x2 against dim S = 3; coupling matches its columns
+        ((Matrix.identity(2), Matrix.zeros(3, 2), Matrix.identity(3)),
+         "block sizes do not match the algebra"),
+        # 3x2 I-block
+        ((Matrix.identity(3), Matrix.zeros(3, 3), Matrix.zeros(3, 2)),
+         "block sizes do not match the algebra"),
+        # coupling with 2 rows against a 3x3 I-block
+        ((Matrix.identity(3), Matrix.zeros(2, 3), Matrix.identity(3)),
+         "{path}: block shapes are inconsistent"),
+    ],
+    ids=["s_block_size", "i_block_not_square", "coupling_inconsistent"],
+)
+def test_leibniz_decide_block_errors(tmp_path, capsys, blocks, message):
+    """Exact stderr and exit code for malformed block maps."""
+    path = block_map_file(tmp_path, "bad.json", *blocks)
+    code, out, err = run(
+        capsys, ["leibniz-decide", "--n", "2", "--module", "vm:2", "--map", path]
+    )
+    assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
+
+
 # -- filiform-demo ----------------------------------------------------------
 
 

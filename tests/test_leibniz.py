@@ -75,15 +75,15 @@ def test_vm_action_values():
     m2 = vm.model
     y = vec(1, 0, 0)
     # the top vector scales by -m under h1 in the right action
-    assert vm.act(y, m2.h(0)) == vec(-2, 0, 0)
+    assert vm.action_of(m2.h(0)).apply(y) == vec(-2, 0, 0)
     # and e12 annihilates it
-    assert vm.act(y, m2.e(0, 1)) == vec(0, 0, 0)
+    assert vm.action_of(m2.e(0, 1)).apply(y) == vec(0, 0, 0)
 
 
 def test_natural_action_is_negated_matrix_action():
     nat = module_natural(SlnModel(3))
     m3 = nat.model
-    assert nat.act(vec(0, 1, 0), m3.e(0, 1)) == vec(-1, 0, 0)
+    assert nat.action_of(m3.e(0, 1)).apply(vec(0, 1, 0)) == vec(-1, 0, 0)
 
 
 def test_adjoint_action_is_bracket():
@@ -93,7 +93,7 @@ def test_adjoint_action_is_bracket():
         for i in range(model.dim):
             v = adj.model.coords(model.basis[i])
             expected = model.coords(SlnModel.bracket(model.basis[i], g))
-            assert adj.act(v, g) == expected
+            assert adj.action_of(g).apply(v) == expected
 
 
 def test_build_module_parsing():
@@ -203,7 +203,7 @@ def test_bracket_orientation():
     v = vec(1, 0, 0)
     # the module part multiplies from the left slot only
     got = lb.bracket(lb.embed_i(v), lb.embed_s(lb.model.coords(g)))
-    assert got == lb.embed_i(lb.module.act(v, g))
+    assert got == lb.embed_i(lb.module.action_of(g).apply(v))
     assert all(
         x.is_zero()
         for x in lb.bracket(lb.embed_s(lb.model.coords(g)), lb.embed_i(v))

@@ -56,7 +56,7 @@ def test_matrix_shape_and_access():
     m = int_matrix([[1, 2, 3], [4, 5, 6]])
     assert (m.nrows, m.ncols) == (2, 3)
     assert m[1, 2] == GaussianRational(6)
-    assert m.row(0) == tuple(GaussianRational(x) for x in (1, 2, 3))
+    assert m.data[0] == tuple(GaussianRational(x) for x in (1, 2, 3))
     assert m.column(1) == tuple(GaussianRational(x) for x in (2, 5))
 
 
@@ -96,7 +96,7 @@ def test_rref_pivots():
     m = int_matrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     reduced, pivots = rref(m)
     assert pivots == [0, 2]
-    assert reduced.row(0) == tuple(GaussianRational(x) for x in (1, 2, 0))
+    assert reduced.data[0] == tuple(GaussianRational(x) for x in (1, 2, 0))
 
 
 def test_rank_examples():

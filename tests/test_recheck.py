@@ -346,3 +346,103 @@ def test_extension_structure_rejects_broken_intertwiner():
     scaled = BlockMap(bm.s_block, bm.coupling, Matrix.diagonal([1, 1, 2]))
     with pytest.raises(RecheckError):
         recheck_extension_structure(lb, scaled)
+
+
+# -- certificates that name too few families or carry extra entries ---------
+
+
+def test_no_shape_fits_must_list_every_family():
+    """The identity of sl_3 fits (1, identity); a certificate that refits no
+    family, or only (1, transpose), must not pass."""
+    from locaut.classify import NoShapeFits, Verdict, local_aut_probe
+
+    m3 = SlnModel(3)
+    d = m3.identity_map()
+    probe, required, _, _ = local_aut_probe(m3, d)
+    for dims in ((), (((1, "transpose"), 0),)):
+        fake = Verdict("NotLocal", obstruction=NoShapeFits(dims, probe, required))
+        with pytest.raises(RecheckError, match="famil"):
+            recheck_sln_verdict(m3, d, fake)
+
+
+def test_no_shape_fits_families_follow_the_model():
+    """An M_n certificate lists the two M_n families, an sl_n one all four,
+    each in the classifier's order."""
+    from locaut.classify import MN_FAMILIES
+
+    mn = MnModel(2)
+    d = Matrix.diagonal([1, 2, 1, 1])
+    v = classify_mn(mn, d)
+    assert v.obstruction.kind == "no_shape_fits"
+    recheck_sln_verdict(mn, d, v)
+    assert tuple(fam for fam, _ in v.obstruction.fit_dimensions) == MN_FAMILIES
+    reordered = tuple(reversed(v.obstruction.fit_dimensions))
+    with pytest.raises(RecheckError, match="famil"):
+        recheck_sln_verdict(mn, d, replace(v, obstruction=replace(v.obstruction, fit_dimensions=reordered)))
+
+
+def test_bracket_square_image_with_extra_entry_rejected():
+    lb, cases = leibniz_cases()
+    bm = cases["bracket_square"]
+    v = decide_local_aut(lb, bm)
+    cert = v.certificate
+    longer = replace(cert, image_square=tuple(cert.image_square) + (GR_ZERO,))
+    with pytest.raises(RecheckError):
+        recheck_leibniz_verdict(lb, bm, replace(v, certificate=longer))
+
+
+def natural3_weight_case():
+    lb = semidirect(3, "natural")
+    bm = BlockMap(lb.model.scalar_map(-1), Matrix.zeros(lb.dim_i, lb.dim_s), Matrix.identity(lb.dim_i))
+    v = decide_local_aut(lb, bm)
+    assert v.certificate.kind == "weight_structure"
+    recheck_leibniz_verdict(lb, bm, v)
+    return lb, bm, v
+
+
+@pytest.mark.parametrize("field", ["i_part", "z"])
+def test_weight_certificate_vector_with_extra_entry_rejected(field):
+    lb, bm, v = natural3_weight_case()
+    cert = v.certificate
+    longer = replace(cert, **{field: tuple(getattr(cert, field)) + (GR_ZERO,)})
+    with pytest.raises(RecheckError):
+        recheck_leibniz_verdict(lb, bm, replace(v, certificate=longer))
+
+
+@pytest.mark.parametrize("extra", [GR_ZERO, GR_ONE])
+def test_kernel_vector_of_wrong_length_rejected(extra):
+    m2 = SlnModel(2)
+    d = Matrix.diagonal([0, 1, 1])
+    v = classify_sln(m2, d)
+    longer = tuple(v.obstruction.kernel_vector) + (extra,)
+    with pytest.raises(RecheckError):
+        recheck_sln_verdict(m2, d, replace(v, obstruction=replace(v.obstruction, kernel_vector=longer)))
+    lb, cases = leibniz_cases()
+    bm = cases["not_injective"]
+    lv = decide_local_aut(lb, bm)
+    longer = tuple(lv.certificate.kernel_vector) + (extra,)
+    with pytest.raises(RecheckError):
+        recheck_leibniz_verdict(lb, bm, replace(lv, certificate=replace(lv.certificate, kernel_vector=longer)))
+
+
+@pytest.mark.parametrize("n, calls", [(2, 2), (3, 1), (4, 1)])
+def test_recheck_shape_runs_once_per_distinct_shape(monkeypatch, n, calls):
+    """At n = 2 the transpose fits two families, at n >= 3 one; each shape is
+    checked once, against the columns of the map, never through apply_map."""
+    model = SlnModel(n)
+    d = model.transpose_map()
+    v = classify_sln(model, d)
+    seen = []
+    real = recheck.recheck_shape
+
+    def counting(model, images, shape):
+        seen.append(shape)
+        return real(model, images, shape)
+
+    def no_apply_map(self, d, x):
+        raise AssertionError("recheck went through apply_map")
+
+    monkeypatch.setattr(recheck, "recheck_shape", counting)
+    monkeypatch.setattr(SlnModel, "apply_map", no_apply_map)
+    recheck_sln_verdict(model, d, v)
+    assert len(seen) == len(set(seen)) == calls
