@@ -257,6 +257,8 @@ _TERM_RE = _re.compile(r"^[+-]?(\d+(/\d+)?)?\*?i?$")
 
 def parse_scalar(text: str) -> GaussianRational:
     """Parse "a/b", "a/b+c/d*i" and common variants ("i", "2i", "-3/4i")."""
+    if not isinstance(text, str):
+        raise ValueError(f'scalar must be a string such as "1/2+3*i", got {text!r}')
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError(f"empty scalar string: {text!r}")

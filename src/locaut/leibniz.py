@@ -8,6 +8,10 @@ I vanish, and the quotient by I recovers sl_n.
 Right modules satisfy R([b1, b2]) = R(b2) R(b1) - R(b1) R(b2), which makes
 positive-root actions lower Cartan weights; the joint kernel of the positive
 actions is the canonical one-dimensional line y_beta used throughout.
+Every module built here is written in a weight basis: the Cartan actions are
+diagonal and the weights are read off their diagonals, so
+weight_decomposition raises ValueError on a module whose Cartan actions are
+not diagonal.
 
 The decision is the full bracket check: local automorphisms of these
 algebras are automorphisms.  The certificate of a negative answer mirrors
@@ -32,7 +36,7 @@ from .classify import (
     classify_sln,
     fit_shape_family,
 )
-from .exact import GR_ZERO, GaussianRational, as_scalar, format_scalar, internal_check
+from .exact import GR_ONE, GR_ZERO, GaussianRational, as_scalar, format_scalar, internal_check
 from .linalg import (
     Matrix,
     Subspace,
@@ -42,7 +46,6 @@ from .linalg import (
     inverse,
     kernel,
     matrix_from_flat,
-    solve_linear,
 )
 from .sln import SIGMA_ID, SIGMA_T, CanonicalShape, SlnModel, shape_map_matrix
 
@@ -159,63 +162,20 @@ class WeightSpace:
     basis: tuple  # vectors in module coordinates
 
 
-def _int_eigenvalues_bound(m: Matrix) -> int:
-    best = Fraction(0)
-    for row in m.data:
-        s = Fraction(0)
-        for x in row:
-            s += abs(x.re) + abs(x.im)
-        best = max(best, s)
-    return int(best) + 1
-
-
-def _split_by_operator(vectors, op: Matrix, ambient: int):
-    """Split span(vectors) into eigenspaces of op (op must preserve the span
-    and act with integer eigenvalues on it)."""
-    space = Subspace(ambient, vectors)
-    k = space.dim
-    if k == 0:
-        return []
-    cols = []
-    for b in space.basis:
-        img = op.apply(b)
-        coords = space.coordinates(img)
-        if coords is None:
-            raise ValueError("operator does not preserve the subspace")
-        cols.append(coords)
-    restricted = Matrix(zip(*cols))
-    bound = _int_eigenvalues_bound(restricted)
-    parts = []
-    total = 0
-    for lam in range(-bound, bound + 1):
-        shifted = restricted - Matrix.identity(k) * GaussianRational(lam)
-        ker = kernel(shifted)
-        if ker.dim == 0:
-            continue
-        parts.append((Fraction(lam), [combine(w, space.basis) for w in ker.basis]))
-        total += ker.dim
-    if total != k:
-        raise ValueError("weights are not integral: eigenvalue scan incomplete")
-    return parts
-
-
 def weight_decomposition(module: RightModule):
-    """Joint eigenspaces of the Cartan actions, sorted by weight descending."""
-    model = module.model
-    n_off = len(model.off_pairs)
-    cartans = [module.actions[n_off + k] for k in range(model.n - 1)]
-    parts = [((), [unit_vector(i, module.dim) for i in range(module.dim)])]
-    for hop in cartans:
-        nxt = []
-        for values, vecs in parts:
-            for lam, sub in _split_by_operator(vecs, hop, module.dim):
-                nxt.append((values + (lam,), sub))
-        parts = nxt
-    parts.sort(key=lambda p: p[0], reverse=True)
-    return [
-        WeightSpace(values=v, basis=Subspace(module.dim, vecs).basis)
-        for v, vecs in parts
-    ]
+    """Weight spaces of the module, sorted by weight descending.
+
+    The module must be in a weight basis (ValueError otherwise): unit vector
+    p then has weight (H_1[p][p], ..., H_(n-1)[p][p]), and each space's
+    basis is its unit vectors in index order.  The weights are integers, as
+    for every finite-dimensional sl_n-module."""
+    cartans = module.actions[len(module.model.off_pairs):]
+    if not all(h.is_diagonal() for h in cartans):
+        raise ValueError("Cartan actions are not diagonal: the module is not in a weight basis")
+    groups: dict = {}
+    for p in range(module.dim):
+        groups.setdefault(tuple(h.data[p][p].re for h in cartans), []).append(unit_vector(p, module.dim))
+    return [WeightSpace(values=w, basis=tuple(groups[w])) for w in sorted(groups, reverse=True)]
 
 
 def _highest_weight_space(module: RightModule) -> Subspace:
@@ -407,6 +367,11 @@ class BlockMap:
 
     @classmethod
     def from_json(cls, data) -> "BlockMap":
+        if not isinstance(data, dict):
+            raise ValueError('block map must be a JSON object with keys "s", "si", "i"')
+        missing = [k for k in ("s", "si", "i") if k not in data]
+        if missing:
+            raise ValueError(f"block map is missing {', '.join(repr(k) for k in missing)}")
         return cls(
             Matrix.from_json(data["s"]),
             Matrix.from_json(data["si"]),
@@ -438,8 +403,11 @@ def module_isomorphism(m1: RightModule, m2: RightModule) -> Matrix | None:
         raise ValueError("modules over different algebras")
     if m1.dim != m2.dim:
         return None
+    # Cartan pairs first: m1's Cartan actions are diagonal in its weight
+    # basis, so intertwiner_space splits the first system by columns.
+    n_off = len(m1.model.off_pairs)
     pairs = list(zip(m2.actions, m1.actions))
-    space = intertwiner_space(pairs)
+    space = intertwiner_space(pairs[n_off:] + pairs[:n_off])
     if space.dim == 0:
         return None
     internal_check(space.dim == 1, "endomorphism space of an irreducible pair exceeded a line")
@@ -646,20 +614,14 @@ def _obstruction_points(lb: SemidirectLeibniz):
 
 def weight_components(lb: SemidirectLeibniz, v):
     """Decompose a module vector over the weight spaces of I: {weight: the
-    nonzero coefficients of v on that space's basis}."""
-    cols = []
-    meta = []
+    nonzero coefficients of v on that space's basis}.  The basis vectors are
+    unit vectors, so the coefficients are coordinates of v."""
+    comps: dict = {}
     for ws in lb.weights:
         for b in ws.basis:
-            cols.append(b)
-            meta.append(ws.values)
-    big = Matrix(zip(*cols))
-    sol = solve_linear(big, v)
-    internal_check(sol is not None, "weight spaces do not span the module")
-    comps: dict = {}
-    for c, values in zip(sol, meta):
-        if c.a or c.b:
-            comps.setdefault(values, []).append(c)
+            c = v[b.index(GR_ONE)]
+            if c.a or c.b:
+                comps.setdefault(ws.values, []).append(c)
     return comps
 
 

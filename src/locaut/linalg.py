@@ -68,6 +68,9 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
+    def is_diagonal(self) -> bool:
+        return all(x.is_zero() for i, row in enumerate(self.data) for j, x in enumerate(row) if i != j)
+
     def flatten(self):
         return tuple(x for row in self.data for x in row)
 
@@ -148,6 +151,8 @@ class Matrix:
 
     @classmethod
     def from_json(cls, data) -> "Matrix":
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ValueError("matrix must be a JSON list of rows")
         return cls(tuple(tuple(parse_scalar(x) for x in row) for row in data))
 
 
@@ -460,7 +465,7 @@ def intertwiner_space(pairs) -> Subspace:
         if a.nrows != n or a.ncols != n or b.nrows != n or b.ncols != n:
             raise ValueError("pairs must be square matrices of equal size")
     a, b = pairs[0]
-    if all(not (e.a or e.b) for i, row in enumerate(b.data) for j, e in enumerate(row) if i != j):
+    if b.is_diagonal():
         basis = []
         for c in range(n):
             for v in kernel(a - Matrix.diagonal([b.data[c][c]] * n)).basis:

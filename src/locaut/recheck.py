@@ -8,8 +8,8 @@ equal the recomputed one entry for entry, length included.  Some reuse
 decision code: no_shape_fits re-runs fit_shape_family on exactly the model's
 families, in the classifier's order, bracket preservation goes through
 is_automorphism, and the weight certificate splits the image over the weight
-spaces with leibniz.weight_components, the same weight_decomposition and
-component solve that the decision uses.
+spaces with leibniz.weight_components, reading its coordinates over the same
+weight basis that the decision uses.
 
 All checks raise RecheckError with a description on failure and return None
 on success.

@@ -192,6 +192,8 @@ class MnModel(MatrixModel):
     """Full matrix algebra M_n with flattened row-major coordinates."""
 
     def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("M_n needs n >= 1")
         self.n = n
         self.dim = n * n
         self.basis = tuple(

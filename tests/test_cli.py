@@ -112,6 +112,28 @@ def test_classify_mn_scaling(tmp_path, capsys):
     assert json.loads(out)["obstruction"]["kind"] == "identity_not_fixed"
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_classify_mn_rejects_non_positive_n(tmp_path, capsys, n):
+    path = write_json(tmp_path, "one.json", Matrix.identity(1).to_json())
+    code, out, err = run(capsys, ["classify-mn", "--n", n, "--map", path])
+    assert (code, out, err) == (2, "", "error: M_n needs n >= 1\n")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([[1]], 'scalar must be a string such as "1/2+3*i", got 1'),
+        ([1], "matrix must be a JSON list of rows"),
+        (5, "matrix must be a JSON list of rows"),
+    ],
+    ids=["number_entry", "flat_list", "number"],
+)
+def test_malformed_matrix_file(tmp_path, capsys, data, message):
+    path = write_json(tmp_path, "bad.json", data)
+    code, out, err = run(capsys, ["classify-mn", "--n", "1", "--map", path])
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 # -- witness ----------------------------------------------------------------
 
 
@@ -273,6 +295,22 @@ def test_leibniz_decide_block_errors(tmp_path, capsys, blocks, message):
     assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([1, 2], 'block map must be a JSON object with keys "s", "si", "i"'),
+        ({"s": [["1"]], "i": [["1"]]}, "block map is missing 'si'"),
+    ],
+    ids=["list", "no_si"],
+)
+def test_leibniz_decide_malformed_map(tmp_path, capsys, data, message):
+    path = write_json(tmp_path, "bad.json", data)
+    code, out, err = run(
+        capsys, ["leibniz-decide", "--n", "2", "--module", "vm:2", "--map", path]
+    )
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 # -- filiform-demo ----------------------------------------------------------
 
 
@@ -364,6 +402,27 @@ def test_no_unused_imports():
     paths += sorted((here.parent / "scripts").glob("*.py"))
     found = [u for p in paths if p.name != "__init__.py" for u in _unused_imports(p)]
     assert found == []
+
+
+def test_no_unreferenced_private_definitions():
+    """Every module-level function or class in the package whose name starts
+    with an underscore is read outside its own definition, so a deletion
+    leaves no orphan helper behind."""
+    defined = {}
+    read = set()
+    for path in sorted(Path(locaut.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            names = {
+                sub.id if isinstance(sub, ast.Name) else sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, (ast.Name, ast.Attribute))
+            }
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+                if node.name.startswith("_"):
+                    defined[node.name] = path.name
+            read |= names
+    assert [f"{where}: {name}" for name, where in defined.items() if name not in read] == []
 
 
 def test_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):
