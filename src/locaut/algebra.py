@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import GR_ONE, GR_ZERO, as_scalar, format_scalar, parse_scalar
-from .linalg import Matrix, Subspace, det, kernel
+from .linalg import Matrix, Subspace, det
 
 
 def _as_vec(v, dim: int):
@@ -147,14 +147,6 @@ class StructureAlgebra:
                 gens.append(vec_add(self.table[i][j], self.table[j][i]))
         return Subspace(self.dim, gens)
 
-    def right_annihilated_by(self, space: Subspace) -> bool:
-        """True when [L, v] = 0 for every v in the given subspace."""
-        for v in space.basis:
-            for i in range(self.dim):
-                if not vec_is_zero(self.bracket(self.unit(i), v)):
-                    return False
-        return True
-
     def liezation(self):
         """Quotient by the ideal of squares, plus the projection data.
 
@@ -195,14 +187,6 @@ class StructureAlgebra:
             if nxt.dim == 0 or nxt.dim == current.dim:
                 return series
             current = nxt
-
-    def center(self) -> Subspace:
-        rows = []
-        for j in range(self.dim):
-            for k in range(self.dim):
-                rows.append(tuple(self.table[i][j][k] for i in range(self.dim)))
-                rows.append(tuple(self.table[j][i][k] for i in range(self.dim)))
-        return kernel(Matrix(rows))
 
     def to_json(self):
         constants = []

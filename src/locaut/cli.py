@@ -68,7 +68,7 @@ def _load_matrix(path: str, rows: int, cols: int) -> Matrix:
     data = _load_json(path)
     try:
         m = Matrix.from_json(data)
-    except Exception as exc:
+    except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
     if m.nrows != rows or m.ncols != cols:
         raise InputError(f"{path}: expected a {rows}x{cols} matrix, got {m.nrows}x{m.ncols}")
@@ -171,7 +171,7 @@ def cmd_leibniz_decide(args) -> int:
     data = _load_json(args.map)
     try:
         bm = BlockMap.from_json(data)
-    except Exception as exc:
+    except ValueError as exc:
         raise InputError(f"{args.map}: {exc}") from None
     v = decide_local_aut(lb, bm)  # checks the block sizes
     lines = [f"verdict: {v.verdict}"]

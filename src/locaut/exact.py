@@ -86,17 +86,11 @@ class GaussianRational:
     def is_one(self) -> bool:
         return self.a == self.d and self.b == 0
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational._raw(self.a, -self.b, self.d)
-
     def inverse(self) -> "GaussianRational":
         n = self.a * self.a + self.b * self.b
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(i)")
         return GaussianRational._raw(self.d * self.a, -self.d * self.b, n)
-
-    def norm_sq(self) -> Fraction:
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -310,17 +304,6 @@ class Polynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
-
-    @classmethod
-    def from_roots(cls, roots) -> "Polynomial":
-        out = cls((1,))
-        for r in roots:
-            out = out * cls((-_coerce(r), GR_ONE))
-        return out
-
     @property
     def degree(self) -> int:
         # Zero polynomial reports degree -1.
@@ -458,10 +441,3 @@ def _coerce_poly(x) -> Polynomial:
     if isinstance(x, (int, Fraction, GaussianRational)):
         return Polynomial((x,))
     return NotImplemented
-
-
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd in Q(i)[t]; gcd(0, 0) == 0."""
-    while not q.is_zero():
-        p, q = q, p % q
-    return p.monic() if not p.is_zero() else p

@@ -39,9 +39,6 @@ class FiliformAlgebra:
         self.algebra = algebra
         self.n = algebra.dim
 
-    def bracket(self, x, y):
-        return self.algebra.bracket(x, y)
-
 
 def model_filiform(n: int) -> FiliformAlgebra:
     """The filiform algebra whose only brackets are [e_1, e_i] = e_{i+1}."""

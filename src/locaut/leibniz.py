@@ -34,7 +34,6 @@ from .classify import (
     NotInjective,
     Verdict,
     classify_sln,
-    fit_shape_family,
 )
 from .exact import GR_ONE, GR_ZERO, GaussianRational, as_scalar, format_scalar, internal_check
 from .linalg import (
@@ -47,7 +46,7 @@ from .linalg import (
     kernel,
     matrix_from_flat,
 )
-from .sln import SIGMA_ID, SIGMA_T, CanonicalShape, SlnModel, shape_map_matrix
+from .sln import SIGMA_ID, CanonicalShape, SlnModel, shape_map_matrix
 
 
 class RightModule:
@@ -85,10 +84,6 @@ class RightModule:
                 if self._combine(sc[i][j]) != rj @ ri - ri @ rj:
                     bad.append((i, j))
         return bad
-
-    def action_of(self, g: Matrix) -> Matrix:
-        """Action matrix of an arbitrary sl_n element (linear extension)."""
-        return self._combine(self.model.coords(g))
 
     def labels(self):
         return [f"v{p+1}" for p in range(self.dim)]
@@ -144,7 +139,11 @@ def build_module(model: SlnModel, name: str) -> RightModule:
     if name.startswith("vm:"):
         if model.n != 2:
             raise ValueError("V(m) modules are defined for sl_2 only")
-        return module_vm(model, int(name[3:]))
+        try:
+            m = int(name[3:])
+        except ValueError:
+            raise ValueError(f"unknown module {name!r}: expected vm:<m> with an integer m >= 0") from None
+        return module_vm(model, m)
     if name == "natural":
         return module_natural(model)
     if name == "adjoint":
@@ -202,25 +201,19 @@ def is_irreducible(module: RightModule) -> bool:
     return _highest_weight_space(module).dim == 1
 
 
-def _line_scale(v, img) -> GaussianRational | None:
-    """lam with img = lam * v for a nonzero v, or None when img is off that line."""
-    idx = next(i for i, x in enumerate(v) if x.a or x.b)
-    lam = img[idx] * v[idx].inverse()
-    if any((x - lam * y).a or (x - lam * y).b for x, y in zip(img, v)):
-        return None
-    return lam
-
-
 def weight_of_vector(module: RightModule, v):
     """Cartan values of an eigenvector v; None if v is not a joint eigenvector."""
     if vec_is_zero(v):
         return None
     model = module.model
     n_off = len(model.off_pairs)
+    idx = next(i for i, x in enumerate(v) if x.a or x.b)
+    vinv = v[idx].inverse()
     values = []
     for k in range(model.n - 1):
-        lam = _line_scale(v, module.actions[n_off + k].apply(v))
-        if lam is None:
+        img = module.actions[n_off + k].apply(v)
+        lam = img[idx] * vinv
+        if any((x - lam * y).a or (x - lam * y).b for x, y in zip(img, v)):
             return None
         values.append(lam.re)
     return tuple(values)
@@ -323,14 +316,6 @@ class BlockMap:
     def __post_init__(self):
         if self.coupling.nrows != self.i_block.nrows or self.coupling.ncols != self.s_block.ncols:
             raise ValueError("block shapes are inconsistent")
-
-    @classmethod
-    def of_identity(cls, lb: SemidirectLeibniz) -> "BlockMap":
-        return cls(
-            Matrix.identity(lb.dim_s),
-            Matrix.zeros(lb.dim_i, lb.dim_s),
-            Matrix.identity(lb.dim_i),
-        )
 
     def full_matrix(self) -> Matrix:
         ns = self.s_block.nrows
@@ -450,49 +435,6 @@ def extend_automorphism(lb: SemidirectLeibniz, phi_s: Matrix, omega=0) -> BlockM
     ok, pair = is_automorphism(lb, bm)
     internal_check(ok, f"extension failed the bracket check at {pair}")
     return bm
-
-
-# ---------------------------------------------------------------------------
-# Structure checks mirroring the classification proofs
-
-
-def highest_weight_scaling_check(lb: SemidirectLeibniz, bm: BlockMap) -> GaussianRational:
-    """For an automorphism whose S-block fixes the strongly regular element,
-    the image of y_beta must again lie on the y_beta line; returns the
-    nonzero scale.  Along the way every Cartan weight space of I is checked
-    to be preserved, which is what forces the conclusion."""
-    h0c = lb.model.coords(lb.h0)
-    if tuple(bm.s_block.apply(h0c)) != tuple(h0c):
-        raise ValueError("S-block must fix the strongly regular element")
-    ok, _ = is_automorphism(lb, bm)
-    if not ok:
-        raise ValueError("scaling check applies to automorphisms only")
-    for ws in lb.weights:
-        sub = Subspace(lb.dim_i, ws.basis)
-        for v in ws.basis:
-            internal_check(sub.contains(bm.i_block.apply(v)), "weight space not preserved")
-    img = bm.i_block.apply(lb.y_beta)
-    lam = _line_scale(lb.y_beta, img)
-    if lam is None:
-        raise ValueError(f"image of the highest-weight vector left its line: {img}")
-    internal_check(not lam.is_zero(), "highest-weight scale is zero")
-    return lam
-
-
-def diagonal_conjugator_check(model: SlnModel, phi_s: Matrix) -> Matrix | None:
-    """For an S-automorphism sending h0 to -h0: exhibit the diagonal a with
-    phi_s(x) = -a x^T a^-1, or None if the fit fails or a is not diagonal."""
-    h0 = model.strongly_regular_element()
-    if model.apply_map(phi_s, h0) != -h0:
-        raise ValueError("check applies to maps sending h0 to -h0")
-    space, a = fit_shape_family(model, phi_s, -1, SIGMA_T)
-    if a is None:
-        return None
-    for i in range(model.n):
-        for j in range(model.n):
-            if i != j and not a[i, j].is_zero():
-                return None
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -188,16 +188,6 @@ def _rref_in_place(rows: list, ncols: int):
     return pivots
 
 
-def rref(m: Matrix):
-    rows = [list(r) for r in m.data]
-    pivots = _rref_in_place(rows, m.ncols)
-    return Matrix(tuple(tuple(r) for r in rows)), pivots
-
-
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
 class Subspace:
     """A subspace of Q(i)^n held in a canonical reduced-echelon basis."""
 
@@ -238,11 +228,6 @@ class Subspace:
         if len(v) != self.ambient:
             return False
         return not any(x.a or x.b for x in self.reduce(v)[1])
-
-    def coordinates(self, v):
-        """Coefficients of v in the canonical basis, or None if outside."""
-        coeffs, residual = self.reduce(v)
-        return None if any(x.a or x.b for x in residual) else coeffs
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

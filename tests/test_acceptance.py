@@ -289,8 +289,8 @@ def test_criterion_8_filiform():
         assert not ok and pair is not None
         i, j = pair
         unit = lambda p: tuple(GR1 if q == p else GR0 for q in range(n))
-        lhs = delta.apply(fl.bracket(unit(i), unit(j)))
-        rhs = fl.bracket(delta.apply(unit(i)), delta.apply(unit(j)))
+        lhs = delta.apply(fl.algebra.bracket(unit(i), unit(j)))
+        rhs = fl.algebra.bracket(delta.apply(unit(i)), delta.apply(unit(j)))
         assert tuple(lhs) != tuple(rhs)
         points = sample_points(n, 200, seed=77 + n)
         assert sum(1 for x in points if x[1] == 0) >= 50

@@ -124,7 +124,7 @@ def test_scaled_identity_rejected(n, lam_text):
     assert ob.lam_squared == lam * lam
     assert ob.lam is not None and ob.lam * ob.lam == lam * lam
     # char(lam * y) = (t - lam)(t + lam) t^(n-2) exactly
-    t = Polynomial.x()
+    t = Polynomial((0, 1))
     shift = Polynomial((0,) * (n - 2) + (1,))
     assert ob.probe_charpoly == (t - lam) * (t + lam) * shift
     assert ob.required_charpoly == required_probe_charpoly(n)
@@ -136,7 +136,7 @@ def test_probe_polynomial_all_n(n):
     probe, required, lam_sq, lam = local_aut_probe(model, model.scalar_map(1))
     assert probe == required
     assert lam_sq == GR_ONE and lam is not None and lam * lam == GR_ONE
-    t = Polynomial.x()
+    t = Polynomial((0, 1))
     shift = Polynomial((0,) * (n - 2) + (1,))
     assert required == (t - 1) * (t + 1) * shift
 

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -219,6 +220,13 @@ def test_leibniz_build_bad_module(capsys):
     assert "sl_2" in err
 
 
+@pytest.mark.parametrize("module", ["vm:x", "vm:", "vm:1.5"])
+def test_leibniz_build_malformed_vm_module(capsys, module):
+    code, out, err = run(capsys, ["leibniz-build", "--n", "2", "--module", module])
+    assert (code, out) == (2, "")
+    assert "vm:<m>" in err and "int()" not in err
+
+
 def test_leibniz_build_rejects_anti_s_map(tmp_path, capsys):
     path = transpose_file(tmp_path)
     code, _, err = run(
@@ -404,25 +412,72 @@ def test_no_unused_imports():
     assert found == []
 
 
-def test_no_unreferenced_private_definitions():
-    """Every module-level function or class in the package whose name starts
-    with an underscore is read outside its own definition, so a deletion
-    leaves no orphan helper behind."""
+def _identifiers(tree):
+    """Every name and attribute that the tree reads."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(tree)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def _package_definitions():
+    """Each module-level function or class of the package with its file, and
+    the identifiers the package reads outside each one's own definition."""
     defined = {}
     read = set()
     for path in sorted(Path(locaut.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            names = {
-                sub.id if isinstance(sub, ast.Name) else sub.attr
-                for sub in ast.walk(node)
-                if isinstance(sub, (ast.Name, ast.Attribute))
-            }
+            names = _identifiers(node)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(node.name)
-                if node.name.startswith("_"):
-                    defined[node.name] = path.name
+                defined[node.name] = path.name
             read |= names
-    assert [f"{where}: {name}" for name, where in defined.items() if name not in read] == []
+    return defined, read
+
+
+def test_no_unreferenced_private_definitions():
+    """Every module-level function or class in the package whose name starts
+    with an underscore is read outside its own definition, so a deletion
+    leaves no orphan helper behind."""
+    defined, read = _package_definitions()
+    orphans = [f"{where}: {name}" for name, where in defined.items()
+               if name.startswith("_") and name not in read]
+    assert orphans == []
+
+
+def test_no_public_definitions_that_only_tests_reach():
+    """Every public module-level function or class in the package is read by
+    the package outside its own definition, exported from it, or read by a
+    script or the benchmark.  The benchmark reaches names through strings as
+    well (the traced layer paths), so the words of its strings count."""
+    defined, read = _package_definitions()
+    read |= set(locaut.__all__)
+    root = Path(__file__).parent.parent
+    for path in sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read |= _identifiers(tree)
+        if path.parent.name == "perfbench":
+            for sub in ast.walk(tree):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    read |= set(re.findall(r"\w+", sub.value))
+    orphans = [f"{where}: {name}" for name, where in defined.items()
+               if not name.startswith("_") and name not in read]
+    assert orphans == []
+
+
+@pytest.mark.parametrize("command", ["classify-sln", "leibniz-decide"])
+def test_non_input_error_while_parsing_propagates(tmp_path, monkeypatch, command):
+    # only ValueError means unusable input; any other error is a bug and
+    # must not be reported as exit 2
+    def broken(data):
+        raise RuntimeError("parser bug")
+
+    monkeypatch.setattr(Matrix, "from_json", broken)
+    path = write_json(tmp_path, "map.json", {"s": [["1"]], "si": [["0"]], "i": [["1"]]})
+    argv = ["--n", "2", "--map", path] + (["--module", "vm:2"] if command == "leibniz-decide" else [])
+    with pytest.raises(RuntimeError, match="parser bug"):
+        main([command] + argv)
 
 
 def test_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -32,9 +32,9 @@ def test_model_filiform_valid(n):
     assert fl.n == n
     # the single chain: [e1, e_i] = e_{i+1}
     for i in range(1, n - 1):
-        assert fl.bracket(fl.algebra.unit(0), fl.algebra.unit(i)) == unit_vector(i + 1, n)
+        assert fl.algebra.bracket(fl.algebra.unit(0), fl.algebra.unit(i)) == unit_vector(i + 1, n)
     assert all(
-        x.is_zero() for x in fl.bracket(fl.algebra.unit(0), fl.algebra.unit(n - 1))
+        x.is_zero() for x in fl.algebra.bracket(fl.algebra.unit(0), fl.algebra.unit(n - 1))
     )
 
 
@@ -130,7 +130,7 @@ def test_delta_is_not_an_automorphism():
         i, j = pair
         d = delta_map(fl)
         lhs = d.apply(fl.algebra.table[i][j])
-        rhs = fl.bracket(d.apply(fl.algebra.unit(i)), d.apply(fl.algebra.unit(j)))
+        rhs = fl.algebra.bracket(d.apply(fl.algebra.unit(i)), d.apply(fl.algebra.unit(j)))
         assert tuple(lhs) != tuple(rhs)
 
 

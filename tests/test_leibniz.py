@@ -1,9 +1,11 @@
 """Semidirect Leibniz algebras sl_n + I and their local automorphisms."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from locaut.classify import fit_shape_family
 from locaut.exact import GR_ZERO, GaussianRational
 from locaut.leibniz import (
     LOCAL_AUT,
@@ -12,9 +14,7 @@ from locaut.leibniz import (
     build_module,
     build_semidirect,
     decide_local_aut,
-    diagonal_conjugator_check,
     extend_automorphism,
-    highest_weight_scaling_check,
     highest_weight_vector,
     inner_automorphism_matrix,
     is_automorphism,
@@ -28,8 +28,8 @@ from locaut.leibniz import (
     weight_decomposition,
     weight_of_vector,
 )
-from locaut.linalg import Matrix, det, inverse
-from locaut.sln import SlnModel
+from locaut.linalg import Matrix, Subspace, det, inverse
+from locaut.sln import SIGMA_T, SlnModel
 
 NOT_LOCAL = "NotLocal"
 
@@ -45,6 +45,16 @@ def vec(*xs):
 def semidirect(n, module_text):
     model = SlnModel(n)
     return build_semidirect(model, build_module(model, module_text))
+
+
+MODULES = (
+    [(2, f"vm:{m}") for m in range(7)] + [(n, "natural") for n in (2, 3, 4)] + [(2, "adjoint"), (3, "adjoint")]
+)
+
+
+def action(module, g):
+    """The action matrix of the model basis element g."""
+    return module.actions[module.model.basis.index(g)]
 
 
 def weight_flip(dim):
@@ -75,15 +85,15 @@ def test_vm_action_values():
     m2 = vm.model
     y = vec(1, 0, 0)
     # the top vector scales by -m under h1 in the right action
-    assert vm.action_of(m2.h(0)).apply(y) == vec(-2, 0, 0)
+    assert action(vm, m2.h(0)).apply(y) == vec(-2, 0, 0)
     # and e12 annihilates it
-    assert vm.action_of(m2.e(0, 1)).apply(y) == vec(0, 0, 0)
+    assert action(vm, m2.e(0, 1)).apply(y) == vec(0, 0, 0)
 
 
 def test_natural_action_is_negated_matrix_action():
     nat = module_natural(SlnModel(3))
     m3 = nat.model
-    assert nat.action_of(m3.e(0, 1)).apply(vec(0, 1, 0)) == vec(-1, 0, 0)
+    assert action(nat, m3.e(0, 1)).apply(vec(0, 1, 0)) == vec(-1, 0, 0)
 
 
 def test_adjoint_action_is_bracket():
@@ -93,7 +103,7 @@ def test_adjoint_action_is_bracket():
         for i in range(model.dim):
             v = adj.model.coords(model.basis[i])
             expected = model.coords(SlnModel.bracket(model.basis[i], g))
-            assert adj.action_of(g).apply(v) == expected
+            assert action(adj, g).apply(v) == expected
 
 
 def test_build_module_parsing():
@@ -107,6 +117,13 @@ def test_build_module_parsing():
         build_module(m3, "vm:x")
     with pytest.raises(ValueError):
         build_module(m2, "spin")
+
+
+@pytest.mark.parametrize("name", ["vm:x", "vm:", "vm:1.5"])
+def test_build_module_names_the_vm_form(name):
+    with pytest.raises(ValueError, match="vm:<m>") as info:
+        build_module(SlnModel(2), name)
+    assert "int()" not in str(info.value)
 
 
 @pytest.mark.parametrize("n, name", [(2, "vm:2"), (3, "natural"), (3, "adjoint")])
@@ -126,10 +143,7 @@ def test_semidirect_takes_the_module_model():
         build_semidirect(SlnModel(3), module_vm(SlnModel(2), 2))
 
 
-@pytest.mark.parametrize(
-    "n, name",
-    [(2, f"vm:{m}") for m in range(7)] + [(n, "natural") for n in (2, 3, 4)] + [(2, "adjoint"), (3, "adjoint")],
-)
+@pytest.mark.parametrize("n, name", MODULES)
 def test_semidirect_table_satisfies_leibniz_identity(n, name):
     # build_semidirect does not validate: the identity follows from the sl_n
     # table and the right-module law
@@ -203,7 +217,7 @@ def test_bracket_orientation():
     v = vec(1, 0, 0)
     # the module part multiplies from the left slot only
     got = lb.bracket(lb.embed_i(v), lb.embed_s(lb.model.coords(g)))
-    assert got == lb.embed_i(lb.module.action_of(g).apply(v))
+    assert got == lb.embed_i(action(lb.module, g).apply(v))
     assert all(
         x.is_zero()
         for x in lb.bracket(lb.embed_s(lb.model.coords(g)), lb.embed_i(v))
@@ -267,7 +281,7 @@ def test_block_map_shape_check():
 
 def test_full_matrix_layout():
     lb = semidirect(2, "vm:2")
-    bm = BlockMap.of_identity(lb)
+    bm = BlockMap(Matrix.identity(3), Matrix.zeros(3, 3), Matrix.identity(3))
     assert bm.full_matrix() == Matrix.identity(6)
     assert bm.apply(lb.algebra.unit(4)) == lb.algebra.unit(4)
 
@@ -381,50 +395,40 @@ def test_extension_coupling_active_on_matching_dims():
 # -- structure checks -------------------------------------------------------
 
 
-def test_highest_weight_scaling_on_diagonal_inner():
-    lb = semidirect(2, "vm:2")
-    a = Matrix.diagonal([GaussianRational(2), GaussianRational(Fraction(1, 2))])
+DIAGONAL_ENTRIES = (gr(2), gr(Fraction(-1, 3)), GaussianRational(1, 1), gr(5))
+
+
+@pytest.mark.parametrize("n, name", MODULES)
+def test_diagonal_inner_extension_keeps_weight_spaces_and_scales_y_beta(n, name):
+    # conjugation by a diagonal a fixes every Cartan element, so the twist
+    # leaves the Cartan actions as they are, and the I-block, which
+    # intertwines them, keeps every weight space of I
+    lb = semidirect(n, name)
+    a = Matrix.diagonal(DIAGONAL_ENTRIES[:n])
     bm = extend_automorphism(lb, inner_automorphism_matrix(lb.model, a), 0)
-    lam = highest_weight_scaling_check(lb, bm)
-    assert not lam.is_zero()
+    for ws in lb.weights:
+        space = Subspace(lb.dim_i, ws.basis)
+        assert all(space.contains(bm.i_block.apply(v)) for v in ws.basis)
     y = lb.y_beta
-    assert bm.i_block.apply(y) == tuple(lam * x for x in y)
+    img = bm.i_block.apply(y)
+    idx = next(k for k, x in enumerate(y) if not x.is_zero())
+    lam = img[idx] * y[idx].inverse()
+    assert not lam.is_zero()
+    assert img == tuple(lam * x for x in y)
 
 
-def test_highest_weight_scaling_rejects_moving_h0():
-    lb = semidirect(2, "vm:2")
-    bm = extend_automorphism(lb, lb.model.map_matrix(lambda x: -(x.T)), 0)
-    with pytest.raises(ValueError):
-        highest_weight_scaling_check(lb, bm)
-
-
-def test_highest_weight_scaling_rejects_non_automorphism():
-    lb = semidirect(2, "vm:2")
-    bm = BlockMap(Matrix.identity(3), Matrix.zeros(3, 3), Matrix.diagonal([1, 1, 2]))
-    with pytest.raises(ValueError):
-        highest_weight_scaling_check(lb, bm)
-
-
-def test_diagonal_conjugator_for_neg_transpose():
-    m2 = SlnModel(2)
-    phi = m2.map_matrix(lambda x: -(x.T))
-    a = diagonal_conjugator_check(m2, phi)
-    assert a is not None
-    for i in range(2):
-        for j in range(2):
-            if i != j:
-                assert a[i, j].is_zero()
-
-
-def test_diagonal_conjugator_rejects_identity():
-    m2 = SlnModel(2)
-    with pytest.raises(ValueError):
-        diagonal_conjugator_check(m2, m2.identity_map())
-
-
-def test_diagonal_conjugator_none_for_minus_identity():
-    m2 = SlnModel(2)
-    assert diagonal_conjugator_check(m2, m2.scalar_map(-1)) is None
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_neg_transpose_fit_of_a_diagonal_anti_map_is_diagonal(n):
+    model = SlnModel(n)
+    rng = random.Random(n)
+    entries = [GaussianRational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(-2, 2)) for _ in range(n)]
+    a = Matrix.diagonal(entries)
+    a_inv = inverse(a)
+    phi = model.map_matrix(lambda x: -(a @ x.T @ a_inv))
+    # the fit space is a line, so the witness is a up to scale
+    _, fit = fit_shape_family(model, phi, -1, SIGMA_T)
+    assert fit is not None and fit.is_diagonal()
+    assert fit * a[0, 0] == a * fit[0, 0]
 
 
 # -- the decision procedure -------------------------------------------------
@@ -432,7 +436,7 @@ def test_diagonal_conjugator_none_for_minus_identity():
 
 def test_decide_identity_local():
     lb = semidirect(2, "vm:2")
-    v = decide_local_aut(lb, BlockMap.of_identity(lb))
+    v = decide_local_aut(lb, BlockMap(Matrix.identity(3), Matrix.zeros(3, 3), Matrix.identity(3)))
     assert v.verdict == LOCAL_AUT and v.certificate is None
 
 
@@ -523,7 +527,7 @@ def test_decide_rejects_block_sizes_of_another_algebra(dim_s, dim_i):
 def test_verdict_json_kinds():
     lb = semidirect(2, "vm:2")
     cases = {
-        None: BlockMap.of_identity(lb),
+        None: BlockMap(Matrix.identity(3), Matrix.zeros(3, 3), Matrix.identity(3)),
         "bracket_square": BlockMap(lb.model.transpose_map(), Matrix.zeros(3, 3), Matrix.identity(3)),
         "weight_structure": BlockMap(lb.model.scalar_map(-1), Matrix.zeros(3, 3), Matrix.identity(3)),
     }

@@ -60,8 +60,8 @@ def reference_split(vectors, op, ambient):
         return []
     cols = []
     for b in space.basis:
-        coords = space.coordinates(op.apply(b))
-        if coords is None:
+        coords, residual = space.reduce(op.apply(b))
+        if any(not x.is_zero() for x in residual):
             raise ValueError("operator does not preserve the subspace")
         cols.append(coords)
     restricted = Matrix(zip(*cols))
