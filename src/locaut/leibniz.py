@@ -139,11 +139,10 @@ def build_module(model: SlnModel, name: str) -> RightModule:
     if name.startswith("vm:"):
         if model.n != 2:
             raise ValueError("V(m) modules are defined for sl_2 only")
-        try:
-            m = int(name[3:])
-        except ValueError:
-            raise ValueError(f"unknown module {name!r}: expected vm:<m> with an integer m >= 0") from None
-        return module_vm(model, m)
+        digits = name[3:]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"unknown module {name!r}: expected vm:<m> with an integer m >= 0")
+        return module_vm(model, int(digits))
     if name == "natural":
         return module_natural(model)
     if name == "adjoint":
@@ -371,32 +370,26 @@ def is_automorphism(lb: SemidirectLeibniz, bm: BlockMap):
 
 
 # ---------------------------------------------------------------------------
-# Twists, module isomorphisms, extension
+# Module isomorphisms, extension
 
 
-def twist_module(module: RightModule, phi_s: Matrix) -> RightModule:
-    """Same space with action v .' g = v . phi_s(g); a right module again
-    exactly when phi_s is an automorphism of sl_n (validated)."""
-    actions = [module._combine(phi_s.column(a)) for a in range(module.model.dim)]
-    return RightModule(module.model, f"{module.name}^twist", actions)
-
-
-def module_isomorphism(m1: RightModule, m2: RightModule) -> Matrix | None:
-    """Invertible T with T(v . g) = T(v) .' g, or None.  By Schur the space
-    of candidates is a line, so T is canonical up to the reported scale."""
-    if m1.model.n != m2.model.n:
-        raise ValueError("modules over different algebras")
-    if m1.dim != m2.dim:
+def module_isomorphism(module: RightModule, actions) -> Matrix | None:
+    """Invertible T with T(v . g) = T(v) .' g, where .' is given by one
+    action matrix per model basis element, or None.  By Schur the space of
+    candidates is a line, so T is canonical up to the reported scale."""
+    if len(actions) != module.model.dim:
+        raise ValueError("need one action matrix per basis element of the module's model")
+    if actions[0].nrows != module.dim:
         return None
-    # Cartan pairs first: m1's Cartan actions are diagonal in its weight
-    # basis, so intertwiner_space splits the first system by columns.
-    n_off = len(m1.model.off_pairs)
-    pairs = list(zip(m2.actions, m1.actions))
+    # Cartan pairs first: the module's Cartan actions are diagonal in its
+    # weight basis, so intertwiner_space splits the first system by columns.
+    n_off = len(module.model.off_pairs)
+    pairs = list(zip(actions, module.actions))
     space = intertwiner_space(pairs[n_off:] + pairs[:n_off])
     if space.dim == 0:
         return None
     internal_check(space.dim == 1, "endomorphism space of an irreducible pair exceeded a line")
-    t = matrix_from_flat(space.basis[0], m1.dim)
+    t = matrix_from_flat(space.basis[0], module.dim)
     internal_check(not det(t).is_zero(), "nonzero intertwiner of irreducibles must be invertible")
     return t
 
@@ -422,7 +415,9 @@ def extend_automorphism(lb: SemidirectLeibniz, phi_s: Matrix, omega=0) -> BlockM
         raise ValueError("the S map is singular, so not an automorphism")
     if not ok:
         raise ValueError("the S map is not an automorphism of sl_n")
-    twisted = twist_module(lb.module, phi_s)
+    # The twisted action v .' g = v . phi_s(g) needs no module-law check:
+    # R'([x, y]) = R([phi x, phi y]) = R'(y) R'(x) - R'(x) R'(y).
+    twisted = [lb.module._combine(phi_s.column(a)) for a in range(lb.dim_s)]
     phi_i = module_isomorphism(lb.module, twisted)
     if phi_i is None:
         return None
@@ -540,7 +535,10 @@ def bracket_square_obstruction(lb: SemidirectLeibniz, bm: BlockMap, z) -> Bracke
 
 def _obstruction_points(lb: SemidirectLeibniz):
     """Deterministic probe points: e_alpha + c y_beta over simple alpha
-    (c = 1 then 2), then h0 + y_beta."""
+    (c = 1 then 2).  h0 + y_beta could never certify: its square y_beta . h0
+    = beta(h0) y_beta is nonzero on a nontrivial module (beta <= 0 and h0's
+    Cartan coordinates are negative), and on the trivial one every image
+    square vanishes."""
     y = lb.y_beta
     pts = []
     for c in (1, 2):
@@ -548,9 +546,6 @@ def _obstruction_points(lb: SemidirectLeibniz):
             zs = lb.embed_s(lb.model.coords(lb.model.e(k, k + 1)))
             zi = lb.embed_i(tuple(x * GaussianRational(c) for x in y))
             pts.append(tuple(a + b for a, b in zip(zs, zi)))
-    h0c = lb.embed_s(lb.model.coords(lb.h0))
-    yc = lb.embed_i(y)
-    pts.append(tuple(a + b for a, b in zip(h0c, yc)))
     return pts
 
 
@@ -568,7 +563,8 @@ def weight_components(lb: SemidirectLeibniz, v):
 
 
 def _weight_obstruction(lb: SemidirectLeibniz, reducer: BlockMap, reduced: BlockMap) -> WeightObstruction | None:
-    """Check the h0 + y_beta point against the forced weight structure."""
+    """Check the h0 + y_beta point against the forced weight structure.
+    A nonzero beta differs from -beta, so the all-zero test is the only one."""
     h0c = lb.model.coords(lb.h0)
     img_h0 = reduced.s_block.apply(h0c)
     if tuple(img_h0) == tuple(h0c):
@@ -580,10 +576,7 @@ def _weight_obstruction(lb: SemidirectLeibniz, reducer: BlockMap, reduced: Block
     beta = lb.beta()
     if all(b == 0 for b in beta):
         return None
-    minus_beta = tuple(-b for b in beta)
-    if beta == minus_beta:
-        return None
-    target = beta if sign == 1 else minus_beta
+    target = beta if sign == 1 else tuple(-b for b in beta)
     zero_w = tuple(Fraction(0) for _ in beta)
     z = tuple(a + b for a, b in zip(lb.embed_s(h0c), lb.embed_i(lb.y_beta)))
     _, i_part = lb.split(reduced.apply(z))

@@ -220,7 +220,7 @@ def test_leibniz_build_bad_module(capsys):
     assert "sl_2" in err
 
 
-@pytest.mark.parametrize("module", ["vm:x", "vm:", "vm:1.5"])
+@pytest.mark.parametrize("module", ["vm:x", "vm:", "vm:1.5", "vm:1_0", "vm: 3", "vm:+2", "vm:\u0663", "vm:-1"])
 def test_leibniz_build_malformed_vm_module(capsys, module):
     code, out, err = run(capsys, ["leibniz-build", "--n", "2", "--module", module])
     assert (code, out) == (2, "")

@@ -39,7 +39,6 @@ from locaut.leibniz import (
     BracketFailure,
     InheritedSlnObstruction,
     LeibnizVerdict,
-    _obstruction_points,
     _weight_obstruction,
     bracket_square_obstruction,
     build_module,
@@ -93,6 +92,20 @@ def reference_classify_mn(model, d):
     return Verdict(NOT_LOCAL, obstruction=NoShapeFits(dims, None, None))
 
 
+def reference_obstruction_points(lb):
+    """e_alpha + c y_beta over simple alpha (c = 1 then 2), then h0 + y_beta."""
+    y = lb.y_beta
+    pts = []
+    for c in (1, 2):
+        for k in range(lb.model.n - 1):
+            zs = lb.embed_s(lb.model.coords(lb.model.e(k, k + 1)))
+            zi = lb.embed_i(tuple(x * GaussianRational(c) for x in y))
+            pts.append(tuple(a + b for a, b in zip(zs, zi)))
+    h0c = lb.embed_s(lb.model.coords(lb.h0))
+    pts.append(tuple(a + b for a, b in zip(h0c, lb.embed_i(y))))
+    return pts
+
+
 def reference_decide_local_aut(lb, bm):
     ker = kernel(bm.full_matrix())
     if ker.dim > 0:
@@ -105,7 +118,7 @@ def reference_decide_local_aut(lb, bm):
         if ok:
             return LeibnizVerdict(LOCAL_AUT)
         return LeibnizVerdict(NOT_LOCAL, BracketFailure(*pair))
-    for z in _obstruction_points(lb):
+    for z in reference_obstruction_points(lb):
         cert = bracket_square_obstruction(lb, bm, z)
         if cert is not None:
             return LeibnizVerdict(NOT_LOCAL, cert)
@@ -237,6 +250,20 @@ def test_local_automorphism_classifies_no_s_block(monkeypatch):
     calls = counting(monkeypatch, leibniz, "classify_sln")
     for bm in leibniz_maps(lb, random.Random(1))[:2]:
         assert decide_local_aut(lb, bm).verdict == LOCAL_AUT
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, name", [(2, "vm:2"), (2, "vm:6"), (3, "natural"), (3, "adjoint"), (4, "natural")])
+def test_extension_and_decision_check_no_module_law(monkeypatch, n, name):
+    """An S map that passes the automorphism check gives the twisted actions
+    the module law, so extending it builds no RightModule to check that law."""
+    model = SlnModel(n)
+    lb = build_semidirect(model, build_module(model, name))
+    calls = counting(monkeypatch, leibniz.RightModule, "law_violations")
+    phi = inner_automorphism_matrix(model, random_unimodular(n, random.Random(n)))
+    assert extend_automorphism(lb, phi, 0) is not None
+    minus_s = BlockMap(model.scalar_map(-1), Matrix.zeros(lb.dim_i, lb.dim_s), Matrix.identity(lb.dim_i))
+    assert decide_local_aut(lb, minus_s).verdict == NOT_LOCAL
     assert calls == []
 
 

@@ -24,7 +24,6 @@ from locaut.leibniz import (
     module_isomorphism,
     module_natural,
     module_vm,
-    twist_module,
     weight_decomposition,
     weight_of_vector,
 )
@@ -119,7 +118,7 @@ def test_build_module_parsing():
         build_module(m2, "spin")
 
 
-@pytest.mark.parametrize("name", ["vm:x", "vm:", "vm:1.5"])
+@pytest.mark.parametrize("name", ["vm:x", "vm:", "vm:1.5", "vm:1_0", "vm: 3", "vm:+2", "vm:\u0663", "vm:-1"])
 def test_build_module_names_the_vm_form(name):
     with pytest.raises(ValueError, match="vm:<m>") as info:
         build_module(SlnModel(2), name)
@@ -322,30 +321,42 @@ def test_is_automorphism_failure_pair():
 # -- twists, isomorphisms, extension ----------------------------------------
 
 
-def test_twist_by_identity_preserves_actions():
-    vm = module_vm(SlnModel(2), 2)
-    tw = twist_module(vm, Matrix.identity(3))
-    assert tw.actions == vm.actions
+def twisted_actions(module, phi):
+    """The actions v .' g = v . phi(g), one per model basis element."""
+    return [module._combine(phi.column(a)) for a in range(module.model.dim)]
+
+
+def test_extending_the_identity_gives_a_scalar_i_block():
+    lb = semidirect(2, "vm:2")
+    assert twisted_actions(lb.module, Matrix.identity(3)) == list(lb.module.actions)
+    bm = extend_automorphism(lb, Matrix.identity(3), 0)
+    assert bm.i_block == Matrix.identity(3) * bm.i_block[0, 0]
 
 
 def test_twist_by_inner_stays_isomorphic():
     vm = module_vm(SlnModel(2), 3)
     phi = inner_automorphism_matrix(vm.model, Matrix(((2, 1), (1, 1))))
-    t = module_isomorphism(vm, twist_module(vm, phi))
+    t = module_isomorphism(vm, twisted_actions(vm, phi))
     assert t is not None
     assert not det(t).is_zero()
 
 
 def test_module_isomorphism_of_identical_modules():
     vm = module_vm(SlnModel(2), 2)
-    t = module_isomorphism(vm, vm)
+    t = module_isomorphism(vm, vm.actions)
     assert t is not None
     c = t[0, 0]
     assert t == Matrix.identity(3) * c
 
 
 def test_module_isomorphism_dimension_mismatch():
-    assert module_isomorphism(module_vm(SlnModel(2), 1), module_vm(SlnModel(2), 2)) is None
+    assert module_isomorphism(module_vm(SlnModel(2), 1), module_vm(SlnModel(2), 2).actions) is None
+
+
+def test_module_isomorphism_needs_one_action_per_basis_element():
+    vm = module_vm(SlnModel(2), 2)
+    with pytest.raises(ValueError, match="one action matrix per basis element"):
+        module_isomorphism(vm, vm.actions[:2])
 
 
 def test_natural_twisted_by_neg_transpose_not_isomorphic():
@@ -353,7 +364,7 @@ def test_natural_twisted_by_neg_transpose_not_isomorphic():
     m3 = SlnModel(3)
     nat = module_natural(SlnModel(3))
     phi = m3.map_matrix(lambda x: -(x.T))
-    assert module_isomorphism(nat, twist_module(nat, phi)) is None
+    assert module_isomorphism(nat, twisted_actions(nat, phi)) is None
     lb3 = build_semidirect(m3, nat)
     assert extend_automorphism(lb3, phi, 0) is None
 

@@ -28,12 +28,12 @@ from locaut.leibniz import (
     inner_automorphism_matrix,
     module_isomorphism,
     module_natural,
-    twist_module,
     weight_components,
     weight_decomposition,
 )
 from locaut.linalg import Matrix, Subspace, combine, inverse, kernel, matrix_from_flat, solve_linear
 from locaut.sln import SlnModel
+from test_leibniz import twisted_actions
 from test_linalg import reference_intertwiner_space
 
 MODULES = (
@@ -179,7 +179,26 @@ def test_isomorphism_matches_kronecker_first_order(module, seed):
     n, name = module
     m1 = semidirect(n, name).module
     phi = inner_automorphism_matrix(m1.model, random_unimodular(n, random.Random(seed)))
-    m2 = twist_module(m1, phi)
-    space = reference_intertwiner_space(list(zip(m2.actions, m1.actions)))
+    twisted = twisted_actions(m1, phi)
+    space = reference_intertwiner_space(list(zip(twisted, m1.actions)))
     assert space.dim == 1
-    assert module_isomorphism(m1, m2) == matrix_from_flat(space.basis[0], m1.dim)
+    assert module_isomorphism(m1, twisted) == matrix_from_flat(space.basis[0], m1.dim)
+
+
+# -- (e) h0 + y_beta is no bracket-square point ------------------------------
+
+
+@pytest.mark.parametrize("n, name", MODULES, ids=[f"{name}-n{n}" for n, name in MODULES])
+def test_h0_plus_y_beta_squares_to_a_positive_multiple_of_y_beta(n, name):
+    """[z, z] = y_beta . h0 = beta(h0) y_beta at z = h0 + y_beta, and
+    beta(h0) > 0 on every nontrivial module, so z is not square-zero; on the
+    trivial module V(0) the action, and so every image square, vanishes."""
+    lb = semidirect(n, name)
+    h0c = lb.model.coords(lb.h0)
+    beta_h0 = sum(c.re * b for c, b in zip(h0c[len(lb.model.off_pairs):], lb.beta()))
+    z = tuple(a + b for a, b in zip(lb.embed_s(h0c), lb.embed_i(lb.y_beta)))
+    assert lb.bracket(z, z) == lb.embed_i(tuple(x * GaussianRational(beta_h0) for x in lb.y_beta))
+    if name == "vm:0":
+        assert all(a.is_zero() for a in lb.module.actions)
+    else:
+        assert beta_h0 > 0
