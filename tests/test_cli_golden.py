@@ -1,8 +1,9 @@
 """Byte-for-byte CLI output on the files scripts/make_inputs.py writes.
 
 The expected stdout and exit code of each invocation, in text and in JSON
-mode, live in tests/golden/cli_outputs.json.  Rewrite that file only for an
-intended output change:
+mode, live in tests/golden/cli_outputs.json, and the sha256 of every file
+make_inputs.py writes in tests/golden/make_inputs_sha256.json.  Rewrite
+those files only for an intended output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
@@ -10,6 +11,7 @@ intended output change:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -22,6 +24,7 @@ import pytest
 from locaut.cli import main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_outputs.json"
+DIGESTS = Path(__file__).with_name("golden") / "make_inputs_sha256.json"
 MAKE_INPUTS = Path(__file__).resolve().parents[1] / "scripts" / "make_inputs.py"
 
 # Input file names are relative to the make_inputs.py output directory.
@@ -75,6 +78,11 @@ def make_inputs(out_dir: Path) -> None:
         mod.main(["--out-dir", str(out_dir)])
 
 
+def input_digests(out_dir: Path) -> dict:
+    """{file name: sha256 hex digest} of every file in out_dir."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
+
+
 def run_cli(argv, inputs: Path):
     resolved = [str(inputs / a) if a.endswith(".json") else a for a in argv]
     buf = io.StringIO()
@@ -99,6 +107,11 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(case_id(c) for c in CASES)
 
 
+def test_make_inputs_files_match_digests(tmp_path):
+    make_inputs(tmp_path)
+    assert input_digests(tmp_path) == json.loads(DIGESTS.read_text())
+
+
 @pytest.mark.parametrize("argv", CASES, ids=case_id)
 def test_cli_output_matches_golden(argv, inputs, golden):
     assert run_cli(argv, inputs) == golden[case_id(argv)]
@@ -108,8 +121,10 @@ def record() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         make_inputs(Path(tmp))
         out = {case_id(c): run_cli(c, Path(tmp)) for c in CASES}
+        digests = input_digests(Path(tmp))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
