@@ -13,8 +13,13 @@ diagonal and the weights are read off their diagonals, so
 weight_decomposition raises ValueError on a module whose Cartan actions are
 not diagonal.
 
-The decision is the full bracket check: local automorphisms of these
-algebras are automorphisms.  The certificate of a negative answer mirrors
+Local automorphisms of these algebras are automorphisms, so the decision
+is the automorphism test, made on the blocks of the map
+(is_block_automorphism): the I-block is invertible, the I-block and the
+coupling intertwine on the Chevalley generators, and the S-block fits an
+automorphism family of sl_n.  Only a map that fails goes on to the full
+bracket scan, which names a failing basis pair or finds the map singular.
+The certificate of a negative answer mirrors
 the structure theory: the sl_n block must be a local automorphism;
 anti-family blocks are never local, and the code hunts for a concrete
 certificate (a square-zero break or a weight-space violation) rather than
@@ -33,7 +38,9 @@ from .classify import (
     NOT_LOCAL,
     NotInjective,
     Verdict,
+    basis_images,
     classify_sln,
+    fit_shape_family,
 )
 from .exact import GR_ONE, GR_ZERO, GaussianRational, as_scalar, format_scalar, internal_check
 from .linalg import (
@@ -46,7 +53,7 @@ from .linalg import (
     kernel,
     matrix_from_flat,
 )
-from .sln import SIGMA_ID, CanonicalShape, SlnModel, shape_map_matrix
+from .sln import AUTOMORPHISM_FAMILIES, SIGMA_ID, CanonicalShape, SlnModel, shape_map_matrix
 
 
 class RightModule:
@@ -66,8 +73,9 @@ class RightModule:
         if bad:
             raise ValueError(f"right-module law fails at basis pairs {bad[:3]}")
 
-    def _combine(self, coeffs) -> Matrix:
-        """sum_k c_k R_k over the nonzero coefficients c_k."""
+    def action(self, coeffs) -> Matrix:
+        """R_x = sum_k c_k R_k for x with model coordinates c, over the
+        nonzero c_k."""
         return matrix_from_flat(combine(coeffs, self._flat), self.dim)
 
     def law_violations(self):
@@ -81,7 +89,7 @@ class RightModule:
             ri = self.actions[i]
             for j in range(i + 1, self.model.dim):
                 rj = self.actions[j]
-                if self._combine(sc[i][j]) != rj @ ri - ri @ rj:
+                if self.action(sc[i][j]) != rj @ ri - ri @ rj:
                     bad.append((i, j))
         return bad
 
@@ -124,14 +132,18 @@ def module_natural(model: SlnModel) -> RightModule:
     return RightModule(model, "natural", [-b for b in model.basis])
 
 
+def _adjoint_actions(model: SlnModel) -> tuple:
+    """The matrices of v -> [v, g] over the model basis g."""
+    sc = model.structure_algebra().table
+    return tuple(
+        Matrix([[sc[i][j][k] for i in range(model.dim)] for k in range(model.dim)])
+        for j in range(model.dim)
+    )
+
+
 def module_adjoint(model: SlnModel) -> RightModule:
     """sl_n acting on itself from the right: v.g = [v, g]."""
-    sc = model.structure_algebra().table
-    actions = []
-    for j in range(model.dim):
-        rows = [[sc[i][j][k] for i in range(model.dim)] for k in range(model.dim)]
-        actions.append(Matrix(rows))
-    return RightModule(model, "adjoint", actions)
+    return RightModule(model, "adjoint", _adjoint_actions(model))
 
 
 def build_module(model: SlnModel, name: str) -> RightModule:
@@ -268,6 +280,16 @@ class SemidirectLeibniz:
         return highest_weight_vector(self.module)
 
     @cached_property
+    def adjoint_module(self) -> RightModule:
+        """sl_n acting on itself from the right, the source of the coupling
+        block: the algebra's own module when that already is it, else built
+        (and its law checked) once per algebra."""
+        actions = _adjoint_actions(self.model)
+        if self.module.actions == actions:
+            return self.module
+        return RightModule(self.model, "adjoint", actions)
+
+    @cached_property
     def weights(self):
         """weight_decomposition of the module, computed once per algebra."""
         return weight_decomposition(self.module)
@@ -369,6 +391,54 @@ def is_automorphism(lb: SemidirectLeibniz, bm: BlockMap):
     return lb.algebra.automorphism_check(bm.full_matrix())
 
 
+def _intertwines(t: Matrix, a: Matrix, b: Matrix) -> bool:
+    """t a = b t, one column at a time: t (a e_p) = b (t e_p)."""
+    return all(t.apply(a.column(p)) == b.apply(t.column(p)) for p in range(a.ncols))
+
+
+def is_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap) -> bool:
+    """Whether the block map Phi = [[phi, 0], [C, theta]] is an automorphism
+    of L, decided from its blocks.
+
+    The only nonzero brackets of L are [x, y] for x, y in S and [u, x] =
+    R_x u for u in I.  Expanding Phi[a, b] = [Phi a, Phi b] over the four
+    kinds of block pair shows that Phi is an automorphism iff
+    - phi is in Aut(sl_n),
+    - theta is invertible,
+    - theta R_g = R_phi(g) theta and
+    - C rho(g) = R_phi(g) C for every g in S, with rho(g) x = [x, g] the
+      adjoint module's actions.
+    Once phi is a homomorphism, the g where either identity holds form a
+    subalgebra, because R_[x,y] = R_y R_x - R_x R_y and rho obeys the same
+    law; so the Chevalley generators decide both.  phi is in Aut(sl_n) iff
+    it fits (1, identity) or (-1, transpose), and a fit is a proof.  The
+    coupling identity makes C a module map from the irreducible adjoint
+    module, so a nonzero C is injective and needs dim I >= dim S.
+
+    The cheap checks run first and the fits last: a map that is no
+    automorphism almost always fails at the first generator."""
+    model, module = lb.model, lb.module
+    phi, coupling, theta = bm.s_block, bm.coupling, bm.i_block
+    if det(theta).is_zero():
+        return False
+    rho = None
+    if not coupling.is_zero():
+        if lb.dim_i < lb.dim_s:
+            return False
+        rho = lb.adjoint_module.actions
+    for g in model.generator_indices:
+        r_image = module.action(phi.column(g))
+        if not _intertwines(theta, module.actions[g], r_image):
+            return False
+        if rho is not None and not _intertwines(coupling, rho[g], r_image):
+            return False
+    images = basis_images(model, phi)
+    return any(
+        fit_shape_family(model, phi, eps, sigma, images)[1] is not None
+        for eps, sigma in AUTOMORPHISM_FAMILIES
+    )
+
+
 # ---------------------------------------------------------------------------
 # Module isomorphisms, extension
 
@@ -417,18 +487,17 @@ def extend_automorphism(lb: SemidirectLeibniz, phi_s: Matrix, omega=0) -> BlockM
         raise ValueError("the S map is not an automorphism of sl_n")
     # The twisted action v .' g = v . phi_s(g) needs no module-law check:
     # R'([x, y]) = R([phi x, phi y]) = R'(y) R'(x) - R'(x) R'(y).
-    twisted = [lb.module._combine(phi_s.column(a)) for a in range(lb.dim_s)]
+    twisted = [lb.module.action(phi_s.column(a)) for a in range(lb.dim_s)]
     phi_i = module_isomorphism(lb.module, twisted)
     if phi_i is None:
         return None
     coupling = Matrix.zeros(lb.dim_i, lb.dim_s)
     if lb.dim_s == lb.dim_i and not omega.is_zero():
-        theta = module_isomorphism(module_adjoint(lb.model), twisted)
+        theta = module_isomorphism(lb.adjoint_module, twisted)
         if theta is not None:
             coupling = theta * omega
     bm = BlockMap(phi_s, coupling, phi_i)
-    ok, pair = is_automorphism(lb, bm)
-    internal_check(ok, f"extension failed the bracket check at {pair}")
+    internal_check(is_block_automorphism(lb, bm), "extension is not an automorphism by its blocks")
     return bm
 
 
@@ -593,15 +662,17 @@ def _weight_obstruction(lb: SemidirectLeibniz, reducer: BlockMap, reduced: Block
 
 def decide_local_aut(lb: SemidirectLeibniz, bm: BlockMap) -> LeibnizVerdict:
     """Is the block map a local automorphism of L?  By the classification
-    this is equivalent to being an automorphism, so the bracket check
+    this is equivalent to being an automorphism, so the block check
     decides first; only a failure goes on, to pick an independently
-    checkable certificate."""
+    checkable certificate.  The full bracket scan then names the failing
+    pair or finds the map singular."""
     shapes = (bm.s_block.nrows, bm.s_block.ncols, bm.i_block.nrows, bm.i_block.ncols)
     if shapes != (lb.dim_s, lb.dim_s, lb.dim_i, lb.dim_i):
         raise ValueError("block sizes do not match the algebra")
-    ok, pair = is_automorphism(lb, bm)
-    if ok:
+    if is_block_automorphism(lb, bm):
         return LeibnizVerdict(LOCAL_AUT)
+    ok, pair = is_automorphism(lb, bm)
+    internal_check(not ok, "the block check and the bracket scan disagree")
     if pair is None:
         return LeibnizVerdict(NOT_LOCAL, NotInjective(kernel(bm.full_matrix()).basis[0]))
     s_verdict = classify_sln(lb.model, bm.s_block)

@@ -477,11 +477,12 @@ def intertwiner_space(pairs) -> Subspace:
 
 
 def combine(coeffs, vectors) -> Vector:
-    """sum_k coeffs[k] * vectors[k] over the nonzero Q(i) coefficients."""
+    """sum_k coeffs[k] * vectors[k] over the nonzero Q(i) coefficients and
+    vector entries."""
     out = [GR_ZERO] * len(vectors[0])
     for c, v in zip(coeffs, vectors):
         if c.a or c.b:
-            out = [x + c * y for x, y in zip(out, v)]
+            out = [x + c * y if y.a or y.b else x for x, y in zip(out, v)]
     return tuple(out)
 
 

@@ -77,6 +77,14 @@ class SlnModel(MatrixModel):
     def h(self, k: int) -> Matrix:
         return self.basis[len(self.off_pairs) + k]
 
+    @cached_property
+    def generator_indices(self) -> tuple:
+        """Basis indices of the Chevalley generators e_k,k+1 and e_k+1,k,
+        which generate sl_n under the bracket."""
+        return tuple(
+            self._off_index[pair] for k in range(self.n - 1) for pair in ((k, k + 1), (k + 1, k))
+        )
+
     def coords(self, x: Matrix):
         if x.nrows != self.n or x.ncols != self.n:
             raise ValueError("matrix has wrong size for this model")
@@ -211,6 +219,8 @@ SIGMA_T = "transpose"
 # Fit order is part of the observable contract: families are tried in this
 # sequence and the first invertible fit wins.
 SHAPE_FAMILIES = ((1, SIGMA_ID), (1, SIGMA_T), (-1, SIGMA_ID), (-1, SIGMA_T))
+# Aut(sl_n) is x -> a x a^-1 together with x -> -a x^T a^-1.
+AUTOMORPHISM_FAMILIES = ((1, SIGMA_ID), (-1, SIGMA_T))
 
 
 @dataclass(frozen=True)
@@ -237,7 +247,7 @@ class CanonicalShape:
         return out if self.epsilon == 1 else -out
 
     def is_automorphism_family(self) -> bool:
-        return (self.epsilon, self.sigma) in ((1, SIGMA_ID), (-1, SIGMA_T))
+        return (self.epsilon, self.sigma) in AUTOMORPHISM_FAMILIES
 
     def to_json(self):
         return {"epsilon": self.epsilon, "sigma": self.sigma, "a": self.a.to_json()}

@@ -1,0 +1,174 @@
+"""The block lemma: Phi = [[phi, 0], [C, theta]] is an automorphism of
+sl_n + I iff phi is in Aut(sl_n), theta is invertible, and theta and C
+intertwine on the Chevalley generators.  The full bracket scan is the
+reference: the decision's check and the recheck must both agree with it."""
+
+import random
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from locaut import algebra, recheck
+from locaut.classify import random_unimodular
+from locaut.exact import GaussianRational
+from locaut.leibniz import (
+    LOCAL_AUT,
+    BlockMap,
+    LeibnizVerdict,
+    RightModule,
+    build_module,
+    build_semidirect,
+    decide_local_aut,
+    extend_automorphism,
+    inner_automorphism_matrix,
+    is_automorphism,
+    is_block_automorphism,
+)
+from locaut.linalg import Matrix
+from locaut.recheck import RecheckError, recheck_leibniz_verdict
+from locaut.sln import SIGMA_T, CanonicalShape, SlnModel, shape_map_matrix
+
+MODULES = (
+    [(2, f"vm:{m}") for m in range(7)] + [(n, "natural") for n in (2, 3, 4)] + [(2, "adjoint"), (3, "adjoint")]
+)
+
+
+@lru_cache(maxsize=None)
+def semidirect(n, name):
+    model = SlnModel(n)
+    return build_semidirect(model, build_module(model, name))
+
+
+def bump(m: Matrix, r: int, s: int, c) -> Matrix:
+    """m with c added at entry (r, s)."""
+    return Matrix(tuple(tuple(x + c if (i, j) == (r, s) else x for j, x in enumerate(row))
+                        for i, row in enumerate(m.data)))
+
+
+def block_maps(lb, rng, data):
+    """Named block maps: extensions, their one-entry perturbations, a
+    singular, a zero, a scaled and a twisted I-block, an anti-family S-block
+    and -1 on S."""
+    model = lb.model
+    ds, di = lb.dim_s, lb.dim_i
+    ext = [extend_automorphism(lb, inner_automorphism_matrix(model, random_unimodular(model.n, rng)), omega)
+           for omega in (0, 1)]
+    base = ext[data.draw(st.integers(0, 1), label="base omega")]
+    c = data.draw(st.sampled_from((GaussianRational(1), GaussianRational(-2), GaussianRational(0, 1))), label="c")
+    entry = lambda rows, cols: (data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1)))
+    g = random_unimodular(model.n, rng)
+    # I + R_e12 commutes with R_e12 but not with the other generators'
+    # actions (unless the module is trivial), so only a later generator
+    # shows that this I-block breaks the lemma
+    first = lb.module.actions[model.generator_indices[0]]
+    maps = {
+        "inner_omega0": ext[0],
+        "inner_omega1": ext[1],
+        "perturbed_s": BlockMap(bump(base.s_block, *entry(ds, ds), c), base.coupling, base.i_block),
+        "perturbed_coupling": BlockMap(base.s_block, bump(base.coupling, *entry(di, ds), c), base.i_block),
+        "perturbed_i": BlockMap(base.s_block, base.coupling, bump(base.i_block, *entry(di, di), c)),
+        "singular_i": BlockMap(base.s_block, base.coupling,
+                               base.i_block @ Matrix.diagonal([0 if p == 0 else 1 for p in range(di)])),
+        "scaled_i": BlockMap(base.s_block, base.coupling, base.i_block * GaussianRational(3)),
+        "zero_i": BlockMap(base.s_block, Matrix.zeros(di, ds), Matrix.zeros(di, di)),
+        "first_generator_only_i": BlockMap(base.s_block, base.coupling,
+                                           base.i_block @ (Matrix.identity(di) + first)),
+        "anti_s": BlockMap(shape_map_matrix(model, CanonicalShape(1, SIGMA_T, g)), Matrix.zeros(di, ds),
+                           Matrix.identity(di)),
+        "minus_s": BlockMap(model.scalar_map(-1), Matrix.zeros(di, ds), Matrix.identity(di)),
+    }
+    # -a x^T a^-1 is an automorphism; it extends when the twisted module is
+    # isomorphic to I (always on sl_2 and on the adjoint module)
+    neg_t = extend_automorphism(lb, shape_map_matrix(model, CanonicalShape(-1, SIGMA_T, g)), 1)
+    if neg_t is not None:
+        maps["neg_transpose"] = neg_t
+    return maps
+
+
+@pytest.mark.parametrize("n, name", MODULES)
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_block_check_and_recheck_agree_with_the_bracket_scan(n, name, data):
+    lb = semidirect(n, name)
+    rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
+    claim = LeibnizVerdict(LOCAL_AUT)
+    for kind, bm in block_maps(lb, rng, data).items():
+        want = is_automorphism(lb, bm)[0]
+        assert is_block_automorphism(lb, bm) == want, kind
+        if want:
+            recheck_leibniz_verdict(lb, bm, claim)
+        else:
+            with pytest.raises(RecheckError):
+                recheck_leibniz_verdict(lb, bm, claim)
+        if kind in ("inner_omega0", "inner_omega1", "scaled_i", "neg_transpose"):
+            assert want, kind
+        if kind in ("singular_i", "zero_i", "anti_s", "minus_s"):
+            assert not want, kind
+        if kind == "first_generator_only_i":
+            assert want == lb.module.actions[lb.model.generator_indices[0]].is_zero(), kind
+
+
+def test_recheck_checks_the_i_block_inverse_by_product(monkeypatch):
+    """theta = 0 meets both generator identities, so only the inverse shows
+    the map singular; an elimination that returns a wrong inverse instead
+    of failing must not make the recheck accept it."""
+    lb = semidirect(2, "vm:2")
+    bm = extend_automorphism(lb, inner_automorphism_matrix(lb.model, random_unimodular(2, random.Random(3))), 0)
+    zero_i = BlockMap(bm.s_block, bm.coupling, Matrix.zeros(lb.dim_i, lb.dim_i))
+    monkeypatch.setattr(recheck, "inverse", lambda m: Matrix.identity(m.nrows))
+    with pytest.raises(RecheckError, match="inverse"):
+        recheck_leibniz_verdict(lb, zero_i, LeibnizVerdict(LOCAL_AUT))
+
+
+def test_recheck_checks_the_fitted_s_shape(monkeypatch):
+    """On the trivial module every I-block identity holds, so only the
+    S-block shows that transposition is no automorphism; a fit that returns
+    a wrong witness must not make the recheck accept it."""
+    lb = semidirect(2, "vm:0")
+    anti = BlockMap(lb.model.transpose_map(), Matrix.zeros(1, 3), Matrix.identity(1))
+    monkeypatch.setattr(recheck, "fit_shape_family", lambda *args: (None, Matrix.identity(2)))
+    with pytest.raises(RecheckError, match="shape"):
+        recheck_leibniz_verdict(lb, anti, LeibnizVerdict(LOCAL_AUT))
+
+
+def counting(monkeypatch, owner, name):
+    """Rebind owner.name to a wrapper that records each call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("n, name, scans", [(2, "vm:2", 1), (3, "adjoint", 0), (2, "adjoint", 0), (3, "natural", 0)])
+def test_adjoint_module_is_built_once_per_algebra(monkeypatch, n, name, scans):
+    model = SlnModel(n)
+    lb = build_semidirect(model, build_module(model, name))
+    calls = counting(monkeypatch, RightModule, "law_violations")
+    rng = random.Random(n)
+    for _ in range(3):
+        phi = inner_automorphism_matrix(model, random_unimodular(n, rng))
+        assert extend_automorphism(lb, phi, 1) is not None
+    assert len(calls) == scans
+    if name == "adjoint":
+        assert lb.adjoint_module is lb.module
+
+
+@pytest.mark.parametrize("n, name", [(2, "vm:2"), (3, "adjoint"), (4, "natural")])
+@pytest.mark.parametrize("omega", [0, 1])
+def test_positive_decision_and_recheck_make_no_bracket_call(monkeypatch, n, name, omega):
+    lb = semidirect(n, name)
+    phi = inner_automorphism_matrix(lb.model, random_unimodular(n, random.Random(omega)))
+    bm = extend_automorphism(lb, phi, omega)
+    calls = counting(monkeypatch, algebra.StructureAlgebra, "bracket")
+    v = decide_local_aut(lb, bm)
+    assert v.verdict == LOCAL_AUT
+    assert calls == []
+    recheck_leibniz_verdict(lb, bm, v)
+    assert calls == []

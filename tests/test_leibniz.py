@@ -323,7 +323,7 @@ def test_is_automorphism_failure_pair():
 
 def twisted_actions(module, phi):
     """The actions v .' g = v . phi(g), one per model basis element."""
-    return [module._combine(phi.column(a)) for a in range(module.model.dim)]
+    return [module.action(phi.column(a)) for a in range(module.model.dim)]
 
 
 def test_extending_the_identity_gives_a_scalar_i_block():
