@@ -76,15 +76,20 @@ class StructureAlgebra:
         return tuple(out)
 
     def automorphism_check(self, m: Matrix):
-        """(ok, failing_pair): m is invertible and m [e_i, e_j] = [m e_i, m e_j]
-        on every basis pair.  Pairs are scanned with i outer, j inner, and the
-        first failing one is returned; a singular m gives (False, None).
+        """(ok, pair): m is invertible and no basis pair fails; a singular m
+        gives (False, None), else pair is failing_pair(m)."""
+        if det(m).is_zero():
+            return False, None
+        pair = self.failing_pair(m)
+        return pair is None, pair
+
+    def failing_pair(self, m: Matrix):
+        """The first basis pair (i, j) with m [e_i, e_j] != [m e_i, m e_j],
+        scanned with i outer and j inner, or None when m preserves them all.
 
         On an alternating table both sides are alternating in (i, j): (i, j)
         fails iff (j, i) does, and (i, i) never fails.  The first failing pair
         of the full scan therefore has i < j, and scanning j > i finds it."""
-        if det(m).is_zero():
-            return False, None
         images = [m.column(k) for k in range(self.dim)]
         for i, row in enumerate(self._nonzero):
             for j in range(i + 1 if self.alternating else 0, self.dim):
@@ -96,8 +101,8 @@ class StructureAlgebra:
                         if x.a or x.b:
                             want[r] = want[r] + c * x
                 if tuple(want) != self.bracket(images[i], images[j]):
-                    return False, (i, j)
-        return True, None
+                    return i, j
+        return None
 
     def validate_lie(self):
         """List of violated identities: ("alt", i, j) or ("jacobi", i, j, k).

@@ -34,6 +34,7 @@ from .linalg import (
     negated_factors,
 )
 from .sln import (
+    AUTOMORPHISM_FAMILIES,
     SHAPE_FAMILIES,
     SIGMA_ID,
     SIGMA_T,
@@ -176,6 +177,19 @@ def fit_shape_family(model, d: Matrix, epsilon: int, sigma: str, images=None):
     a = matrix_from_flat(space.basis[0], model.n)
     internal_check(not det(a).is_zero(), "nonzero fit of an irreducible family must be invertible")
     return space, a
+
+
+def automorphism_shape(model: SlnModel, d: Matrix, images) -> CanonicalShape | None:
+    """The shape of d when d is an automorphism of sl_n, else None.
+
+    Aut(sl_n) is exactly x -> a x a^-1 and x -> -a x^T a^-1, so a fit of
+    (1, identity) or (-1, transpose) proves membership and no fit disproves
+    it.  images are the basis images of d."""
+    for eps, sigma in AUTOMORPHISM_FAMILIES:
+        _, a = fit_shape_family(model, d, eps, sigma, images)
+        if a is not None:
+            return CanonicalShape(eps, sigma, a)
+    return None
 
 
 def _verify_shape(model, images, shape: CanonicalShape) -> bool:

@@ -156,7 +156,10 @@ def sample_points(n: int, samples: int, seed: int):
 
 def counterexample_demo(fl: FiliformAlgebra, samples: int = 200, seed: int = 0) -> FiliformReport:
     """delta is not an automorphism, yet every sampled point has an exact
-    automorphism witness: a local automorphism that is not an automorphism."""
+    automorphism witness: a local automorphism that is not an automorphism.
+    A report must check something to say verified, so samples >= 1."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
     ok, pair = map_is_automorphism(fl, delta_map(fl))
     phi_count = psi_count = 0
     verified = True

@@ -14,16 +14,16 @@ weight_decomposition raises ValueError on a module whose Cartan actions are
 not diagonal.
 
 Local automorphisms of these algebras are automorphisms, so the decision
-is the automorphism test, made on the blocks of the map
+is the automorphism test, made on the blocks of the map alone
 (is_block_automorphism): the I-block is invertible, the I-block and the
 coupling intertwine on the Chevalley generators, and the S-block fits an
-automorphism family of sl_n.  Only a map that fails goes on to the full
-bracket scan, which names a failing basis pair or finds the map singular.
-The certificate of a negative answer mirrors
-the structure theory: the sl_n block must be a local automorphism;
-anti-family blocks are never local, and the code hunts for a concrete
-certificate (a square-zero break or a weight-space violation) rather than
-asking the caller to trust the theory.
+automorphism family of sl_n.  A map that fails only needs a certificate,
+which mirrors the structure theory: a singular map (one of its diagonal
+blocks is) gives a kernel vector; the sl_n block must be a local
+automorphism; anti-family blocks are never local, and the code hunts for a
+concrete certificate (a square-zero break or a weight-space violation)
+rather than asking the caller to trust the theory.  The full bracket scan
+runs only to name the failing basis pair of a bracket_failure certificate.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from .classify import (
     NOT_LOCAL,
     NotInjective,
     Verdict,
+    automorphism_shape,
     basis_images,
     classify_sln,
-    fit_shape_family,
 )
 from .exact import GR_ONE, GR_ZERO, GaussianRational, as_scalar, format_scalar, internal_check
 from .linalg import (
@@ -53,7 +53,7 @@ from .linalg import (
     kernel,
     matrix_from_flat,
 )
-from .sln import AUTOMORPHISM_FAMILIES, SIGMA_ID, CanonicalShape, SlnModel, shape_map_matrix
+from .sln import SIGMA_ID, CanonicalShape, SlnModel, shape_map_matrix
 
 
 class RightModule:
@@ -417,6 +417,15 @@ def is_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap) -> bool:
 
     The cheap checks run first and the fits last: a map that is no
     automorphism almost always fails at the first generator."""
+    if not _blocks_intertwine(lb, bm):
+        return False
+    phi = bm.s_block
+    return automorphism_shape(lb.model, phi, basis_images(lb.model, phi)) is not None
+
+
+def _blocks_intertwine(lb: SemidirectLeibniz, bm: BlockMap) -> bool:
+    """The block lemma short of phi in Aut(sl_n): theta is invertible, and
+    theta and C intertwine on the Chevalley generators."""
     model, module = lb.model, lb.module
     phi, coupling, theta = bm.s_block, bm.coupling, bm.i_block
     if det(theta).is_zero():
@@ -432,11 +441,7 @@ def is_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap) -> bool:
             return False
         if rho is not None and not _intertwines(coupling, rho[g], r_image):
             return False
-    images = basis_images(model, phi)
-    return any(
-        fit_shape_family(model, phi, eps, sigma, images)[1] is not None
-        for eps, sigma in AUTOMORPHISM_FAMILIES
-    )
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +482,12 @@ def extend_automorphism(lb: SemidirectLeibniz, phi_s: Matrix, omega=0) -> BlockM
     exist when dim S = dim I; otherwise it is forced to vanish and omega is
     ignored.  Raises ValueError when phi_s is not an automorphism of sl_n in
     the first place (anti-automorphisms included: their twists are not right
-    modules).
+    modules).  The family fit decides that; det phi_s only picks the message.
     """
     omega = as_scalar(omega)
-    ok, pair = lb.model.structure_algebra().automorphism_check(phi_s)
-    if not ok and pair is None:
-        raise ValueError("the S map is singular, so not an automorphism")
-    if not ok:
+    if automorphism_shape(lb.model, phi_s, basis_images(lb.model, phi_s)) is None:
+        if det(phi_s).is_zero():
+            raise ValueError("the S map is singular, so not an automorphism")
         raise ValueError("the S map is not an automorphism of sl_n")
     # The twisted action v .' g = v . phi_s(g) needs no module-law check:
     # R'([x, y]) = R([phi x, phi y]) = R'(y) R'(x) - R'(x) R'(y).
@@ -497,7 +501,8 @@ def extend_automorphism(lb: SemidirectLeibniz, phi_s: Matrix, omega=0) -> BlockM
         if theta is not None:
             coupling = theta * omega
     bm = BlockMap(phi_s, coupling, phi_i)
-    internal_check(is_block_automorphism(lb, bm), "extension is not an automorphism by its blocks")
+    # phi_s is fitted already: the other half of the block lemma completes it
+    internal_check(_blocks_intertwine(lb, bm), "extension is not an automorphism by its blocks")
     return bm
 
 
@@ -663,34 +668,34 @@ def _weight_obstruction(lb: SemidirectLeibniz, reducer: BlockMap, reduced: Block
 def decide_local_aut(lb: SemidirectLeibniz, bm: BlockMap) -> LeibnizVerdict:
     """Is the block map a local automorphism of L?  By the classification
     this is equivalent to being an automorphism, so the block check
-    decides first; only a failure goes on, to pick an independently
-    checkable certificate.  The full bracket scan then names the failing
-    pair or finds the map singular."""
+    decides; a failure only goes on to pick an independently checkable
+    certificate.  The map is block lower-triangular, so it is singular iff
+    a diagonal block is.  The full bracket scan runs once, for a
+    bracket_failure certificate, and names its pair."""
     shapes = (bm.s_block.nrows, bm.s_block.ncols, bm.i_block.nrows, bm.i_block.ncols)
     if shapes != (lb.dim_s, lb.dim_s, lb.dim_i, lb.dim_i):
         raise ValueError("block sizes do not match the algebra")
     if is_block_automorphism(lb, bm):
         return LeibnizVerdict(LOCAL_AUT)
-    ok, pair = is_automorphism(lb, bm)
-    internal_check(not ok, "the block check and the bracket scan disagree")
-    if pair is None:
+    if det(bm.i_block).is_zero() or det(bm.s_block).is_zero():
         return LeibnizVerdict(NOT_LOCAL, NotInjective(kernel(bm.full_matrix()).basis[0]))
     s_verdict = classify_sln(lb.model, bm.s_block)
     if s_verdict.verdict == NOT_LOCAL:
         return LeibnizVerdict(NOT_LOCAL, InheritedSlnObstruction(s_verdict))
-    if s_verdict.verdict == AUTOMORPHISM:
-        return LeibnizVerdict(NOT_LOCAL, BracketFailure(*pair))
-    # Anti-automorphism S-block: never local.  Hunt for the concrete witness.
-    for z in _obstruction_points(lb):
-        cert = bracket_square_obstruction(lb, bm, z)
+    if s_verdict.verdict != AUTOMORPHISM:
+        # Anti-automorphism S-block: never local.  Hunt for the concrete witness.
+        for z in _obstruction_points(lb):
+            cert = bracket_square_obstruction(lb, bm, z)
+            if cert is not None:
+                return LeibnizVerdict(NOT_LOCAL, cert)
+        # Normalize the S-block by undoing its inner part, then inspect weights.
+        shape = s_verdict.shape
+        reducer = extend_automorphism(lb, inner_automorphism_matrix(lb.model, shape.a), 0)
+        internal_check(reducer is not None, "inner automorphisms always extend")
+        reduced = reducer.inv().compose(bm)
+        cert = _weight_obstruction(lb, reducer, reduced)
         if cert is not None:
             return LeibnizVerdict(NOT_LOCAL, cert)
-    # Normalize the S-block by undoing its inner part, then inspect weights.
-    shape = s_verdict.shape
-    reducer = extend_automorphism(lb, inner_automorphism_matrix(lb.model, shape.a), 0)
-    internal_check(reducer is not None, "inner automorphisms always extend")
-    reduced = reducer.inv().compose(bm)
-    cert = _weight_obstruction(lb, reducer, reduced)
-    if cert is not None:
-        return LeibnizVerdict(NOT_LOCAL, cert)
+    pair = lb.algebra.failing_pair(bm.full_matrix())
+    internal_check(pair is not None, "the block check and the bracket scan disagree")
     return LeibnizVerdict(NOT_LOCAL, BracketFailure(*pair))

@@ -29,6 +29,7 @@ from .classify import (
     MN_FAMILIES,
     NOT_LOCAL,
     Verdict,
+    automorphism_shape,
     basis_images,
     fit_shape_family,
     probe_element,
@@ -45,7 +46,7 @@ from .leibniz import (
     weight_of_vector,
 )
 from .linalg import Matrix, _poly_matrix_char, charpoly, inverse
-from .sln import AUTOMORPHISM_FAMILIES, SHAPE_FAMILIES, SIGMA_T, CanonicalShape, MnModel, SlnModel
+from .sln import SHAPE_FAMILIES, SIGMA_T, CanonicalShape, MnModel, SlnModel
 
 
 class RecheckError(Exception):
@@ -223,8 +224,8 @@ def _recheck_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap):
     """The block map [[phi, 0], [C, theta]] is an automorphism of L, by the
     block lemma of leibniz.is_block_automorphism, with every step checked
     by products:
-    - phi fits an automorphism family, found by fit_shape_family and then
-      checked like any shape, by recheck_shape;
+    - phi fits an automorphism family, found by classify.automorphism_shape
+      and then checked like any shape, by recheck_shape;
     - theta is invertible: an inverse found by elimination satisfies
       theta theta' = 1;
     - theta R_g = R_phi(g) theta and C rho(g) = R_phi(g) C on the Chevalley
@@ -232,12 +233,7 @@ def _recheck_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap):
     model, module = lb.model, lb.module
     phi, coupling, theta = bm.s_block, bm.coupling, bm.i_block
     images = basis_images(model, phi)
-    shape = None
-    for eps, sigma in AUTOMORPHISM_FAMILIES:
-        _, a = fit_shape_family(model, phi, eps, sigma, images)
-        if a is not None:
-            shape = CanonicalShape(eps, sigma, a)
-            break
+    shape = automorphism_shape(model, phi, images)
     _need(shape is not None, "S-block fits no automorphism family")
     recheck_shape(model, images, shape)
     try:

@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 _PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 _LABELS = {
@@ -33,3 +35,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(status):
         label = _LABELS.get(num, "")
         terminalreporter.write_line(f"criterion {num}: {status[num]}  {label}")
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """counting(owner, name) rebinds owner.name to a wrapper that records
+    the arguments of each call, and returns that list of calls."""
+
+    def install(owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    return install

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locaut import algebra, recheck
+from locaut import algebra, classify, recheck
 from locaut.classify import random_unimodular
 from locaut.exact import GaussianRational
 from locaut.leibniz import (
@@ -128,29 +128,16 @@ def test_recheck_checks_the_fitted_s_shape(monkeypatch):
     a wrong witness must not make the recheck accept it."""
     lb = semidirect(2, "vm:0")
     anti = BlockMap(lb.model.transpose_map(), Matrix.zeros(1, 3), Matrix.identity(1))
-    monkeypatch.setattr(recheck, "fit_shape_family", lambda *args: (None, Matrix.identity(2)))
+    monkeypatch.setattr(classify, "fit_shape_family", lambda *args: (None, Matrix.identity(2)))
     with pytest.raises(RecheckError, match="shape"):
         recheck_leibniz_verdict(lb, anti, LeibnizVerdict(LOCAL_AUT))
 
 
-def counting(monkeypatch, owner, name):
-    """Rebind owner.name to a wrapper that records each call."""
-    calls = []
-    original = getattr(owner, name)
-
-    def wrapper(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, wrapper)
-    return calls
-
-
 @pytest.mark.parametrize("n, name, scans", [(2, "vm:2", 1), (3, "adjoint", 0), (2, "adjoint", 0), (3, "natural", 0)])
-def test_adjoint_module_is_built_once_per_algebra(monkeypatch, n, name, scans):
+def test_adjoint_module_is_built_once_per_algebra(counting, n, name, scans):
     model = SlnModel(n)
     lb = build_semidirect(model, build_module(model, name))
-    calls = counting(monkeypatch, RightModule, "law_violations")
+    calls = counting(RightModule, "law_violations")
     rng = random.Random(n)
     for _ in range(3):
         phi = inner_automorphism_matrix(model, random_unimodular(n, rng))
@@ -162,11 +149,11 @@ def test_adjoint_module_is_built_once_per_algebra(monkeypatch, n, name, scans):
 
 @pytest.mark.parametrize("n, name", [(2, "vm:2"), (3, "adjoint"), (4, "natural")])
 @pytest.mark.parametrize("omega", [0, 1])
-def test_positive_decision_and_recheck_make_no_bracket_call(monkeypatch, n, name, omega):
+def test_positive_decision_and_recheck_make_no_bracket_call(counting, n, name, omega):
     lb = semidirect(n, name)
     phi = inner_automorphism_matrix(lb.model, random_unimodular(n, random.Random(omega)))
     bm = extend_automorphism(lb, phi, omega)
-    calls = counting(monkeypatch, algebra.StructureAlgebra, "bracket")
+    calls = counting(algebra.StructureAlgebra, "bracket")
     v = decide_local_aut(lb, bm)
     assert v.verdict == LOCAL_AUT
     assert calls == []

@@ -11,6 +11,8 @@ from locaut.classify import (
     ANTI_AUTOMORPHISM,
     AUTOMORPHISM,
     NOT_LOCAL,
+    automorphism_shape,
+    basis_images,
     classify_mn,
     classify_sln,
     fit_shape_family,
@@ -374,3 +376,40 @@ def test_dim7_near_miss_is_decided_without_search(monkeypatch):
     assert calls == []
     assert pointwise_witness(model, model.transpose_map(), e12) is not None
     assert len(calls) == 1
+
+
+# -- automorphism test by fit ------------------------------------------------
+
+
+def one_entry_bump(d: Matrix, r: int, s: int) -> Matrix:
+    return Matrix(tuple(tuple(x + 1 if (i, j) == (r, s) else x for j, x in enumerate(row))
+                        for i, row in enumerate(d.data)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_automorphism_shape_agrees_with_the_bracket_scan(n):
+    """The family fit is the only automorphism test of sl_n; the bracket
+    scan of the structure algebra is its reference."""
+    model = SlnModel(n)
+    rng = random.Random(8000 + n)
+    maps = []
+    for eps, sigma in SHAPE_FAMILIES:
+        maps.append(shape_map_matrix(model, CanonicalShape(eps, sigma, random_unimodular(n, rng))))
+    inner = maps[0]
+    maps += [inner * GaussianRational(2), inner * GaussianRational(0, 1), model.scalar_map(-1)]
+    drop = rng.randrange(model.dim)
+    maps += [inner @ Matrix.diagonal([0 if i == drop else 1 for i in range(model.dim)]),
+             Matrix.zeros(model.dim, model.dim)]
+    maps += [one_entry_bump(d, rng.randrange(model.dim), rng.randrange(model.dim)) for d in maps[:4]]
+    scan = model.structure_algebra()
+    verdicts = []
+    for d in maps:
+        want = scan.automorphism_check(d)[0]
+        shape = automorphism_shape(model, d, basis_images(model, d))
+        assert (shape is not None) == want
+        if shape is not None:
+            assert shape.is_automorphism_family()
+            assert shape_map_matrix(model, shape) == d
+        verdicts.append(want)
+    # exactly the (1, id) and (-1, T) families are automorphisms
+    assert verdicts[:7] == [True, False, False, True, False, False, False]

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from locaut import classify, leibniz, linalg
+from locaut.algebra import StructureAlgebra
 from locaut.classify import (
     AUTOMORPHISM,
     MN_FAMILIES,
@@ -206,60 +207,67 @@ def leibniz_maps(lb, rng):
     p, q = rng.randrange(di), rng.randrange(ds)
     bump = Matrix(tuple(tuple(1 if (r, s) == (p, q) else 0 for s in range(ds)) for r in range(di)))
     proj = Matrix.diagonal([0] + [1] * (di - 1))
+    proj_s = Matrix.diagonal([0] + [1] * (ds - 1))
     return ext + [
         BlockMap(model.transpose_map(), Matrix.zeros(di, ds), Matrix.identity(di) * GaussianRational(2)),
         BlockMap(model.scalar_map(-1), Matrix.zeros(di, ds), Matrix.identity(di)),
         BlockMap(base.s_block, base.coupling + bump, base.i_block),
         BlockMap(base.s_block, base.coupling, base.i_block @ proj),
         BlockMap(base.s_block * GaussianRational(2), base.coupling, base.i_block),
+        BlockMap(base.s_block @ proj_s, base.coupling, base.i_block),
     ]
 
 
-@pytest.mark.parametrize("n, name", [(2, "vm:2"), (3, "natural")])
-def test_decide_local_aut_matches_screen_first_reference(n, name):
+LEIBNIZ_CASES = [(2, "vm:2"), (2, "vm:0"), (2, "vm:6"), (3, "natural"), (3, "adjoint"), (4, "natural")]
+NONTRIVIAL_KINDS = [LOCAL_AUT, LOCAL_AUT, "bracket_square", "weight_structure", "bracket_failure",
+                    "not_injective", "sln_block", "not_injective"]
+# on the trivial module both anti S-blocks (transpose and -1) fall through
+# to the bracket scan: no square-zero point breaks and beta = 0
+TRIVIAL_KINDS = [LOCAL_AUT, LOCAL_AUT, "bracket_failure", "bracket_failure", "bracket_failure",
+                 "not_injective", "sln_block", "not_injective"]
+
+
+def leibniz_case(n, name):
     model = SlnModel(n)
     lb = build_semidirect(model, build_module(model, name))
+    return lb, leibniz_maps(lb, random.Random(7200 + n))
+
+
+def kind_of(verdict):
+    got = verdict.to_json()
+    return got["verdict"] if got["certificate"] is None else got["certificate"]["kind"]
+
+
+@pytest.mark.parametrize("n, name", LEIBNIZ_CASES)
+def test_decide_local_aut_matches_screen_first_reference(n, name):
+    lb, maps = leibniz_case(n, name)
     kinds = []
-    for bm in leibniz_maps(lb, random.Random(7200 + n)):
-        got = decide_local_aut(lb, bm).to_json()
-        assert got == reference_decide_local_aut(lb, bm).to_json()
-        kinds.append(got["verdict"] if got["certificate"] is None else got["certificate"]["kind"])
-    assert kinds == [LOCAL_AUT, LOCAL_AUT, "bracket_square", "weight_structure", "bracket_failure",
-                     "not_injective", "sln_block"]
+    for bm in maps:
+        got = decide_local_aut(lb, bm)
+        assert got.to_json() == reference_decide_local_aut(lb, bm).to_json()
+        kinds.append(kind_of(got))
+    assert kinds == (TRIVIAL_KINDS if name == "vm:0" else NONTRIVIAL_KINDS)
 
 
 # -- call counts ----------------------------------------------------------------
 
 
-def counting(monkeypatch, module, name):
-    """Rebind module.name to a wrapper that records each call."""
-    calls = []
-    original = getattr(module, name)
-
-    def wrapper(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
-
-
-def test_local_automorphism_classifies_no_s_block(monkeypatch):
+def test_local_automorphism_classifies_no_s_block(counting):
     model = SlnModel(2)
     lb = build_semidirect(model, build_module(model, "vm:2"))
-    calls = counting(monkeypatch, leibniz, "classify_sln")
+    calls = counting(leibniz, "classify_sln")
     for bm in leibniz_maps(lb, random.Random(1))[:2]:
         assert decide_local_aut(lb, bm).verdict == LOCAL_AUT
     assert calls == []
 
 
 @pytest.mark.parametrize("n, name", [(2, "vm:2"), (2, "vm:6"), (3, "natural"), (3, "adjoint"), (4, "natural")])
-def test_extension_and_decision_check_no_module_law(monkeypatch, n, name):
+def test_extension_and_decision_check_no_module_law(counting, n, name):
     """An S map that passes the automorphism check gives the twisted actions
     the module law, so extending it builds no RightModule to check that law."""
     model = SlnModel(n)
     lb = build_semidirect(model, build_module(model, name))
-    calls = counting(monkeypatch, leibniz.RightModule, "law_violations")
+    calls = counting(leibniz.RightModule, "law_violations")
     phi = inner_automorphism_matrix(model, random_unimodular(n, random.Random(n)))
     assert extend_automorphism(lb, phi, 0) is not None
     minus_s = BlockMap(model.scalar_map(-1), Matrix.zeros(lb.dim_i, lb.dim_s), Matrix.identity(lb.dim_i))
@@ -267,11 +275,38 @@ def test_extension_and_decision_check_no_module_law(monkeypatch, n, name):
     assert calls == []
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_fitted_map_runs_no_screen(monkeypatch, n):
+@pytest.mark.parametrize("n, name", LEIBNIZ_CASES)
+def test_bracket_scan_runs_only_to_name_a_bracket_failure_pair(counting, n, name):
+    lb, maps = leibniz_case(n, name)
+    scans = counting(StructureAlgebra, "failing_pair")
+    for bm in maps:
+        scans.clear()
+        kind = kind_of(decide_local_aut(lb, bm))
+        assert len(scans) == (kind == "bracket_failure"), kind
+
+
+@pytest.mark.parametrize("n, name", LEIBNIZ_CASES)
+def test_extension_makes_no_bracket_call(counting, n, name):
+    """phi_s is validated by the family fit, not by the sl_n bracket scan,
+    on success and on both ValueError paths alike."""
     model = SlnModel(n)
-    injectivity = counting(monkeypatch, classify, "_injectivity_verdict")
-    square_zero = counting(monkeypatch, classify, "square_zero_counterexample")
+    lb = build_semidirect(model, build_module(model, name))
+    phi = inner_automorphism_matrix(model, random_unimodular(n, random.Random(n)))
+    brackets = counting(StructureAlgebra, "bracket")
+    for omega in (0, 1):
+        assert extend_automorphism(lb, phi, omega) is not None
+    for bad, message in ((model.transpose_map(), "not an automorphism of sl_n"),
+                         (Matrix.zeros(lb.dim_s, lb.dim_s), "singular")):
+        with pytest.raises(ValueError, match=message):
+            extend_automorphism(lb, bad)
+    assert brackets == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fitted_map_runs_no_screen(counting, n):
+    model = SlnModel(n)
+    injectivity = counting(classify, "_injectivity_verdict")
+    square_zero = counting(classify, "square_zero_counterexample")
     for eps, sigma in SHAPE_FAMILIES:
         d = shape_map_matrix(model, CanonicalShape(eps, sigma, random_unimodular(n, random.Random(n))))
         assert classify_sln(model, d).obstruction is None
@@ -281,8 +316,8 @@ def test_fitted_map_runs_no_screen(monkeypatch, n):
     assert len(injectivity) == 1 and square_zero == []
 
 
-def test_pointwise_witness_builds_intertwiners_only_for_similar_pairs(monkeypatch):
-    calls = counting(monkeypatch, linalg, "intertwiner_space")
+def test_pointwise_witness_builds_intertwiners_only_for_similar_pairs(counting):
+    calls = counting(linalg, "intertwiner_space")
     # the dim-7 near-miss: e12 and its image have different Jordan types, and
     # so has -(e12^T)
     model = SlnModel(4)
@@ -298,12 +333,12 @@ def test_pointwise_witness_builds_intertwiners_only_for_similar_pairs(monkeypatc
     assert len(calls) == 1
 
 
-def test_pointwise_witness_at_a_cyclic_point_takes_one_smith_form_each(monkeypatch):
+def test_pointwise_witness_at_a_cyclic_point_takes_one_smith_form_each(counting):
     # e1 is a cyclic vector of x and of -x^T, and x is not similar to -x, so
     # the transpose map matches by conjugation and the negation by the
     # anti-twist, both through the Krylov conjugator
-    factors = counting(monkeypatch, classify, "invariant_factors")
-    spaces = [counting(monkeypatch, module, "intertwiner_space") for module in (linalg, classify)]
+    factors = counting(classify, "invariant_factors")
+    spaces = [counting(module, "intertwiner_space") for module in (linalg, classify)]
     model = SlnModel(3)
     x = Matrix(((1, 1, 0), (0, 2, 1), (1, 0, -3)))
     for d, family in ((model.transpose_map(), (1, SIGMA_ID)), (model.scalar_map(-1), (-1, SIGMA_T))):

@@ -173,6 +173,13 @@ def test_sample_points_deterministic_and_split():
             assert p[1].is_zero()
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_counterexample_demo_rejects_non_positive_samples(samples):
+    """A report that checked no point must not say all_verified."""
+    with pytest.raises(ValueError, match="samples must be positive"):
+        counterexample_demo(model_filiform(4), samples=samples)
+
+
 def test_counterexample_demo_report():
     fl = model_filiform(4)
     rep = counterexample_demo(fl, samples=24, seed=5)

@@ -377,6 +377,13 @@ def test_extend_rejects_non_automorphism_s_map():
         extend_automorphism(lb, Matrix.zeros(3, 3), 0)
 
 
+@pytest.mark.parametrize("phi_s", [Matrix.identity(4), Matrix.identity(2), Matrix.zeros(3, 4)])
+def test_extend_rejects_an_s_map_of_the_wrong_size(phi_s):
+    lb = semidirect(2, "vm:2")
+    with pytest.raises(ValueError, match="wrong size"):
+        extend_automorphism(lb, phi_s, 0)
+
+
 def test_neg_transpose_extends_on_adjoint():
     m3 = SlnModel(3)
     lb = build_semidirect(m3, module_adjoint(m3))
