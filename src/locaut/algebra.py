@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import GR_ONE, GR_ZERO, as_scalar, format_scalar, parse_scalar
-from .linalg import Matrix, Subspace, det
+from .linalg import Matrix, Subspace, is_nonsingular
 
 
 def _as_vec(v, dim: int):
@@ -78,7 +78,7 @@ class StructureAlgebra:
     def automorphism_check(self, m: Matrix):
         """(ok, pair): m is invertible and no basis pair fails; a singular m
         gives (False, None), else pair is failing_pair(m)."""
-        if det(m).is_zero():
+        if not is_nonsingular(m):
             return False, None
         pair = self.failing_pair(m)
         return pair is None, pair

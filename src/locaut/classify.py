@@ -24,11 +24,12 @@ from dataclasses import dataclass
 from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial, format_scalar, internal_check
 from .linalg import (
     Matrix,
+    _nonzero_mod_p,
     charpoly,
     conjugator,
-    det,
     intertwiner_space,
     invariant_factors,
+    is_nonsingular,
     kernel,
     matrix_from_flat,
     negated_factors,
@@ -175,7 +176,7 @@ def fit_shape_family(model, d: Matrix, epsilon: int, sigma: str, images=None):
     if space.dim == 0:
         return space, None
     a = matrix_from_flat(space.basis[0], model.n)
-    internal_check(not det(a).is_zero(), "nonzero fit of an irreducible family must be invertible")
+    internal_check(is_nonsingular(a), "nonzero fit of an irreducible family must be invertible")
     return space, a
 
 
@@ -219,7 +220,13 @@ def _fit_families(model, d: Matrix, images, families, first_only: bool):
 
 
 def _injectivity_verdict(model, d: Matrix) -> Verdict | None:
-    """NotLocal with a kernel vector when d is singular, else None."""
+    """NotLocal with a kernel vector when d is singular, else None.
+
+    A nonzero residue of det d modulo the prime of linalg.is_nonsingular
+    proves d injective, so an injective map never computes a kernel.  Any
+    other map gets the exact kernel, which decides and gives the vector."""
+    if _nonzero_mod_p(d):
+        return None
     ker = kernel(d)
     return Verdict(NOT_LOCAL, obstruction=NotInjective(ker.basis[0])) if ker.dim else None
 
@@ -360,5 +367,5 @@ def random_unimodular(n: int, rng: random.Random) -> Matrix:
         c = GaussianRational(rng.choice([-2, -1, 1, 2]))
         rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
     m = Matrix(tuple(tuple(r) for r in rows))
-    internal_check(not det(m).is_zero(), "product of shears is singular")
+    internal_check(is_nonsingular(m), "product of shears is singular")
     return m

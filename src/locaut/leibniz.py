@@ -47,9 +47,9 @@ from .linalg import (
     Matrix,
     Subspace,
     combine,
-    det,
     intertwiner_space,
     inverse,
+    is_nonsingular,
     kernel,
     matrix_from_flat,
 )
@@ -348,8 +348,18 @@ class BlockMap:
             rows.append(tuple(self.coupling.data[p]) + tuple(self.i_block.data[p]))
         return Matrix(rows)
 
+    @cached_property
+    def i_block_invertible(self) -> bool:
+        """theta is invertible: tested once per map, although the block check
+        and the singularity test both ask."""
+        return is_nonsingular(self.i_block)
+
     def apply(self, v):
-        return self.full_matrix().apply(v)
+        """Phi v block by block: (phi s, C s + theta u) for v = (s, u)."""
+        ns = self.s_block.ncols
+        s, u = v[:ns], v[ns:]
+        i_part = zip(self.coupling.apply(s), self.i_block.apply(u))
+        return self.s_block.apply(s) + tuple(a + b for a, b in i_part)
 
     def compose(self, other: "BlockMap") -> "BlockMap":
         """self after other."""
@@ -428,7 +438,7 @@ def _blocks_intertwine(lb: SemidirectLeibniz, bm: BlockMap) -> bool:
     theta and C intertwine on the Chevalley generators."""
     model, module = lb.model, lb.module
     phi, coupling, theta = bm.s_block, bm.coupling, bm.i_block
-    if det(theta).is_zero():
+    if not bm.i_block_invertible:
         return False
     rho = None
     if not coupling.is_zero():
@@ -465,7 +475,7 @@ def module_isomorphism(module: RightModule, actions) -> Matrix | None:
         return None
     internal_check(space.dim == 1, "endomorphism space of an irreducible pair exceeded a line")
     t = matrix_from_flat(space.basis[0], module.dim)
-    internal_check(not det(t).is_zero(), "nonzero intertwiner of irreducibles must be invertible")
+    internal_check(is_nonsingular(t), "nonzero intertwiner of irreducibles must be invertible")
     return t
 
 
@@ -486,7 +496,7 @@ def extend_automorphism(lb: SemidirectLeibniz, phi_s: Matrix, omega=0) -> BlockM
     """
     omega = as_scalar(omega)
     if automorphism_shape(lb.model, phi_s, basis_images(lb.model, phi_s)) is None:
-        if det(phi_s).is_zero():
+        if not is_nonsingular(phi_s):
             raise ValueError("the S map is singular, so not an automorphism")
         raise ValueError("the S map is not an automorphism of sl_n")
     # The twisted action v .' g = v . phi_s(g) needs no module-law check:
@@ -670,14 +680,15 @@ def decide_local_aut(lb: SemidirectLeibniz, bm: BlockMap) -> LeibnizVerdict:
     this is equivalent to being an automorphism, so the block check
     decides; a failure only goes on to pick an independently checkable
     certificate.  The map is block lower-triangular, so it is singular iff
-    a diagonal block is.  The full bracket scan runs once, for a
+    a diagonal block is; the block check has already tested theta, and
+    BlockMap keeps that answer.  The full bracket scan runs once, for a
     bracket_failure certificate, and names its pair."""
     shapes = (bm.s_block.nrows, bm.s_block.ncols, bm.i_block.nrows, bm.i_block.ncols)
     if shapes != (lb.dim_s, lb.dim_s, lb.dim_i, lb.dim_i):
         raise ValueError("block sizes do not match the algebra")
     if is_block_automorphism(lb, bm):
         return LeibnizVerdict(LOCAL_AUT)
-    if det(bm.i_block).is_zero() or det(bm.s_block).is_zero():
+    if not bm.i_block_invertible or not is_nonsingular(bm.s_block):
         return LeibnizVerdict(NOT_LOCAL, NotInjective(kernel(bm.full_matrix()).basis[0]))
     s_verdict = classify_sln(lb.model, bm.s_block)
     if s_verdict.verdict == NOT_LOCAL:

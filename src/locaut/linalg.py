@@ -1,8 +1,10 @@
 """Exact dense linear algebra over Q(i).
 
-Matrices are immutable.  All eliminations are plain Gauss-Jordan with
-division: Q(i) is a field and the triple-of-ints scalar keeps entries
-normalized, so fraction-free pivoting buys nothing here.
+Matrices are immutable.  Whether det is nonzero is decided modulo a prime
+p = 1 (mod 4) first (is_nonsingular), falling back to Q(i) only when the
+residue says nothing.  Every other elimination is plain Gauss-Jordan over
+Q(i) with division: Q(i) is a field and the triple-of-ints scalar keeps
+entries normalized, so fraction-free pivoting buys nothing here.
 """
 
 from __future__ import annotations
@@ -30,6 +32,18 @@ class Matrix:
         self.ncols = ncols
 
     @classmethod
+    def _of_rows(cls, data) -> "Matrix":
+        """The matrix on data, a tuple of equal-length tuples of
+        GaussianRational, taken as is: results of the arithmetic below."""
+        if not data:
+            raise ValueError("matrix needs at least one row")
+        m = object.__new__(cls)
+        m.data = data
+        m.nrows = len(data)
+        m.ncols = len(data[0])
+        return m
+
+    @classmethod
     def zeros(cls, r: int, c: int) -> "Matrix":
         return cls(((0,) * c,) * r)
 
@@ -52,7 +66,7 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(zip(*self.data))
+        return Matrix._of_rows(tuple(zip(*self.data)))
 
     def trace(self) -> GaussianRational:
         if self.nrows != self.ncols:
@@ -77,7 +91,7 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return Matrix(
+        return Matrix._of_rows(
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.data, other.data)
@@ -87,7 +101,7 @@ class Matrix:
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return Matrix(
+        return Matrix._of_rows(
             tuple(
                 tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.data, other.data)
@@ -95,11 +109,11 @@ class Matrix:
         )
 
     def __neg__(self):
-        return Matrix(tuple(tuple(-a for a in row) for row in self.data))
+        return Matrix._of_rows(tuple(tuple(-a for a in row) for row in self.data))
 
     def __mul__(self, scalar):
         s = as_scalar(scalar)
-        return Matrix(tuple(tuple(a * s for a in row) for row in self.data))
+        return Matrix._of_rows(tuple(tuple(a * s for a in row) for row in self.data))
 
     __rmul__ = __mul__
 
@@ -119,7 +133,7 @@ class Matrix:
                         acc = acc + a * b
                 out_row.append(acc)
             out.append(tuple(out_row))
-        return Matrix(tuple(out))
+        return Matrix._of_rows(tuple(out))
 
     def apply(self, v):
         """Matrix times coordinate vector."""
@@ -295,6 +309,53 @@ def det(m: Matrix) -> GaussianRational:
                 f = f * inv
                 rows[i] = [x - f * p for x, p in zip(rows[i], rows[c])]
     return acc if sign == 1 else -acc
+
+
+# p = 2^61 - 31 is prime and p = 1 (mod 4), so -1 has a square root R mod p.
+_P = 2305843009213693921
+_R = 583529827753931384
+
+
+def is_nonsingular(m: Matrix) -> bool:
+    """det m != 0, decided modulo p first.
+
+    (a + b i)/d -> (a + b R) d^-1 is a ring map from the Gaussian rationals
+    whose denominator p does not divide onto F_p, so it commutes with det: a
+    nonzero residue of det m proves det m != 0 over Q(i).  A zero residue,
+    or a denominator that p divides, proves nothing, and det decides
+    exactly.  The answer never depends on p.
+    """
+    return _nonzero_mod_p(m) or not det(m).is_zero()
+
+
+def _nonzero_mod_p(m: Matrix) -> bool:
+    """Whether det m has a nonzero residue mod p (see is_nonsingular);
+    False also when p divides some denominator."""
+    if not m.is_square():
+        raise ValueError("determinant of non-square matrix")
+    p = _P
+    try:
+        rows = [
+            [(x.a + x.b * _R) * (1 if x.d == 1 else pow(x.d, -1, p)) % p if x.a or x.b else 0 for x in row]
+            for row in m.data
+        ]
+    except ValueError:  # d has no inverse mod p
+        return False
+    n = m.nrows
+    for c in range(n):
+        k = next((k for k in range(c, n) if rows[k][c]), None)
+        if k is None:
+            return False
+        rows[c], rows[k] = rows[k], rows[c]
+        pivot = rows[c]
+        inv = pow(pivot[c], -1, p)
+        tail = pivot[c + 1:]
+        for row in rows[c + 1:]:
+            f = row[c]
+            if f:
+                f = f * inv % p
+                row[c + 1:] = [(x - f * y) % p for x, y in zip(row[c + 1:], tail)]
+    return True
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -487,7 +548,9 @@ def combine(coeffs, vectors) -> Vector:
 
 
 def matrix_from_flat(v, n: int) -> Matrix:
-    return Matrix(tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n)))
+    """The n x n matrix whose rows, read in order, are the GaussianRational
+    entries of v."""
+    return Matrix._of_rows(tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n)))
 
 
 _RANDOM_TRIES = 64
@@ -511,7 +574,7 @@ def invertible_element(space: Subspace, n: int) -> Matrix:
         if not any(x.a or x.b for x in flat):
             return None
         m = matrix_from_flat(flat, n)
-        return m if not det(m).is_zero() else None
+        return m if is_nonsingular(m) else None
 
     def first_hit(points) -> Matrix | None:
         return next((m for m in map(candidate, points) if m is not None), None)
@@ -548,7 +611,7 @@ def conjugator(x: Matrix, y: Matrix) -> Matrix:
     """
     n = x.nrows
     units = [tuple(GR_ONE if i == j else GR_ZERO for i in range(n)) for j in range(n)]
-    cyclic = next((k for k in (_krylov(x, v) for v in units) if not det(k).is_zero()), None)
+    cyclic = next((k for k in (_krylov(x, v) for v in units) if is_nonsingular(k)), None)
     if cyclic is None:
         space = intertwiner_space([(y, x)])  # a with y a = a x, i.e. a x a^-1 = y
     else:

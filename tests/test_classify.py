@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locaut import linalg
+from locaut import classify, linalg
 from locaut.classify import (
     ANTI_AUTOMORPHISM,
     AUTOMORPHISM,
@@ -22,7 +22,7 @@ from locaut.classify import (
     required_probe_charpoly,
 )
 from locaut.exact import GR_ONE, GaussianRational, Polynomial, parse_scalar
-from locaut.linalg import Matrix, det, intertwiner_space, inverse, matrix_from_flat
+from locaut.linalg import Matrix, det, intertwiner_space, inverse, kernel, matrix_from_flat
 from locaut.sln import (
     SHAPE_FAMILIES,
     SIGMA_ID,
@@ -163,6 +163,22 @@ def test_singular_map_not_injective():
     kv = v.obstruction.kernel_vector
     assert any(not x.is_zero() for x in kv)
     assert all(x.is_zero() for x in d.apply(kv))
+
+
+def test_injectivity_needs_a_kernel_only_for_a_singular_map(counting):
+    """A nonzero residue of det proves an n = 5 map injective with no
+    kernel; a singular map gets the same exact kernel vector as always."""
+    model = SlnModel(5)
+    kernels = counting(classify, "kernel")
+    inner = shape_map_matrix(model, CanonicalShape(1, SIGMA_ID, random_unimodular(5, random.Random(5))))
+    scaled = inner * GaussianRational(2)
+    assert classify_sln(model, scaled).obstruction.kind == "lambda_not_unit"
+    assert kernels == []
+    singular = inner @ Matrix.diagonal([0 if i == 3 else 1 for i in range(model.dim)])
+    v = classify_sln(model, singular)
+    assert v.obstruction.kind == "not_injective"
+    assert v.obstruction.kernel_vector == kernel(singular).basis[0]
+    assert kernels == [(singular,)]
 
 
 def test_square_zero_broken():

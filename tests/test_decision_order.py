@@ -285,6 +285,29 @@ def test_bracket_scan_runs_only_to_name_a_bracket_failure_pair(counting, n, name
         assert len(scans) == (kind == "bracket_failure"), kind
 
 
+def test_a_singular_i_block_is_tested_once(counting):
+    """The block check finds theta singular, and the singularity test reuses
+    that answer instead of testing theta again."""
+    lb, maps = leibniz_case(3, "natural")
+    singular_i = maps[5]
+    tests = counting(leibniz, "is_nonsingular")
+    assert kind_of(decide_local_aut(lb, singular_i)) == "not_injective"
+    assert len(tests) == 1 and tests[0][0] is singular_i.i_block
+
+
+@pytest.mark.parametrize("n, name", LEIBNIZ_CASES)
+def test_full_matrix_is_built_only_for_a_kernel_or_a_failing_pair(counting, n, name):
+    """BlockMap.apply works block by block, so a decision builds the full
+    matrix once at most: for the kernel vector of a singular map or to name
+    a bracket_failure pair."""
+    lb, maps = leibniz_case(n, name)
+    builds = counting(BlockMap, "full_matrix")
+    for bm in maps:
+        builds.clear()
+        kind = kind_of(decide_local_aut(lb, bm))
+        assert len(builds) == (kind in ("not_injective", "bracket_failure")), kind
+
+
 @pytest.mark.parametrize("n, name", LEIBNIZ_CASES)
 def test_extension_makes_no_bracket_call(counting, n, name):
     """phi_s is validated by the family fit, not by the sl_n bracket scan,

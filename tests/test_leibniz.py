@@ -285,6 +285,23 @@ def test_full_matrix_layout():
     assert bm.apply(lb.algebra.unit(4)) == lb.algebra.unit(4)
 
 
+@pytest.mark.parametrize("ns, ni", [(3, 3), (8, 3), (3, 7)])
+def test_block_apply_matches_the_full_matrix(ns, ni):
+    rng = random.Random(ns * ni)
+
+    def rand(r, c):
+        return Matrix(tuple(tuple(GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(c))
+                            for _ in range(r)))
+
+    bm = BlockMap(rand(ns, ns), rand(ni, ns), rand(ni, ni))
+    for _ in range(3):
+        v = rand(1, ns + ni).data[0]
+        assert bm.apply(v) == bm.full_matrix().apply(v)
+    for length in (ns + ni - 1, ns + ni + 1):
+        with pytest.raises(ValueError):
+            bm.apply(rand(1, length).data[0])
+
+
 def test_compose_matches_matrix_product():
     lb = semidirect(2, "vm:2")
     b1 = sample_block_map(lb)

@@ -1,6 +1,7 @@
 """Exact linear algebra: elimination, invariant factors, intertwiners."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -21,6 +22,7 @@ from locaut.linalg import (
     invariant_factors,
     inverse,
     invertible_element,
+    is_nonsingular,
     kernel,
     matrix_from_flat,
     negated_factors,
@@ -62,6 +64,19 @@ def test_transpose_and_trace():
     m = int_matrix([[1, 2], [3, 4]])
     assert m.T == int_matrix([[1, 3], [2, 4]])
     assert m.trace() == GaussianRational(5)
+    wide = int_matrix([[1, 2, 3], [4, 5, 6]]).T
+    assert wide == int_matrix([[1, 4], [2, 5], [3, 6]])
+    assert (wide.nrows, wide.ncols) == (3, 2)
+
+
+def test_public_constructor_checks_its_rows():
+    with pytest.raises(ValueError, match="at least one row"):
+        Matrix(())
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix(((1, 2), (3,)))
+    # a 1 x 0 matrix is allowed, but its transpose would have no rows
+    with pytest.raises(ValueError, match="at least one row"):
+        Matrix(((),)).T
 
 
 def test_matmul_identity():
@@ -153,6 +168,97 @@ def test_det_matches_cofactor_expansion(m):
 @settings(max_examples=40, deadline=None)
 def test_det_multiplicative(a, b):
     assert det(a @ b) == det(a) * det(b)
+
+
+# -- nonsingularity modulo p -------------------------------------------------
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin: the first twelve prime bases decide every
+    n < 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % a == 0 for a in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_miller_rabin_matches_trial_division():
+    for n in range(3000):
+        assert is_prime(n) == (n > 1 and all(n % k for k in range(2, int(n ** 0.5) + 1))), n
+    assert not is_prime(3215031751)  # a strong pseudoprime to the bases 2, 3, 5 and 7
+
+
+def test_modular_constants():
+    p, r = linalg._P, linalg._R
+    assert p == 2 ** 61 - 31
+    assert is_prime(p)
+    assert p % 4 == 1
+    assert (r * r + 1) % p == 0
+
+
+P = linalg._P
+
+
+@st.composite
+def nonsingularity_cases(draw):
+    """Q(i) matrices of size 1-6 with entries (a + b i)/d.  Some get a row
+    replaced by a combination of the others (det = 0); some get a row scaled
+    by p or 1/p, so that the residue is zero or undefined mod p."""
+    n = draw(st.integers(1, 6))
+    entry = st.builds(
+        lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
+        st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    k = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(entry, min_size=n, max_size=n))
+        rows[k] = [sum((coeffs[i] * rows[i][j] for i in range(n) if i != k), GR_ZERO) for j in range(n)]
+    scale = GaussianRational(draw(st.sampled_from((1, P, Fraction(1, P)))))
+    rows[-1 - k] = [x * scale for x in rows[-1 - k]]
+    return Matrix(rows)
+
+
+@given(nonsingularity_cases())
+@settings(max_examples=200, deadline=None)
+def test_is_nonsingular_matches_det(m):
+    assert is_nonsingular(m) == (not det(m).is_zero())
+
+
+def test_a_det_divisible_by_p_falls_back_to_det():
+    for rows in ([[P, 0], [0, 1]], [[P, 0], [1, GaussianRational(1, 1)]]):  # det = p, p (1 + i)
+        assert not linalg._nonzero_mod_p(int_matrix(rows))
+        assert is_nonsingular(int_matrix(rows))
+    assert not is_nonsingular(int_matrix([[P, 2 * P], [1, 2]]))
+
+
+def test_a_denominator_divisible_by_p_falls_back_to_det():
+    m = int_matrix([[Fraction(1, P), 0], [0, 1]])
+    assert not linalg._nonzero_mod_p(m)
+    assert is_nonsingular(m)
+    assert not is_nonsingular(int_matrix([[Fraction(1, P), 0], [0, 0]]))
+
+
+def test_is_nonsingular_rejects_non_square():
+    with pytest.raises(ValueError):
+        is_nonsingular(Matrix.zeros(2, 3))
 
 
 def test_inverse_roundtrip():
