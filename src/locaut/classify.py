@@ -1,9 +1,12 @@
 """Deciding which linear maps on sl_n (or M_n) are local automorphisms.
 
 A map is local iff it fits a family x -> epsilon * a * sigma(x) * a^-1, so
-the exact fit against the families decides, and runs first.  A fitted
-map is bijective and keeps square-zero elements square-zero, so the screens
-only pick the NotLocal certificate of a map that fits no family:
+the exact fit against the families decides, and runs first.  Each fit goes
+through the torus (fit_shape_family): n column kernels at h0, n - 1 ratios
+from the simple root vectors, and one check of the candidate against every
+basis element.  A fitted map is bijective and keeps square-zero elements
+square-zero, so the screens only pick the NotLocal certificate of a map
+that fits no family:
 
 1. injectivity,
 2. preservation of square-zero elements on a spanning set (M_n: Delta(1) = 1),
@@ -24,11 +27,12 @@ from dataclasses import dataclass
 from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial, format_scalar, internal_check
 from .linalg import (
     Matrix,
+    Subspace,
     _nonzero_mod_p,
     charpoly,
     conjugator,
-    intertwiner_space,
     invariant_factors,
+    inverse,
     is_nonsingular,
     kernel,
     matrix_from_flat,
@@ -148,36 +152,79 @@ def basis_images(model, d: Matrix) -> list:
 
 
 def fit_shape_family(model, d: Matrix, epsilon: int, sigma: str, images=None):
-    """Intertwiner space of the family equations Delta(sigma(e)) a = epsilon a e.
+    """Solution space of the family equations Delta(sigma(e)) a = epsilon a e.
 
-    Returns (space, witness) where witness is the basis vector of a line, or
+    Returns (space, witness): space holds the solutions a, flattened row by
+    row, in canonical form, and witness is the basis vector of a line, or
     None for the zero space.  A witness makes Delta(x) = epsilon * a *
     sigma(x) * a^-1 hold for every x.  images are the basis images of d
     (computed when not given).
 
-    No search is needed: a v = 0 gives a e v = 0 for every basis element e,
-    so ker a is invariant under the irreducible action of sl_n (or M_n) on
-    Q(i)^n.  Every nonzero a is therefore invertible, and a^-1 b commutes
-    with sl_n, so it is a scalar: the space is 0 or a line.
-
-    The pair for the strongly regular h0 goes first.  It is a linear
-    combination of the basis pairs, so it leaves the space unchanged, but it
-    cuts the n^2 unknowns to at most n directions before the sparse
-    root-vector pairs are imposed.
+    a v = 0 gives a e v = 0 for every basis element e, so ker a is invariant
+    under the irreducible action of sl_n (or M_n) on Q(i)^n: every nonzero
+    solution is invertible, and the space is 0 or a line.  The torus finds
+    the line's one candidate:
+    - h0 is diagonal with distinct entries and sigma(h0) = h0, so column c
+      of a solution lies in ker(Delta(h0) - epsilon h0_cc I).  A nonzero
+      solution makes Delta(h0) similar to epsilon h0, so each of these
+      kernels is a line v_c, or the space is 0, and then
+      a = [v_1 ... v_n] diag(c_1, ..., c_n).
+    - Column i+1 of the equation for e = E_i,i+1 reads
+      c_i+1 X v_i+1 = epsilon c_i v_i with X = Delta(sigma(e)), and every
+      c_i is nonzero, so X v_i+1 is mu v_i with mu != 0, or the space is 0;
+      then c_i+1 = epsilon c_i / mu.
+    The candidate solves every basis equation, checked as Delta(sigma(e)) =
+    epsilon a e a^-1, or the space is 0.
     """
     if images is None:
         images = basis_images(model, d)
-    h0 = model.strongly_regular_element()  # diagonal, so sigma(h0) = h0
-    pairs = [(model.apply_map(d, h0), h0 if epsilon == 1 else -h0)]
+    n = model.n
+    zero = Subspace(n * n, ())
     order = model.transpose_index if sigma == SIGMA_T else range(model.dim)
-    pairs.extend((images[k], e if epsilon == 1 else -e) for k, e in zip(order, model.basis))
-    space = intertwiner_space(pairs)
-    internal_check(space.dim <= 1, "fit space of an irreducible family exceeded a line")
-    if space.dim == 0:
-        return space, None
-    a = matrix_from_flat(space.basis[0], model.n)
-    internal_check(is_nonsingular(a), "nonzero fit of an irreducible family must be invertible")
+    h0 = model.strongly_regular_element()
+    d_h0 = model.apply_map(d, h0)
+    columns = []
+    for c in range(n):
+        line = kernel(d_h0 - Matrix.diagonal([h0.data[c][c] * epsilon] * n))
+        if line.dim != 1:
+            return zero, None
+        columns.append(line.basis[0])
+    scales = [GR_ONE]
+    for i, v in enumerate(columns[:-1]):
+        w = images[order[model.generator_indices[2 * i]]].apply(columns[i + 1])
+        mu = w[next(r for r, y in enumerate(v) if y.a or y.b)]  # v leads with 1
+        if mu.is_zero() or w != tuple(mu * y for y in v):
+            return zero, None
+        scales.append(scales[-1] * epsilon / mu)
+    space = Subspace(n * n, [tuple(s * v[r] for r in range(n) for s, v in zip(scales, columns))])
+    a = matrix_from_flat(space.basis[0], n)
+    if not _conjugates_to(a, epsilon, ((images[k], e) for k, e in zip(order, model.basis))):
+        return zero, None
     return space, a
+
+
+def _conjugates_to(a: Matrix, epsilon: int, pairs) -> bool:
+    """x = epsilon a e a^-1 for every pair (x, e).
+
+    a E_ij a^-1 is the outer product of column i of a and row j of a^-1, so
+    each nonzero entry of e costs n^2 products."""
+    cols = a.T.data
+    inv = inverse(a)
+    rows = (inv if epsilon == 1 else -inv).data
+    zero_row = (GR_ZERO,) * a.nrows
+    for x, e in pairs:
+        want = None
+        for i, e_row in enumerate(e.data):
+            for j, c in enumerate(e_row):
+                if c.a or c.b:
+                    term = Matrix._of_rows(
+                        tuple(tuple(u * y for y in rows[j]) if u.a or u.b else zero_row for u in cols[i])
+                    )
+                    term = term if c.is_one() else term * c
+                    want = term if want is None else want + term
+        if want != x:
+            return False
+    return True
 
 
 def automorphism_shape(model: SlnModel, d: Matrix, images) -> CanonicalShape | None:
@@ -193,11 +240,6 @@ def automorphism_shape(model: SlnModel, d: Matrix, images) -> CanonicalShape | N
     return None
 
 
-def _verify_shape(model, images, shape: CanonicalShape) -> bool:
-    """The shape reproduces the basis images of the map."""
-    return all(shape.apply(e) == want for e, want in zip(model.basis, images))
-
-
 def _fit_families(model, d: Matrix, images, families, first_only: bool):
     """Fit each family in order; returns (verdict, fit_dimensions).
 
@@ -210,9 +252,7 @@ def _fit_families(model, d: Matrix, images, families, first_only: bool):
         space, a = fit_shape_family(model, d, eps, sigma, images)
         dims.append(((eps, sigma), space.dim))
         if a is not None:
-            shape = CanonicalShape(eps, sigma, a)
-            internal_check(_verify_shape(model, images, shape), "fitted shape does not reproduce the map")
-            fits.append(shape)
+            fits.append(CanonicalShape(eps, sigma, a))
             if first_only:
                 break
     verdict = Verdict(_family_verdict(fits[0]), shape=fits[0], shapes=tuple(fits)) if fits else None

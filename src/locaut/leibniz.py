@@ -427,19 +427,17 @@ def is_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap) -> bool:
 
     The cheap checks run first and the fits last: a map that is no
     automorphism almost always fails at the first generator."""
-    if not _blocks_intertwine(lb, bm):
+    if not bm.i_block_invertible or not _blocks_intertwine(lb, bm):
         return False
     phi = bm.s_block
     return automorphism_shape(lb.model, phi, basis_images(lb.model, phi)) is not None
 
 
 def _blocks_intertwine(lb: SemidirectLeibniz, bm: BlockMap) -> bool:
-    """The block lemma short of phi in Aut(sl_n): theta is invertible, and
-    theta and C intertwine on the Chevalley generators."""
+    """The block lemma short of phi in Aut(sl_n) and theta invertible: theta
+    and C intertwine on the Chevalley generators."""
     model, module = lb.model, lb.module
     phi, coupling, theta = bm.s_block, bm.coupling, bm.i_block
-    if not bm.i_block_invertible:
-        return False
     rho = None
     if not coupling.is_zero():
         if lb.dim_i < lb.dim_s:
@@ -511,7 +509,8 @@ def extend_automorphism(lb: SemidirectLeibniz, phi_s: Matrix, omega=0) -> BlockM
         if theta is not None:
             coupling = theta * omega
     bm = BlockMap(phi_s, coupling, phi_i)
-    # phi_s is fitted already: the other half of the block lemma completes it
+    # phi_s is fitted and phi_i is invertible already: the intertwining
+    # identities complete the block lemma
     internal_check(_blocks_intertwine(lb, bm), "extension is not an automorphism by its blocks")
     return bm
 
@@ -680,17 +679,18 @@ def decide_local_aut(lb: SemidirectLeibniz, bm: BlockMap) -> LeibnizVerdict:
     this is equivalent to being an automorphism, so the block check
     decides; a failure only goes on to pick an independently checkable
     certificate.  The map is block lower-triangular, so it is singular iff
-    a diagonal block is; the block check has already tested theta, and
-    BlockMap keeps that answer.  The full bracket scan runs once, for a
-    bracket_failure certificate, and names its pair."""
+    a diagonal block is.  Each block is tested once: theta by the block
+    check, which BlockMap remembers, and phi by classify_sln, whose
+    injectivity test also answers for phi.  The full bracket scan runs once,
+    for a bracket_failure certificate, and names its pair."""
     shapes = (bm.s_block.nrows, bm.s_block.ncols, bm.i_block.nrows, bm.i_block.ncols)
     if shapes != (lb.dim_s, lb.dim_s, lb.dim_i, lb.dim_i):
         raise ValueError("block sizes do not match the algebra")
     if is_block_automorphism(lb, bm):
         return LeibnizVerdict(LOCAL_AUT)
-    if not bm.i_block_invertible or not is_nonsingular(bm.s_block):
+    s_verdict = classify_sln(lb.model, bm.s_block) if bm.i_block_invertible else None
+    if s_verdict is None or isinstance(s_verdict.obstruction, NotInjective):
         return LeibnizVerdict(NOT_LOCAL, NotInjective(kernel(bm.full_matrix()).basis[0]))
-    s_verdict = classify_sln(lb.model, bm.s_block)
     if s_verdict.verdict == NOT_LOCAL:
         return LeibnizVerdict(NOT_LOCAL, InheritedSlnObstruction(s_verdict))
     if s_verdict.verdict != AUTOMORPHISM:

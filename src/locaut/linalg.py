@@ -45,17 +45,17 @@ class Matrix:
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "Matrix":
-        return cls(((0,) * c,) * r)
+        return cls._of_rows(((GR_ZERO,) * c,) * r)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls.diagonal([GR_ONE] * n)
 
     @classmethod
     def diagonal(cls, entries) -> "Matrix":
-        es = list(entries)
+        es = [as_scalar(x) for x in entries]
         n = len(es)
-        return cls(tuple(tuple(es[i] if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._of_rows(tuple(tuple(es[i] if i == j else GR_ZERO for j in range(n)) for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij

@@ -5,10 +5,12 @@ inverses of conjugators and characteristic polynomials of the polynomial-entry
 matrix (n <= 4) all come from one Laplace expansion, not from elimination;
 brackets come straight from structure constants, and a stored vector must
 equal the recomputed one entry for entry, length included.  Some reuse
-decision code: no_shape_fits re-runs fit_shape_family on exactly the model's
-families, in the classifier's order, and the weight certificate splits the
-image over the weight spaces with leibniz.weight_components, reading its
-coordinates over the same weight basis that the decision uses.
+decision code: no_shape_fits re-runs fit_shape_family, the torus fit (column
+kernels at h0, simple-root ratios, a product check of the one candidate), on
+exactly the model's families, in the classifier's order, and the weight
+certificate splits the image over the weight spaces with
+leibniz.weight_components, reading its coordinates over the same weight
+basis that the decision uses.
 
 Positive Leibniz verdicts, extensions and the weight certificate's reducer
 are checked by the block lemma (_recheck_block_automorphism): a fit or an

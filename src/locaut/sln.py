@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import StructureAlgebra
-from .exact import GR_ZERO, GaussianRational, internal_check
+from .exact import GR_ZERO, GaussianRational, as_scalar, internal_check
 from .linalg import Matrix, Subspace, inverse, matrix_from_flat
 
 
@@ -29,6 +29,16 @@ class MatrixModel:
         """transpose_index[k] is the index of basis[k].T in the basis."""
         index = {b: k for k, b in enumerate(self.basis)}
         return tuple(index[b.T] for b in self.basis)
+
+    @cached_property
+    def generator_indices(self) -> tuple:
+        """Basis indices of e_k,k+1 and e_k+1,k for k < n - 1, in that order.
+        On sl_n they are the Chevalley generators, which generate it under
+        the bracket."""
+        index = {b: k for k, b in enumerate(self.basis)}
+        return tuple(
+            index[_unit_matrix(self.n, *pair)] for k in range(self.n - 1) for pair in ((k, k + 1), (k + 1, k))
+        )
 
     def map_matrix(self, f) -> Matrix:
         """Coordinate matrix of the linear map x -> f(x)."""
@@ -77,14 +87,6 @@ class SlnModel(MatrixModel):
     def h(self, k: int) -> Matrix:
         return self.basis[len(self.off_pairs) + k]
 
-    @cached_property
-    def generator_indices(self) -> tuple:
-        """Basis indices of the Chevalley generators e_k,k+1 and e_k+1,k,
-        which generate sl_n under the bracket."""
-        return tuple(
-            self._off_index[pair] for k in range(self.n - 1) for pair in ((k, k + 1), (k + 1, k))
-        )
-
     def coords(self, x: Matrix):
         if x.nrows != self.n or x.ncols != self.n:
             raise ValueError("matrix has wrong size for this model")
@@ -103,6 +105,7 @@ class SlnModel(MatrixModel):
         if len(v) != self.dim:
             raise ValueError("coordinate vector has wrong length")
         n = self.n
+        v = [as_scalar(x) for x in v]
         rows = [[GR_ZERO] * n for _ in range(n)]
         for (i, j), c in zip(self.off_pairs, v):
             rows[i][j] = c
@@ -111,7 +114,7 @@ class SlnModel(MatrixModel):
             rows[k][k] = c - prev
             prev = c
         rows[n - 1][n - 1] = -prev
-        return Matrix(rows)
+        return Matrix._of_rows(tuple(map(tuple, rows)))
 
     @staticmethod
     def bracket(x: Matrix, y: Matrix) -> Matrix:
@@ -210,7 +213,7 @@ class MnModel(MatrixModel):
         return x.flatten()
 
     def matrix(self, v) -> Matrix:
-        return matrix_from_flat(v, self.n)
+        return matrix_from_flat([as_scalar(x) for x in v], self.n)
 
 
 SIGMA_ID = "identity"

@@ -167,18 +167,24 @@ def test_singular_map_not_injective():
 
 def test_injectivity_needs_a_kernel_only_for_a_singular_map(counting):
     """A nonzero residue of det proves an n = 5 map injective with no
-    kernel; a singular map gets the same exact kernel vector as always."""
+    kernel; a singular map gets the same exact kernel vector as always.
+    The family fits take n x n kernels only, so the map-sized ones are the
+    injectivity test's."""
     model = SlnModel(5)
-    kernels = counting(classify, "kernel")
+    calls = counting(classify, "kernel")
+
+    def kernels():
+        return [args for args in calls if args[0].nrows == model.dim]
+
     inner = shape_map_matrix(model, CanonicalShape(1, SIGMA_ID, random_unimodular(5, random.Random(5))))
     scaled = inner * GaussianRational(2)
     assert classify_sln(model, scaled).obstruction.kind == "lambda_not_unit"
-    assert kernels == []
+    assert kernels() == []
     singular = inner @ Matrix.diagonal([0 if i == 3 else 1 for i in range(model.dim)])
     v = classify_sln(model, singular)
     assert v.obstruction.kind == "not_injective"
     assert v.obstruction.kernel_vector == kernel(singular).basis[0]
-    assert kernels == [(singular,)]
+    assert kernels() == [(singular,)]
 
 
 def test_square_zero_broken():
@@ -371,6 +377,102 @@ def test_fit_space_is_at_most_a_line_of_invertibles(case):
             b = matrix_from_flat(space.basis[0], model.n)
             assert not det(b).is_zero()
             assert a == b
+
+
+# -- the torus fit against the intertwiner system ---------------------------
+
+
+def intertwiner_fit(model, d, eps, sigma):
+    """The family fit solved as one intertwiner system: the h0 pair, then
+    every basis pair."""
+    h0 = model.strongly_regular_element()
+    pairs = [(model.apply_map(d, h0), h0 * eps)]
+    pairs += [(model.apply_map(d, e.T if sigma == SIGMA_T else e), e * eps) for e in model.basis]
+    space = intertwiner_space(pairs)
+    return space, matrix_from_flat(space.basis[0], model.n) if space.dim else None
+
+
+def repeated_eigenvalue_map(model, eps, rng):
+    """A map with Delta(h0) = diag(l, l, -2 l, 0, ...) on sl_n (n >= 3), or
+    diag(l, l, 0, ...) on M_n (n >= 2), for l = eps h0_11, so that the
+    eigenspace of the first column has dimension 2; the root vectors go to
+    random integer matrices."""
+    h0 = model.strongly_regular_element()
+    lam = h0[0, 0] * eps
+    tail = [-2 * lam] if isinstance(model, SlnModel) else []
+    top = Matrix.diagonal(([lam, lam] + tail + [0] * model.n)[: model.n]) * h0[0, 0].inverse()
+    images = {(i, j): model.matrix([GaussianRational(rng.randint(-2, 2)) for _ in range(model.dim)])
+              for i in range(model.n) for j in range(model.n) if i != j}
+
+    def f(x):
+        out = top * x[0, 0]
+        for (i, j), m in images.items():
+            out = out + m * x[i, j]
+        return out
+
+    return model.map_matrix(f)
+
+
+@st.composite
+def torus_fit_cases(draw):
+    """A model, and on it a family map, a scaled or one-entry-bumped family
+    map, or a map whose Delta(h0) has a repeated eigenvalue."""
+    model = draw(st.sampled_from([SlnModel(n) for n in (2, 3, 4, 5)] + [MnModel(n) for n in (1, 2, 3, 4)]))
+    eps, sigma = draw(st.sampled_from(SHAPE_FAMILIES))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    # sl_2 has no room for it: Delta(h0) is traceless, so l I is out of reach
+    repeats = model.n >= (3 if isinstance(model, SlnModel) else 2)
+    kinds = ["family", "scaled", "bumped"] + (["repeated"] if repeats else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "repeated":
+        return model, kind, repeated_eigenvalue_map(model, eps, rng)
+    d = shape_map_matrix(model, CanonicalShape(eps, sigma, random_unimodular(model.n, rng)))
+    if kind == "scaled":
+        d = d * draw(st.sampled_from([GaussianRational(2), GaussianRational(0, 1), GaussianRational(-1)]))
+    elif kind == "bumped":
+        d = one_entry_bump(d, rng.randrange(model.dim), rng.randrange(model.dim))
+    return model, kind, d
+
+
+@given(torus_fit_cases())
+@settings(max_examples=60, deadline=None)
+def test_torus_fit_matches_the_intertwiner_system(case):
+    """Same canonical space and same witness, family by family."""
+    model, kind, d = case
+    dims = []
+    for eps, sigma in SHAPE_FAMILIES:
+        got = fit_shape_family(model, d, eps, sigma)
+        assert got == intertwiner_fit(model, d, eps, sigma)
+        dims.append(got[0].dim)
+    if kind == "family":
+        assert 1 in dims
+    if kind == "repeated":
+        assert dims == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("model", [SlnModel(3), SlnModel(4), MnModel(2), MnModel(3)], ids=["sl3", "sl4", "M2", "M3"])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_a_repeated_eigenvalue_of_delta_h0_ends_the_fit(counting, model, eps):
+    """An eigenspace of Delta(h0) of dimension 2 rules the family out: a fit
+    would make Delta(h0) similar to eps h0, whose eigenvalues are simple."""
+    d = repeated_eigenvalue_map(model, eps, random.Random(model.dim))
+    kernels = counting(classify, "kernel")
+    for sigma in (SIGMA_ID, SIGMA_T):
+        kernels.clear()
+        space, a = fit_shape_family(model, d, eps, sigma)
+        assert (space.dim, a) == (0, None)
+        assert [kernel(*args).dim for args in kernels] == [2]
+        assert intertwiner_fit(model, d, eps, sigma)[0].dim == 0
+
+
+def test_a_positive_n5_fit_solves_no_intertwiner_system(counting):
+    model = SlnModel(5)
+    calls = counting(linalg, "intertwiner_space")
+    for eps, sigma in SHAPE_FAMILIES:
+        d = shape_map_matrix(model, CanonicalShape(eps, sigma, random_unimodular(5, random.Random(eps))))
+        space, a = fit_shape_family(model, d, eps, sigma)
+        assert space.dim == 1 and shape_map_matrix(model, CanonicalShape(eps, sigma, a)) == d
+    assert calls == []
 
 
 def test_dim7_near_miss_is_decided_without_search(monkeypatch):

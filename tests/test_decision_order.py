@@ -295,6 +295,28 @@ def test_a_singular_i_block_is_tested_once(counting):
     assert len(tests) == 1 and tests[0][0] is singular_i.i_block
 
 
+def test_extension_tests_its_i_block_once(counting):
+    """module_isomorphism tests the I-block it returns, and the block check
+    of the extension does not test it again."""
+    model = SlnModel(3)
+    lb = build_semidirect(model, build_module(model, "natural"))
+    tests = counting(leibniz, "is_nonsingular")
+    bm = extend_automorphism(lb, inner_automorphism_matrix(model, random_unimodular(3, random.Random(3))), 0)
+    assert [args[0] for args in tests] == [bm.i_block]
+
+
+def test_a_non_family_s_block_is_tested_once(counting):
+    """decide_local_aut leaves the S-block's singularity to classify_sln's
+    injectivity test, so the 8 x 8 block 2 phi is tested once modulo p."""
+    lb, maps = leibniz_case(3, "natural")
+    scaled_s = maps[6]
+    tests = [counting(leibniz, "is_nonsingular"), counting(classify, "_nonzero_mod_p"),
+             counting(linalg, "_nonzero_mod_p")]
+    assert kind_of(decide_local_aut(lb, scaled_s)) == "sln_block"
+    s_tests = [args[0] for calls in tests for args in calls if args[0].nrows == lb.dim_s]
+    assert s_tests == [scaled_s.s_block]
+
+
 @pytest.mark.parametrize("n, name", LEIBNIZ_CASES)
 def test_full_matrix_is_built_only_for_a_kernel_or_a_failing_pair(counting, n, name):
     """BlockMap.apply works block by block, so a decision builds the full
@@ -361,7 +383,7 @@ def test_pointwise_witness_at_a_cyclic_point_takes_one_smith_form_each(counting)
     # the transpose map matches by conjugation and the negation by the
     # anti-twist, both through the Krylov conjugator
     factors = counting(classify, "invariant_factors")
-    spaces = [counting(module, "intertwiner_space") for module in (linalg, classify)]
+    spaces = counting(linalg, "intertwiner_space")
     model = SlnModel(3)
     x = Matrix(((1, 1, 0), (0, 2, 1), (1, 0, -3)))
     for d, family in ((model.transpose_map(), (1, SIGMA_ID)), (model.scalar_map(-1), (-1, SIGMA_T))):
@@ -369,4 +391,4 @@ def test_pointwise_witness_at_a_cyclic_point_takes_one_smith_form_each(counting)
         shape = pointwise_witness(model, d, x)
         assert (shape.epsilon, shape.sigma) == family
         assert len(factors) == 2
-    assert spaces == [[], []]
+    assert spaces == []

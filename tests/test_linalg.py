@@ -30,6 +30,7 @@ from locaut.linalg import (
     solve_linear,
 )
 from locaut.recheck import charpoly_via_cofactor, cofactor_det
+from locaut.sln import MnModel, SlnModel
 
 
 def int_matrix(rows):
@@ -77,6 +78,42 @@ def test_public_constructor_checks_its_rows():
     # a 1 x 0 matrix is allowed, but its transpose would have no rows
     with pytest.raises(ValueError, match="at least one row"):
         Matrix(((),)).T
+
+
+ENTRY_KINDS = {
+    "int": [3, -1, 0, 2],
+    "Fraction": [Fraction(1, 3), Fraction(-5, 2), Fraction(0), Fraction(4)],
+    "GaussianRational": [GaussianRational(1, -2), GaussianRational(Fraction(1, 2)), GR_ZERO, GaussianRational(0, 3)],
+}
+
+
+def all_scalars(m):
+    return all(isinstance(x, GaussianRational) for row in m.data for x in row)
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRY_KINDS))
+def test_constructors_match_the_public_constructor(kind):
+    """diagonal, identity, zeros and the models' matrix skip the public
+    constructor's coercion, and build the same matrix of Q(i) scalars."""
+    es = ENTRY_KINDS[kind]
+    n = len(es)
+    built = {
+        "diagonal": (Matrix.diagonal(es), [[es[i] if i == j else 0 for j in range(n)] for i in range(n)]),
+        "identity": (Matrix.identity(n), [[int(i == j) for j in range(n)] for i in range(n)]),
+        "zeros": (Matrix.zeros(2, n), [[0] * n, [0] * n]),
+    }
+    for name, (m, rows) in built.items():
+        assert m == Matrix(rows) and all_scalars(m), name
+    model = SlnModel(3)
+    v = (es * 2)[: model.dim]
+    m = model.matrix(v)
+    want = Matrix.zeros(3, 3)
+    for c, b in zip(v, model.basis):
+        want = want + b * c
+    assert m == want and all_scalars(m)
+    assert model.coords(m) == tuple(v)
+    m = MnModel(2).matrix(es)
+    assert m == Matrix([es[:2], es[2:]]) and all_scalars(m)
 
 
 def test_matmul_identity():
