@@ -61,6 +61,8 @@ INVOCATIONS = (
         ("leibniz-build", "--n", "3", "--module", "natural", "--map", "conjugation3.json"),
         ("leibniz-build", "--n", "3", "--module", "natural", "--map", "negtranspose3.json"),
         ("leibniz-build", "--n", "2", "--module", "vm:2", "--map", "transpose2.json"),
+        ("filiform-demo", "--n", "5", "--samples", "12", "--seed", "3"),
+        ("selfcheck",),
     ]
 )
 CASES = [inv + mode for inv in INVOCATIONS for mode in ((), ("--json",))]
