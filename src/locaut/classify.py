@@ -233,11 +233,8 @@ def automorphism_shape(model: SlnModel, d: Matrix, images) -> CanonicalShape | N
     Aut(sl_n) is exactly x -> a x a^-1 and x -> -a x^T a^-1, so a fit of
     (1, identity) or (-1, transpose) proves membership and no fit disproves
     it.  images are the basis images of d."""
-    for eps, sigma in AUTOMORPHISM_FAMILIES:
-        _, a = fit_shape_family(model, d, eps, sigma, images)
-        if a is not None:
-            return CanonicalShape(eps, sigma, a)
-    return None
+    verdict, _ = _fit_families(model, d, images, AUTOMORPHISM_FAMILIES, first_only=True)
+    return None if verdict is None else verdict.shape
 
 
 def _fit_families(model, d: Matrix, images, families, first_only: bool):

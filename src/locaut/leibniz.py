@@ -259,6 +259,12 @@ class SemidirectLeibniz:
         labels = list(model.labels) + module.labels()
         self.algebra = StructureAlgebra(dim, labels, table)
 
+    def has_block_sizes(self, bm: "BlockMap") -> bool:
+        """The S-block is dim S square and the I-block dim I square; the
+        BlockMap keeps its coupling consistent with them."""
+        sizes = (bm.s_block.nrows, bm.s_block.ncols, bm.i_block.nrows, bm.i_block.ncols)
+        return sizes == (self.dim_s, self.dim_s, self.dim_i, self.dim_i)
+
     def embed_s(self, v):
         return tuple(v) + (GR_ZERO,) * self.dim_i
 
@@ -311,15 +317,10 @@ def build_semidirect(model: SlnModel, module: RightModule) -> SemidirectLeibniz:
 
 def is_simple(lb: SemidirectLeibniz) -> bool:
     """Simple iff the squares ideal is the module part, the module is
-    irreducible, and the action is nontrivial."""
-    ideal = lb.algebra.squares_ideal()
-    if ideal.dim != lb.dim_i:
-        return False
-    if not all(ideal.contains(lb.embed_i(unit_vector(p, lb.dim_i))) for p in range(lb.dim_i)):
-        return False
-    if all(a.is_zero() for a in lb.module.actions):
-        return False
-    return is_irreducible(lb.module)
+    irreducible, and the action is nontrivial.  The sl_n table is
+    alternating, so every square [x, x] = (0, v . g) lies in I: equal
+    dimensions make the ideal I, and a zero action has no nonzero square."""
+    return lb.algebra.squares_ideal().dim == lb.dim_i and is_irreducible(lb.module)
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +483,27 @@ def inner_automorphism_matrix(model: SlnModel, a: Matrix) -> Matrix:
 
 
 def extend_automorphism(lb: SemidirectLeibniz, phi_s: Matrix, omega=0) -> BlockMap | None:
-    """Extend an sl_n automorphism (given in model coordinates) to L.
-
-    The I-block is the module isomorphism I -> I twisted by phi_s (None when
-    the twist changes the isomorphism type: not extendable).  The coupling is
-    omega times the canonical adjoint -> twisted-I isomorphism, which can only
-    exist when dim S = dim I; otherwise it is forced to vanish and omega is
-    ignored.  Raises ValueError when phi_s is not an automorphism of sl_n in
-    the first place (anti-automorphisms included: their twists are not right
-    modules).  The family fit decides that; det phi_s only picks the message.
-    """
+    """Extend an sl_n automorphism (given in model coordinates) to L: the
+    input check of _extend.  Raises ValueError when phi_s is not an
+    automorphism of sl_n (anti-automorphisms included: their twists are not
+    right modules).  The family fit decides that; det phi_s only picks the
+    message."""
     omega = as_scalar(omega)
     if automorphism_shape(lb.model, phi_s, basis_images(lb.model, phi_s)) is None:
         if not is_nonsingular(phi_s):
             raise ValueError("the S map is singular, so not an automorphism")
         raise ValueError("the S map is not an automorphism of sl_n")
+    return _extend(lb, phi_s, omega)
+
+
+def _extend(lb: SemidirectLeibniz, phi_s: Matrix, omega: GaussianRational) -> BlockMap | None:
+    """The extension of phi_s, an automorphism of sl_n, to L.
+
+    The I-block is the module isomorphism I -> I twisted by phi_s (None when
+    the twist changes the isomorphism type: not extendable).  The coupling is
+    omega times the canonical adjoint -> twisted-I isomorphism, which can only
+    exist when dim S = dim I; otherwise it is forced to vanish and omega is
+    ignored."""
     # The twisted action v .' g = v . phi_s(g) needs no module-law check:
     # R'([x, y]) = R([phi x, phi y]) = R'(y) R'(x) - R'(x) R'(y).
     twisted = [lb.module.action(phi_s.column(a)) for a in range(lb.dim_s)]
@@ -509,8 +516,8 @@ def extend_automorphism(lb: SemidirectLeibniz, phi_s: Matrix, omega=0) -> BlockM
         if theta is not None:
             coupling = theta * omega
     bm = BlockMap(phi_s, coupling, phi_i)
-    # phi_s is fitted and phi_i is invertible already: the intertwining
-    # identities complete the block lemma
+    # phi_s is an automorphism and phi_i is invertible already: the
+    # intertwining identities complete the block lemma
     internal_check(_blocks_intertwine(lb, bm), "extension is not an automorphism by its blocks")
     return bm
 
@@ -632,42 +639,30 @@ def _obstruction_points(lb: SemidirectLeibniz):
     return pts
 
 
-def weight_components(lb: SemidirectLeibniz, v):
-    """Decompose a module vector over the weight spaces of I: {weight: the
-    nonzero coefficients of v on that space's basis}.  The basis vectors are
-    unit vectors, so the coefficients are coordinates of v."""
-    comps: dict = {}
-    for ws in lb.weights:
-        for b in ws.basis:
-            c = v[b.index(GR_ONE)]
-            if c.a or c.b:
-                comps.setdefault(ws.values, []).append(c)
-    return comps
+def weight_components(lb: SemidirectLeibniz, v) -> set:
+    """The weights of I on whose spaces the module vector v has a nonzero
+    coordinate.  The weight basis vectors are unit vectors, so their
+    coefficients are coordinates of v."""
+    return {ws.values for ws in lb.weights for b in ws.basis if not v[b.index(GR_ONE)].is_zero()}
 
 
-def _weight_obstruction(lb: SemidirectLeibniz, reducer: BlockMap, reduced: BlockMap) -> WeightObstruction | None:
+def _weight_obstruction(
+    lb: SemidirectLeibniz, reducer: BlockMap, reduced: BlockMap, sign: int
+) -> WeightObstruction | None:
     """Check the h0 + y_beta point against the forced weight structure.
-    A nonzero beta differs from -beta, so the all-zero test is the only one."""
-    h0c = lb.model.coords(lb.h0)
-    img_h0 = reduced.s_block.apply(h0c)
-    if tuple(img_h0) == tuple(h0c):
-        sign = 1
-    elif tuple(img_h0) == tuple(-x for x in h0c):
-        sign = -1
-    else:
-        return None
+    The reduced S-block is x -> sign sigma(x), and sigma fixes the diagonal
+    h0, so it sends h0 to sign h0.  A nonzero beta differs from -beta, so
+    the all-zero test is the only one."""
     beta = lb.beta()
     if all(b == 0 for b in beta):
         return None
     target = beta if sign == 1 else tuple(-b for b in beta)
     zero_w = tuple(Fraction(0) for _ in beta)
+    h0c = lb.model.coords(lb.h0)
     z = tuple(a + b for a, b in zip(lb.embed_s(h0c), lb.embed_i(lb.y_beta)))
     _, i_part = lb.split(reduced.apply(z))
-    comps = weight_components(lb, i_part)
-    bad = any(w not in (zero_w, target) for w in comps)
-    if target not in comps:
-        bad = True
-    if not bad:
+    weights = weight_components(lb, i_part)
+    if target in weights and weights <= {zero_w, target}:
         return None
     return WeightObstruction(
         z=z, reducer=reducer, reduced=reduced, sign=sign, beta=beta, i_part=tuple(i_part)
@@ -683,8 +678,7 @@ def decide_local_aut(lb: SemidirectLeibniz, bm: BlockMap) -> LeibnizVerdict:
     check, which BlockMap remembers, and phi by classify_sln, whose
     injectivity test also answers for phi.  The full bracket scan runs once,
     for a bracket_failure certificate, and names its pair."""
-    shapes = (bm.s_block.nrows, bm.s_block.ncols, bm.i_block.nrows, bm.i_block.ncols)
-    if shapes != (lb.dim_s, lb.dim_s, lb.dim_i, lb.dim_i):
+    if not lb.has_block_sizes(bm):
         raise ValueError("block sizes do not match the algebra")
     if is_block_automorphism(lb, bm):
         return LeibnizVerdict(LOCAL_AUT)
@@ -699,12 +693,11 @@ def decide_local_aut(lb: SemidirectLeibniz, bm: BlockMap) -> LeibnizVerdict:
             cert = bracket_square_obstruction(lb, bm, z)
             if cert is not None:
                 return LeibnizVerdict(NOT_LOCAL, cert)
-        # Normalize the S-block by undoing its inner part, then inspect weights.
+        # Normalize the S-block by undoing Ad(a) of classify_sln's fit, then inspect weights.
         shape = s_verdict.shape
-        reducer = extend_automorphism(lb, inner_automorphism_matrix(lb.model, shape.a), 0)
+        reducer = _extend(lb, inner_automorphism_matrix(lb.model, shape.a), GR_ZERO)
         internal_check(reducer is not None, "inner automorphisms always extend")
-        reduced = reducer.inv().compose(bm)
-        cert = _weight_obstruction(lb, reducer, reduced)
+        cert = _weight_obstruction(lb, reducer, reducer.inv().compose(bm), shape.epsilon)
         if cert is not None:
             return LeibnizVerdict(NOT_LOCAL, cert)
     pair = lb.algebra.failing_pair(bm.full_matrix())

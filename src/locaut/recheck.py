@@ -8,15 +8,17 @@ equal the recomputed one entry for entry, length included.  Some reuse
 decision code: no_shape_fits re-runs fit_shape_family, the torus fit (column
 kernels at h0, simple-root ratios, a product check of the one candidate), on
 exactly the model's families, in the classifier's order, and the weight
-certificate splits the image over the weight spaces with
-leibniz.weight_components, reading its coordinates over the same weight
-basis that the decision uses.
+certificate reads the weights on the image's support with
+leibniz.weight_components, over the same weight basis that the decision
+uses.
 
 Positive Leibniz verdicts, extensions and the weight certificate's reducer
 are checked by the block lemma (_recheck_block_automorphism): a fit or an
 elimination only finds a witness, which products then check, so a fault in
-either can only reject a true claim.  A bracket_failure certificate is
-checked at its one stored pair; nothing runs the full bracket scan.
+either can only reject a true claim.  The weight certificate's reduced map
+is checked by one product, reducer after reduced = the map.  A
+bracket_failure certificate is checked at its one stored pair; nothing runs
+the full bracket scan.
 
 All checks raise RecheckError with a description on failure and return None
 on success.
@@ -232,6 +234,7 @@ def _recheck_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap):
       theta theta' = 1;
     - theta R_g = R_phi(g) theta and C rho(g) = R_phi(g) C on the Chevalley
       generators g, with rho the adjoint module's actions."""
+    _need(lb.has_block_sizes(bm), "block sizes do not match the algebra")
     model, module = lb.model, lb.module
     phi, coupling, theta = bm.s_block, bm.coupling, bm.i_block
     images = basis_images(model, phi)
@@ -302,13 +305,10 @@ def _recheck_weight_obstruction(lb: SemidirectLeibniz, bm: BlockMap, cert):
     violating that, so no such Phi exists.
     """
     _recheck_block_automorphism(lb, cert.reducer)
-    red = cert.reducer.inv().compose(bm)
-    _need(
-        red.s_block == cert.reduced.s_block
-        and red.coupling == cert.reduced.coupling
-        and red.i_block == cert.reduced.i_block,
-        "stored reduced map is not reducer^-1 after the map",
-    )
+    # the reducer is invertible, so reducer after reduced = the map pins
+    # reduced down as reducer^-1 after the map
+    _need(lb.has_block_sizes(cert.reduced), "stored reduced map has the wrong block sizes")
+    _need(cert.reducer.compose(cert.reduced) == bm, "stored reduced map is not reducer^-1 after the map")
     y = highest_weight_vector(lb.module)
     beta = weight_of_vector(lb.module, y)
     _need(beta == cert.beta, "stored beta is not the highest-line weight")
@@ -321,10 +321,10 @@ def _recheck_weight_obstruction(lb: SemidirectLeibniz, bm: BlockMap, cert):
     _need(img_h0 == want, "reduced S-block does not send h0 to sign*h0")
     _, i_part = lb.split(cert.reduced.full_matrix().apply(z))
     _need(i_part == tuple(cert.i_part), "stored I-part of the image is wrong")
-    comps = weight_components(lb, i_part)
+    weights = weight_components(lb, i_part)
     target = cert.beta if cert.sign == 1 else tuple(-b for b in cert.beta)
     zero_w = tuple(0 * b for b in cert.beta)
-    violated = (target not in comps) or any(w not in (zero_w, target) for w in comps)
+    violated = target not in weights or not weights <= {zero_w, target}
     _need(violated, "image respects the forced weight structure after all")
 
 

@@ -26,7 +26,7 @@ from locaut.leibniz import (
     is_automorphism,
     is_block_automorphism,
 )
-from locaut.linalg import Matrix
+from locaut.linalg import Matrix, Subspace
 from locaut.recheck import RecheckError, recheck_leibniz_verdict
 from locaut.sln import SIGMA_T, CanonicalShape, SlnModel, shape_map_matrix
 
@@ -128,7 +128,8 @@ def test_recheck_checks_the_fitted_s_shape(monkeypatch):
     a wrong witness must not make the recheck accept it."""
     lb = semidirect(2, "vm:0")
     anti = BlockMap(lb.model.transpose_map(), Matrix.zeros(1, 3), Matrix.identity(1))
-    monkeypatch.setattr(classify, "fit_shape_family", lambda *args: (None, Matrix.identity(2)))
+    wrong = (Subspace(4, [(1, 0, 0, 1)]), Matrix.identity(2))  # the line of a = 1
+    monkeypatch.setattr(classify, "fit_shape_family", lambda *args: wrong)
     with pytest.raises(RecheckError, match="shape"):
         recheck_leibniz_verdict(lb, anti, LeibnizVerdict(LOCAL_AUT))
 

@@ -214,6 +214,15 @@ def test_leibniz_build_non_extendable(tmp_path, capsys):
     assert json.loads(out)["extension"] is None
 
 
+def test_leibniz_build_rejects_a_malformed_omega(tmp_path, capsys):
+    path = write_json(tmp_path, "conjugation2.json", Matrix.identity(3).to_json())
+    code, out, err = run(
+        capsys, ["leibniz-build", "--n", "2", "--module", "vm:2", "--map", path, "--omega", "1+2"]
+    )
+    assert (code, out) == (2, "")
+    assert "repeated real part" in err
+
+
 def test_leibniz_build_bad_module(capsys):
     code, _, err = run(capsys, ["leibniz-build", "--n", "3", "--module", "vm:2"])
     assert code == 2

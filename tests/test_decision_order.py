@@ -48,6 +48,7 @@ from locaut.leibniz import (
     extend_automorphism,
     inner_automorphism_matrix,
     is_automorphism,
+    is_block_automorphism,
 )
 from locaut.linalg import Matrix, inverse, kernel
 from locaut.sln import SHAPE_FAMILIES, SIGMA_ID, SIGMA_T, CanonicalShape, MnModel, SlnModel, shape_map_matrix
@@ -124,8 +125,9 @@ def reference_decide_local_aut(lb, bm):
         if cert is not None:
             return LeibnizVerdict(NOT_LOCAL, cert)
     reducer = extend_automorphism(lb, inner_automorphism_matrix(lb.model, s_verdict.shape.a), 0)
-    reduced = reducer.inv().compose(bm)
-    cert = _weight_obstruction(lb, reducer, reduced)
+    s_inv, i_inv = inverse(reducer.s_block), inverse(reducer.i_block)
+    reducer_inv = BlockMap(s_inv, -(i_inv @ reducer.coupling @ s_inv), i_inv)
+    cert = _weight_obstruction(lb, reducer, reducer_inv.compose(bm), s_verdict.shape.epsilon)
     if cert is not None:
         return LeibnizVerdict(NOT_LOCAL, cert)
     ok, pair = is_automorphism(lb, bm)
@@ -273,6 +275,25 @@ def test_extension_and_decision_check_no_module_law(counting, n, name):
     minus_s = BlockMap(model.scalar_map(-1), Matrix.zeros(lb.dim_i, lb.dim_s), Matrix.identity(lb.dim_i))
     assert decide_local_aut(lb, minus_s).verdict == NOT_LOCAL
     assert calls == []
+
+
+@pytest.mark.parametrize("n, name", [(2, "vm:2"), (3, "natural"), (4, "natural")])
+def test_a_weight_structure_decision_fits_no_shape_again(counting, n, name):
+    """The weight certificate's reducer extends Ad(a) for the a of
+    classify_sln's fit: no extend_automorphism input check, and no fit
+    beyond those of the block check and of classify_sln on the S-block."""
+    model = SlnModel(n)
+    lb = build_semidirect(model, build_module(model, name))
+    inner = extend_automorphism(lb, inner_automorphism_matrix(model, random_unimodular(n, random.Random(n))), 0)
+    bm = inner.compose(BlockMap(model.scalar_map(-1), Matrix.zeros(lb.dim_i, lb.dim_s), Matrix.identity(lb.dim_i)))
+    fits = counting(classify, "fit_shape_family")
+    is_block_automorphism(lb, bm)
+    classify_sln(model, bm.s_block)
+    expected = len(fits)
+    fits.clear()
+    extensions = counting(leibniz, "extend_automorphism")
+    assert kind_of(decide_local_aut(lb, bm)) == "weight_structure"
+    assert extensions == [] and len(fits) == expected
 
 
 @pytest.mark.parametrize("n, name", LEIBNIZ_CASES)

@@ -109,6 +109,12 @@ def test_parse_rejects(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize("text, part", [("1+2", "real"), ("i+2i", "imaginary"), ("1-i+3", "real")])
+def test_parse_rejects_a_repeated_part(text, part):
+    with pytest.raises(ValueError, match=f"repeated {part} part"):
+        parse_scalar(text)
+
+
 @pytest.mark.parametrize(
     "z,s",
     [

@@ -255,6 +255,14 @@ def test_trivial_module_not_simple():
     assert not is_simple(semidirect(2, "vm:0"))
 
 
+@pytest.mark.parametrize("n, module_text", MODULES + [(4, "adjoint"), (5, "natural")])
+def test_squares_lie_in_the_module_part(n, module_text):
+    """is_simple compares only dimensions: every square has a zero S-part."""
+    lb = semidirect(n, module_text)
+    for v in lb.algebra.squares_ideal().basis:
+        assert all(x.is_zero() for x in lb.split(v)[0])
+
+
 def test_h0_y_beta():
     lb = semidirect(2, "vm:2")
     assert lb.model.is_strongly_regular(lb.h0)

@@ -1,5 +1,6 @@
 """Tamper-resistance of the first-principles certificate rechecker."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locaut import leibniz, recheck
-from locaut.classify import classify_sln, classify_mn, pointwise_witness
+from locaut.classify import classify_sln, classify_mn, pointwise_witness, random_unimodular
 from locaut.exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial
 from locaut.leibniz import (
     BlockMap,
@@ -291,6 +292,77 @@ def test_tampered_weight_certificate_rejected():
         recheck_leibniz_verdict(
             lb, bm, replace(v, certificate=replace(cert, reduced=bm))
         )
+
+
+ANTI_ALGEBRAS = [(2, "vm:2"), (2, "vm:6"), (3, "natural"), (3, "adjoint"), (4, "natural")]
+
+
+def anti_maps_after_inner(lb, rng):
+    """minus_s, then transpose_s with I-block 2, after a random inner
+    extension (omega 0, then 1).  The S-blocks fit (-1, identity) and
+    (1, transpose) with a != 1, so a weight certificate's reducer is no
+    identity map."""
+    model, ds, di = lb.model, lb.dim_s, lb.dim_i
+    anti = [BlockMap(model.scalar_map(-1), Matrix.zeros(di, ds), Matrix.identity(di)),
+            BlockMap(model.transpose_map(), Matrix.zeros(di, ds), Matrix.identity(di) * gr(2))]
+    maps = []
+    for omega in (0, 1):
+        inner = extend_automorphism(lb, inner_automorphism_matrix(model, random_unimodular(model.n, rng)), omega)
+        maps += [inner.compose(bm) for bm in anti]
+    return maps
+
+
+@pytest.mark.parametrize("n, name", ANTI_ALGEBRAS)
+def test_anti_maps_after_an_inner_extension_recheck(counting, n, name):
+    """The product check of a weight certificate's reduced map meets
+    reducers other than the identity; no recheck inverts a block map."""
+    lb = semidirect(n, name)
+    inversions = counting(BlockMap, "inv")
+    reducers = []
+    for bm in anti_maps_after_inner(lb, random.Random(8000 + n)):
+        v = decide_local_aut(lb, bm)
+        assert v.verdict == "NotLocal"
+        inversions.clear()
+        recheck_leibniz_verdict(lb, bm, v)
+        assert inversions == []
+        if v.certificate.kind == "weight_structure":
+            reducers.append(v.certificate.reducer)
+    assert len(reducers) == 2  # both minus_s maps
+    assert all(r.s_block != Matrix.identity(lb.dim_s) for r in reducers)
+
+
+def tampered_block_maps(bm):
+    """bm with one block changed in one entry, then with an S-block or an
+    I-block one size too large."""
+    ds, di = bm.s_block.nrows, bm.i_block.nrows
+
+    def bump(m):
+        return m + Matrix(tuple(tuple(int(r == c == 0) for c in range(m.ncols)) for r in range(m.nrows)))
+
+    return [
+        BlockMap(bump(bm.s_block), bm.coupling, bm.i_block),
+        BlockMap(bm.s_block, bump(bm.coupling), bm.i_block),
+        BlockMap(bm.s_block, bm.coupling, bump(bm.i_block)),
+        BlockMap(Matrix.identity(ds + 1), Matrix.zeros(di, ds + 1), bm.i_block),
+        BlockMap(bm.s_block, Matrix.zeros(di + 1, ds), Matrix.identity(di + 1)),
+    ]
+
+
+@pytest.mark.parametrize("n, name", [(2, "vm:2"), (3, "natural")])
+def test_tampered_reduced_map_raises_recheck_error(n, name):
+    """A stored reduced map with one block changed, or a reduced map or
+    reducer of the wrong size, fails the recheck: never a ValueError from a
+    product of mismatched blocks."""
+    lb = semidirect(n, name)
+    bm = anti_maps_after_inner(lb, random.Random(8000 + n))[0]
+    v = decide_local_aut(lb, bm)
+    assert v.certificate.kind == "weight_structure"
+    for red in tampered_block_maps(v.certificate.reduced):
+        with pytest.raises(RecheckError, match="reduced map"):
+            recheck_leibniz_verdict(lb, bm, replace(v, certificate=replace(v.certificate, reduced=red)))
+    oversized = tampered_block_maps(v.certificate.reducer)[3]
+    with pytest.raises(RecheckError, match="block sizes"):
+        recheck_leibniz_verdict(lb, bm, replace(v, certificate=replace(v.certificate, reducer=oversized)))
 
 
 def test_weight_decomposition_runs_once_per_algebra(monkeypatch):
