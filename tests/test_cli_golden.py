@@ -62,6 +62,7 @@ INVOCATIONS = (
         ("leibniz-build", "--n", "3", "--module", "natural", "--map", "negtranspose3.json"),
         ("leibniz-build", "--n", "2", "--module", "vm:2", "--map", "transpose2.json"),
         ("filiform-demo", "--n", "5", "--samples", "12", "--seed", "3"),
+        ("filiform-demo", "--n", "20", "--samples", "40", "--seed", "3"),
         ("selfcheck",),
     ]
 )

@@ -26,6 +26,7 @@ INVOCATIONS = (
     ("scripts/classification_survey.py",),
     ("scripts/leibniz_tour.py",),
     ("scripts/filiform_sweep.py", "--n", "3", "--n", "5"),
+    ("scripts/filiform_sweep.py", "--n", "10", "--n", "20", "--samples", "40"),
     ("-m", "locaut.cli", "selfcheck", "--json"),
     ("-O", "-m", "locaut.cli", "selfcheck", "--json"),
 )
