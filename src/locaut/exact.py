@@ -246,7 +246,7 @@ def format_scalar(z: GaussianRational) -> str:
     return _format_fraction(z.re) + sign + im_part
 
 
-_TERM_RE = _re.compile(r"^[+-]?(\d+(/\d+)?)?\*?i?$")
+_TERM_RE = _re.compile(r"^[+-]?(\d+(/\d+)?(\*?i)?|i)$")
 
 
 def parse_scalar(text: str) -> GaussianRational:

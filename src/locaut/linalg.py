@@ -494,14 +494,12 @@ def negated_factors(factors) -> tuple:
 def intertwiner_space(pairs) -> Subspace:
     """All a with A a = a B for every pair (A, B), as a subspace of Q(i)^(n*n).
 
-    The first pair is imposed on all n^2 entries at once.  When its B is
-    diagonal, A a = a B says column by column that column c of a lies in
-    ker(A - B[c][c] I), so n kernels of n x n matrices are solved.  Otherwise
-    the n^2 x n^2 system is written down directly: for the unit basis,
-    (A E_ij - E_ij B)[r][c] = A[r][i] [c = j] - B[j][c] [r = i].  Each later
-    pair refines the surviving directions, so put the most restrictive pair
-    first.  The space comes back in canonical form, so its basis does not
-    depend on how the first pair was solved.
+    When the first pair's B is diagonal, A a = a B says column by column
+    that column c of a lies in ker(A - B[c][c] I), so n kernels of n x n
+    matrices are solved.  Otherwise refinement starts from the n^2 unit
+    matrices.  Each pair refines the surviving directions, so put the most
+    restrictive pair first.  The space comes back in canonical form, so its
+    basis does not depend on how the first pair was solved.
     """
     pairs = list(pairs)
     if not pairs:
@@ -518,17 +516,10 @@ def intertwiner_space(pairs) -> Subspace:
                 flat = [GR_ZERO] * (n * n)
                 flat[c::n] = v
                 basis.append(tuple(flat))
+        pairs = pairs[1:]
     else:
-        first = [[GR_ZERO] * (n * n) for _ in range(n * n)]
-        for r in range(n):
-            for c in range(n):
-                row = first[r * n + c]
-                for k in range(n):
-                    row[k * n + c] = a.data[r][k]
-                for k in range(n):
-                    row[r * n + k] = row[r * n + k] - b.data[k][c]
-        basis = list(kernel(Matrix(first)).basis)
-    for a, b in pairs[1:]:
+        basis = Matrix.identity(n * n).data
+    for a, b in pairs:
         if not basis:
             break
         cols = [(a @ m - m @ b).flatten() for m in (matrix_from_flat(v, n) for v in basis)]

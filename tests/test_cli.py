@@ -214,13 +214,14 @@ def test_leibniz_build_non_extendable(tmp_path, capsys):
     assert json.loads(out)["extension"] is None
 
 
-def test_leibniz_build_rejects_a_malformed_omega(tmp_path, capsys):
+@pytest.mark.parametrize("omega, message", [("1+2", "repeated real part"), ("*i", "bad scalar term")])
+def test_leibniz_build_rejects_a_malformed_omega(tmp_path, capsys, omega, message):
     path = write_json(tmp_path, "conjugation2.json", Matrix.identity(3).to_json())
     code, out, err = run(
-        capsys, ["leibniz-build", "--n", "2", "--module", "vm:2", "--map", path, "--omega", "1+2"]
+        capsys, ["leibniz-build", "--n", "2", "--module", "vm:2", "--map", path, "--omega", omega]
     )
     assert (code, out) == (2, "")
-    assert "repeated real part" in err
+    assert message in err
 
 
 def test_leibniz_build_bad_module(capsys):

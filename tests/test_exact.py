@@ -103,7 +103,7 @@ def test_parse_forms(text, re, im):
     assert z.re == re and z.im == im
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", "1 + + i", "i2"])
+@pytest.mark.parametrize("bad", ["", "x", "1/0", "1 + + i", "i2", "*i", "-*i", "1+*i"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)

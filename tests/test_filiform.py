@@ -1,11 +1,15 @@
 """The filiform chain algebras and the delta = phi_0 counterexample."""
 
+import importlib.util
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from locaut.algebra import StructureAlgebra, unit_vector
-from locaut.exact import GR_ONE, GR_ZERO, GaussianRational
+from locaut.cli import main
+from locaut.exact import GR_ONE, GR_ZERO, GaussianRational, InternalCheckError
 from locaut.filiform import (
     FiliformAlgebra,
     PhiAlpha,
@@ -15,7 +19,6 @@ from locaut.filiform import (
     map_is_automorphism,
     model_filiform,
     phi_is_automorphism,
-    psi_is_automorphism,
     sample_points,
     counterexample_demo,
 )
@@ -116,7 +119,7 @@ def test_phi_automorphism_iff_alpha_one(n, alpha):
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_psi_always_automorphism(n, beta):
     fl = model_filiform(n)
-    ok, pair = psi_is_automorphism(fl, GaussianRational(beta))
+    ok, pair = map_is_automorphism(fl, PsiBeta(GaussianRational(beta)).matrix(fl))
     assert ok and pair is None
 
 
@@ -192,3 +195,72 @@ def test_counterexample_demo_report():
     data = rep.to_json()
     assert data["witness_counts"] == {"phi": rep.phi_witnesses, "psi": rep.psi_witnesses}
     assert data["delta_is_automorphism"] is False
+
+
+def test_three_demos_scan_five_maps(counting):
+    """The witness families are proved automorphisms once per algebra, from
+    phi_1 and psi_0, psi_1, psi_2; delta is scanned once."""
+    fl = model_filiform(6)
+    calls = counting(StructureAlgebra, "failing_pair")
+    for seed in range(3):
+        assert counterexample_demo(fl, samples=12, seed=seed).all_verified
+    scanned = [PhiAlpha(gr(0)), PhiAlpha(gr(1)), PsiBeta(gr(0)), PsiBeta(gr(1)), PsiBeta(gr(2))]
+    assert [m for _, m in calls] == [f.matrix(fl) for f in scanned]
+
+
+def _psi_on_e_n_minus_1(self, fl):
+    """u + beta u_2 e_{n-1}: breaks [e_1, e_2] = e_3 for beta != 0."""
+    rows = [[gr(1 if i == j else 0) for j in range(fl.n)] for i in range(fl.n)]
+    rows[fl.n - 2][1] = rows[fl.n - 2][1] + self.beta
+    return Matrix(rows)
+
+
+def _run_filiform_sweep(argv):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "filiform_sweep.py"
+    spec = importlib.util.spec_from_file_location("filiform_sweep", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.main(argv)
+
+
+def test_a_broken_psi_family_is_reported_not_verified(monkeypatch, capsys):
+    monkeypatch.setattr(PsiBeta, "matrix", _psi_on_e_n_minus_1)
+    fl = model_filiform(6)
+    assert not fl.witnesses_are_automorphisms
+    assert counterexample_demo(fl, samples=12, seed=3).all_verified is False
+    with pytest.raises(InternalCheckError, match="automorphism proof"):
+        filiform_local_witness(fl, (gr(1), gr(0), gr(2), gr(0), gr(0), gr(0)))
+
+    assert main(["filiform-demo", "--n", "6", "--samples", "12"]) == 0
+    assert "all verified: False" in capsys.readouterr().out.splitlines()
+
+    assert main(["selfcheck", "--json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if c["status"] == "FAIL"] == [
+        "filiform family: automorphism exactly at alpha = 1"
+    ]
+
+    assert _run_filiform_sweep(["--n", "6", "--samples", "12"]) == 1
+    assert "no verified witness" in capsys.readouterr().err
+
+
+def test_a_witness_that_misses_delta_is_caught_by_sampling(monkeypatch):
+    """psi_{2 beta} is still an automorphism, so the proof holds; only the
+    per-sample comparison with delta sees the wrong witness."""
+    matrix = PsiBeta.matrix
+    monkeypatch.setattr(PsiBeta, "matrix", lambda self, fl: matrix(PsiBeta(self.beta + self.beta), fl))
+    fl = model_filiform(6)
+    assert fl.witnesses_are_automorphisms
+    assert counterexample_demo(fl, samples=12, seed=3).all_verified is False
+    with pytest.raises(InternalCheckError, match="does not match delta"):
+        filiform_local_witness(fl, (gr(1), gr(1), gr(1), gr(0), gr(0), gr(0)))
+
+
+def test_a_singular_psi_family_fails_the_proof(monkeypatch):
+    """u -> u_1 e_1 + (1 - beta) (u - u_1 e_1) preserves every bracket but
+    is singular at beta = 1: only psi_beta psi_{-beta} = 1 catches it."""
+    def scaled(self, fl):
+        return Matrix.diagonal([GR_ONE] + [GR_ONE - self.beta] * (fl.n - 1))
+
+    monkeypatch.setattr(PsiBeta, "matrix", scaled)
+    assert not model_filiform(6).witnesses_are_automorphisms
