@@ -23,7 +23,7 @@ from .classify import (
     random_unimodular,
 )
 from .exact import GaussianRational, InternalCheckError, parse_scalar
-from .filiform import model_filiform, phi_is_automorphism, counterexample_demo
+from .filiform import counterexample_demo, model_filiform, phi_is_automorphism, witnesses_are_automorphisms
 from .leibniz import (
     BlockMap,
     build_module,
@@ -194,7 +194,7 @@ def cmd_filiform_demo(args) -> int:
         f"all verified: {rep.all_verified}",
     ]
     _emit(args, rep.to_json(), lines)
-    return 0
+    return 0 if rep.all_verified else 1
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +336,7 @@ def _check_filiform(seed):
             ok, _ = phi_is_automorphism(fl, alpha)
             if ok != (alpha == 1):
                 raise RecheckError(f"n={n} alpha={alpha}: wrong verdict")
-        if not fl.witnesses_are_automorphisms:
+        if not witnesses_are_automorphisms(fl):
             raise RecheckError(f"n={n}: phi_1 and psi_beta not proved automorphisms")
     for n in (4, 6):
         rep = counterexample_demo(model_filiform(n), samples=40, seed=seed)

@@ -7,21 +7,19 @@ drive everything here:
     phi_alpha(x) = x + alpha x_2 e_{n-1} + x_3 e_n
     psi_beta(u)  = u + beta u_2 e_n
 
-psi_beta is an automorphism for every beta, phi_alpha only for alpha = 1;
-the first is proved once per algebra, from three values of beta
-(FiliformAlgebra.witnesses_are_automorphisms).  The map delta = phi_0 is
-therefore not an automorphism, yet at every single point it agrees with
-phi_1 (when x_2 = 0) or with psi_{x_3/x_2} (otherwise), which makes it a
-local automorphism.  n = 3 is degenerate (e_{n-1} = e_2, so phi_alpha is
-diagonal rather than unitriangular) but the same conclusions hold and are
-checked literally rather than assumed.
+psi_beta is an automorphism for every beta (proved from beta = 0, 1, 2 by
+witnesses_are_automorphisms), phi_alpha only for alpha = 1.  The map
+delta = phi_0 is therefore not an automorphism, yet at every single point it
+agrees with phi_1 (when x_2 = 0) or with psi_{x_3/x_2} (otherwise), which
+makes it a local automorphism.  n = 3 is degenerate (e_{n-1} = e_2, so
+phi_alpha is diagonal rather than unitriangular) but the same conclusions
+hold and are checked literally rather than assumed.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 from .algebra import StructureAlgebra, filiform_check, unit_vector
 from .exact import GR_ONE, GR_ZERO, GaussianRational, as_scalar, internal_check
@@ -41,23 +39,6 @@ class FiliformAlgebra:
             raise ValueError("basis is not adapted to the filiform chain")
         self.algebra = algebra
         self.n = algebra.dim
-
-    @cached_property
-    def delta_check(self):
-        """(ok, failing_pair) of delta, from one bracket scan."""
-        return map_is_automorphism(self, delta_map(self))
-
-    @cached_property
-    def witnesses_are_automorphisms(self) -> bool:
-        """phi_1 and every psi_beta, beta in Q(i), are automorphisms.  The
-        entries of psi_beta are affine in beta, so each bracket equation and
-        psi_beta psi_{-beta} = 1 is a polynomial identity of degree <= 2 in
-        beta: holding at beta = 0, 1, 2, it holds for every beta."""
-        psi = {b: PsiBeta(GaussianRational(b)).matrix(self) for b in range(-2, 3)}
-        return phi_is_automorphism(self, 1)[0] and all(
-            self.algebra.failing_pair(psi[b]) is None and psi[b] @ psi[-b] == Matrix.identity(self.n)
-            for b in range(3)
-        )
 
 
 def model_filiform(n: int) -> FiliformAlgebra:
@@ -115,6 +96,20 @@ def delta_map(fl: FiliformAlgebra) -> Matrix:
     return PhiAlpha(GR_ZERO).matrix(fl)
 
 
+def witnesses_are_automorphisms(fl: FiliformAlgebra) -> bool:
+    """phi_1 and every psi_beta, beta in Q(i), are automorphisms, from five
+    bracket scans.  The entries of psi_beta are affine in beta (checked:
+    psi_0 + psi_2 = 2 psi_1), so each bracket equation and the identity
+    psi_beta psi_{-beta} = 1 have degree <= 2 in beta: holding at
+    beta = 0, 1, 2, they hold for every beta."""
+    psi = {b: PsiBeta(GaussianRational(b)).matrix(fl) for b in range(-2, 3)}
+    affine = psi[0] + psi[2] == psi[1] + psi[1]
+    return affine and phi_is_automorphism(fl, 1)[0] and all(
+        fl.algebra.failing_pair(psi[b]) is None and psi[b] @ psi[-b] == Matrix.identity(fl.n)
+        for b in range(3)
+    )
+
+
 def _pick_witness(fl: FiliformAlgebra, x):
     """(witness, agrees): the family member meant to match delta at x, and
     whether it does.  x_2 = 0: phi_1 adds x_2 e_{n-1} + x_3 e_n = x_3 e_n.
@@ -127,11 +122,12 @@ def _pick_witness(fl: FiliformAlgebra, x):
 
 
 def filiform_local_witness(fl: FiliformAlgebra, x):
-    """An automorphism agreeing with delta at the point x: the algebra's
-    proof that the families are automorphisms and the value at x are both
-    checked, and either failing raises InternalCheckError."""
+    """An automorphism agreeing with delta at the point x.  Both facts are
+    re-verified here, not trusted: the witness by one bracket scan, its value
+    at x against delta's.  Either failing raises InternalCheckError."""
     witness, agrees = _pick_witness(fl, x)
-    internal_check(fl.witnesses_are_automorphisms, "witness family failed the automorphism proof")
+    ok, _ = map_is_automorphism(fl, witness.matrix(fl))
+    internal_check(ok, "witness family member failed the automorphism check")
     internal_check(agrees, "witness does not match delta at x")
     return witness
 
@@ -173,18 +169,20 @@ def sample_points(n: int, samples: int, seed: int):
 def counterexample_demo(fl: FiliformAlgebra, samples: int = 200, seed: int = 0) -> FiliformReport:
     """delta is not an automorphism, yet every sampled point has an exact
     automorphism witness: a local automorphism that is not an automorphism.
-    all_verified: the algebra's proof held and the witness matched delta at
-    every sample, of which there must be at least one."""
+    all_verified: the witness families were proved automorphisms and matched
+    delta at every sample, of which there must be at least one."""
     if samples < 1:
         raise ValueError("samples must be positive")
+    ok, pair = map_is_automorphism(fl, delta_map(fl))
+    proved = witnesses_are_automorphisms(fl)
     picks = [_pick_witness(fl, x) for x in sample_points(fl.n, samples, seed)]
     phi_count = sum(isinstance(w, PhiAlpha) for w, _ in picks)
     return FiliformReport(
         n=fl.n,
-        delta_is_automorphism=fl.delta_check[0],
-        failing_pair=fl.delta_check[1],
+        delta_is_automorphism=ok,
+        failing_pair=pair,
         samples=samples,
         phi_witnesses=phi_count,
         psi_witnesses=samples - phi_count,
-        all_verified=fl.witnesses_are_automorphisms and all(agrees for _, agrees in picks),
+        all_verified=proved and all(agrees for _, agrees in picks),
     )

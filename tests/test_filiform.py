@@ -21,6 +21,7 @@ from locaut.filiform import (
     phi_is_automorphism,
     sample_points,
     counterexample_demo,
+    witnesses_are_automorphisms,
 )
 from locaut.linalg import Matrix
 
@@ -197,15 +198,15 @@ def test_counterexample_demo_report():
     assert data["delta_is_automorphism"] is False
 
 
-def test_three_demos_scan_five_maps(counting):
-    """The witness families are proved automorphisms once per algebra, from
-    phi_1 and psi_0, psi_1, psi_2; delta is scanned once."""
+def test_each_demo_scans_five_maps(counting):
+    """A demo scans delta once and proves the witness families from phi_1
+    and psi_0, psi_1, psi_2; no sample runs a scan."""
     fl = model_filiform(6)
     calls = counting(StructureAlgebra, "failing_pair")
     for seed in range(3):
         assert counterexample_demo(fl, samples=12, seed=seed).all_verified
     scanned = [PhiAlpha(gr(0)), PhiAlpha(gr(1)), PsiBeta(gr(0)), PsiBeta(gr(1)), PsiBeta(gr(2))]
-    assert [m for _, m in calls] == [f.matrix(fl) for f in scanned]
+    assert [m for _, m in calls] == [f.matrix(fl) for f in scanned] * 3
 
 
 def _psi_on_e_n_minus_1(self, fl):
@@ -226,12 +227,13 @@ def _run_filiform_sweep(argv):
 def test_a_broken_psi_family_is_reported_not_verified(monkeypatch, capsys):
     monkeypatch.setattr(PsiBeta, "matrix", _psi_on_e_n_minus_1)
     fl = model_filiform(6)
-    assert not fl.witnesses_are_automorphisms
+    assert not witnesses_are_automorphisms(fl)
     assert counterexample_demo(fl, samples=12, seed=3).all_verified is False
-    with pytest.raises(InternalCheckError, match="automorphism proof"):
-        filiform_local_witness(fl, (gr(1), gr(0), gr(2), gr(0), gr(0), gr(0)))
+    filiform_local_witness(fl, (gr(1), gr(0), gr(2), gr(0), gr(0), gr(0)))  # phi_1 still holds
+    with pytest.raises(InternalCheckError, match="automorphism check"):
+        filiform_local_witness(fl, (gr(1), gr(1), gr(2), gr(0), gr(0), gr(0)))
 
-    assert main(["filiform-demo", "--n", "6", "--samples", "12"]) == 0
+    assert main(["filiform-demo", "--n", "6", "--samples", "12"]) == 1
     assert "all verified: False" in capsys.readouterr().out.splitlines()
 
     assert main(["selfcheck", "--json"]) == 1
@@ -250,10 +252,30 @@ def test_a_witness_that_misses_delta_is_caught_by_sampling(monkeypatch):
     matrix = PsiBeta.matrix
     monkeypatch.setattr(PsiBeta, "matrix", lambda self, fl: matrix(PsiBeta(self.beta + self.beta), fl))
     fl = model_filiform(6)
-    assert fl.witnesses_are_automorphisms
+    assert witnesses_are_automorphisms(fl)
     assert counterexample_demo(fl, samples=12, seed=3).all_verified is False
     with pytest.raises(InternalCheckError, match="does not match delta"):
         filiform_local_witness(fl, (gr(1), gr(1), gr(1), gr(0), gr(0), gr(0)))
+
+
+def test_a_family_that_matches_delta_everywhere_still_needs_the_proof(monkeypatch):
+    """u + beta u_2 e_n + (beta u_2 - u_3) e_{n-1} equals delta at every
+    point where it is picked (beta = x_3 / x_2), but breaks [e_1, e_2] = e_3:
+    only the proof sees it, so all_verified reads it."""
+    matrix = PsiBeta.matrix
+
+    def matches_delta(self, fl):
+        m = [list(row) for row in matrix(self, fl).data]
+        m[fl.n - 2][1] = self.beta
+        m[fl.n - 2][2] = -GR_ONE
+        return Matrix(m)
+
+    monkeypatch.setattr(PsiBeta, "matrix", matches_delta)
+    fl = model_filiform(6)
+    rep = counterexample_demo(fl, samples=12, seed=3)
+    assert rep.psi_witnesses > 0 and rep.all_verified is False
+    with pytest.raises(InternalCheckError, match="automorphism check"):
+        filiform_local_witness(fl, (gr(1), gr(1), gr(2), gr(0), gr(0), gr(0)))
 
 
 def test_a_singular_psi_family_fails_the_proof(monkeypatch):
@@ -263,4 +285,26 @@ def test_a_singular_psi_family_fails_the_proof(monkeypatch):
         return Matrix.diagonal([GR_ONE] + [GR_ONE - self.beta] * (fl.n - 1))
 
     monkeypatch.setattr(PsiBeta, "matrix", scaled)
-    assert not model_filiform(6).witnesses_are_automorphisms
+    assert not witnesses_are_automorphisms(model_filiform(6))
+
+
+def test_a_psi_family_quadratic_in_beta_fails_the_proof(monkeypatch):
+    """exp(beta ad e_1) on the 4-dimensional algebra has the entry beta^2 / 2.
+    It passes the bracket and psi_beta psi_{-beta} = 1 checks at beta = 0, 1,
+    2, but three values prove a degree-2 identity only for a family affine in
+    beta, so the proof refuses it."""
+    def exp_ad_e1(self, fl):
+        b = self.beta
+        return Matrix([
+            [GR_ONE, GR_ZERO, GR_ZERO, GR_ZERO],
+            [GR_ZERO, GR_ONE, GR_ZERO, GR_ZERO],
+            [GR_ZERO, b, GR_ONE, GR_ZERO],
+            [GR_ZERO, b * b * gr(Fraction(1, 2)), b, GR_ONE],
+        ])
+
+    monkeypatch.setattr(PsiBeta, "matrix", exp_ad_e1)
+    fl = model_filiform(4)
+    psi = {b: PsiBeta(gr(b)).matrix(fl) for b in range(-2, 3)}
+    for b in range(3):
+        assert fl.algebra.failing_pair(psi[b]) is None and psi[b] @ psi[-b] == Matrix.identity(4)
+    assert not witnesses_are_automorphisms(fl)
