@@ -30,7 +30,10 @@ def main(argv=None) -> int:
         print(f"n={n}  phi_alpha automorphism?  " + "  ".join(verdicts))
         rep = counterexample_demo(fl, samples=args.samples, seed=args.seed)
         if not rep.all_verified:
-            print(f"n={n}: a sampled point has no verified witness", file=sys.stderr)
+            print(
+                f"n={n}: delta is an automorphism, or a sampled point has no verified witness",
+                file=sys.stderr,
+            )
             return 1
         print(
             f"      delta breaks bracket at basis pair {rep.failing_pair}; "

@@ -169,8 +169,9 @@ def sample_points(n: int, samples: int, seed: int):
 def counterexample_demo(fl: FiliformAlgebra, samples: int = 200, seed: int = 0) -> FiliformReport:
     """delta is not an automorphism, yet every sampled point has an exact
     automorphism witness: a local automorphism that is not an automorphism.
-    all_verified: the witness families were proved automorphisms and matched
-    delta at every sample, of which there must be at least one."""
+    all_verified: delta failed the automorphism check, and the witness
+    families were proved automorphisms and matched delta at every sample, of
+    which there must be at least one."""
     if samples < 1:
         raise ValueError("samples must be positive")
     ok, pair = map_is_automorphism(fl, delta_map(fl))
@@ -184,5 +185,5 @@ def counterexample_demo(fl: FiliformAlgebra, samples: int = 200, seed: int = 0) 
         samples=samples,
         phi_witnesses=phi_count,
         psi_witnesses=samples - phi_count,
-        all_verified=proved and all(agrees for _, agrees in picks),
+        all_verified=not ok and proved and all(agrees for _, agrees in picks),
     )

@@ -212,24 +212,6 @@ def is_irreducible(module: RightModule) -> bool:
     return _highest_weight_space(module).dim == 1
 
 
-def weight_of_vector(module: RightModule, v):
-    """Cartan values of an eigenvector v; None if v is not a joint eigenvector."""
-    if vec_is_zero(v):
-        return None
-    model = module.model
-    n_off = len(model.off_pairs)
-    idx = next(i for i, x in enumerate(v) if x.a or x.b)
-    vinv = v[idx].inverse()
-    values = []
-    for k in range(model.n - 1):
-        img = module.actions[n_off + k].apply(v)
-        lam = img[idx] * vinv
-        if any((x - lam * y).a or (x - lam * y).b for x, y in zip(img, v)):
-            return None
-        values.append(lam.re)
-    return tuple(values)
-
-
 # ---------------------------------------------------------------------------
 # The semidirect algebra
 
@@ -301,9 +283,9 @@ class SemidirectLeibniz:
         return weight_decomposition(self.module)
 
     def beta(self):
-        w = weight_of_vector(self.module, self.y_beta)
-        internal_check(w is not None, "y_beta is not a weight vector")
-        return w
+        weights = weight_components(self, self.y_beta)
+        internal_check(len(weights) == 1, "y_beta is not a weight vector")
+        return next(iter(weights))
 
 
 def build_semidirect(model: SlnModel, module: RightModule) -> SemidirectLeibniz:

@@ -1,16 +1,16 @@
 """Re-verification of verdicts and certificates.
 
-Most checks recompute claims from first principles: determinants, adjugate
-inverses of conjugators and characteristic polynomials of the polynomial-entry
-matrix (n <= 4) all come from one Laplace expansion, not from elimination;
+Most checks recompute claims from first principles: determinants and
+characteristic polynomials (n <= 4) come from one Laplace expansion, not
+from elimination; a shape x -> epsilon a sigma(x) a^-1 is checked by the
+product identity epsilon a sigma(x) = y a after det(a) != 0, with no inverse;
 brackets come straight from structure constants, and a stored vector must
 equal the recomputed one entry for entry, length included.  Some reuse
 decision code: no_shape_fits re-runs fit_shape_family, the torus fit (column
 kernels at h0, simple-root ratios, a product check of the one candidate), on
 exactly the model's families, in the classifier's order, and the weight
-certificate reads the weights on the image's support with
-leibniz.weight_components, over the same weight basis that the decision
-uses.
+certificate reads weights with leibniz.weight_components, over the same
+weight basis that the decision uses.
 
 Positive Leibniz verdicts, extensions and the weight certificate's reducer
 are checked by the block lemma (_recheck_block_automorphism): a fit or an
@@ -26,7 +26,7 @@ on success.
 
 from __future__ import annotations
 
-from .algebra import unit_vector
+from .algebra import unit_vector, vec_is_zero
 from .classify import (
     AUTOMORPHISM,
     ANTI_AUTOMORPHISM,
@@ -45,9 +45,7 @@ from .leibniz import (
     LOCAL_AUT,
     LeibnizVerdict,
     SemidirectLeibniz,
-    highest_weight_vector,
     weight_components,
-    weight_of_vector,
 )
 from .linalg import Matrix, _poly_matrix_char, charpoly, inverse
 from .sln import SHAPE_FAMILIES, SIGMA_T, CanonicalShape, MnModel, SlnModel
@@ -122,30 +120,27 @@ def _recheck_kernel_vector(m: Matrix, vker):
     _need(all(x.is_zero() for x in m.apply(vker)), "kernel vector not annihilated")
 
 
+def _recheck_conjugation(model: SlnModel, shape: CanonicalShape, pairs, msg: str):
+    """epsilon a sigma(x) a^-1 = y for each pair (x, y) of n x n matrices.
+    With det(a) != 0 by Laplace expansion this is the product identity
+    epsilon a sigma(x) = y a, so no inverse is formed."""
+    a = shape.a
+    _need(a.nrows == a.ncols == model.n, "conjugator has the wrong size")
+    _need(not cofactor_det(a).is_zero(), "conjugator is singular")
+    for x, y in pairs:
+        img = a @ (x.T if shape.sigma == SIGMA_T else x)
+        _need((img if shape.epsilon == 1 else -img) == y @ a, msg)
+
+
 def recheck_shape(model: SlnModel, images, shape: CanonicalShape):
-    """The shape reproduces the basis images of the map (the columns of its
-    matrix, classify.basis_images), with the conjugator inverted once by
-    adjugate, not by CanonicalShape.apply."""
-    ainv = adjugate_inverse(shape.a)
-    for e, want in zip(model.basis, images):
-        img = shape.a @ (e.T if shape.sigma == SIGMA_T else e) @ ainv
-        _need((img if shape.epsilon == 1 else -img) == want, "shape does not reproduce the map")
+    """The shape reproduces the map's basis images (classify.basis_images)."""
+    _recheck_conjugation(model, shape, zip(model.basis, images), "shape does not reproduce the map")
 
 
 def recheck_witness_at(model: SlnModel, d: Matrix, x: Matrix, shape: CanonicalShape):
-    """A pointwise witness: the shape agrees with the map at x exactly.
-
-    With det(a) != 0 by Laplace expansion, epsilon a sigma(x) a^-1 =
-    Delta(x) is the product identity epsilon a sigma(x) = Delta(x) a, so
-    no inverse is formed.
-    """
-    a = shape.a
-    _need(not cofactor_det(a).is_zero(), "matrix is singular")
-    img = a @ (x.T if shape.sigma == SIGMA_T else x)
-    _need(
-        (img if shape.epsilon == 1 else -img) == model.apply_map(d, x) @ a,
-        "witness does not match the map at x",
-    )
+    """A pointwise witness: the shape agrees with the map at x exactly."""
+    pairs = [(x, model.apply_map(d, x))]
+    _recheck_conjugation(model, shape, pairs, "witness does not match the map at x")
 
 
 def _probe_charpoly(model: SlnModel, d: Matrix):
@@ -176,6 +171,8 @@ def recheck_sln_verdict(model: SlnModel, d: Matrix, v: Verdict):
         _recheck_kernel_vector(d, ob.kernel_vector)
     elif kind == "square_zero_broken":
         x = ob.witness
+        _need(x.nrows == x.ncols == model.n, "witness has the wrong size")
+        # square-zero means nilpotent, hence traceless: apply_map accepts x
         _need((x @ x).is_zero(), "witness is not square-zero")
         y = model.apply_map(d, x)
         _need(not (y @ y).is_zero(), "image square vanishes after all")
@@ -284,8 +281,9 @@ def recheck_leibniz_verdict(lb: SemidirectLeibniz, bm: BlockMap, v: LeibnizVerdi
     elif kind == "weight_structure":
         _recheck_weight_obstruction(lb, bm, cert)
     elif kind == "bracket_failure":
-        full = bm.full_matrix()
         i, j = cert.i, cert.j
+        _need(all(isinstance(k, int) and 0 <= k < lb.dim for k in (i, j)), "no such basis pair")
+        full = bm.full_matrix()
         lhs = full.apply(lb.algebra.table[i][j])
         rhs = lb.bracket(
             full.apply(unit_vector(i, lb.dim)), full.apply(unit_vector(j, lb.dim))
@@ -303,19 +301,25 @@ def _recheck_weight_obstruction(lb: SemidirectLeibniz, bm: BlockMap, cert):
     such a Phi keeps the I-part of the image inside I_0 + I_(sign*beta) with
     a nonzero I_(sign*beta) component.  The certificate exhibits an image
     violating that, so no such Phi exists.
+
+    z is checked from its parts: h0, and a unit vector of weight beta that
+    every positive-root action kills, which on an irreducible module is y_beta.
     """
     _recheck_block_automorphism(lb, cert.reducer)
     # the reducer is invertible, so reducer after reduced = the map pins
     # reduced down as reducer^-1 after the map
     _need(lb.has_block_sizes(cert.reduced), "stored reduced map has the wrong block sizes")
     _need(cert.reducer.compose(cert.reduced) == bm, "stored reduced map is not reducer^-1 after the map")
-    y = highest_weight_vector(lb.module)
-    beta = weight_of_vector(lb.module, y)
-    _need(beta == cert.beta, "stored beta is not the highest-line weight")
-    _need(any(b != 0 for b in beta), "beta is zero: certificate not applicable")
-    h0c = lb.model.coords(lb.h0)
-    z = tuple(a + b for a, b in zip(lb.embed_s(h0c), lb.embed_i(y)))
-    _need(z == tuple(cert.z), "stored z is not h0 + y_beta")
+    model = lb.model
+    z = tuple(cert.z)
+    _need(len(z) == lb.dim, "stored z has the wrong length")
+    h0c, y = lb.split(z)
+    _need(h0c == model.coords(lb.h0), "S-part of z is not h0")
+    _need([x for x in y if not x.is_zero()] == [GR_ONE], "I-part of z is not a unit vector")
+    positive = [lb.module.actions[model.off_pairs.index(p)] for p in model.positive_roots()]
+    _need(all(vec_is_zero(e.apply(y)) for e in positive), "a positive root does not kill the I-part of z")
+    _need(list(weight_components(lb, y)) == [cert.beta], "stored beta is not the weight of z's I-part")
+    _need(any(b != 0 for b in cert.beta), "beta is zero: certificate not applicable")
     img_h0 = cert.reduced.s_block.apply(h0c)
     want = h0c if cert.sign == 1 else tuple(-x for x in h0c)
     _need(img_h0 == want, "reduced S-block does not send h0 to sign*h0")

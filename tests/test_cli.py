@@ -456,24 +456,46 @@ def test_no_unreferenced_private_definitions():
     assert orphans == []
 
 
+def _script_and_benchmark_reads():
+    """(scripts, benchmark): the identifiers that the scripts read and those
+    that perfbench reads.  The benchmark reaches names through strings as
+    well (the traced layer paths), so the words of its strings count."""
+    root = Path(__file__).parent.parent
+    scripts, benchmark = set(), set()
+    for path in sorted((root / "scripts").glob("*.py")):
+        scripts |= _identifiers(ast.parse(path.read_text(), str(path)))
+    for path in sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        benchmark |= _identifiers(tree)
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                benchmark |= set(re.findall(r"\w+", sub.value))
+    return scripts, benchmark
+
+
 def test_no_public_definitions_that_only_tests_reach():
     """Every public module-level function or class in the package is read by
     the package outside its own definition, exported from it, or read by a
-    script or the benchmark.  The benchmark reaches names through strings as
-    well (the traced layer paths), so the words of its strings count."""
+    script or the benchmark."""
     defined, read = _package_definitions()
-    read |= set(locaut.__all__)
-    root = Path(__file__).parent.parent
-    for path in sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        read |= _identifiers(tree)
-        if path.parent.name == "perfbench":
-            for sub in ast.walk(tree):
-                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                    read |= set(re.findall(r"\w+", sub.value))
+    scripts, benchmark = _script_and_benchmark_reads()
+    read |= set(locaut.__all__) | scripts | benchmark
     orphans = [f"{where}: {name}" for name, where in defined.items()
                if not name.startswith("_") and name not in read]
     assert orphans == []
+
+
+def test_public_definitions_that_only_the_benchmark_reads():
+    """The public names that the package, its exports and the scripts leave
+    unread, kept alive by perfbench alone (its tracer patches them): the
+    list of what a benchmark change may retire.  A new name here is one
+    that only the tracer reads."""
+    defined, read = _package_definitions()
+    scripts, benchmark = _script_and_benchmark_reads()
+    read |= set(locaut.__all__) | scripts
+    only_benchmark = {name for name in defined
+                      if not name.startswith("_") and name not in read and name in benchmark}
+    assert only_benchmark == {"adjugate_inverse", "similarity_witness"}
 
 
 @pytest.mark.parametrize("command", ["classify-sln", "leibniz-decide"])

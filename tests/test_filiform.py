@@ -246,6 +246,24 @@ def test_a_broken_psi_family_is_reported_not_verified(monkeypatch, capsys):
     assert "no verified witness" in capsys.readouterr().err
 
 
+def test_a_delta_that_passes_the_bracket_check_is_reported_not_verified(monkeypatch, capsys):
+    """With a bracket scan that finds no failing pair, delta reads as an
+    automorphism and the witness proof holds: the demo shows nothing, so it
+    must not report itself verified."""
+    monkeypatch.setattr(StructureAlgebra, "failing_pair", lambda self, m: None)
+    rep = counterexample_demo(model_filiform(6), samples=12, seed=3)
+    assert rep.delta_is_automorphism is True
+    assert rep.all_verified is False
+
+    assert main(["filiform-demo", "--n", "6", "--samples", "12"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "delta (= phi_0) is an automorphism: True" in out
+    assert "all verified: False" in out
+
+    assert _run_filiform_sweep(["--n", "6", "--samples", "12"]) == 1
+    assert "delta is an automorphism" in capsys.readouterr().err
+
+
 def test_a_witness_that_misses_delta_is_caught_by_sampling(monkeypatch):
     """psi_{2 beta} is still an automorphism, so the proof holds; only the
     per-sample comparison with delta sees the wrong witness."""

@@ -25,7 +25,6 @@ from locaut.leibniz import (
     module_natural,
     module_vm,
     weight_decomposition,
-    weight_of_vector,
 )
 from locaut.linalg import Matrix, Subspace, det, inverse
 from locaut.sln import SIGMA_T, SlnModel
@@ -175,14 +174,6 @@ def test_adjoint3_zero_weight_plane():
 def test_highest_weight_vectors():
     assert highest_weight_vector(module_vm(SlnModel(2), 2)) == vec(1, 0, 0)
     assert highest_weight_vector(module_natural(SlnModel(3))) == vec(1, 0, 0)
-
-
-def test_weight_of_vector():
-    vm = module_vm(SlnModel(2), 2)
-    assert weight_of_vector(vm, vec(1, 0, 0)) == (Fraction(-2),)
-    assert weight_of_vector(vm, vec(0, 1, 0)) == (Fraction(0),)
-    # mixed vectors have no single weight
-    assert weight_of_vector(vm, vec(1, 1, 0)) is None
 
 
 def test_irreducibility():

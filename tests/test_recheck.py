@@ -9,17 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locaut import leibniz, recheck
+from locaut import leibniz, linalg, recheck
+from locaut.algebra import unit_vector
 from locaut.classify import classify_sln, classify_mn, pointwise_witness, random_unimodular
 from locaut.exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial
 from locaut.leibniz import (
     BlockMap,
+    BracketFailure,
     LeibnizVerdict,
     build_module,
     build_semidirect,
     decide_local_aut,
     extend_automorphism,
     inner_automorphism_matrix,
+    weight_components,
     weight_decomposition,
 )
 from locaut.linalg import Matrix, charpoly, det, inverse
@@ -463,8 +466,8 @@ def test_bracket_square_image_with_extra_entry_rejected():
         recheck_leibniz_verdict(lb, bm, replace(v, certificate=longer))
 
 
-def natural3_weight_case():
-    lb = semidirect(3, "natural")
+def minus_s_weight_case(n=3, name="natural"):
+    lb = semidirect(n, name)
     bm = BlockMap(lb.model.scalar_map(-1), Matrix.zeros(lb.dim_i, lb.dim_s), Matrix.identity(lb.dim_i))
     v = decide_local_aut(lb, bm)
     assert v.certificate.kind == "weight_structure"
@@ -474,7 +477,7 @@ def natural3_weight_case():
 
 @pytest.mark.parametrize("field", ["i_part", "z"])
 def test_weight_certificate_vector_with_extra_entry_rejected(field):
-    lb, bm, v = natural3_weight_case()
+    lb, bm, v = minus_s_weight_case()
     cert = v.certificate
     longer = replace(cert, **{field: tuple(getattr(cert, field)) + (GR_ZERO,)})
     with pytest.raises(RecheckError):
@@ -518,3 +521,109 @@ def test_recheck_shape_runs_once_per_distinct_shape(monkeypatch, n, calls):
     monkeypatch.setattr(SlnModel, "apply_map", no_apply_map)
     recheck_sln_verdict(model, d, v)
     assert len(seen) == len(set(seen)) == calls
+
+
+# -- one product identity per shape; the weight certificate's own z ---------
+
+
+def test_positive_verdicts_and_witnesses_invert_nothing(counting):
+    """Shapes are checked by epsilon a sigma(x) = y a after det(a) != 0, so
+    neither a positive verdict's recheck nor a pointwise witness's inverts
+    a conjugator."""
+    rng = random.Random(19)
+    cases = []
+    for n in (2, 3, 4):
+        model = SlnModel(n)
+        g = random_unimodular(n, rng)
+        g_inv = inverse(g)
+        conj = model.map_matrix(lambda x: g @ x @ g_inv)
+        for d in (conj, model.transpose_map(), model.scalar_map(-1)):
+            x = model.matrix([gr(rng.randint(-3, 3)) for _ in range(model.dim)])
+            cases.append((model, d, classify_sln(model, d), x, pointwise_witness(model, d, x)))
+    inversions = [counting(owner, name) for owner, name in
+                  ((linalg, "inverse"), (recheck, "inverse"), (recheck, "adjugate_inverse"))]
+    for model, d, v, x, shape in cases:
+        assert v.verdict in ("Automorphism", "AntiAutomorphism")
+        recheck_sln_verdict(model, d, v)
+        recheck_witness_at(model, d, x, shape)
+    assert inversions == [[], [], []]
+
+
+@pytest.mark.parametrize("a, message", [(Matrix.zeros(2, 2), "singular"), (Matrix.identity(3), "wrong size")])
+def test_positive_verdict_with_a_bad_conjugator_rejected(a, message):
+    """a = 0 satisfies epsilon a sigma(x) = y a at every basis element, so
+    only the determinant rules it out; a 3 x 3 conjugator on sl_2 is refused
+    before any product."""
+    m2 = SlnModel(2)
+    d = m2.identity_map()
+    v = classify_sln(m2, d)
+    bad = replace(v.shape, a=a)
+    with pytest.raises(RecheckError, match=message):
+        recheck_sln_verdict(m2, d, replace(v, shape=bad, shapes=(bad,)))
+
+
+@pytest.mark.parametrize("n, name", [(2, "vm:2"), (3, "natural")])
+def test_weight_recheck_on_a_fresh_algebra_takes_no_highest_weight_kernel(monkeypatch, n, name):
+    """The certificate's z carries y_beta, so rechecking it on an algebra
+    that has decided nothing never solves for the highest-weight line."""
+    _, bm, v = minus_s_weight_case(n, name)
+    calls = []
+    real = leibniz.highest_weight_vector
+
+    def spy(module):
+        calls.append(module.name)
+        return real(module)
+
+    monkeypatch.setattr(leibniz, "highest_weight_vector", spy)
+    monkeypatch.setattr(recheck, "highest_weight_vector", spy, raising=False)
+    fresh = semidirect(n, name)
+    recheck_leibniz_verdict(fresh, bm, v)
+    assert calls == []
+    assert "y_beta" not in vars(fresh)
+
+
+@pytest.mark.parametrize("n, name", [(2, "vm:2"), (3, "natural")])
+def test_weight_certificate_z_off_h0_plus_y_beta_rejected(n, name):
+    """z = 2 h0 + y_beta with the stored I-part of its image, z = h0 +
+    2 y_beta, and z = h0 + a lower-weight unit vector stored with that
+    vector's own weight are each refused at z."""
+    lb, bm, v = minus_s_weight_case(n, name)
+    cert = v.certificate
+    s_part, y = lb.split(cert.z)
+    two_h0 = tuple(x + x for x in s_part) + y
+    _, i_part = lb.split(cert.reduced.full_matrix().apply(two_h0))
+    with pytest.raises(RecheckError, match="S-part"):
+        recheck_leibniz_verdict(lb, bm, replace(v, certificate=replace(cert, z=two_h0, i_part=i_part)))
+    doubled = replace(cert, z=s_part + tuple(x + x for x in y))
+    with pytest.raises(RecheckError, match="unit vector"):
+        recheck_leibniz_verdict(lb, bm, replace(v, certificate=doubled))
+    low = unit_vector(lb.dim_i - 1, lb.dim_i)
+    assert low != y
+    (low_beta,) = weight_components(lb, low)
+    lowered = replace(cert, z=s_part + low, beta=low_beta)
+    with pytest.raises(RecheckError, match="positive root"):
+        recheck_leibniz_verdict(lb, bm, replace(v, certificate=lowered))
+
+
+# -- malformed certificates raise RecheckError, never another error ---------
+
+
+@pytest.mark.parametrize("pair", [(99, 0), (-1, 0)])
+def test_bracket_failure_pair_outside_the_basis_rejected(pair):
+    """99 is past the basis and -1 would index its last element."""
+    lb, cases = leibniz_cases()
+    bm = cases["bracket_failure"]
+    v = decide_local_aut(lb, bm)
+    with pytest.raises(RecheckError, match="basis pair"):
+        recheck_leibniz_verdict(lb, bm, replace(v, certificate=BracketFailure(*pair)))
+
+
+def test_square_zero_witness_of_the_wrong_size_rejected():
+    m2 = SlnModel(2)
+    cols = [m2.coords(m2.e(0, 1) + m2.h(0)), m2.coords(m2.e(1, 0)), m2.coords(m2.h(0))]
+    d = Matrix(zip(*cols))
+    v = classify_sln(m2, d)
+    assert v.obstruction.kind == "square_zero_broken"
+    e13 = Matrix(((0, 0, 1), (0, 0, 0), (0, 0, 0)))
+    with pytest.raises(RecheckError, match="wrong size"):
+        recheck_sln_verdict(m2, d, replace(v, obstruction=replace(v.obstruction, witness=e13)))
