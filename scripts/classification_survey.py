@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from locaut.classify import classify_sln, random_unimodular
 from locaut.exact import GaussianRational
-from locaut.linalg import Matrix, inverse
+from locaut.linalg import Matrix
 from locaut.recheck import recheck_sln_verdict
-from locaut.sln import SlnModel
+from locaut.sln import SIGMA_ID, SIGMA_T, CanonicalShape, SlnModel, shape_map_matrix
 
 
 N_VALUES = (2, 3)
@@ -46,9 +46,8 @@ def catalog(model: SlnModel, conjugations: int, seed: int):
     yield "i-scaling", model.scalar_map(GaussianRational(0, 1))
     for k in range(conjugations):
         g = random_unimodular(model.n, rng)
-        ginv = inverse(g)
-        yield f"conjugation #{k + 1}", model.map_matrix(lambda x: g @ x @ ginv)
-        yield f"twisted conjugation #{k + 1}", model.map_matrix(lambda x: g @ x.T @ ginv)
+        yield f"conjugation #{k + 1}", shape_map_matrix(model, CanonicalShape(1, SIGMA_ID, g))
+        yield f"twisted conjugation #{k + 1}", shape_map_matrix(model, CanonicalShape(1, SIGMA_T, g))
     if model.n == 2:
         yield "screen evader", screen_evading_map()
 

@@ -12,8 +12,8 @@ from pathlib import Path
 
 from locaut.classify import random_unimodular
 from locaut.leibniz import BlockMap
-from locaut.linalg import Matrix, inverse
-from locaut.sln import MnModel, SlnModel
+from locaut.linalg import Matrix
+from locaut.sln import SIGMA_ID, CanonicalShape, MnModel, SlnModel, shape_map_matrix
 
 
 N_VALUES = (2, 3, 4)
@@ -40,9 +40,7 @@ def main(argv=None) -> int:
         dump(out, f"negtranspose{n}.json", model.map_matrix(lambda x: -x.T).to_json())
         dump(out, f"negation{n}.json", model.scalar_map(-1).to_json())
         dump(out, f"double{n}.json", model.scalar_map(2).to_json())
-        g = random_unimodular(n, rng)
-        ginv = inverse(g)
-        conj = model.map_matrix(lambda x: g @ x @ ginv)
+        conj = shape_map_matrix(model, CanonicalShape(1, SIGMA_ID, random_unimodular(n, rng)))
         dump(out, f"conjugation{n}.json", conj.to_json())
         dump(out, f"point_e12_{n}.json", model.e(0, 1).to_json())
         dump(out, f"point_h_{n}.json", model.strongly_regular_element().to_json())
@@ -65,9 +63,8 @@ def main(argv=None) -> int:
     for n in (2, 3):
         model = MnModel(n)
         dump(out, f"mn_transpose{n}.json", model.transpose_map().to_json())
-        g = random_unimodular(n, rng)
-        ginv = inverse(g)
-        dump(out, f"mn_conjugation{n}.json", model.map_matrix(lambda x: g @ x @ ginv).to_json())
+        conj = shape_map_matrix(model, CanonicalShape(1, SIGMA_ID, random_unimodular(n, rng)))
+        dump(out, f"mn_conjugation{n}.json", conj.to_json())
         dump(out, f"mn_double{n}.json", model.scalar_map(2).to_json())
         # e12 is the second coordinate: kill it, or stretch it.
         dump(out, f"mn_singular{n}.json", Matrix.diagonal([1, 0] + [1] * (model.dim - 2)).to_json())

@@ -32,7 +32,6 @@ from .linalg import (
     charpoly,
     conjugator,
     invariant_factors,
-    inverse,
     is_nonsingular,
     kernel,
     matrix_from_flat,
@@ -173,8 +172,8 @@ def fit_shape_family(model, d: Matrix, epsilon: int, sigma: str, images=None):
       c_i+1 X v_i+1 = epsilon c_i v_i with X = Delta(sigma(e)), and every
       c_i is nonzero, so X v_i+1 is mu v_i with mu != 0, or the space is 0;
       then c_i+1 = epsilon c_i / mu.
-    The candidate solves every basis equation, checked as Delta(sigma(e)) =
-    epsilon a e a^-1, or the space is 0.
+    The candidate solves every basis equation, checked as Delta(e) =
+    CanonicalShape(epsilon, sigma, a).apply(e), or the space is 0.
     """
     if images is None:
         images = basis_images(model, d)
@@ -198,33 +197,10 @@ def fit_shape_family(model, d: Matrix, epsilon: int, sigma: str, images=None):
         scales.append(scales[-1] * epsilon / mu)
     space = Subspace(n * n, [tuple(s * v[r] for r in range(n) for s, v in zip(scales, columns))])
     a = matrix_from_flat(space.basis[0], n)
-    if not _conjugates_to(a, epsilon, ((images[k], e) for k, e in zip(order, model.basis))):
+    shape = CanonicalShape(epsilon, sigma, a)
+    if any(shape.apply(e) != x for e, x in zip(model.basis, images)):
         return zero, None
     return space, a
-
-
-def _conjugates_to(a: Matrix, epsilon: int, pairs) -> bool:
-    """x = epsilon a e a^-1 for every pair (x, e).
-
-    a E_ij a^-1 is the outer product of column i of a and row j of a^-1, so
-    each nonzero entry of e costs n^2 products."""
-    cols = a.T.data
-    inv = inverse(a)
-    rows = (inv if epsilon == 1 else -inv).data
-    zero_row = (GR_ZERO,) * a.nrows
-    for x, e in pairs:
-        want = None
-        for i, e_row in enumerate(e.data):
-            for j, c in enumerate(e_row):
-                if c.a or c.b:
-                    term = Matrix._of_rows(
-                        tuple(tuple(u * y for y in rows[j]) if u.a or u.b else zero_row for u in cols[i])
-                    )
-                    term = term if c.is_one() else term * c
-                    want = term if want is None else want + term
-        if want != x:
-            return False
-    return True
 
 
 def automorphism_shape(model: SlnModel, d: Matrix, images) -> CanonicalShape | None:

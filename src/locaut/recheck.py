@@ -7,8 +7,9 @@ product identity epsilon a sigma(x) = y a after det(a) != 0, with no inverse;
 brackets come straight from structure constants, and a stored vector must
 equal the recomputed one entry for entry, length included.  Some reuse
 decision code: no_shape_fits re-runs fit_shape_family, the torus fit (column
-kernels at h0, simple-root ratios, a product check of the one candidate), on
-exactly the model's families, in the classifier's order, and the weight
+kernels at h0, simple-root ratios, the one candidate checked by
+CanonicalShape.apply), on exactly the model's families, in the classifier's
+order, and the weight
 certificate reads weights with leibniz.weight_components, over the same
 weight basis that the decision uses.
 
@@ -190,13 +191,10 @@ def recheck_sln_verdict(model: SlnModel, d: Matrix, v: Verdict):
         shift = Polynomial((0,) * (model.n - 2) + (1,))
         scaled = Polynomial((-ob.lam_squared, GR_ZERO, GR_ONE)) * shift
         _need(p == scaled, "probe polynomial does not have the scaled form")
-        if ob.lam is not None:
-            _need(
-                (ob.lam * ob.lam - ob.lam_squared).is_zero(),
-                "stored lambda is not a square root",
-            )
+        _need(ob.lam == ob.lam_squared.sqrt(), "stored lambda is not the canonical square root")
     elif kind == "no_shape_fits":
-        families = MN_FAMILIES if isinstance(model, MnModel) else SHAPE_FAMILIES
+        on_mn = isinstance(model, MnModel)
+        families = MN_FAMILIES if on_mn else SHAPE_FAMILIES
         _need(
             tuple(fam for fam, _ in ob.fit_dimensions) == families,
             "certificate does not list the model's families in order",
@@ -206,8 +204,10 @@ def recheck_sln_verdict(model: SlnModel, d: Matrix, v: Verdict):
             space, a = fit_shape_family(model, d, eps, sigma, images)
             _need(space.dim == dim, "stored fit dimension is wrong")
             _need(a is None, "a family fits after all")
-        if ob.probe_charpoly is not None:
-            _need(_probe_charpoly(model, d) == ob.probe_charpoly, "stored probe polynomial is wrong")
+        # M_n certificates carry no probe; sl_n ones carry both polynomials
+        want = (None, None) if on_mn else (_probe_charpoly(model, d), required_probe_charpoly(model.n))
+        _need(ob.probe_charpoly == want[0], "stored probe polynomial is wrong")
+        _need(ob.required_charpoly == want[1], "stored required polynomial is wrong")
     elif kind == "identity_not_fixed":
         one = Matrix.identity(model.n)
         img = model.apply_map(d, one)
@@ -320,6 +320,7 @@ def _recheck_weight_obstruction(lb: SemidirectLeibniz, bm: BlockMap, cert):
     _need(all(vec_is_zero(e.apply(y)) for e in positive), "a positive root does not kill the I-part of z")
     _need(list(weight_components(lb, y)) == [cert.beta], "stored beta is not the weight of z's I-part")
     _need(any(b != 0 for b in cert.beta), "beta is zero: certificate not applicable")
+    _need(type(cert.sign) is int and cert.sign in (1, -1), "sign is not the int 1 or -1")
     img_h0 = cert.reduced.s_block.apply(h0c)
     want = h0c if cert.sign == 1 else tuple(-x for x in h0c)
     _need(img_h0 == want, "reduced S-block does not send h0 to sign*h0")

@@ -241,13 +241,29 @@ class CanonicalShape:
             raise ValueError(f"unknown sigma {self.sigma!r}")
 
     @cached_property
-    def _a_inverse(self) -> Matrix:
-        return inverse(self.a)
+    def _outer_factors(self) -> tuple:
+        """The columns of a and the rows of epsilon a^-1, as tuples."""
+        inv = inverse(self.a)
+        return self.a.T.data, (inv if self.epsilon == 1 else -inv).data
 
     def apply(self, x: Matrix) -> Matrix:
-        y = x.T if self.sigma == SIGMA_T else x
-        out = self.a @ y @ self._a_inverse
-        return out if self.epsilon == 1 else -out
+        """epsilon a sigma(x) a^-1.  a E_ij a^-1 is the outer product of
+        column i of a and row j of a^-1, so each nonzero entry of sigma(x)
+        costs n^2 products."""
+        cols, rows = self._outer_factors
+        if x.nrows != len(cols) or x.ncols != len(cols):
+            raise ValueError("matrix has wrong size for this shape")
+        zero_row = (GR_ZERO,) * len(cols)
+        out = None
+        for i, x_row in enumerate((x.T if self.sigma == SIGMA_T else x).data):
+            for j, c in enumerate(x_row):
+                if c.a or c.b:
+                    term = Matrix._of_rows(
+                        tuple(tuple(u * y for y in rows[j]) if u.a or u.b else zero_row for u in cols[i])
+                    )
+                    term = term if c.is_one() else term * c
+                    out = term if out is None else out + term
+        return Matrix.zeros(len(cols), len(cols)) if out is None else out
 
     def is_automorphism_family(self) -> bool:
         return (self.epsilon, self.sigma) in AUTOMORPHISM_FAMILIES
@@ -260,5 +276,5 @@ class CanonicalShape:
         return cls(int(data["epsilon"]), data["sigma"], Matrix.from_json(data["a"]))
 
 
-def shape_map_matrix(model: SlnModel, shape: CanonicalShape) -> Matrix:
+def shape_map_matrix(model: MatrixModel, shape: CanonicalShape) -> Matrix:
     return model.map_matrix(shape.apply)

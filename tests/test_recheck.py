@@ -627,3 +627,60 @@ def test_square_zero_witness_of_the_wrong_size_rejected():
     e13 = Matrix(((0, 0, 1), (0, 0, 0), (0, 0, 0)))
     with pytest.raises(RecheckError, match="wrong size"):
         recheck_sln_verdict(m2, d, replace(v, obstruction=replace(v.obstruction, witness=e13)))
+
+
+# -- stored scalars and polynomials must equal the recomputed ones ----------
+
+
+@pytest.mark.parametrize("sign", [5, 0, -7, -1.0, False])
+def test_weight_certificate_sign_other_than_the_int_one_or_minus_one_rejected(sign):
+    """minus_s has sign -1; 5, 0 and -7 are not signs, and -1.0 and False
+    compare equal to one but are not the int."""
+    lb, bm, v = minus_s_weight_case()
+    assert v.certificate.sign == -1
+    with pytest.raises(RecheckError, match="sign"):
+        recheck_leibniz_verdict(lb, bm, replace(v, certificate=replace(v.certificate, sign=sign)))
+
+
+@pytest.mark.parametrize("lam", [gr(2), GaussianRational(0, 1)])
+def test_lambda_must_be_the_canonical_square_root(lam):
+    """scalar_map(lam) on sl_3 gets lambda_not_unit with lambda = lam, the
+    canonical root of lam^2; a missing lambda or -lam fails."""
+    m3 = SlnModel(3)
+    d = m3.scalar_map(lam)
+    v = classify_sln(m3, d)
+    ob = v.obstruction
+    assert ob.kind == "lambda_not_unit" and ob.lam == lam
+    recheck_sln_verdict(m3, d, v)
+    for bad in (None, -lam):
+        with pytest.raises(RecheckError, match="canonical square root"):
+            recheck_sln_verdict(m3, d, replace(v, obstruction=replace(ob, lam=bad)))
+
+
+def test_no_shape_fits_probe_polynomials_are_rechecked_on_sl_n():
+    """The n = 2 screen evader's certificate must carry the probe's
+    polynomial and the required one, not None or another polynomial."""
+    m2 = SlnModel(2)
+    d = no_shape_map(m2)
+    v = classify_sln(m2, d)
+    ob = v.obstruction
+    assert ob.kind == "no_shape_fits"
+    recheck_sln_verdict(m2, d, v)
+    for field, bad in (("probe_charpoly", None), ("required_charpoly", None),
+                       ("required_charpoly", Polynomial((5, 1)))):
+        with pytest.raises(RecheckError, match="polynomial is wrong"):
+            recheck_sln_verdict(m2, d, replace(v, obstruction=replace(ob, **{field: bad})))
+
+
+def test_no_shape_fits_on_m_n_carries_no_probe_polynomials():
+    """classify_mn runs no probe, so either polynomial on an M_n
+    certificate fails, even the values the sl_2 probe would give."""
+    mn = MnModel(2)
+    d = Matrix.diagonal([1, 2, 1, 1])
+    v = classify_mn(mn, d)
+    ob = v.obstruction
+    assert ob.kind == "no_shape_fits" and ob.probe_charpoly is None and ob.required_charpoly is None
+    probe = charpoly(mn.apply_map(d, Matrix.diagonal([1, -1])))
+    for field, bad in (("probe_charpoly", probe), ("required_charpoly", Polynomial((-1, 0, 1)))):
+        with pytest.raises(RecheckError, match="polynomial is wrong"):
+            recheck_sln_verdict(mn, d, replace(v, obstruction=replace(ob, **{field: bad})))

@@ -1,9 +1,12 @@
 """Coordinate model of sl_n, canonical shapes, structure constants."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locaut.classify import random_unimodular
 from locaut.exact import GaussianRational
 from locaut.linalg import Matrix, inverse
 from locaut.sln import (
@@ -147,13 +150,38 @@ def test_shape_validation():
         CanonicalShape(2, SIGMA_ID, Matrix.identity(2))
     with pytest.raises(ValueError):
         CanonicalShape(1, "flip", Matrix.identity(2))
+    shape = CanonicalShape(1, SIGMA_ID, Matrix.identity(3))
+    for x in (Matrix(((0, 1), (0, 0))), Matrix.identity(4), Matrix(((1, 2, 3),))):
+        with pytest.raises(ValueError, match="wrong size"):
+            shape.apply(x)
 
 
 def test_shape_apply_definition():
-    a = Matrix(((1, 1), (0, 1)))
-    x = Matrix(((0, 1), (0, 0)))
-    assert CanonicalShape(1, SIGMA_ID, a).apply(x) == a @ x @ inverse(a)
-    assert CanonicalShape(-1, SIGMA_T, a).apply(x) == -(a @ x.T @ inverse(a))
+    """apply, by outer products, equals epsilon a sigma(x) a^-1 by two
+    matrix products, for every family, on every basis element and on dense
+    random x, over sl_n for n = 2..4 and M_n for n = 1..4; shape_map_matrix
+    equals the map_matrix of that reference."""
+    rng = random.Random(400)
+    for model in [SlnModel(n) for n in (2, 3, 4)] + [MnModel(n) for n in (1, 2, 3, 4)]:
+        n = model.n
+        scales = Matrix.diagonal([GaussianRational(k + 1, k % 2) for k in range(n)])
+        a = random_unimodular(n, rng) @ scales
+        a_inv = inverse(a)
+
+        def reference(eps, sigma, x):
+            out = a @ (x.T if sigma == SIGMA_T else x) @ a_inv
+            return out if eps == 1 else -out
+
+        dense = [
+            model.matrix([GaussianRational(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(model.dim)])
+            for _ in range(3)
+        ]
+        for eps, sigma in SHAPE_FAMILIES:
+            shape = CanonicalShape(eps, sigma, a)
+            for x in (*model.basis, *dense):
+                assert shape.apply(x) == reference(eps, sigma, x)
+            assert shape_map_matrix(model, shape) == model.map_matrix(lambda x: reference(eps, sigma, x))
+        assert CanonicalShape(1, SIGMA_ID, a).apply(Matrix.zeros(n, n)) == Matrix.zeros(n, n)
 
 
 def test_family_automorphism_flags():
