@@ -31,6 +31,7 @@ from .linalg import (
     _nonzero_mod_p,
     charpoly,
     conjugator,
+    cyclic_companion,
     invariant_factors,
     is_nonsingular,
     kernel,
@@ -351,15 +352,19 @@ def pointwise_witness(model: SlnModel, d: Matrix, x: Matrix) -> CanonicalShape |
 
     Tries conjugation first, then the standard anti-twist x -> -a x^T a^-1,
     which together exhaust the automorphisms of sl_n.  Invariant factors
-    decide which one matches: one Smith form of x and one of Delta(x)
-    settle both, since those of -x^T follow from x's by negated_factors.
-    Only the matching candidate builds a conjugator.
+    decide which one matches; those of -x^T follow from x's by
+    negated_factors.  A side with a cyclic unit vector has the one factor
+    chi, which cyclic_companion reads off its Krylov basis; only a side
+    without one takes a Smith form.  Only the matching candidate builds a
+    conjugator, and conjugation reuses x's Krylov inverse.
     """
     target = model.apply_map(d, x)
-    fx = invariant_factors(x)
-    ft = invariant_factors(target)
+    cx = cyclic_companion(x)
+    ct = cyclic_companion(target)
+    fx = invariant_factors(x) if cx is None else (cx[1],)
+    ft = invariant_factors(target) if ct is None else (ct[1],)
     if fx == ft:
-        return CanonicalShape(1, SIGMA_ID, conjugator(x, target))
+        return CanonicalShape(1, SIGMA_ID, conjugator(x, target, cx))
     if negated_factors(fx) == ft:
         return CanonicalShape(-1, SIGMA_T, conjugator(-(x.T), target))
     return None

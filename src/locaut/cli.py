@@ -345,7 +345,7 @@ def _check_filiform(seed):
 
 
 def _check_exact_kernel(seed):
-    from .linalg import charpoly, det, inverse, invariant_factors, solve_linear
+    from .linalg import charpoly, cyclic_companion, det, inverse, invariant_factors, solve_linear
     from .exact import Polynomial
 
     rng = random.Random(seed)
@@ -355,8 +355,12 @@ def _check_exact_kernel(seed):
         )
         if det(m) != cofactor_det(m):
             raise RecheckError("determinant disagrees with cofactor expansion")
-        if charpoly(m) != charpoly_via_cofactor(m):
+        chi = charpoly(m)
+        if chi != charpoly_via_cofactor(m):
             raise RecheckError("charpoly disagrees with cofactor expansion")
+        companion = cyclic_companion(m)
+        if companion is not None and companion[1] != chi:
+            raise RecheckError("companion polynomial disagrees with charpoly")
         if not cofactor_det(m).is_zero():
             if inverse(m) @ m != Matrix.identity(3):
                 raise RecheckError("inverse is wrong")

@@ -27,19 +27,6 @@ def internal_check(cond, msg: str) -> None:
         raise InternalCheckError(msg)
 
 
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a non-negative rational, or None."""
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-    rn = isqrt(q.numerator)
-    rd = isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
 class GaussianRational:
     """An element of Q(i), stored as (a + b*i)/d in lowest terms."""
 
@@ -169,22 +156,24 @@ class GaussianRational:
         Canonical means positive real part, or zero real part with
         non-negative imaginary part.
         """
-        if self.is_zero():
-            return GR_ZERO
-        A, B = self.re, self.im
-        if B == 0:
-            if A > 0:
-                s = _fraction_sqrt(A)
-                return None if s is None else GaussianRational(s)
-            s = _fraction_sqrt(-A)
-            return None if s is None else GaussianRational(0, s)
-        r = _fraction_sqrt(A * A + B * B)
-        if r is None:
+        a, b, d = self.a, self.b, self.d
+        if b == 0:
+            # gcd(a, d) = 1, so a/d is a square iff |a| and d are
+            ra, rd = isqrt(abs(a)), isqrt(d)
+            if ra * ra != abs(a) or rd * rd != d:
+                return None
+            return GaussianRational._raw(ra, 0, rd) if a >= 0 else GaussianRational._raw(0, ra, rd)
+        # |self| = s/d with s^2 = a^2 + b^2; the real part of the root is
+        # c = sqrt((a + s)/(2d)) = p/q, and its imaginary part b/(2dc)
+        s = isqrt(a * a + b * b)
+        if s * s != a * a + b * b:
             return None
-        c = _fraction_sqrt((A + r) / 2)
-        if c is None or c == 0:
+        g = gcd(a + s, 2 * d)
+        num, den = (a + s) // g, 2 * d // g
+        p, q = isqrt(num), isqrt(den)
+        if p * p != num or q * q != den:
             return None
-        w = GaussianRational(c, B / (2 * c))
+        w = GaussianRational._raw(2 * d * p * p, b * q * q, 2 * d * p * q)
         internal_check(w * w == self, "square root does not square back")
         return w
 

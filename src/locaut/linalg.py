@@ -585,14 +585,38 @@ def _krylov(m: Matrix, v) -> Matrix:
     cols = [tuple(v)]
     for _ in range(m.nrows - 1):
         cols.append(m.apply(cols[-1]))
-    return Matrix(zip(*cols))
+    return Matrix._of_rows(tuple(zip(*cols)))
 
 
-def conjugator(x: Matrix, y: Matrix) -> Matrix:
+def _unit_vectors(n: int) -> list:
+    return [tuple(GR_ONE if i == j else GR_ZERO for i in range(n)) for j in range(n)]
+
+
+def cyclic_companion(m: Matrix) -> tuple | None:
+    """(K^-1, chi_m) for the first unit vector v whose Krylov matrix
+    K = [v, m v, ..., m^(n-1) v] is nonsingular, or None when no unit vector
+    is cyclic.
+
+    K^-1 m K is the companion matrix of chi_m (Hoffman-Kunze, Linear Algebra,
+    7.1): its last column c = K^-1 m^n v gives m^n v = sum_k c_k m^k v, so
+    chi_m(t) = t^n - sum_k c_k t^k.  A matrix with a cyclic vector is
+    nonderogatory, so (chi_m,) is then exactly invariant_factors(m).
+    """
+    for v in _unit_vectors(m.nrows):
+        k = _krylov(m, v)
+        if is_nonsingular(k):
+            k_inv = inverse(k)
+            c = k_inv.apply(m.apply(k.column(m.nrows - 1)))
+            return k_inv, Polynomial(tuple(-x for x in c) + (GR_ONE,))
+    return None
+
+
+def conjugator(x: Matrix, y: Matrix, companion=None) -> Matrix:
     """Invertible a with a x a^-1 = y; precondition: x and y are similar.
 
-    Take the first unit vector v with K_x(v) = [v, x v, ..., x^(n-1) v]
-    invertible.  An intertwiner a (y a = a x) sends x^k v to y^k (a v), so
+    companion is cyclic_companion(x), searched here unless the caller has
+    it: K_x(v)^-1 for the first unit vector v with K_x(v) invertible.  An
+    intertwiner a (y a = a x) sends x^k v to y^k (a v), so
     a = K_y(a v) K_x(v)^-1; conversely every w gives the intertwiner
     K_y(w) K_x(v)^-1, because chi_x(y) = chi_y(y) = 0.  The n matrices
     K_y(e_j) K_x(v)^-1 therefore span the intertwiner space, and only n x n
@@ -601,13 +625,13 @@ def conjugator(x: Matrix, y: Matrix) -> Matrix:
     Both give the same canonical space, so the same witness.
     """
     n = x.nrows
-    units = [tuple(GR_ONE if i == j else GR_ZERO for i in range(n)) for j in range(n)]
-    cyclic = next((k for k in (_krylov(x, v) for v in units) if is_nonsingular(k)), None)
-    if cyclic is None:
+    if companion is None:
+        companion = cyclic_companion(x)
+    if companion is None:
         space = intertwiner_space([(y, x)])  # a with y a = a x, i.e. a x a^-1 = y
     else:
-        k_inv = inverse(cyclic)
-        space = Subspace(n * n, [(_krylov(y, e) @ k_inv).flatten() for e in units])
+        k_inv = companion[0]
+        space = Subspace(n * n, [(_krylov(y, e) @ k_inv).flatten() for e in _unit_vectors(n)])
     a = invertible_element(space, n)
     internal_check(y @ a == a @ x, "similarity witness does not intertwine")
     return a

@@ -11,6 +11,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_linalg import jordan_matrices, square_matrices
 
 from locaut import classify, leibniz, linalg
 from locaut.algebra import StructureAlgebra
@@ -33,7 +36,7 @@ from locaut.classify import (
     random_unimodular,
     square_zero_counterexample,
 )
-from locaut.exact import GR_ONE, GaussianRational, internal_check
+from locaut.exact import GR_ONE, GR_ZERO, GaussianRational, internal_check
 from locaut.leibniz import (
     LOCAL_AUT,
     BlockMap,
@@ -50,7 +53,17 @@ from locaut.leibniz import (
     is_automorphism,
     is_block_automorphism,
 )
-from locaut.linalg import Matrix, inverse, kernel
+from locaut.linalg import (
+    Matrix,
+    charpoly,
+    conjugator,
+    cyclic_companion,
+    invariant_factors,
+    inverse,
+    kernel,
+    negated_factors,
+)
+from locaut.recheck import charpoly_via_cofactor, recheck_witness_at
 from locaut.sln import SHAPE_FAMILIES, SIGMA_ID, SIGMA_T, CanonicalShape, MnModel, SlnModel, shape_map_matrix
 
 # -- screen-first references --------------------------------------------------
@@ -399,17 +412,129 @@ def test_pointwise_witness_builds_intertwiners_only_for_similar_pairs(counting):
     assert len(calls) == 1
 
 
-def test_pointwise_witness_at_a_cyclic_point_takes_one_smith_form_each(counting):
-    # e1 is a cyclic vector of x and of -x^T, and x is not similar to -x, so
-    # the transpose map matches by conjugation and the negation by the
-    # anti-twist, both through the Krylov conjugator
+def test_pointwise_witness_at_a_cyclic_point_takes_no_smith_form(counting):
+    # e1 is a cyclic vector of x, of x^T and of -x, and x is not similar to
+    # -x, so the transpose map matches by conjugation and the negation by
+    # the anti-twist, both through the Krylov conjugator
     factors = counting(classify, "invariant_factors")
     spaces = counting(linalg, "intertwiner_space")
     model = SlnModel(3)
     x = Matrix(((1, 1, 0), (0, 2, 1), (1, 0, -3)))
     for d, family in ((model.transpose_map(), (1, SIGMA_ID)), (model.scalar_map(-1), (-1, SIGMA_T))):
-        factors.clear()
         shape = pointwise_witness(model, d, x)
         assert (shape.epsilon, shape.sigma) == family
-        assert len(factors) == 2
-    assert spaces == []
+    assert factors == [] and spaces == []
+
+
+def near_miss_map(model):
+    """The identity except e12 -> e12 + e23 + ... + e_(n-1)n (+ e21 at
+    n = 2): at e12, which is derogatory for n >= 3, the image is one
+    nilpotent Jordan block, whose last unit vector is cyclic."""
+    img = model.e(0, 1) + (model.e(1, 0) if model.n == 2 else Matrix.zeros(model.n, model.n))
+    for k in range(1, model.n - 1):
+        img = img + model.e(k, k + 1)
+    return model.map_matrix(lambda x: x + (img - model.e(0, 1)) * x[0, 1])
+
+
+def test_pointwise_witness_takes_a_smith_form_only_on_a_side_without_a_cyclic_unit_vector(counting):
+    factors = counting(classify, "invariant_factors")
+    # near-miss: e12 is derogatory, its image e12 + e23 + e34 is cyclic
+    model = SlnModel(4)
+    e12 = model.e(0, 1)
+    assert pointwise_witness(model, near_miss_map(model), e12) is None
+    assert factors == [(e12,)]
+    # x -> -x at diag(1, 1, -2): both sides derogatory
+    factors.clear()
+    model = SlnModel(3)
+    x = Matrix.diagonal([1, 1, -2])
+    shape = pointwise_witness(model, model.scalar_map(-1), x)
+    assert (shape.epsilon, shape.sigma) == (-1, SIGMA_T)
+    assert factors == [(x,), (-x,)]
+    # diag(1, 2, -3) is nonderogatory, but no unit vector is cyclic for it
+    # or for its image: the Smith form still decides, and the witness follows
+    factors.clear()
+    x = Matrix.diagonal([1, 2, -3])
+    for d, family in ((model.transpose_map(), (1, SIGMA_ID)), (model.scalar_map(-1), (-1, SIGMA_T))):
+        shape = pointwise_witness(model, d, x)
+        assert (shape.epsilon, shape.sigma) == family
+        recheck_witness_at(model, d, x, shape)
+    assert factors == [(x,), (x,), (x,), (-x,)]
+    assert [len(invariant_factors(m)) for m, in factors] == [1, 1, 1, 1]
+
+
+# -- reference: the decision by two Smith forms --------------------------------
+
+
+def reference_pointwise_witness(model, d, x):
+    """pointwise_witness as it was before cyclic points skipped the Smith
+    form: the invariant factors of x and of Delta(x) decide."""
+    target = model.apply_map(d, x)
+    fx = invariant_factors(x)
+    ft = invariant_factors(target)
+    if fx == ft:
+        return CanonicalShape(1, SIGMA_ID, conjugator(x, target))
+    if negated_factors(fx) == ft:
+        return CanonicalShape(-1, SIGMA_T, conjugator(-(x.T), target))
+    return None
+
+
+def traceless(m):
+    n = m.nrows
+    return m - Matrix.identity(n) * (m.trace() / n)
+
+
+@st.composite
+def witness_cases(draw):
+    """(model, map, point) for n = 2..5: a random integer point, a
+    conjugated Jordan point with eigenvalues in {0, 1} (often derogatory)
+    or a conjugated multiple of e12, under the transpose, the negation, a
+    twisted conjugation x -> h x^T h^-1 or the near-miss map conjugated by
+    the same g as the point, so that a conjugated e12 is its near miss."""
+    n = draw(st.integers(2, 5))
+    model = SlnModel(n)
+    g = random_unimodular(n, random.Random(draw(st.integers(0, 10_000))))
+    ginv = inverse(g)
+    kind = draw(st.sampled_from(["random", "jordan", "e12"]))
+    if kind == "random":
+        x = traceless(draw(square_matrices(n, -3, 3)))
+    elif kind == "jordan":
+        x = traceless(g @ draw(jordan_matrices(n)) @ ginv)
+    else:
+        x = g @ model.e(0, 1) @ ginv * draw(st.sampled_from([1, 2, -3]))
+    h = random_unimodular(n, random.Random(draw(st.integers(0, 10_000))))
+    base = near_miss_map(model)
+    maps = {
+        "transpose": lambda: model.transpose_map(),
+        "negation": lambda: model.scalar_map(-1),
+        "twisted": lambda: shape_map_matrix(model, CanonicalShape(1, SIGMA_T, h)),
+        "near_miss": lambda: model.map_matrix(lambda y: g @ model.apply_map(base, ginv @ y @ g) @ ginv),
+    }
+    return model, maps[draw(st.sampled_from(sorted(maps)))](), x
+
+
+@given(witness_cases())
+@settings(max_examples=80, deadline=None)
+def test_pointwise_witness_matches_the_two_smith_form_reference(case):
+    model, d, x = case
+    got = pointwise_witness(model, d, x)
+    want = reference_pointwise_witness(model, d, x)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.to_json() == want.to_json()
+        recheck_witness_at(model, d, x, got)
+    for m in (x, model.apply_map(d, x)):
+        companion = cyclic_companion(m)
+        factors = invariant_factors(m)
+        if len(factors) > 1:  # derogatory: no vector is cyclic
+            assert companion is None
+        if companion is None:
+            continue
+        k_inv, chi = companion
+        assert (chi,) == factors
+        assert chi == charpoly(m)
+        if model.n <= 4:
+            assert chi == charpoly_via_cofactor(m)
+        # K^-1 m K is the companion matrix of chi
+        n = model.n
+        want = [[GR_ONE if i == j + 1 else GR_ZERO for j in range(n - 1)] + [-chi.coeffs[i]] for i in range(n)]
+        assert k_inv @ m @ inverse(k_inv) == Matrix(want)

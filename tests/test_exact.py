@@ -1,6 +1,7 @@
 """Scalar and polynomial arithmetic over Q(i)."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,75 @@ def test_sqrt_squares_back(a):
     r = (a * a).sqrt()
     assert r is not None
     assert r * r == a * a
+
+
+# -- reference: the square root through Fractions -----------------------------
+#
+# GaussianRational.sqrt as it was before it worked on the integer triple.
+
+
+def _fraction_sqrt(q):
+    if q < 0:
+        return None
+    if q == 0:
+        return Fraction(0)
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn != q.numerator or rd * rd != q.denominator:
+        return None
+    return Fraction(rn, rd)
+
+
+def reference_sqrt(z):
+    if z.is_zero():
+        return GR_ZERO
+    A, B = z.re, z.im
+    if B == 0:
+        if A > 0:
+            s = _fraction_sqrt(A)
+            return None if s is None else GaussianRational(s)
+        s = _fraction_sqrt(-A)
+        return None if s is None else GaussianRational(0, s)
+    r = _fraction_sqrt(A * A + B * B)
+    if r is None:
+        return None
+    c = _fraction_sqrt((A + r) / 2)
+    if c is None or c == 0:
+        return None
+    return GaussianRational(c, B / (2 * c))
+
+
+wide_fractions = st.fractions(min_value=-60, max_value=60, max_denominator=40)
+sqrt_cases = st.one_of(
+    st.builds(GaussianRational, wide_fractions, wide_fractions),  # mostly non-squares, d > 1
+    st.builds(lambda z: z * z, st.builds(GaussianRational, small_fractions, small_fractions)),  # squares
+    st.builds(lambda q: GaussianRational(-q * q), small_fractions),  # negative real squares
+    st.builds(lambda q: GaussianRational(0, q), wide_fractions),  # pure imaginaries
+    st.builds(lambda q: GaussianRational(0, 2 * q * q), small_fractions),  # pure imaginary squares
+    st.just(GR_ZERO),
+)
+
+
+@given(sqrt_cases)
+@settings(max_examples=300, deadline=None)
+def test_sqrt_matches_the_fraction_reference(z):
+    assert z.sqrt() == reference_sqrt(z)
+
+
+@pytest.mark.parametrize(
+    "z",
+    [
+        GR_ZERO,
+        GaussianRational(Fraction(4, 9)),
+        GaussianRational(Fraction(-9, 49)),
+        GaussianRational(Fraction(2, 9)),
+        GaussianRational(0, Fraction(-1, 2)),
+        GaussianRational(Fraction(-5, 36), Fraction(1, 3)),  # (1/3 + 1/2 i)^2
+        GaussianRational(3, 4),
+        GaussianRational(Fraction(3, 4), 1),
+    ],
+)
+def test_sqrt_matches_the_fraction_reference_at_hand_values(z):
+    assert z.sqrt() == reference_sqrt(z)
 
 
 def test_pow():
