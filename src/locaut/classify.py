@@ -204,13 +204,13 @@ def fit_shape_family(model, d: Matrix, epsilon: int, sigma: str, images=None):
     return space, a
 
 
-def automorphism_shape(model: SlnModel, d: Matrix, images) -> CanonicalShape | None:
+def automorphism_shape(model: SlnModel, d: Matrix) -> CanonicalShape | None:
     """The shape of d when d is an automorphism of sl_n, else None.
 
     Aut(sl_n) is exactly x -> a x a^-1 and x -> -a x^T a^-1, so a fit of
     (1, identity) or (-1, transpose) proves membership and no fit disproves
-    it.  images are the basis images of d."""
-    verdict, _ = _fit_families(model, d, images, AUTOMORPHISM_FAMILIES, first_only=True)
+    it."""
+    verdict, _ = _fit_families(model, d, basis_images(model, d), AUTOMORPHISM_FAMILIES, first_only=True)
     return None if verdict is None else verdict.shape
 
 
@@ -356,7 +356,7 @@ def pointwise_witness(model: SlnModel, d: Matrix, x: Matrix) -> CanonicalShape |
     negated_factors.  A side with a cyclic unit vector has the one factor
     chi, which cyclic_companion reads off its Krylov basis; only a side
     without one takes a Smith form.  Only the matching candidate builds a
-    conjugator, and conjugation reuses x's Krylov inverse.
+    conjugator, and conjugation reuses x's Krylov search, failed or not.
     """
     target = model.apply_map(d, x)
     cx = cyclic_companion(x)
@@ -366,7 +366,7 @@ def pointwise_witness(model: SlnModel, d: Matrix, x: Matrix) -> CanonicalShape |
     if fx == ft:
         return CanonicalShape(1, SIGMA_ID, conjugator(x, target, cx))
     if negated_factors(fx) == ft:
-        return CanonicalShape(-1, SIGMA_T, conjugator(-(x.T), target))
+        return CanonicalShape(-1, SIGMA_T, conjugator(-(x.T), target, cyclic_companion(-(x.T))))
     return None
 
 

@@ -44,7 +44,7 @@ from .recheck import (
     recheck_sln_verdict,
     recheck_witness_at,
 )
-from .sln import MnModel, SlnModel
+from .sln import SIGMA_ID, CanonicalShape, MnModel, SlnModel
 
 DEFAULT_SEED = 20240817
 
@@ -219,7 +219,7 @@ def _check_scalar_maps(seed):
 
 def _check_conjugation_roundtrips(seed):
     rng = random.Random(seed)
-    from .sln import SHAPE_FAMILIES, CanonicalShape, shape_map_matrix
+    from .sln import SHAPE_FAMILIES, shape_map_matrix
 
     for n in (2, 3):
         model = SlnModel(n)
@@ -294,7 +294,7 @@ def _check_extensions(seed):
             bm = extend_automorphism(lb, inner_automorphism_matrix(lb.model, a), omega)
             if bm is None:
                 raise RecheckError("inner automorphism failed to extend")
-            recheck_extension_structure(lb, bm)
+            recheck_extension_structure(lb, bm, CanonicalShape(1, SIGMA_ID, a))
 
 
 def _check_leibniz_decisions(seed):

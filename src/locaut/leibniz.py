@@ -15,20 +15,21 @@ not diagonal.
 
 Local automorphisms of these algebras are automorphisms, so the decision
 is the automorphism test, made on the blocks of the map alone
-(is_block_automorphism): the I-block is invertible, the I-block and the
+(block_automorphism_shape): the I-block is invertible, the I-block and the
 coupling intertwine on the Chevalley generators, and the S-block fits an
-automorphism family of sl_n.  A map that fails only needs a certificate,
-which mirrors the structure theory: a singular map (one of its diagonal
-blocks is) gives a kernel vector; the sl_n block must be a local
-automorphism; anti-family blocks are never local, and the code hunts for a
-concrete certificate (a square-zero break or a weight-space violation)
-rather than asking the caller to trust the theory.  The full bracket scan
-runs only to name the failing basis pair of a bracket_failure certificate.
+automorphism family of sl_n, whose shape a positive verdict carries for
+recheck.  A map that fails only needs a certificate, which mirrors the
+structure theory: a singular map (one of its diagonal blocks is) gives a
+kernel vector; the sl_n block must be a local automorphism; anti-family
+blocks are never local, and the code hunts for a concrete certificate (a
+square-zero break or a weight-space violation) rather than asking the
+caller to trust the theory.  The full bracket scan runs only to name the
+failing basis pair of a bracket_failure certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -39,7 +40,6 @@ from .classify import (
     NotInjective,
     Verdict,
     automorphism_shape,
-    basis_images,
     classify_sln,
 )
 from .exact import GR_ONE, GR_ZERO, GaussianRational, as_scalar, format_scalar, internal_check
@@ -389,9 +389,9 @@ def _intertwines(t: Matrix, a: Matrix, b: Matrix) -> bool:
     return all(t.apply(a.column(p)) == b.apply(t.column(p)) for p in range(a.ncols))
 
 
-def is_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap) -> bool:
-    """Whether the block map Phi = [[phi, 0], [C, theta]] is an automorphism
-    of L, decided from its blocks.
+def block_automorphism_shape(lb: SemidirectLeibniz, bm: BlockMap) -> CanonicalShape | None:
+    """The shape of phi when the block map Phi = [[phi, 0], [C, theta]] is
+    an automorphism of L, decided from its blocks; None when Phi is not one.
 
     The only nonzero brackets of L are [x, y] for x, y in S and [u, x] =
     R_x u for u in I.  Expanding Phi[a, b] = [Phi a, Phi b] over the four
@@ -404,16 +404,16 @@ def is_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap) -> bool:
     Once phi is a homomorphism, the g where either identity holds form a
     subalgebra, because R_[x,y] = R_y R_x - R_x R_y and rho obeys the same
     law; so the Chevalley generators decide both.  phi is in Aut(sl_n) iff
-    it fits (1, identity) or (-1, transpose), and a fit is a proof.  The
-    coupling identity makes C a module map from the irreducible adjoint
-    module, so a nonzero C is injective and needs dim I >= dim S.
+    it fits (1, identity) or (-1, transpose), and the fit's shape is the
+    proof that recheck checks.  The coupling identity makes C a module map
+    from the irreducible adjoint module, so a nonzero C is injective and
+    needs dim I >= dim S.
 
     The cheap checks run first and the fits last: a map that is no
     automorphism almost always fails at the first generator."""
     if not bm.i_block_invertible or not _blocks_intertwine(lb, bm):
-        return False
-    phi = bm.s_block
-    return automorphism_shape(lb.model, phi, basis_images(lb.model, phi)) is not None
+        return None
+    return automorphism_shape(lb.model, bm.s_block)
 
 
 def _blocks_intertwine(lb: SemidirectLeibniz, bm: BlockMap) -> bool:
@@ -471,7 +471,7 @@ def extend_automorphism(lb: SemidirectLeibniz, phi_s: Matrix, omega=0) -> BlockM
     right modules).  The family fit decides that; det phi_s only picks the
     message."""
     omega = as_scalar(omega)
-    if automorphism_shape(lb.model, phi_s, basis_images(lb.model, phi_s)) is None:
+    if automorphism_shape(lb.model, phi_s) is None:
         if not is_nonsingular(phi_s):
             raise ValueError("the S map is singular, so not an automorphism")
         raise ValueError("the S map is not an automorphism of sl_n")
@@ -545,6 +545,7 @@ class WeightObstruction:
 
     z: tuple
     reducer: BlockMap  # automorphism used to normalize the S-block
+    reducer_shape: CanonicalShape = field(compare=False)  # the reducer's S-block
     reduced: BlockMap  # reducer^-1 after the map; S-block sends h0 to s*h0
     sign: int
     beta: tuple
@@ -583,6 +584,7 @@ class BracketFailure:
 class LeibnizVerdict:
     verdict: str  # "LocalAutomorphism" | "NotLocal"
     certificate: object | None = None
+    s_shape: CanonicalShape | None = field(default=None, compare=False)  # a positive verdict's S-block
 
     def to_json(self):
         return {
@@ -629,7 +631,7 @@ def weight_components(lb: SemidirectLeibniz, v) -> set:
 
 
 def _weight_obstruction(
-    lb: SemidirectLeibniz, reducer: BlockMap, reduced: BlockMap, sign: int
+    lb: SemidirectLeibniz, reducer: BlockMap, reducer_shape: CanonicalShape, reduced: BlockMap, sign: int
 ) -> WeightObstruction | None:
     """Check the h0 + y_beta point against the forced weight structure.
     The reduced S-block is x -> sign sigma(x), and sigma fixes the diagonal
@@ -646,24 +648,24 @@ def _weight_obstruction(
     weights = weight_components(lb, i_part)
     if target in weights and weights <= {zero_w, target}:
         return None
-    return WeightObstruction(
-        z=z, reducer=reducer, reduced=reduced, sign=sign, beta=beta, i_part=tuple(i_part)
-    )
+    return WeightObstruction(z, reducer, reducer_shape, reduced, sign, beta, tuple(i_part))
 
 
 def decide_local_aut(lb: SemidirectLeibniz, bm: BlockMap) -> LeibnizVerdict:
     """Is the block map a local automorphism of L?  By the classification
     this is equivalent to being an automorphism, so the block check
-    decides; a failure only goes on to pick an independently checkable
-    certificate.  The map is block lower-triangular, so it is singular iff
-    a diagonal block is.  Each block is tested once: theta by the block
-    check, which BlockMap remembers, and phi by classify_sln, whose
-    injectivity test also answers for phi.  The full bracket scan runs once,
-    for a bracket_failure certificate, and names its pair."""
+    decides, and a positive verdict carries its S-shape; a failure only
+    goes on to pick an independently checkable certificate.  The map is
+    block lower-triangular, so it is singular iff a diagonal block is.  Each
+    block is tested once: theta by the block check, which BlockMap
+    remembers, and phi by classify_sln, whose injectivity test also answers
+    for phi.  The full bracket scan runs once, for a bracket_failure
+    certificate, and names its pair."""
     if not lb.has_block_sizes(bm):
         raise ValueError("block sizes do not match the algebra")
-    if is_block_automorphism(lb, bm):
-        return LeibnizVerdict(LOCAL_AUT)
+    shape = block_automorphism_shape(lb, bm)
+    if shape is not None:
+        return LeibnizVerdict(LOCAL_AUT, s_shape=shape)
     s_verdict = classify_sln(lb.model, bm.s_block) if bm.i_block_invertible else None
     if s_verdict is None or isinstance(s_verdict.obstruction, NotInjective):
         return LeibnizVerdict(NOT_LOCAL, NotInjective(kernel(bm.full_matrix()).basis[0]))
@@ -677,9 +679,10 @@ def decide_local_aut(lb: SemidirectLeibniz, bm: BlockMap) -> LeibnizVerdict:
                 return LeibnizVerdict(NOT_LOCAL, cert)
         # Normalize the S-block by undoing Ad(a) of classify_sln's fit, then inspect weights.
         shape = s_verdict.shape
-        reducer = _extend(lb, inner_automorphism_matrix(lb.model, shape.a), GR_ZERO)
+        inner = CanonicalShape(1, SIGMA_ID, shape.a)
+        reducer = _extend(lb, shape_map_matrix(lb.model, inner), GR_ZERO)
         internal_check(reducer is not None, "inner automorphisms always extend")
-        cert = _weight_obstruction(lb, reducer, reducer.inv().compose(bm), shape.epsilon)
+        cert = _weight_obstruction(lb, reducer, inner, reducer.inv().compose(bm), shape.epsilon)
         if cert is not None:
             return LeibnizVerdict(NOT_LOCAL, cert)
     pair = lb.algebra.failing_pair(bm.full_matrix())

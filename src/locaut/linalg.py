@@ -611,11 +611,11 @@ def cyclic_companion(m: Matrix) -> tuple | None:
     return None
 
 
-def conjugator(x: Matrix, y: Matrix, companion=None) -> Matrix:
+def conjugator(x: Matrix, y: Matrix, companion) -> Matrix:
     """Invertible a with a x a^-1 = y; precondition: x and y are similar.
 
-    companion is cyclic_companion(x), searched here unless the caller has
-    it: K_x(v)^-1 for the first unit vector v with K_x(v) invertible.  An
+    companion is cyclic_companion(x): (K_x(v)^-1, chi_x) for the first unit
+    vector v with K_x(v) invertible, or None when no unit vector is.  An
     intertwiner a (y a = a x) sends x^k v to y^k (a v), so
     a = K_y(a v) K_x(v)^-1; conversely every w gives the intertwiner
     K_y(w) K_x(v)^-1, because chi_x(y) = chi_y(y) = 0.  The n matrices
@@ -625,8 +625,6 @@ def conjugator(x: Matrix, y: Matrix, companion=None) -> Matrix:
     Both give the same canonical space, so the same witness.
     """
     n = x.nrows
-    if companion is None:
-        companion = cyclic_companion(x)
     if companion is None:
         space = intertwiner_space([(y, x)])  # a with y a = a x, i.e. a x a^-1 = y
     else:
@@ -648,4 +646,4 @@ def similarity_witness(x: Matrix, y: Matrix) -> Matrix | None:
         raise ValueError("similarity needs square matrices of equal size")
     if invariant_factors(x) != invariant_factors(y):
         return None
-    return conjugator(x, y)
+    return conjugator(x, y, cyclic_companion(x))

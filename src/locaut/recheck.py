@@ -14,12 +14,12 @@ certificate reads weights with leibniz.weight_components, over the same
 weight basis that the decision uses.
 
 Positive Leibniz verdicts, extensions and the weight certificate's reducer
-are checked by the block lemma (_recheck_block_automorphism): a fit or an
-elimination only finds a witness, which products then check, so a fault in
-either can only reject a true claim.  The weight certificate's reduced map
-is checked by one product, reducer after reduced = the map.  A
-bracket_failure certificate is checked at its one stored pair; nothing runs
-the full bracket scan.
+are checked by the block lemma (_recheck_block_automorphism) against the
+S-shape that comes with the claim: no S-block is fitted, and an elimination
+only finds theta's inverse, which a product checks.  The weight
+certificate's reduced map is checked by one product, reducer after reduced
+= the map.  A bracket_failure certificate is checked at its one stored
+pair; nothing runs the full bracket scan.
 
 All checks raise RecheckError with a description on failure and return None
 on success.
@@ -34,7 +34,6 @@ from .classify import (
     MN_FAMILIES,
     NOT_LOCAL,
     Verdict,
-    automorphism_shape,
     basis_images,
     fit_shape_family,
     probe_element,
@@ -221,12 +220,12 @@ def recheck_sln_verdict(model: SlnModel, d: Matrix, v: Verdict):
 # Leibniz verdicts
 
 
-def _recheck_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap):
+def _recheck_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap, shape: CanonicalShape):
     """The block map [[phi, 0], [C, theta]] is an automorphism of L, by the
-    block lemma of leibniz.is_block_automorphism, with every step checked
+    block lemma of leibniz.block_automorphism_shape, with every step checked
     by products:
-    - phi fits an automorphism family, found by classify.automorphism_shape
-      and then checked like any shape, by recheck_shape;
+    - phi is the given shape, of the family (1, identity) or (-1,
+      transpose), checked like any shape, by recheck_shape;
     - theta is invertible: an inverse found by elimination satisfies
       theta theta' = 1;
     - theta R_g = R_phi(g) theta and C rho(g) = R_phi(g) C on the Chevalley
@@ -234,10 +233,8 @@ def _recheck_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap):
     _need(lb.has_block_sizes(bm), "block sizes do not match the algebra")
     model, module = lb.model, lb.module
     phi, coupling, theta = bm.s_block, bm.coupling, bm.i_block
-    images = basis_images(model, phi)
-    shape = automorphism_shape(model, phi, images)
-    _need(shape is not None, "S-block fits no automorphism family")
-    recheck_shape(model, images, shape)
+    _need(shape is not None and shape.is_automorphism_family(), "S-shape is not of an automorphism family")
+    recheck_shape(model, basis_images(model, phi), shape)
     try:
         theta_inv = inverse(theta)
     except ZeroDivisionError:
@@ -259,13 +256,15 @@ def _recheck_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap):
 
 def recheck_leibniz_verdict(lb: SemidirectLeibniz, bm: BlockMap, v: LeibnizVerdict):
     if v.verdict == LOCAL_AUT:
-        _recheck_block_automorphism(lb, bm)
+        _need(v.s_shape is not None, "positive verdict without an S-shape")
+        _recheck_block_automorphism(lb, bm, v.s_shape)
         return
     _need(v.verdict == NOT_LOCAL, f"unknown verdict {v.verdict}")
     cert = v.certificate
     _need(cert is not None, "negative verdict without a certificate")
     kind = cert.kind
     if kind == "sln_block":
+        _need(cert.verdict.verdict == NOT_LOCAL, "inherited sl_n verdict is not NotLocal")
         recheck_sln_verdict(lb.model, bm.s_block, cert.verdict)
     elif kind == "not_injective":
         _recheck_kernel_vector(bm.full_matrix(), cert.kernel_vector)
@@ -305,7 +304,7 @@ def _recheck_weight_obstruction(lb: SemidirectLeibniz, bm: BlockMap, cert):
     z is checked from its parts: h0, and a unit vector of weight beta that
     every positive-root action kills, which on an irreducible module is y_beta.
     """
-    _recheck_block_automorphism(lb, cert.reducer)
+    _recheck_block_automorphism(lb, cert.reducer, cert.reducer_shape)
     # the reducer is invertible, so reducer after reduced = the map pins
     # reduced down as reducer^-1 after the map
     _need(lb.has_block_sizes(cert.reduced), "stored reduced map has the wrong block sizes")
@@ -337,11 +336,11 @@ def _recheck_weight_obstruction(lb: SemidirectLeibniz, bm: BlockMap, cert):
 # Extension structure (block form)
 
 
-def recheck_extension_structure(lb: SemidirectLeibniz, bm: BlockMap):
+def recheck_extension_structure(lb: SemidirectLeibniz, bm: BlockMap, shape: CanonicalShape):
     """An extended automorphism has a vanishing coupling when dim S != dim
-    I, and it is an automorphism by its blocks: the S-block fits an
-    automorphism family, and the I-block intertwines onto the module
-    twisted by it."""
+    I, and it is an automorphism by its blocks: the S-block is shape, the
+    automorphism of sl_n that was extended, and the I-block intertwines
+    onto the module twisted by it."""
     if lb.dim_s != lb.dim_i:
         _need(bm.coupling.is_zero(), "coupling must vanish when dim S != dim I")
-    _recheck_block_automorphism(lb, bm)
+    _recheck_block_automorphism(lb, bm, shape)

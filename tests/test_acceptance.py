@@ -55,7 +55,7 @@ from locaut.recheck import (
     recheck_sln_verdict,
     recheck_witness_at,
 )
-from locaut.sln import CanonicalShape, SlnModel
+from locaut.sln import SIGMA_ID, SIGMA_T, CanonicalShape, SlnModel
 
 GR0 = GaussianRational(0)
 GR1 = GaussianRational(1)
@@ -171,8 +171,9 @@ def test_criterion_4_charpoly_probe():
 
 def _extension_corpus():
     """Extended automorphisms over sl_2 with V(2), V(3), and the adjoint
-    module: random inner S-blocks with omega in {0, 1}, plus a genuinely
-    anti-inner S-block (-transpose) on the adjoint module."""
+    module, each with the shape of its S-block: random inner S-blocks with
+    omega in {0, 1}, plus a genuinely anti-inner S-block (-transpose) on the
+    adjoint module."""
     model = SlnModel(2)
     corpus = []
     for module_text in ("vm:2", "vm:3"):
@@ -183,13 +184,13 @@ def _extension_corpus():
             phi_s = inner_automorphism_matrix(model, g)
             bm = extend_automorphism(lb, phi_s, count % 2)
             assert bm is not None, f"{module_text}: inner map failed to extend"
-            corpus.append((lb, bm))
+            corpus.append((lb, bm, CanonicalShape(1, SIGMA_ID, g)))
     lb = build_semidirect(model, build_module(model, "adjoint"))
     neg_t = model.map_matrix(lambda x: -(x.T))
     for omega in (0, 1):
         bm = extend_automorphism(lb, neg_t, omega)
         assert bm is not None, "-transpose failed to extend over the adjoint module"
-        corpus.append((lb, bm))
+        corpus.append((lb, bm, CanonicalShape(-1, SIGMA_T, Matrix.identity(2))))
     return corpus
 
 
@@ -235,8 +236,8 @@ def test_criterion_5_leibniz_both_directions():
 def test_criterion_6_extension_block_structure():
     """Every extended automorphism: I-block intertwines onto the twisted
     module, coupling vanishes when dim S != dim I, all brackets preserved."""
-    for lb, bm in _extension_corpus():
-        recheck_extension_structure(lb, bm)
+    for lb, bm, shape in _extension_corpus():
+        recheck_extension_structure(lb, bm, shape)
         if lb.dim_s != lb.dim_i:
             assert bm.coupling.is_zero()
         ok, pair = is_automorphism(lb, bm)

@@ -1,7 +1,8 @@
 """The block lemma: Phi = [[phi, 0], [C, theta]] is an automorphism of
 sl_n + I iff phi is in Aut(sl_n), theta is invertible, and theta and C
 intertwine on the Chevalley generators.  The full bracket scan is the
-reference: the decision's check and the recheck must both agree with it."""
+reference: the decision's check and the recheck of a claim that carries
+phi's shape must both agree with it."""
 
 import random
 from functools import lru_cache
@@ -11,22 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locaut import algebra, classify, recheck
-from locaut.classify import random_unimodular
+from locaut.classify import automorphism_shape, classify_sln, random_unimodular
 from locaut.exact import GaussianRational
 from locaut.leibniz import (
     LOCAL_AUT,
     BlockMap,
     LeibnizVerdict,
     RightModule,
+    block_automorphism_shape,
     build_module,
     build_semidirect,
     decide_local_aut,
     extend_automorphism,
     inner_automorphism_matrix,
     is_automorphism,
-    is_block_automorphism,
 )
-from locaut.linalg import Matrix, Subspace
+from locaut.linalg import Matrix
 from locaut.recheck import RecheckError, recheck_leibniz_verdict
 from locaut.sln import SIGMA_T, CanonicalShape, SlnModel, shape_map_matrix
 
@@ -87,21 +88,34 @@ def block_maps(lb, rng, data):
     return maps
 
 
+def own_shape(model, phi):
+    """phi's own fitted shape: its automorphism shape, else the primary
+    shape of classify_sln (an anti family), else None."""
+    shape = automorphism_shape(model, phi)
+    return shape if shape is not None else classify_sln(model, phi).shape
+
+
 @pytest.mark.parametrize("n, name", MODULES)
 @given(data=st.data())
 @settings(max_examples=3, deadline=None)
 def test_block_check_and_recheck_agree_with_the_bracket_scan(n, name, data):
+    """Every LocalAutomorphism claim carries the S-block's own fitted
+    shape, so a false claim whose S-block is an automorphism is refused by
+    the I-block or coupling check, not for its witness."""
     lb = semidirect(n, name)
     rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
-    claim = LeibnizVerdict(LOCAL_AUT)
     for kind, bm in block_maps(lb, rng, data).items():
         want = is_automorphism(lb, bm)[0]
-        assert is_block_automorphism(lb, bm) == want, kind
+        shape = block_automorphism_shape(lb, bm)
+        assert (shape is not None) == want, kind
         if want:
-            recheck_leibniz_verdict(lb, bm, claim)
+            recheck_leibniz_verdict(lb, bm, LeibnizVerdict(LOCAL_AUT, s_shape=shape))
         else:
-            with pytest.raises(RecheckError):
+            claim = LeibnizVerdict(LOCAL_AUT, s_shape=own_shape(lb.model, bm.s_block))
+            with pytest.raises(RecheckError) as refusal:
                 recheck_leibniz_verdict(lb, bm, claim)
+            if automorphism_shape(lb.model, bm.s_block) is not None:
+                assert "I-block" in str(refusal.value) or "coupling" in str(refusal.value), kind
         if kind in ("inner_omega0", "inner_omega1", "scaled_i", "neg_transpose"):
             assert want, kind
         if kind in ("singular_i", "zero_i", "anti_s", "minus_s"):
@@ -117,21 +131,24 @@ def test_recheck_checks_the_i_block_inverse_by_product(monkeypatch):
     lb = semidirect(2, "vm:2")
     bm = extend_automorphism(lb, inner_automorphism_matrix(lb.model, random_unimodular(2, random.Random(3))), 0)
     zero_i = BlockMap(bm.s_block, bm.coupling, Matrix.zeros(lb.dim_i, lb.dim_i))
+    claim = LeibnizVerdict(LOCAL_AUT, s_shape=automorphism_shape(lb.model, bm.s_block))
     monkeypatch.setattr(recheck, "inverse", lambda m: Matrix.identity(m.nrows))
     with pytest.raises(RecheckError, match="inverse"):
-        recheck_leibniz_verdict(lb, zero_i, LeibnizVerdict(LOCAL_AUT))
+        recheck_leibniz_verdict(lb, zero_i, claim)
 
 
 def test_recheck_checks_the_fitted_s_shape(monkeypatch):
     """On the trivial module every I-block identity holds, so only the
-    S-block shows that transposition is no automorphism; a fit that returns
-    a wrong witness must not make the recheck accept it."""
+    S-block shows that transposition is no automorphism.  The claim's shape
+    (1, transpose, 1) reproduces it, and the recheck, which fits nothing,
+    must refuse its family."""
     lb = semidirect(2, "vm:0")
     anti = BlockMap(lb.model.transpose_map(), Matrix.zeros(1, 3), Matrix.identity(1))
-    wrong = (Subspace(4, [(1, 0, 0, 1)]), Matrix.identity(2))  # the line of a = 1
-    monkeypatch.setattr(classify, "fit_shape_family", lambda *args: wrong)
-    with pytest.raises(RecheckError, match="shape"):
-        recheck_leibniz_verdict(lb, anti, LeibnizVerdict(LOCAL_AUT))
+    shape = CanonicalShape(1, SIGMA_T, Matrix.identity(2))
+    assert shape_map_matrix(lb.model, shape) == anti.s_block
+    monkeypatch.setattr(classify, "fit_shape_family", None)
+    with pytest.raises(RecheckError, match="automorphism family"):
+        recheck_leibniz_verdict(lb, anti, LeibnizVerdict(LOCAL_AUT, s_shape=shape))
 
 
 @pytest.mark.parametrize("n, name, scans", [(2, "vm:2", 1), (3, "adjoint", 0), (2, "adjoint", 0), (3, "natural", 0)])

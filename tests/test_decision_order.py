@@ -50,8 +50,8 @@ from locaut.leibniz import (
     decide_local_aut,
     extend_automorphism,
     inner_automorphism_matrix,
+    block_automorphism_shape,
     is_automorphism,
-    is_block_automorphism,
 )
 from locaut.linalg import (
     Matrix,
@@ -137,10 +137,11 @@ def reference_decide_local_aut(lb, bm):
         cert = bracket_square_obstruction(lb, bm, z)
         if cert is not None:
             return LeibnizVerdict(NOT_LOCAL, cert)
-    reducer = extend_automorphism(lb, inner_automorphism_matrix(lb.model, s_verdict.shape.a), 0)
+    inner = CanonicalShape(1, SIGMA_ID, s_verdict.shape.a)
+    reducer = extend_automorphism(lb, shape_map_matrix(lb.model, inner), 0)
     s_inv, i_inv = inverse(reducer.s_block), inverse(reducer.i_block)
     reducer_inv = BlockMap(s_inv, -(i_inv @ reducer.coupling @ s_inv), i_inv)
-    cert = _weight_obstruction(lb, reducer, reducer_inv.compose(bm), s_verdict.shape.epsilon)
+    cert = _weight_obstruction(lb, reducer, inner, reducer_inv.compose(bm), s_verdict.shape.epsilon)
     if cert is not None:
         return LeibnizVerdict(NOT_LOCAL, cert)
     ok, pair = is_automorphism(lb, bm)
@@ -293,20 +294,24 @@ def test_extension_and_decision_check_no_module_law(counting, n, name):
 @pytest.mark.parametrize("n, name", [(2, "vm:2"), (3, "natural"), (4, "natural")])
 def test_a_weight_structure_decision_fits_no_shape_again(counting, n, name):
     """The weight certificate's reducer extends Ad(a) for the a of
-    classify_sln's fit: no extend_automorphism input check, and no fit
-    beyond those of the block check and of classify_sln on the S-block."""
+    classify_sln's fit, and carries that shape: no extend_automorphism
+    input check, and no fit beyond those of the block check and of
+    classify_sln on the S-block."""
     model = SlnModel(n)
     lb = build_semidirect(model, build_module(model, name))
     inner = extend_automorphism(lb, inner_automorphism_matrix(model, random_unimodular(n, random.Random(n))), 0)
     bm = inner.compose(BlockMap(model.scalar_map(-1), Matrix.zeros(lb.dim_i, lb.dim_s), Matrix.identity(lb.dim_i)))
     fits = counting(classify, "fit_shape_family")
-    is_block_automorphism(lb, bm)
-    classify_sln(model, bm.s_block)
+    assert block_automorphism_shape(lb, bm) is None
+    a = classify_sln(model, bm.s_block).shape.a
     expected = len(fits)
     fits.clear()
     extensions = counting(leibniz, "extend_automorphism")
-    assert kind_of(decide_local_aut(lb, bm)) == "weight_structure"
+    cert = decide_local_aut(lb, bm).certificate
+    assert cert.kind == "weight_structure"
     assert extensions == [] and len(fits) == expected
+    assert cert.reducer_shape == CanonicalShape(1, SIGMA_ID, a)
+    assert shape_map_matrix(model, cert.reducer_shape) == cert.reducer.s_block
 
 
 @pytest.mark.parametrize("n, name", LEIBNIZ_CASES)
@@ -462,6 +467,22 @@ def test_pointwise_witness_takes_a_smith_form_only_on_a_side_without_a_cyclic_un
     assert [len(invariant_factors(m)) for m, in factors] == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("negate, searches", [(False, 2), (True, 3)])
+def test_pointwise_witness_searches_each_matrix_for_a_cyclic_unit_vector_once(counting, negate, searches):
+    """No unit vector is cyclic for diag(1, 2, -3) or for its image, and the
+    conjugator takes x's failed search from pointwise_witness instead of
+    running it again.  The anti-twist under x -> -x searches -(x^T), a
+    third matrix."""
+    model = SlnModel(3)
+    d = model.scalar_map(-1) if negate else model.identity_map()
+    x = Matrix.diagonal([1, 2, -3])
+    want = reference_pointwise_witness(model, d, x).to_json()
+    calls = [counting(module, "cyclic_companion") for module in (classify, linalg)]
+    shape = pointwise_witness(model, d, x)
+    assert sum(map(len, calls)) == searches
+    assert shape.to_json() == want
+
+
 # -- reference: the decision by two Smith forms --------------------------------
 
 
@@ -472,9 +493,9 @@ def reference_pointwise_witness(model, d, x):
     fx = invariant_factors(x)
     ft = invariant_factors(target)
     if fx == ft:
-        return CanonicalShape(1, SIGMA_ID, conjugator(x, target))
+        return CanonicalShape(1, SIGMA_ID, conjugator(x, target, cyclic_companion(x)))
     if negated_factors(fx) == ft:
-        return CanonicalShape(-1, SIGMA_T, conjugator(-(x.T), target))
+        return CanonicalShape(-1, SIGMA_T, conjugator(-(x.T), target, cyclic_companion(-(x.T))))
     return None
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from locaut.classify import fit_shape_family
+from locaut.classify import fit_shape_family, random_unimodular
 from locaut.exact import GR_ZERO, GaussianRational
 from locaut.leibniz import (
     LOCAL_AUT,
@@ -27,7 +27,9 @@ from locaut.leibniz import (
     weight_decomposition,
 )
 from locaut.linalg import Matrix, Subspace, det, inverse
-from locaut.sln import SIGMA_T, SlnModel
+from locaut.recheck import recheck_leibniz_verdict
+from locaut.sln import SIGMA_T, SlnModel, shape_map_matrix
+from test_decision_order import leibniz_maps
 
 NOT_LOCAL = "NotLocal"
 
@@ -572,3 +574,27 @@ def test_verdict_json_kinds():
         else:
             assert data["verdict"] == "NotLocal"
             assert data["certificate"]["kind"] == kind
+
+
+@pytest.mark.parametrize("n, name", [(2, "vm:2"), (2, "vm:3"), (3, "natural"), (3, "adjoint")])
+@pytest.mark.parametrize("omega", [0, 1])
+def test_verdict_is_invariant_under_conjugation_by_an_automorphism(n, name, omega):
+    """A map is local iff E Phi E^-1 is, for E the extension of Ad(g): the
+    same verdict, both rechecked with the shapes they carry, and a positive
+    verdict's S-shape is the conjugated S-block."""
+    model = SlnModel(n)
+    lb = build_semidirect(model, build_module(model, name))
+    rng = random.Random(9100 + 10 * n + omega)
+    e = extend_automorphism(lb, inner_automorphism_matrix(model, random_unimodular(n, rng)), omega)
+    e_inv = e.inv()
+    positives = 0
+    for bm in leibniz_maps(lb, rng):
+        conj = e.compose(bm).compose(e_inv)
+        v, w = decide_local_aut(lb, bm), decide_local_aut(lb, conj)
+        assert v.verdict == w.verdict
+        recheck_leibniz_verdict(lb, bm, v)
+        recheck_leibniz_verdict(lb, conj, w)
+        if w.verdict == LOCAL_AUT:
+            assert shape_map_matrix(model, w.s_shape) == conj.s_block
+            positives += 1
+    assert positives == 2  # the two extensions

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locaut import leibniz, linalg, recheck
+from locaut import classify, leibniz, linalg, recheck
 from locaut.algebra import unit_vector
-from locaut.classify import classify_sln, classify_mn, pointwise_witness, random_unimodular
+from locaut.classify import automorphism_shape, classify_sln, classify_mn, pointwise_witness, random_unimodular
 from locaut.exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial
 from locaut.leibniz import (
     BlockMap,
     BracketFailure,
+    InheritedSlnObstruction,
     LeibnizVerdict,
     build_module,
     build_semidirect,
@@ -36,7 +37,7 @@ from locaut.recheck import (
     recheck_sln_verdict,
     recheck_witness_at,
 )
-from locaut.sln import SIGMA_ID, CanonicalShape, MnModel, SlnModel
+from locaut.sln import SIGMA_ID, SIGMA_T, CanonicalShape, MnModel, SlnModel
 
 
 def gr(x):
@@ -249,10 +250,84 @@ def test_recheck_accepts_all_leibniz_kinds():
 
 
 def test_false_local_claim_rejected():
+    """The identity S-block's own shape comes with the claim, so only the
+    I-block diag(1, 1, 2) refutes it."""
     lb, cases = leibniz_cases()
     bm = cases["bracket_failure"]
-    with pytest.raises(RecheckError):
-        recheck_leibniz_verdict(lb, bm, LeibnizVerdict("LocalAutomorphism"))
+    claim = LeibnizVerdict("LocalAutomorphism", s_shape=automorphism_shape(lb.model, bm.s_block))
+    with pytest.raises(RecheckError, match="I-block is not an intertwiner"):
+        recheck_leibniz_verdict(lb, bm, claim)
+
+
+def test_positive_verdict_without_an_s_shape_rejected():
+    lb, cases = leibniz_cases()
+    bm = cases["local"]
+    v = decide_local_aut(lb, bm)
+    recheck_leibniz_verdict(lb, bm, v)
+    with pytest.raises(RecheckError, match="positive verdict without an S-shape"):
+        recheck_leibniz_verdict(lb, bm, replace(v, s_shape=None))
+
+
+def tampered_shapes(shape):
+    """shape with 1 added to one entry of a (no multiple of a, which has
+    another nonzero entry), then with epsilon, then sigma, flipped."""
+    rows = [list(r) for r in shape.a.data]
+    rows[0][0] = rows[0][0] + 1
+    return [
+        replace(shape, a=Matrix(rows)),
+        replace(shape, epsilon=-shape.epsilon),
+        replace(shape, sigma=SIGMA_T if shape.sigma == SIGMA_ID else SIGMA_ID),
+    ]
+
+
+def test_tampered_s_shape_rejected():
+    lb, cases = leibniz_cases()
+    bm = cases["local"]
+    v = decide_local_aut(lb, bm)
+    assert v.s_shape.is_automorphism_family()
+    for shape in tampered_shapes(v.s_shape):
+        with pytest.raises(RecheckError, match="shape"):
+            recheck_leibniz_verdict(lb, bm, replace(v, s_shape=shape))
+
+
+def test_tampered_reducer_shape_rejected():
+    lb, cases = leibniz_cases()
+    bm = cases["weight_structure"]
+    v = decide_local_aut(lb, bm)
+    cert = v.certificate
+    assert cert.kind == "weight_structure"
+    for shape in tampered_shapes(cert.reducer_shape) + [None]:
+        with pytest.raises(RecheckError, match="shape"):
+            recheck_leibniz_verdict(lb, bm, replace(v, certificate=replace(cert, reducer_shape=shape)))
+
+
+def test_inherited_positive_sln_verdict_rejected():
+    """A NotLocal claim on a local map whose sln_block certificate wraps the
+    S-block's own, positive and valid, sl_n verdict."""
+    lb, cases = leibniz_cases()
+    bm = cases["local"]
+    s_verdict = classify_sln(lb.model, bm.s_block)
+    recheck_sln_verdict(lb.model, bm.s_block, s_verdict)
+    forged = LeibnizVerdict("NotLocal", InheritedSlnObstruction(s_verdict))
+    with pytest.raises(RecheckError, match="not NotLocal"):
+        recheck_leibniz_verdict(lb, bm, forged)
+
+
+def test_rechecking_leibniz_claims_fits_no_shape(counting):
+    """A positive verdict, a weight certificate's reducer and an extension
+    are checked against the shape that comes with them."""
+    fits = counting(classify, "fit_shape_family")
+    lb, cases = leibniz_cases()
+    claims = [(bm, decide_local_aut(lb, bm)) for bm in (cases["local"], cases["weight_structure"])]
+    assert [v.verdict for _, v in claims] == ["LocalAutomorphism", "NotLocal"]
+    assert claims[1][1].certificate.kind == "weight_structure"
+    g = Matrix(((2, 1), (1, 1)))
+    ext = extend_automorphism(lb, inner_automorphism_matrix(lb.model, g), 1)
+    fits.clear()
+    for bm, v in claims:
+        recheck_leibniz_verdict(lb, bm, v)
+    recheck_extension_structure(lb, ext, CanonicalShape(1, SIGMA_ID, g))
+    assert fits == []
 
 
 def test_tampered_bracket_square_rejected():
@@ -403,24 +478,31 @@ def test_tampered_bracket_failure_rejected():
 
 def test_extension_structure_positive():
     lb = semidirect(2, "vm:3")
-    bm = extend_automorphism(lb, inner_automorphism_matrix(lb.model, Matrix(((2, 1), (1, 1)))), 0)
-    recheck_extension_structure(lb, bm)
+    g = Matrix(((2, 1), (1, 1)))
+    bm = extend_automorphism(lb, inner_automorphism_matrix(lb.model, g), 0)
+    recheck_extension_structure(lb, bm, CanonicalShape(1, SIGMA_ID, g))
+    for shape in tampered_shapes(CanonicalShape(1, SIGMA_ID, g)):
+        with pytest.raises(RecheckError, match="shape"):
+            recheck_extension_structure(lb, bm, shape)
+
+
+IDENTITY_SHAPE = CanonicalShape(1, SIGMA_ID, Matrix.identity(2))
 
 
 def test_extension_structure_rejects_forced_coupling():
     lb = semidirect(2, "vm:3")
     bm = extend_automorphism(lb, Matrix.identity(3), 0)
     with_coupling = BlockMap(bm.s_block, Matrix(((1,) + (0,) * 2,) * 4), bm.i_block)
-    with pytest.raises(RecheckError):
-        recheck_extension_structure(lb, with_coupling)
+    with pytest.raises(RecheckError, match="coupling must vanish"):
+        recheck_extension_structure(lb, with_coupling, IDENTITY_SHAPE)
 
 
 def test_extension_structure_rejects_broken_intertwiner():
     lb = semidirect(2, "vm:2")
     bm = extend_automorphism(lb, Matrix.identity(3), 0)
     scaled = BlockMap(bm.s_block, bm.coupling, Matrix.diagonal([1, 1, 2]))
-    with pytest.raises(RecheckError):
-        recheck_extension_structure(lb, scaled)
+    with pytest.raises(RecheckError, match="I-block is not an intertwiner"):
+        recheck_extension_structure(lb, scaled, IDENTITY_SHAPE)
 
 
 # -- certificates that name too few families or carry extra entries ---------
