@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Generate ready-to-use JSON input files for the locaut CLI.
 
-Writes maps and points on sl_n, maps on M_n and two block maps into a
+Writes maps and points on sl_n, maps on M_n and three block maps into a
 directory, so the README examples can be run verbatim.
 """
 
 import argparse
 import json
 import random
+from fractions import Fraction as F
 from pathlib import Path
 
 from locaut.classify import random_unimodular
+from locaut.exact import GaussianRational as G
 from locaut.leibniz import BlockMap
 from locaut.linalg import Matrix
 from locaut.sln import SIGMA_ID, CanonicalShape, MnModel, SlnModel, shape_map_matrix
@@ -51,11 +53,27 @@ def main(argv=None) -> int:
     point = Matrix(((1, 1, 0), (0, 2, 1), (1, 0, -3)))
     dump(out, "point_regular_3.json", point.to_json())
 
+    # A fixed singular map of sl_4, also not drawn from rng: conjugation by a
+    # Gaussian-integer g with det 1 - i after a map that sends coordinates 6
+    # and 11 to combinations of earlier ones, so the kernel is 2-dimensional
+    # and its vectors have non-real Gaussian-rational entries.
+    model = SlnModel(4)
+    g = Matrix(((1, G(0, 1), 0, 0), (0, 1, G(1, 1), 0), (1, 0, 2, G(0, -1)), (0, G(1, -1), 0, 1)))
+    fold = [[1 if i == j and j not in (6, 11) else 0 for j in range(model.dim)] for i in range(model.dim)]
+    fold[0][6], fold[2][6], fold[5][6] = G(F(1, 2), F(1, 3)), F(-2, 3), G(0, 1)
+    fold[1][11], fold[4][11], fold[9][11] = F(3, 4), G(F(1, 5), F(-2, 7)), -1
+    conj = shape_map_matrix(model, CanonicalShape(1, SIGMA_ID, g))
+    dump(out, "singular4.json", (conj @ Matrix(fold)).to_json())
+
     model = SlnModel(2)
     ident = BlockMap(Matrix.identity(3), Matrix.zeros(3, 3), Matrix.identity(3))
     dump(out, "blockmap_identity_vm2.json", ident.to_json())
     anti = BlockMap(model.transpose_map(), Matrix.zeros(3, 3), Matrix.identity(3))
     dump(out, "blockmap_transpose_vm2.json", anti.to_json())
+    # theta's third row is the sum of the first two, so the map is singular.
+    theta = Matrix(((1, 2, G(0, F(1, 2))), (0, 1, F(1, 3)), (1, 3, G(F(1, 3), F(1, 2)))))
+    singular = BlockMap(Matrix.identity(3), Matrix.zeros(3, 3), theta)
+    dump(out, "blockmap_singular_vm2.json", singular.to_json())
 
     # Maps on M_n: an anti-automorphism, an automorphism, a scaling that moves
     # the identity, a singular map, and an injective unital map fitting no shape,

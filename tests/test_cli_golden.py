@@ -34,6 +34,7 @@ INVOCATIONS = (
         for n in (2, 3, 4)
         for name in ("transpose", "negation", "double", "conjugation")
     ]
+    + [("classify-sln", "--n", "4", "--map", "singular4.json")]
     + [
         ("witness", "--n", str(n), "--map", f"negation{n}.json", "--at", f"point_e12_{n}.json")
         for n in (2, 3, 4)
@@ -48,7 +49,7 @@ INVOCATIONS = (
     ]
     + [
         ("leibniz-decide", "--n", "2", "--module", "vm:2", "--map", f"blockmap_{name}_vm2.json")
-        for name in ("identity", "transpose")
+        for name in ("identity", "transpose", "singular")
     ]
     + [
         ("classify-mn", "--n", str(n), "--map", f"mn_{name}{n}.json")
