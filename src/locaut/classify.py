@@ -28,7 +28,7 @@ from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial, format_scalar,
 from .linalg import (
     Matrix,
     Subspace,
-    _nonzero_mod_p,
+    certified_kernel,
     charpoly,
     conjugator,
     cyclic_companion,
@@ -236,12 +236,10 @@ def _fit_families(model, d: Matrix, images, families, first_only: bool):
 def _injectivity_verdict(model, d: Matrix) -> Verdict | None:
     """NotLocal with a kernel vector when d is singular, else None.
 
-    A nonzero residue of det d modulo the prime of linalg.is_nonsingular
-    proves d injective, so an injective map never computes a kernel.  Any
-    other map gets the exact kernel, which decides and gives the vector."""
-    if _nonzero_mod_p(d):
-        return None
-    ker = kernel(d)
+    certified_kernel proves an injective map's kernel zero by a full rank
+    modulo p, with no elimination over Q(i), and gives a singular map the
+    exact kernel, found modulo p and checked by d v = 0."""
+    ker = certified_kernel(d)
     return Verdict(NOT_LOCAL, obstruction=NotInjective(ker.basis[0])) if ker.dim else None
 
 

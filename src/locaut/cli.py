@@ -345,7 +345,9 @@ def _check_filiform(seed):
 
 
 def _check_exact_kernel(seed):
-    from .linalg import charpoly, cyclic_companion, det, inverse, invariant_factors, solve_linear
+    from .linalg import (
+        certified_kernel, charpoly, cyclic_companion, det, inverse, invariant_factors, kernel, solve_linear,
+    )
     from .exact import Polynomial
 
     rng = random.Random(seed)
@@ -364,6 +366,9 @@ def _check_exact_kernel(seed):
         if not cofactor_det(m).is_zero():
             if inverse(m) @ m != Matrix.identity(3):
                 raise RecheckError("inverse is wrong")
+        dependent = Matrix(m.data[:2] + (tuple(x + y for x, y in zip(*m.data[:2])),))
+        if any(certified_kernel(x) != kernel(x) for x in (m, dependent)):
+            raise RecheckError("kernel found modulo p disagrees with the exact kernel")
     t = Polynomial((0, 1))
     cases = [
         (Matrix.zeros(2, 2), [t, t]),

@@ -46,6 +46,7 @@ from .exact import GR_ONE, GR_ZERO, GaussianRational, as_scalar, format_scalar, 
 from .linalg import (
     Matrix,
     Subspace,
+    certified_kernel,
     combine,
     intertwiner_space,
     inverse,
@@ -668,7 +669,7 @@ def decide_local_aut(lb: SemidirectLeibniz, bm: BlockMap) -> LeibnizVerdict:
         return LeibnizVerdict(LOCAL_AUT, s_shape=shape)
     s_verdict = classify_sln(lb.model, bm.s_block) if bm.i_block_invertible else None
     if s_verdict is None or isinstance(s_verdict.obstruction, NotInjective):
-        return LeibnizVerdict(NOT_LOCAL, NotInjective(kernel(bm.full_matrix()).basis[0]))
+        return LeibnizVerdict(NOT_LOCAL, NotInjective(certified_kernel(bm.full_matrix()).basis[0]))
     if s_verdict.verdict == NOT_LOCAL:
         return LeibnizVerdict(NOT_LOCAL, InheritedSlnObstruction(s_verdict))
     if s_verdict.verdict != AUTOMORPHISM:

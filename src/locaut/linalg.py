@@ -1,16 +1,21 @@
 """Exact dense linear algebra over Q(i).
 
-Matrices are immutable.  Whether det is nonzero is decided modulo a prime
-p = 1 (mod 4) first (is_nonsingular), falling back to Q(i) only when the
-residue says nothing.  Every other elimination is plain Gauss-Jordan over
-Q(i) with division: Q(i) is a field and the triple-of-ints scalar keeps
-entries normalized, so fraction-free pivoting buys nothing here.
+Matrices are immutable.  One elimination runs modulo a prime p = 1 (mod 4),
+with i sent to a square root of -1 (_echelon_mod_p).  is_nonsingular
+decides det != 0 with it before Q(i), and certified_kernel finds kernel
+vectors with it, reconstructs them as Gaussian rationals and keeps them
+only once m v = 0 holds exactly; both fall back to Q(i) when the residues
+settle nothing.  Every other elimination is plain Gauss-Jordan over Q(i)
+with division: Q(i) is a field and the triple-of-ints scalar keeps entries
+normalized, so fraction-free pivoting buys nothing here.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
+from math import gcd, isqrt
 
 from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial, as_scalar, format_scalar, internal_check, parse_scalar
 
@@ -314,48 +319,152 @@ def det(m: Matrix) -> GaussianRational:
 # p = 2^61 - 31 is prime and p = 1 (mod 4), so -1 has a square root R mod p.
 _P = 2305843009213693921
 _R = 583529827753931384
+# A residue is the image of at most one fraction a/b with |a|, b <= this.
+_RECONSTRUCTION_BOUND = isqrt(_P // 2)
+
+
+def _echelon_mod_p(m: Matrix, root: int):
+    """(rows, pivots) for the image of m in F_p under i -> root, or None
+    when p divides some denominator.
+
+    With root^2 = -1, (a + b i)/d -> (a + b root) d^-1 is a ring map from the
+    Gaussian rationals whose denominator p does not divide onto F_p, so every
+    minor of the image is the image of the same minor of m: the image has
+    rank at most rank m, and a full rank is a proof.  Forward elimination
+    only: rows[:len(pivots)] is a row echelon form from each row's pivot
+    column on, and the entries left of a pivot are stale.
+    """
+    p = _P
+    try:
+        rows = [
+            [(x.a + x.b * root) * (1 if x.d == 1 else pow(x.d, -1, p)) % p if x.a or x.b else 0 for x in row]
+            for row in m.data
+        ]
+    except ValueError:  # d has no inverse mod p
+        return None
+    nrows = len(rows)
+    pivots = []
+    for c in range(m.ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, nrows) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        pivot = rows[r]
+        inv = pow(pivot[c], -1, p)
+        tail = pivot[c + 1:]
+        for row in rows[r + 1:]:
+            f = row[c]
+            if f:
+                f = f * inv % p
+                row[c + 1:] = [(x - f * y) % p for x, y in zip(row[c + 1:], tail)]
+        pivots.append(c)
+        if r + 1 == nrows:
+            break
+    return rows, pivots
 
 
 def is_nonsingular(m: Matrix) -> bool:
     """det m != 0, decided modulo p first.
 
-    (a + b i)/d -> (a + b R) d^-1 is a ring map from the Gaussian rationals
-    whose denominator p does not divide onto F_p, so it commutes with det: a
-    nonzero residue of det m proves det m != 0 over Q(i).  A zero residue,
-    or a denominator that p divides, proves nothing, and det decides
-    exactly.  The answer never depends on p.
+    A full rank modulo p (see _echelon_mod_p) proves det m != 0 over Q(i).
+    A lower rank, or a denominator that p divides, proves nothing, and det
+    decides exactly.  The answer never depends on p.
     """
-    return _nonzero_mod_p(m) or not det(m).is_zero()
-
-
-def _nonzero_mod_p(m: Matrix) -> bool:
-    """Whether det m has a nonzero residue mod p (see is_nonsingular);
-    False also when p divides some denominator."""
     if not m.is_square():
         raise ValueError("determinant of non-square matrix")
+    found = _echelon_mod_p(m, _R)
+    return (found is not None and len(found[1]) == m.nrows) or not det(m).is_zero()
+
+
+def certified_kernel(m: Matrix) -> Subspace:
+    """kernel(m), found modulo p and checked exactly.
+
+    A full rank modulo p proves the kernel zero.  Otherwise the reduced
+    echelon form under i -> R and under i -> -R gives each entry of the
+    kernel basis vectors as two residues, from which _kernel_mod_p
+    reconstructs it.  Every reconstructed v must satisfy m v = 0 over Q(i).
+    Then the basis is kernel(m)'s: the vector v_f of a free column f has
+    v_f[f] = 1 and its other support in pivot columns left of f, so f is a
+    free column over Q(i) too; the rank modulo p is at most the exact rank,
+    so the free columns are the same; and the reduced echelon kernel basis
+    is unique given its free columns.  Any step that fails falls back to
+    kernel(m).
+    """
+    found = _echelon_mod_p(m, _R)
+    if found is not None and len(found[1]) == m.ncols:
+        return Subspace(m.ncols, ())
+    basis = None if found is None else _kernel_mod_p(m, *found)
+    return kernel(m) if basis is None else Subspace(m.ncols, basis)
+
+
+def _reduced_free_columns(rows, pivots, free) -> list:
+    """Row r of the reduced echelon form at the free columns, for each
+    pivot row r of an echelon form from _echelon_mod_p."""
     p = _P
-    try:
-        rows = [
-            [(x.a + x.b * _R) * (1 if x.d == 1 else pow(x.d, -1, p)) % p if x.a or x.b else 0 for x in row]
-            for row in m.data
-        ]
-    except ValueError:  # d has no inverse mod p
-        return False
-    n = m.nrows
-    for c in range(n):
-        k = next((k for k in range(c, n) if rows[k][c]), None)
-        if k is None:
-            return False
-        rows[c], rows[k] = rows[k], rows[c]
-        pivot = rows[c]
-        inv = pow(pivot[c], -1, p)
-        tail = pivot[c + 1:]
-        for row in rows[c + 1:]:
-            f = row[c]
-            if f:
-                f = f * inv % p
-                row[c + 1:] = [(x - f * y) % p for x, y in zip(row[c + 1:], tail)]
-    return True
+    rank = len(pivots)
+    reduced = [None] * rank
+    for r in reversed(range(rank)):
+        row, c = rows[r], pivots[r]
+        acc = [row[f] if f > c else 0 for f in free]
+        for s in range(r + 1, rank):
+            g = row[pivots[s]]
+            if g:
+                acc = [x - g * y for x, y in zip(acc, reduced[s])]
+        inv = pow(row[c], -1, p)
+        reduced[r] = [x * inv % p for x in acc]
+    return reduced
+
+
+def _kernel_mod_p(m: Matrix, rows, pivots) -> list | None:
+    """The reduced echelon kernel basis of m reconstructed from its images
+    under i -> R and i -> -R, each vector checked by m v = 0; None when the
+    two images have different pivots, a reconstruction fails or a check
+    fails.
+
+    An entry x + y i has residues u = x + y R and w = x - y R, so
+    x = (u + w)/2 and y = (u - w)/(2 R) modulo p.
+    """
+    conjugate = _echelon_mod_p(m, _P - _R)
+    if conjugate is None or conjugate[1] != pivots:
+        return None
+    pivot_set = set(pivots)
+    free = [c for c in range(m.ncols) if c not in pivot_set]
+    red_u = _reduced_free_columns(rows, pivots, free)
+    red_w = _reduced_free_columns(*conjugate, free)
+    p = _P
+    half = pow(2, -1, p)
+    half_r = pow(2 * _R, -1, p)
+    basis = []
+    for k, f in enumerate(free):
+        v = [GR_ZERO] * m.ncols
+        v[f] = GR_ONE
+        for c, u_row, w_row in zip(pivots, red_u, red_w):
+            u, w = -u_row[k], -w_row[k]
+            if not (u or w):
+                continue
+            x = _rational_mod_p((u + w) * half % p)
+            y = _rational_mod_p((u - w) * half_r % p)
+            if x is None or y is None:
+                return None
+            v[c] = GaussianRational(x, y)
+        if any(z.a or z.b for z in m.apply(v)):
+            return None
+        basis.append(tuple(v))
+    return basis
+
+
+def _rational_mod_p(x: int) -> Fraction | None:
+    """a/b = x mod p with |a| and |b| at most _RECONSTRUCTION_BOUND and
+    gcd(a, b) = 1, or None: Wang's half-extended Euclidean algorithm."""
+    bound = _RECONSTRUCTION_BOUND
+    r0, r1, t0, t1 = _P, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -165,25 +165,30 @@ def test_singular_map_not_injective():
 
 
 def test_injectivity_needs_a_kernel_only_for_a_singular_map(counting):
-    """A nonzero residue of det proves an n = 5 map injective with no
-    kernel; a singular map gets the same exact kernel vector as always.
-    The family fits take n x n kernels only, so the map-sized ones are the
-    injectivity test's."""
+    """A full rank modulo p proves an n = 5 map injective with one F_p
+    elimination; a singular map gets the same exact kernel vector as
+    always, found modulo p under both embeddings of i and checked, so it
+    makes no map-sized kernel call at all.  The family fits take n x n
+    kernels only."""
     model = SlnModel(5)
-    calls = counting(classify, "kernel")
+    inner = shape_map_matrix(model, CanonicalShape(1, SIGMA_ID, random_unimodular(5, random.Random(5))))
+    singular = inner @ Matrix.diagonal([0 if i == 3 else 1 for i in range(model.dim)])
+    expected = kernel(singular).basis[0]
+    calls = [counting(classify, "kernel"), counting(linalg, "kernel")]
+    eliminations = counting(linalg, "_echelon_mod_p")
 
-    def kernels():
+    def map_sized(calls):
         return [args for args in calls if args[0].nrows == model.dim]
 
-    inner = shape_map_matrix(model, CanonicalShape(1, SIGMA_ID, random_unimodular(5, random.Random(5))))
     scaled = inner * GaussianRational(2)
     assert classify_sln(model, scaled).obstruction.kind == "lambda_not_unit"
-    assert kernels() == []
-    singular = inner @ Matrix.diagonal([0 if i == 3 else 1 for i in range(model.dim)])
+    assert map_sized(eliminations) == [(scaled, linalg._R)]
+    eliminations.clear()
     v = classify_sln(model, singular)
     assert v.obstruction.kind == "not_injective"
-    assert v.obstruction.kernel_vector == kernel(singular).basis[0]
-    assert kernels() == [(singular,)]
+    assert v.obstruction.kernel_vector == expected
+    assert map_sized(eliminations) == [(singular, linalg._R), (singular, linalg._P - linalg._R)]
+    assert [map_sized(c) for c in calls] == [[], []]
 
 
 def test_square_zero_broken():

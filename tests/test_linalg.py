@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locaut import linalg
-from locaut.classify import random_unimodular
+from locaut.classify import classify_sln, random_unimodular
 from locaut.exact import GR_ONE, GR_ZERO, GaussianRational, InternalCheckError, Polynomial
 from locaut.linalg import (
     Matrix,
     Subspace,
+    certified_kernel,
     charpoly,
     combine,
     conjugator,
@@ -31,7 +32,7 @@ from locaut.linalg import (
     solve_linear,
 )
 from locaut.recheck import charpoly_via_cofactor, cofactor_det
-from locaut.sln import MnModel, SlnModel
+from locaut.sln import SHAPE_FAMILIES, CanonicalShape, MnModel, SlnModel, shape_map_matrix
 
 
 def int_matrix(rows):
@@ -282,14 +283,14 @@ def test_is_nonsingular_matches_det(m):
 
 def test_a_det_divisible_by_p_falls_back_to_det():
     for rows in ([[P, 0], [0, 1]], [[P, 0], [1, GaussianRational(1, 1)]]):  # det = p, p (1 + i)
-        assert not linalg._nonzero_mod_p(int_matrix(rows))
+        assert len(linalg._echelon_mod_p(int_matrix(rows), linalg._R)[1]) == 1
         assert is_nonsingular(int_matrix(rows))
     assert not is_nonsingular(int_matrix([[P, 2 * P], [1, 2]]))
 
 
 def test_a_denominator_divisible_by_p_falls_back_to_det():
     m = int_matrix([[Fraction(1, P), 0], [0, 1]])
-    assert not linalg._nonzero_mod_p(m)
+    assert linalg._echelon_mod_p(m, linalg._R) is None
     assert is_nonsingular(m)
     assert not is_nonsingular(int_matrix([[Fraction(1, P), 0], [0, 0]]))
 
@@ -297,6 +298,103 @@ def test_a_denominator_divisible_by_p_falls_back_to_det():
 def test_is_nonsingular_rejects_non_square():
     with pytest.raises(ValueError):
         is_nonsingular(Matrix.zeros(2, 3))
+
+
+# -- kernels found modulo p -------------------------------------------------
+
+
+def gaussian_entries(lo=-3, hi=3, den=4):
+    return st.builds(
+        lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
+        st.integers(lo, hi), st.integers(lo, hi), st.integers(1, den),
+    )
+
+
+@st.composite
+def singular_matrices(draw):
+    """Q(i) matrices with 1-8 rows and 1-8 columns, up to 3 columns of which
+    are combinations of the others, so the kernel has dimension 0-3 (more
+    when there are fewer rows than columns)."""
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = gaussian_entries()
+    cols = draw(st.lists(st.lists(entry, min_size=nrows, max_size=nrows), min_size=ncols, max_size=ncols))
+    k = draw(st.integers(0, min(3, ncols - 1)))
+    dependent = draw(st.lists(st.integers(0, ncols - 1), min_size=k, max_size=k, unique=True))
+    for j in dependent:
+        coeffs = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        free = [i for i in range(ncols) if i not in dependent]
+        cols[j] = [sum((coeffs[i] * cols[i][r] for i in free), GR_ZERO) for r in range(nrows)]
+    return Matrix(tuple(zip(*cols)))
+
+
+@given(singular_matrices())
+@settings(max_examples=150, deadline=None)
+def test_certified_kernel_is_the_kernel(m):
+    assert certified_kernel(m) == kernel(m)
+
+
+@given(st.integers(2, 5), st.randoms(use_true_random=False), st.sampled_from(SHAPE_FAMILIES),
+       st.integers(1, 3), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_certified_kernel_of_a_conjugated_projection(n, rng, family, drops, project_first):
+    """A family map composed with a coordinate projection, on either side:
+    the kernel is spanned by unit vectors, or by columns of the inverse
+    family map, whose entries the reconstruction has to meet."""
+    model = SlnModel(n)
+    conj = shape_map_matrix(model, CanonicalShape(*family, random_unimodular(n, rng)))
+    dropped = rng.sample(range(model.dim), drops)
+    proj = Matrix.diagonal([0 if i in dropped else 1 for i in range(model.dim)])
+    d = conj @ proj if project_first else proj @ conj
+    ker = certified_kernel(d)
+    assert ker == kernel(d)
+    assert ker.dim == drops
+
+
+def test_rational_reconstruction_inverts_small_fractions():
+    bound = linalg._RECONSTRUCTION_BOUND
+    for a, b in ((0, 1), (1, 1), (-7, 3), (bound, 1), (-bound, bound - 1), (1, bound), (bound - 1, bound)):
+        assert linalg._rational_mod_p(a * pow(b, -1, P) % P) == Fraction(a, b)
+    assert linalg._rational_mod_p((bound + 1) % P) is None
+
+
+def test_a_kernel_entry_beyond_the_bound_falls_back_to_kernel():
+    """2^40 + 1/3 has no reconstruction within the bound; p + 1 has the
+    wrong one, 1, which the exact check refuses."""
+    for big in (GaussianRational(Fraction(3 * 2 ** 40 + 1, 3)), GaussianRational(P + 1, 1)):
+        m = Matrix(((1, -big), (2, -2 * big)))
+        ker = certified_kernel(m)
+        assert ker == kernel(m)
+        assert ker.basis == ((GR_ONE, big.inverse()),)
+
+
+def test_a_rank_that_drops_mod_p_is_still_injective():
+    """det = p: the residue of the map has a kernel vector, which the exact
+    check refuses, so the map is injective and classify_sln finds no
+    kernel vector."""
+    m = Matrix.diagonal([P, 1, 1])
+    assert len(linalg._echelon_mod_p(m, linalg._R)[1]) == 2
+    assert certified_kernel(m) == kernel(m) == Subspace(3, ())
+    verdict = classify_sln(SlnModel(2), m)
+    assert verdict.obstruction is None or verdict.obstruction.kind != "not_injective"
+
+
+def test_a_denominator_divisible_by_p_falls_back_to_kernel():
+    m = int_matrix([[Fraction(1, P), 1], [Fraction(2, P), 2]])
+    assert linalg._echelon_mod_p(m, linalg._R) is None
+    ker = certified_kernel(m)
+    assert ker == kernel(m)
+    assert ker.dim == 1
+
+
+def test_pivots_that_differ_between_the_embeddings_fall_back_to_kernel():
+    """(p - R) + i vanishes under i -> R but not under i -> -R."""
+    a = GaussianRational(P - linalg._R, 1)
+    m = Matrix(((a, 1), (2 * a, 2)))
+    assert linalg._echelon_mod_p(m, linalg._R)[1] == [1]
+    assert linalg._echelon_mod_p(m, P - linalg._R)[1] == [0]
+    ker = certified_kernel(m)
+    assert ker == kernel(m)
+    assert ker.basis == ((GR_ONE, -a),)
 
 
 def test_inverse_roundtrip():
