@@ -3,20 +3,20 @@
 Most checks recompute claims from first principles: determinants and
 characteristic polynomials (n <= 4) come from one Laplace expansion, not
 from elimination; a shape x -> epsilon a sigma(x) a^-1 is checked by the
-product identity epsilon a sigma(x) = y a after det(a) != 0, with no inverse;
-brackets come straight from structure constants, and a stored vector must
-equal the recomputed one entry for entry, length included.  Some reuse
-decision code: no_shape_fits re-runs fit_shape_family, the torus fit (column
-kernels at h0, simple-root ratios, the one candidate checked by
-CanonicalShape.apply), on exactly the model's families, in the classifier's
-order, and the weight
-certificate reads weights with leibniz.weight_components, over the same
-weight basis that the decision uses.
+product identity epsilon a sigma(x) = y a, with no inverse, and a != 0 (by
+Schur's lemma) or, for a pointwise witness, det(a) != 0; brackets come
+straight from structure constants, and a stored vector must equal the
+recomputed one entry for entry, length included.  Some reuse decision code:
+no_shape_fits re-runs fit_shape_family, the torus fit (column kernels at h0,
+simple-root ratios, the one candidate checked by CanonicalShape.apply), on
+exactly the model's families, in the classifier's order; the block lemma
+asks leibniz.is_irreducible, and the weight certificate reads weights with
+leibniz.weight_components, over the weight basis that the decision uses.
 
 Positive Leibniz verdicts, extensions and the weight certificate's reducer
 are checked by the block lemma (_recheck_block_automorphism) against the
-S-shape that comes with the claim: no S-block is fitted, and an elimination
-only finds theta's inverse, which a product checks.  The weight
+S-shape that comes with the claim: no S-block is fitted, and theta is
+invertible by Schur's lemma, with no inverse formed.  The weight
 certificate's reduced map is checked by one product, reducer after reduced
 = the map.  A bracket_failure certificate is checked at its one stored
 pair; nothing runs the full bracket scan.
@@ -45,9 +45,10 @@ from .leibniz import (
     LOCAL_AUT,
     LeibnizVerdict,
     SemidirectLeibniz,
+    is_irreducible,
     weight_components,
 )
-from .linalg import Matrix, _poly_matrix_char, charpoly, inverse
+from .linalg import Matrix, _poly_matrix_char, charpoly
 from .sln import SHAPE_FAMILIES, SIGMA_T, CanonicalShape, MnModel, SlnModel
 
 
@@ -121,26 +122,28 @@ def _recheck_kernel_vector(m: Matrix, vker):
 
 
 def _recheck_conjugation(model: SlnModel, shape: CanonicalShape, pairs, msg: str):
-    """epsilon a sigma(x) a^-1 = y for each pair (x, y) of n x n matrices.
-    With det(a) != 0 by Laplace expansion this is the product identity
-    epsilon a sigma(x) = y a, so no inverse is formed."""
+    """epsilon a sigma(x) = y a, so epsilon a sigma(x) a^-1 = y once a is
+    shown invertible, for each pair (x, y) of n x n matrices."""
     a = shape.a
     _need(a.nrows == a.ncols == model.n, "conjugator has the wrong size")
-    _need(not cofactor_det(a).is_zero(), "conjugator is singular")
     for x, y in pairs:
         img = a @ (x.T if shape.sigma == SIGMA_T else x)
         _need((img if shape.epsilon == 1 else -img) == y @ a, msg)
 
 
 def recheck_shape(model: SlnModel, images, shape: CanonicalShape):
-    """The shape reproduces the map's basis images (classify.basis_images)."""
+    """The shape reproduces the map's basis images (classify.basis_images).
+    ker a is then invariant under sigma(sl_n) = sl_n (M_n on M_n), which
+    acts irreducibly on Q(i)^n, so a != 0 is invertible by Schur's lemma."""
     _recheck_conjugation(model, shape, zip(model.basis, images), "shape does not reproduce the map")
+    _need(not shape.a.is_zero(), "conjugator is zero")
 
 
 def recheck_witness_at(model: SlnModel, d: Matrix, x: Matrix, shape: CanonicalShape):
-    """A pointwise witness: the shape agrees with the map at x exactly."""
-    pairs = [(x, model.apply_map(d, x))]
-    _recheck_conjugation(model, shape, pairs, "witness does not match the map at x")
+    """A pointwise witness: the shape agrees with the map at x exactly.  One
+    pair says nothing of ker a, so det(a) != 0 by Laplace expansion."""
+    _recheck_conjugation(model, shape, [(x, model.apply_map(d, x))], "witness does not match the map at x")
+    _need(not cofactor_det(shape.a).is_zero(), "conjugator is singular")
 
 
 def _probe_charpoly(model: SlnModel, d: Matrix):
@@ -226,20 +229,15 @@ def _recheck_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap, shape: Cano
     by products:
     - phi is the given shape, of the family (1, identity) or (-1,
       transpose), checked like any shape, by recheck_shape;
-    - theta is invertible: an inverse found by elimination satisfies
-      theta theta' = 1;
     - theta R_g = R_phi(g) theta and C rho(g) = R_phi(g) C on the Chevalley
-      generators g, with rho the adjoint module's actions."""
+      generators g, with rho the adjoint module's actions;
+    - theta != 0 and I is irreducible: ker theta is a submodule by the
+      first identity, so theta is invertible by Schur's lemma."""
     _need(lb.has_block_sizes(bm), "block sizes do not match the algebra")
     model, module = lb.model, lb.module
     phi, coupling, theta = bm.s_block, bm.coupling, bm.i_block
     _need(shape is not None and shape.is_automorphism_family(), "S-shape is not of an automorphism family")
     recheck_shape(model, basis_images(model, phi), shape)
-    try:
-        theta_inv = inverse(theta)
-    except ZeroDivisionError:
-        raise RecheckError("I-block is singular") from None
-    _need(theta @ theta_inv == Matrix.identity(lb.dim_i), "I-block inverse does not check")
     rho = None if coupling.is_zero() else lb.adjoint_module.actions
     for g in model.generator_indices:
         r_image = module.action(phi.column(g))
@@ -252,6 +250,8 @@ def _recheck_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap, shape: Cano
                 coupling @ rho[g] == r_image @ coupling,
                 f"coupling is not a module map from the adjoint at {model.labels[g]}",
             )
+    _need(not theta.is_zero(), "I-block is zero")
+    _need(is_irreducible(module), "module is not irreducible")
 
 
 def recheck_leibniz_verdict(lb: SemidirectLeibniz, bm: BlockMap, v: LeibnizVerdict):
@@ -281,7 +281,7 @@ def recheck_leibniz_verdict(lb: SemidirectLeibniz, bm: BlockMap, v: LeibnizVerdi
         _recheck_weight_obstruction(lb, bm, cert)
     elif kind == "bracket_failure":
         i, j = cert.i, cert.j
-        _need(all(isinstance(k, int) and 0 <= k < lb.dim for k in (i, j)), "no such basis pair")
+        _need(all(type(k) is int and 0 <= k < lb.dim for k in (i, j)), "no such basis pair")
         full = bm.full_matrix()
         lhs = full.apply(lb.algebra.table[i][j])
         rhs = lb.bracket(
@@ -305,8 +305,8 @@ def _recheck_weight_obstruction(lb: SemidirectLeibniz, bm: BlockMap, cert):
     every positive-root action kills, which on an irreducible module is y_beta.
     """
     _recheck_block_automorphism(lb, cert.reducer, cert.reducer_shape)
-    # the reducer is invertible, so reducer after reduced = the map pins
-    # reduced down as reducer^-1 after the map
+    # the module is irreducible and the reducer invertible, so reducer after
+    # reduced = the map pins reduced down as reducer^-1 after the map
     _need(lb.has_block_sizes(cert.reduced), "stored reduced map has the wrong block sizes")
     _need(cert.reducer.compose(cert.reduced) == bm, "stored reduced map is not reducer^-1 after the map")
     model = lb.model

@@ -235,8 +235,8 @@ class CanonicalShape:
     a: Matrix
 
     def __post_init__(self):
-        if self.epsilon not in (1, -1):
-            raise ValueError("epsilon must be +1 or -1")
+        if type(self.epsilon) is not int or self.epsilon not in (1, -1):
+            raise ValueError("epsilon must be the int 1 or -1")
         if self.sigma not in (SIGMA_ID, SIGMA_T):
             raise ValueError(f"unknown sigma {self.sigma!r}")
 
@@ -273,7 +273,7 @@ class CanonicalShape:
 
     @classmethod
     def from_json(cls, data) -> "CanonicalShape":
-        return cls(int(data["epsilon"]), data["sigma"], Matrix.from_json(data["a"]))
+        return cls(data["epsilon"], data["sigma"], Matrix.from_json(data["a"]))
 
 
 def shape_map_matrix(model: MatrixModel, shape: CanonicalShape) -> Matrix:

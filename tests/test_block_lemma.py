@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locaut import algebra, classify, recheck
+from locaut import algebra, classify
 from locaut.classify import automorphism_shape, classify_sln, random_unimodular
 from locaut.exact import GaussianRational
 from locaut.leibniz import (
@@ -29,7 +29,7 @@ from locaut.leibniz import (
 )
 from locaut.linalg import Matrix
 from locaut.recheck import RecheckError, recheck_leibniz_verdict
-from locaut.sln import SIGMA_T, CanonicalShape, SlnModel, shape_map_matrix
+from locaut.sln import SIGMA_ID, SIGMA_T, CanonicalShape, SlnModel, shape_map_matrix
 
 MODULES = (
     [(2, f"vm:{m}") for m in range(7)] + [(n, "natural") for n in (2, 3, 4)] + [(2, "adjoint"), (3, "adjoint")]
@@ -124,17 +124,43 @@ def test_block_check_and_recheck_agree_with_the_bracket_scan(n, name, data):
             assert want == lb.module.actions[lb.model.generator_indices[0]].is_zero(), kind
 
 
-def test_recheck_checks_the_i_block_inverse_by_product(monkeypatch):
-    """theta = 0 meets both generator identities, so only the inverse shows
-    the map singular; an elimination that returns a wrong inverse instead
-    of failing must not make the recheck accept it."""
+def test_recheck_refuses_a_zero_i_block():
+    """theta = 0 meets both generator identities, so only theta != 0 shows
+    the map singular; on an irreducible module that is all Schur's lemma
+    needs."""
     lb = semidirect(2, "vm:2")
     bm = extend_automorphism(lb, inner_automorphism_matrix(lb.model, random_unimodular(2, random.Random(3))), 0)
     zero_i = BlockMap(bm.s_block, bm.coupling, Matrix.zeros(lb.dim_i, lb.dim_i))
     claim = LeibnizVerdict(LOCAL_AUT, s_shape=automorphism_shape(lb.model, bm.s_block))
-    monkeypatch.setattr(recheck, "inverse", lambda m: Matrix.identity(m.nrows))
-    with pytest.raises(RecheckError, match="inverse"):
+    with pytest.raises(RecheckError, match="I-block is zero"):
         recheck_leibniz_verdict(lb, zero_i, claim)
+
+
+def test_recheck_refuses_a_singular_i_block_on_an_irreducible_module():
+    """A nonzero singular theta cannot intertwine on the irreducible vm:2,
+    so the generator identities refuse it before the zero test."""
+    lb = semidirect(2, "vm:2")
+    bm = BlockMap(Matrix.identity(3), Matrix.zeros(3, 3), Matrix.diagonal([1, 1, 0]))
+    claim = LeibnizVerdict(LOCAL_AUT, s_shape=CanonicalShape(1, SIGMA_ID, Matrix.identity(2)))
+    with pytest.raises(RecheckError, match="I-block is not an intertwiner"):
+        recheck_leibniz_verdict(lb, bm, claim)
+
+
+def test_recheck_refuses_a_reducible_module():
+    """On V(1) + V(1) the projection onto one summand is nonzero, singular
+    and an intertwiner, so the identity map with that I-block meets every
+    product the recheck makes; only the irreducibility of I, which Schur's
+    lemma needs, refuses the claim."""
+    model = SlnModel(2)
+    vm1 = build_module(model, "vm:1")
+    doubled = [Matrix(tuple(row + (0, 0) for row in a.data) + tuple((0, 0) + row for row in a.data))
+               for a in vm1.actions]
+    lb = build_semidirect(model, RightModule(model, "V(1)+V(1)", doubled))
+    projection = BlockMap(Matrix.identity(3), Matrix.zeros(4, 3), Matrix.diagonal([1, 1, 0, 0]))
+    assert not is_automorphism(lb, projection)[0]
+    claim = LeibnizVerdict(LOCAL_AUT, s_shape=CanonicalShape(1, SIGMA_ID, Matrix.identity(2)))
+    with pytest.raises(RecheckError, match="module is not irreducible"):
+        recheck_leibniz_verdict(lb, projection, claim)
 
 
 def test_recheck_checks_the_fitted_s_shape(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locaut import classify, leibniz, linalg, recheck
+from locaut import classify, leibniz, linalg, recheck, sln
 from locaut.algebra import unit_vector
 from locaut.classify import automorphism_shape, classify_sln, classify_mn, pointwise_witness, random_unimodular
 from locaut.exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial
@@ -37,7 +37,7 @@ from locaut.recheck import (
     recheck_sln_verdict,
     recheck_witness_at,
 )
-from locaut.sln import SIGMA_ID, SIGMA_T, CanonicalShape, MnModel, SlnModel
+from locaut.sln import SIGMA_ID, SIGMA_T, CanonicalShape, MnModel, SlnModel, shape_map_matrix
 
 
 def gr(x):
@@ -609,9 +609,11 @@ def test_recheck_shape_runs_once_per_distinct_shape(monkeypatch, n, calls):
 
 
 def test_positive_verdicts_and_witnesses_invert_nothing(counting):
-    """Shapes are checked by epsilon a sigma(x) = y a after det(a) != 0, so
-    neither a positive verdict's recheck nor a pointwise witness's inverts
-    a conjugator."""
+    """Shapes are checked by epsilon a sigma(x) = y a, and a positive
+    verdict's conjugator and I-block are invertible by Schur's lemma, so no
+    positive sl_n or Leibniz verdict, extension or weight certificate's
+    reducer is rechecked with an inverse or a determinant; a pointwise
+    witness takes exactly one Laplace determinant."""
     rng = random.Random(19)
     cases = []
     for n in (2, 3, 4):
@@ -622,20 +624,63 @@ def test_positive_verdicts_and_witnesses_invert_nothing(counting):
         for d in (conj, model.transpose_map(), model.scalar_map(-1)):
             x = model.matrix([gr(rng.randint(-3, 3)) for _ in range(model.dim)])
             cases.append((model, d, classify_sln(model, d), x, pointwise_witness(model, d, x)))
-    inversions = [counting(owner, name) for owner, name in
-                  ((linalg, "inverse"), (recheck, "inverse"), (recheck, "adjugate_inverse"))]
+    leibniz_positives, extensions, weight_cases = [], [], []
+    for n, name in ((2, "vm:2"), (3, "natural"), (3, "adjoint")):
+        lb = semidirect(n, name)
+        a = random_unimodular(n, rng)
+        bm = extend_automorphism(lb, inner_automorphism_matrix(lb.model, a), 1)
+        v = decide_local_aut(lb, bm)
+        assert v.verdict == "LocalAutomorphism"
+        leibniz_positives.append((lb, bm, v))
+        extensions.append((lb, bm, CanonicalShape(1, SIGMA_ID, a)))
+        weight_cases.append(minus_s_weight_case(n, name))
+    # every binding of linalg.inverse, and the adjugate
+    inversions = [counting(owner, "inverse") for owner in (linalg, leibniz, sln)]
+    inversions.append(counting(recheck, "adjugate_inverse"))
+    dets = counting(recheck, "cofactor_det")
     for model, d, v, x, shape in cases:
         assert v.verdict in ("Automorphism", "AntiAutomorphism")
         recheck_sln_verdict(model, d, v)
+    for lb, bm, v in leibniz_positives + weight_cases:
+        recheck_leibniz_verdict(lb, bm, v)
+    for lb, bm, shape in extensions:
+        recheck_extension_structure(lb, bm, shape)
+    assert inversions == [[], [], [], []]
+    assert dets == []
+    for model, d, _, x, shape in cases:
         recheck_witness_at(model, d, x, shape)
-    assert inversions == [[], [], []]
+    assert inversions == [[], [], [], []]
+    assert [a for (a,) in dets] == [shape.a for *_, shape in cases]
 
 
-@pytest.mark.parametrize("a, message", [(Matrix.zeros(2, 2), "singular"), (Matrix.identity(3), "wrong size")])
+def test_positive_recheck_at_n_9_takes_no_determinant(counting):
+    """A conjugator's Laplace determinant has up to n! terms; the positive
+    recheck shows it invertible by Schur's lemma instead, so both
+    automorphism families recheck at n = 9, where the expansion would have
+    up to 9! = 362880.  The maps come from shape_map_matrix, so no decision
+    runs."""
+    model = SlnModel(9)
+    a = random_unimodular(9, random.Random(9))
+    claims = []
+    for eps, sigma in ((1, SIGMA_ID), (-1, SIGMA_T)):
+        shape = CanonicalShape(eps, sigma, a)
+        claims.append((shape_map_matrix(model, shape), classify.Verdict(classify.AUTOMORPHISM, shape, (shape,))))
+    dets = counting(recheck, "cofactor_det")
+    for d, v in claims:
+        recheck_sln_verdict(model, d, v)
+    assert dets == []
+
+
+@pytest.mark.parametrize("a, message", [
+    (Matrix.zeros(2, 2), "conjugator is zero"),
+    (Matrix.identity(3), "wrong size"),
+    (Matrix(((1, 0), (0, 0))), "shape does not reproduce the map"),
+])
 def test_positive_verdict_with_a_bad_conjugator_rejected(a, message):
     """a = 0 satisfies epsilon a sigma(x) = y a at every basis element, so
-    only the determinant rules it out; a 3 x 3 conjugator on sl_2 is refused
-    before any product."""
+    only a != 0 rules it out; a singular nonzero a, here the rank-one E_11,
+    breaks the product identity, because sl_2 acts irreducibly on Q(i)^2;
+    a 3 x 3 conjugator on sl_2 is refused before any product."""
     m2 = SlnModel(2)
     d = m2.identity_map()
     v = classify_sln(m2, d)
@@ -698,6 +743,40 @@ def test_bracket_failure_pair_outside_the_basis_rejected(pair):
     v = decide_local_aut(lb, bm)
     with pytest.raises(RecheckError, match="basis pair"):
         recheck_leibniz_verdict(lb, bm, replace(v, certificate=BracketFailure(*pair)))
+
+
+@pytest.mark.parametrize("pair", [(False, 0), (0, False)])
+def test_bracket_failure_pair_of_bools_rejected(pair):
+    """A coupling that sends e12 to v2 breaks the bracket at (e12, e12), and
+    False indexes like 0 and compares equal to it, but is not the int."""
+    lb = semidirect(2, "vm:2")
+    coupling = Matrix(tuple(tuple(1 if (r, s) == (1, 0) else 0 for s in range(3)) for r in range(3)))
+    bm = BlockMap(Matrix.identity(3), coupling, Matrix.identity(3))
+    v = decide_local_aut(lb, bm)
+    assert (v.certificate.kind, v.certificate.to_json()["basis_pair"]) == ("bracket_failure", [0, 0])
+    recheck_leibniz_verdict(lb, bm, v)
+    with pytest.raises(RecheckError, match="basis pair"):
+        recheck_leibniz_verdict(lb, bm, replace(v, certificate=BracketFailure(*pair)))
+
+
+@pytest.mark.parametrize("epsilon", [True, 1.0, -1.0, Fraction(1)])
+def test_shape_epsilon_other_than_the_int_one_or_minus_one_rejected(epsilon):
+    """True, 1.0 and Fraction(1) compare equal to 1 but are not the int, so
+    no shape, and hence no positive sl_3 verdict, carries one."""
+    m3 = SlnModel(3)
+    d = m3.identity_map()
+    v = classify_sln(m3, d)
+    recheck_sln_verdict(m3, d, v)
+    with pytest.raises(ValueError, match="int 1 or -1"):
+        replace(v.shape, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [1.9, -1.0, True, "1"])
+def test_shape_from_json_refuses_a_non_integer_epsilon(epsilon):
+    shape = CanonicalShape(-1, SIGMA_T, Matrix.identity(3))
+    assert CanonicalShape.from_json(shape.to_json()) == shape
+    with pytest.raises(ValueError, match="int 1 or -1"):
+        CanonicalShape.from_json({**shape.to_json(), "epsilon": epsilon})
 
 
 def test_square_zero_witness_of_the_wrong_size_rejected():
