@@ -3,7 +3,11 @@
 GaussianRational is the workhorse scalar of the whole package.  It stores
 (a + b*i)/d as three machine-unbounded ints with gcd(a, b, d) == 1 and d > 0,
 which keeps the inner loops of Gaussian elimination roughly an order of
-magnitude faster than a pair of fractions.Fraction would be.
+magnitude faster than a pair of fractions.Fraction would be.  Every +, -
+and * reduces its result once, and not at all when it is a Gaussian
+integer: with d = 1 on both sides the result is built with no gcd (a real
+product also skips the cross terms), and equal denominators add the
+numerators over that one d.  linalg's dot product reduces a whole sum once.
 """
 
 from __future__ import annotations
@@ -33,6 +37,11 @@ class GaussianRational:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
+        if re.__class__ is int and im.__class__ is int:
+            self.a = re
+            self.b = im
+            self.d = 1
+            return
         re = Fraction(re)
         im = Fraction(im)
         den = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
@@ -80,26 +89,30 @@ class GaussianRational:
         return GaussianRational._raw(self.d * self.a, -self.d * self.b, n)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational._raw(
-            self.a * other.d + other.a * self.d,
-            self.b * other.d + other.b * self.d,
-            self.d * other.d,
-        )
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            if d == 1:
+                return _integral(self.a + other.a, self.b + other.b)
+            return GaussianRational._raw(self.a + other.a, self.b + other.b, d)
+        return GaussianRational._raw(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational._raw(
-            self.a * other.d - other.a * self.d,
-            self.b * other.d - other.b * self.d,
-            self.d * other.d,
-        )
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            if d == 1:
+                return _integral(self.a - other.a, self.b - other.b)
+            return GaussianRational._raw(self.a - other.a, self.b - other.b, d)
+        return GaussianRational._raw(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -108,14 +121,19 @@ class GaussianRational:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational._raw(
-            self.a * other.a - self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.d * other.d,
-        )
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if b or e:
+            re, im = a * c - b * e, a * e + b * c
+        else:
+            re, im = a * c, 0
+        d = self.d * other.d
+        if d == 1:
+            return _integral(re, im)
+        return GaussianRational._raw(re, im, d)
 
     __rmul__ = __mul__
 
@@ -196,6 +214,15 @@ class GaussianRational:
 
     def __str__(self):
         return format_scalar(self)
+
+
+def _integral(a: int, b: int) -> GaussianRational:
+    """The Gaussian integer a + b*i: d = 1 is lowest terms, so no gcd."""
+    z = object.__new__(GaussianRational)
+    z.a = a
+    z.b = b
+    z.d = 1
+    return z
 
 
 def as_scalar(x) -> GaussianRational:

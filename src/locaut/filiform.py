@@ -79,7 +79,7 @@ def _identity_plus(n: int, entries) -> Matrix:
     rows = [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
     for (r, c), value in entries.items():
         rows[r][c] = rows[r][c] + value
-    return Matrix(rows)
+    return Matrix._of_rows(tuple(map(tuple, rows)))
 
 
 def map_is_automorphism(fl: FiliformAlgebra, m: Matrix):

@@ -283,6 +283,11 @@ class SemidirectLeibniz:
         """weight_decomposition of the module, computed once per algebra."""
         return weight_decomposition(self.module)
 
+    @cached_property
+    def irreducible(self) -> bool:
+        """is_irreducible of the module, decided once per algebra."""
+        return is_irreducible(self.module)
+
     def beta(self):
         weights = weight_components(self, self.y_beta)
         internal_check(len(weights) == 1, "y_beta is not a weight vector")
@@ -303,7 +308,7 @@ def is_simple(lb: SemidirectLeibniz) -> bool:
     irreducible, and the action is nontrivial.  The sl_n table is
     alternating, so every square [x, x] = (0, v . g) lies in I: equal
     dimensions make the ideal I, and a zero action has no nonzero square."""
-    return lb.algebra.squares_ideal().dim == lb.dim_i and is_irreducible(lb.module)
+    return lb.algebra.squares_ideal().dim == lb.dim_i and lb.irreducible
 
 
 # ---------------------------------------------------------------------------

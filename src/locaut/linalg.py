@@ -1,8 +1,14 @@
 """Exact dense linear algebra over Q(i).
 
-Matrices are immutable.  One elimination runs modulo a prime p = 1 (mod 4),
-with i sent to a square root of -1 (_echelon_mod_p).  is_nonsingular
-decides det != 0 with it before Q(i), and certified_kernel finds kernel
+Matrices are immutable tuples of rows of canonical GaussianRational.
+Products and matrix-vector products go through one dot product, _dot,
+which sums the numerators over a running common denominator and reduces
+once per entry; a Gaussian-integer entry takes no gcd at all.  Row
+operations skip the entries that a zero multiplier leaves as they are.
+
+One elimination runs modulo a prime p = 1 (mod 4), with i sent to a
+square root of -1 (_echelon_mod_p).  is_nonsingular decides det != 0
+with it before Q(i), and certified_kernel finds kernel
 vectors with it, reconstructs them as Gaussian rationals and keeps them
 only once m v = 0 holds exactly; both fall back to Q(i) when the residues
 settle nothing.  Every other elimination is plain Gauss-Jordan over Q(i)
@@ -17,7 +23,17 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 
-from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial, as_scalar, format_scalar, internal_check, parse_scalar
+from .exact import (
+    GR_ONE,
+    GR_ZERO,
+    GaussianRational,
+    Polynomial,
+    _integral,
+    as_scalar,
+    format_scalar,
+    internal_check,
+    parse_scalar,
+)
 
 Vector = tuple
 
@@ -127,31 +143,14 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matmul")
-        bt = list(zip(*other.data))
-        out = []
-        for row in self.data:
-            out_row = []
-            for col in bt:
-                acc = GR_ZERO
-                for a, b in zip(row, col):
-                    if (a.a or a.b) and (b.a or b.b):
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Matrix._of_rows(tuple(out))
+        cols = tuple(zip(*other.data))
+        return Matrix._of_rows(tuple(tuple([_dot(row, col) for col in cols]) for row in self.data))
 
     def apply(self, v):
         """Matrix times coordinate vector."""
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        out = []
-        for row in self.data:
-            acc = GR_ZERO
-            for a, x in zip(row, v):
-                if (a.a or a.b) and (x.a or x.b):
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        return tuple([_dot(row, v) for row in self.data])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -175,6 +174,42 @@ class Matrix:
         return cls(tuple(tuple(parse_scalar(x) for x in row) for row in data))
 
 
+def _dot(u, v) -> GaussianRational:
+    """sum_k u[k] v[k], reduced once.
+
+    The numerators of the nonzero terms are summed over a running common
+    denominator: a term whose denominator equals it adds at once, any other
+    costs one gcd to reach the lcm of the two.  A Gaussian-integer sum is
+    built with no gcd at all.
+    """
+    sa = sb = 0
+    sd = 1
+    for x, y in zip(u, v):
+        xa, xb = x.a, x.b
+        if not (xa or xb):
+            continue
+        ya, yb = y.a, y.b
+        if not (ya or yb):
+            continue
+        if xb or yb:
+            ta, tb = xa * ya - xb * yb, xa * yb + xb * ya
+        else:
+            ta, tb = xa * ya, 0
+        td = x.d * y.d
+        if td == sd:
+            sa += ta
+            sb += tb
+        else:
+            g = gcd(sd, td)
+            m, k = td // g, sd // g
+            sa = sa * m + ta * k
+            sb = sb * m + tb * k
+            sd *= m
+    if sd == 1:
+        return _integral(sa, sb)
+    return GaussianRational._raw(sa, sb, sd)
+
+
 def _rref_in_place(rows: list, ncols: int):
     """Reduced row echelon form; returns pivot column list."""
     pivots = []
@@ -191,15 +226,14 @@ def _rref_in_place(rows: list, ncols: int):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        prow = rows[r]
+        rows[r] = prow = [x * inv if x.a or x.b else x for x in rows[r]]
         for i in range(nrows):
             if i == r:
                 continue
             f = rows[i][c]
             if f.a or f.b:
                 ri = rows[i]
-                rows[i] = [x - f * p for x, p in zip(ri, prow)]
+                rows[i] = [x - f * p if p.a or p.b else x for x, p in zip(ri, prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -240,7 +274,7 @@ class Subspace:
             f = v[p]
             coeffs.append(f)
             if f.a or f.b:
-                v = [x - f * y for x, y in zip(v, row)]
+                v = [x - f * y if y.a or y.b else x for x, y in zip(v, row)]
         return tuple(coeffs), tuple(v)
 
     def contains(self, v) -> bool:
@@ -312,7 +346,7 @@ def det(m: Matrix) -> GaussianRational:
             f = rows[i][c]
             if f.a or f.b:
                 f = f * inv
-                rows[i] = [x - f * p for x, p in zip(rows[i], rows[c])]
+                rows[i] = [x - f * p if p.a or p.b else x for x, p in zip(rows[i], rows[c])]
     return acc if sign == 1 else -acc
 
 

@@ -10,8 +10,10 @@ recomputed one entry for entry, length included.  Some reuse decision code:
 no_shape_fits re-runs fit_shape_family, the torus fit (column kernels at h0,
 simple-root ratios, the one candidate checked by CanonicalShape.apply), on
 exactly the model's families, in the classifier's order; the block lemma
-asks leibniz.is_irreducible, and the weight certificate reads weights with
-leibniz.weight_components, over the weight basis that the decision uses.
+reads leibniz.is_irreducible, decided once per algebra
+(SemidirectLeibniz.irreducible), and the weight certificate reads weights
+with leibniz.weight_components, over the weight basis that the decision
+uses.
 
 Positive Leibniz verdicts, extensions and the weight certificate's reducer
 are checked by the block lemma (_recheck_block_automorphism) against the
@@ -45,7 +47,6 @@ from .leibniz import (
     LOCAL_AUT,
     LeibnizVerdict,
     SemidirectLeibniz,
-    is_irreducible,
     weight_components,
 )
 from .linalg import Matrix, _poly_matrix_char, charpoly
@@ -251,7 +252,7 @@ def _recheck_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap, shape: Cano
                 f"coupling is not a module map from the adjoint at {model.labels[g]}",
             )
     _need(not theta.is_zero(), "I-block is zero")
-    _need(is_irreducible(module), "module is not irreducible")
+    _need(lb.irreducible, "module is not irreducible")
 
 
 def recheck_leibniz_verdict(lb: SemidirectLeibniz, bm: BlockMap, v: LeibnizVerdict):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locaut import algebra, classify
+from locaut import algebra, classify, leibniz
 from locaut.classify import automorphism_shape, classify_sln, random_unimodular
 from locaut.exact import GaussianRational
 from locaut.leibniz import (
@@ -26,6 +26,7 @@ from locaut.leibniz import (
     extend_automorphism,
     inner_automorphism_matrix,
     is_automorphism,
+    is_simple,
 )
 from locaut.linalg import Matrix
 from locaut.recheck import RecheckError, recheck_leibniz_verdict
@@ -161,6 +162,21 @@ def test_recheck_refuses_a_reducible_module():
     claim = LeibnizVerdict(LOCAL_AUT, s_shape=CanonicalShape(1, SIGMA_ID, Matrix.identity(2)))
     with pytest.raises(RecheckError, match="module is not irreducible"):
         recheck_leibniz_verdict(lb, projection, claim)
+
+
+def test_positive_rechecks_decide_irreducibility_once_per_algebra(counting):
+    """The module of an algebra never changes, so two positive rechecks on
+    one algebra, and is_simple after them, solve the highest-weight system
+    once."""
+    model = SlnModel(2)
+    lb = build_semidirect(model, build_module(model, "vm:2"))
+    bm = extend_automorphism(lb, inner_automorphism_matrix(model, random_unimodular(2, random.Random(5))), 1)
+    claim = LeibnizVerdict(LOCAL_AUT, s_shape=automorphism_shape(model, bm.s_block))
+    solves = counting(leibniz, "_highest_weight_space")
+    recheck_leibniz_verdict(lb, bm, claim)
+    recheck_leibniz_verdict(lb, bm, claim)
+    assert is_simple(lb)
+    assert len(solves) == 1
 
 
 def test_recheck_checks_the_fitted_s_shape(monkeypatch):

@@ -1,7 +1,7 @@
 """Scalar and polynomial arithmetic over Q(i)."""
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +226,137 @@ def test_pow():
     z = GaussianRational(1, 1)
     assert z**4 == GaussianRational(-4)
     assert z**0 == GR_ONE
+
+
+# -- the scalar kernel against (Fraction re, Fraction im) pairs ---------------
+#
+# +, - and * take shortcuts when both denominators are 1, when they are
+# equal, and when both operands are real.  The operands below are drawn to
+# take each of them, with numerators and denominators above 2^64 too.
+
+BIG = 2**64
+# Primes, so that any numerator not divisible by one keeps it as d.
+DENOMINATORS = (2, 3, 5, 7, 2**61 - 1, 2**89 - 1)
+numerators = st.one_of(st.integers(-9, 9), st.integers(BIG, 4 * BIG), st.integers(-4 * BIG, -BIG))
+
+
+def assert_canonical(z):
+    """gcd(a, b, d) = 1 and d > 0, zero as (0, 0, 1), and a real value
+    hashing like its Fraction."""
+    assert z.__class__ is GaussianRational
+    assert all(type(x) is int for x in (z.a, z.b, z.d))
+    assert z.d > 0 and gcd(gcd(z.a, z.b), z.d) == 1
+    if z.a == 0 and z.b == 0:
+        assert z.d == 1
+    if z.b == 0:
+        assert hash(z) == hash(Fraction(z.a, z.d))
+
+
+@st.composite
+def scalars_over(draw, d: int):
+    """(a + b*i)/d in lowest terms with this very d: a is prime to d, or
+    zero when d = 1.  b = 0 (a real value) half the time."""
+    a = draw(numerators)
+    if d > 1:
+        a = a * d + draw(st.integers(1, d - 1))
+    b = draw(st.one_of(st.just(0), numerators))
+    z = GaussianRational._raw(a, b, d)
+    assert z.d == d
+    return z
+
+
+@st.composite
+def kernel_operands(draw):
+    """Pairs on each branch: d = 1 on both sides, one equal d > 1, two
+    different d."""
+    kind = draw(st.sampled_from(("integral", "same_d", "different_d")))
+    if kind == "integral":
+        d, e = 1, 1
+    elif kind == "same_d":
+        d = e = draw(st.sampled_from(DENOMINATORS))
+    else:
+        d, e = draw(st.lists(st.sampled_from((1,) + DENOMINATORS), min_size=2, max_size=2, unique=True))
+    return draw(scalars_over(d)), draw(scalars_over(e))
+
+
+kernel_scalars = st.one_of(st.sampled_from((1,) + DENOMINATORS).flatmap(scalars_over), st.just(GR_ZERO))
+
+REFERENCE_OPS = {
+    "+": (lambda x, y: x + y, lambda p, q: (p[0] + q[0], p[1] + q[1])),
+    "-": (lambda x, y: x - y, lambda p, q: (p[0] - q[0], p[1] - q[1])),
+    "*": (lambda x, y: x * y, lambda p, q: (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])),
+}
+
+
+@given(kernel_operands(), st.sampled_from(sorted(REFERENCE_OPS)))
+@settings(max_examples=400, deadline=None)
+def test_scalar_kernel_matches_the_fraction_reference(pair, op):
+    x, y = pair
+    scalar_op, reference_op = REFERENCE_OPS[op]
+    re, im = reference_op((x.re, x.im), (y.re, y.im))
+    for z in (scalar_op(x, y), scalar_op(y, x)):
+        assert_canonical(z)
+    z = scalar_op(x, y)
+    assert (z.re, z.im) == (re, im)
+
+
+@given(kernel_scalars, st.one_of(st.integers(-BIG, BIG), st.fractions(max_denominator=BIG)))
+@settings(max_examples=200, deadline=None)
+def test_scalar_kernel_coerces_ints_and_fractions_on_either_side(x, q):
+    re, im = x.re, x.im
+    for got, want in (
+        (x + q, (re + q, im)),
+        (q + x, (re + q, im)),
+        (x - q, (re - q, im)),
+        (q - x, (q - re, -im)),
+        (x * q, (re * q, im * q)),
+        (q * x, (re * q, im * q)),
+    ):
+        assert_canonical(got)
+        assert (got.re, got.im) == want
+
+
+@given(numerators, st.one_of(st.just(0), numerators))
+@settings(max_examples=100, deadline=None)
+def test_constructor_takes_gaussian_integers_as_they_are(a, b):
+    z = GaussianRational(a, b)
+    assert_canonical(z)
+    assert (z.a, z.b, z.d) == (a, b, 1)
+    assert z == GaussianRational(Fraction(a), Fraction(b))
+
+
+def test_constructor_reads_bools_as_ints():
+    for z in (GaussianRational(True), GaussianRational(False, True)):
+        assert_canonical(z)
+    assert (GaussianRational(True), GaussianRational(False, True)) == (GR_ONE, GR_I)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (GaussianRational(3, -4), GaussianRational(-3, 4)),  # integral sum zero
+        (GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(1, 2))),  # equal d, sum integral
+        (GaussianRational(Fraction(1, 6), Fraction(1, 6)), GaussianRational(Fraction(1, 6), Fraction(5, 6))),
+        (GaussianRational(Fraction(1, 2), Fraction(1, 2)), GaussianRational(1, -1)),  # (1+i)(1-i)/2 = 1
+        (GaussianRational(BIG), GaussianRational(Fraction(1, BIG))),
+        (GR_ZERO, GaussianRational(Fraction(7, 3), 1)),
+    ],
+)
+def test_scalar_kernel_reduces_at_hand_values(x, y):
+    for z in (x + y, x - y, y - x, x * y):
+        assert_canonical(z)
+    assert (x + y, x - y, x * y) == (
+        GaussianRational(x.re + y.re, x.im + y.im),
+        GaussianRational(x.re - y.re, x.im - y.im),
+        GaussianRational(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re),
+    )
+
+
+def test_scalar_kernel_refuses_other_types():
+    with pytest.raises(TypeError):
+        GR_ONE + 1.5
+    with pytest.raises(TypeError):
+        "1" * GR_I
 
 
 # -- polynomials ------------------------------------------------------------

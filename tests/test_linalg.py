@@ -33,6 +33,7 @@ from locaut.linalg import (
 )
 from locaut.recheck import charpoly_via_cofactor, cofactor_det
 from locaut.sln import SHAPE_FAMILIES, CanonicalShape, MnModel, SlnModel, shape_map_matrix
+from test_exact import DENOMINATORS, assert_canonical, scalars_over
 
 
 def int_matrix(rows):
@@ -133,6 +134,61 @@ def test_apply_is_column_action():
     m = int_matrix([[1, 2], [3, 4]])
     v = (GaussianRational(1), GaussianRational(-1))
     assert m.apply(v) == (GaussianRational(-1), GaussianRational(-1))
+
+
+def fold_product(a: Matrix, b: Matrix):
+    """The rows of a @ b as left folds of scalar + and *."""
+    rows = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = GR_ZERO
+            for k in range(a.ncols):
+                acc = acc + a[i, k] * b[k, j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@st.composite
+def kernel_matrices(draw, nrows, ncols, denominators):
+    """Entries over the given denominators, in lowest terms, or zero."""
+    entry = st.one_of(st.just(GR_ZERO), st.sampled_from(denominators).flatmap(scalars_over))
+    return Matrix._of_rows(tuple(tuple(draw(entry) for _ in range(ncols)) for _ in range(nrows)))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_matmul_and_apply_match_a_fold_of_scalar_ops(data):
+    """The dot product under @ and apply sums over a common denominator:
+    integer entries only, one d > 1 throughout (so every term repeats the
+    running denominator), or mixed denominators, each with zeros."""
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    d = data.draw(st.sampled_from(DENOMINATORS))
+    denominators = data.draw(st.sampled_from(((1,), (d,), (1,) + DENOMINATORS)))
+    a = data.draw(kernel_matrices(r, k, denominators))
+    b = data.draw(kernel_matrices(k, c, denominators))
+    want = fold_product(a, b)
+    got = a @ b
+    assert got.data == want
+    for z in got.flatten():
+        assert_canonical(z)
+    for j in range(c):
+        assert a.apply(b.column(j)) == tuple(row[j] for row in want)
+
+
+def test_a_product_of_integer_matrices_makes_no_raw_call(counting):
+    """Integer sums need no gcd; a sum with d > 1 is reduced once, not once
+    per term."""
+    a = Matrix(((2**70, -1, 0), (3, GaussianRational(0, 5), 7)))
+    b = Matrix(((1, GaussianRational(2, -1)), (0, 4), (-(2**65), 1)))
+    want = Matrix(((2**70, GaussianRational(2**71 - 4, -(2**70))), (3 - 7 * 2**65, GaussianRational(13, 17))))
+    half = Matrix(((Fraction(1, 2),) * 2,) * 2)
+    raws = counting(GaussianRational, "_raw")
+    assert a @ b == want
+    assert a.apply(b.column(0)) == want.column(0)
+    assert raws == []
+    assert half @ half == half and len(raws) == 4
 
 
 def test_json_roundtrip():
