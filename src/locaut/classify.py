@@ -1,9 +1,10 @@
 """Deciding which linear maps on sl_n (or M_n) are local automorphisms.
 
 A map is local iff it fits a family x -> epsilon * a * sigma(x) * a^-1, so
-the exact fit against the families decides, and runs first.  Each fit goes
-through the torus (fit_shape_family): n column kernels at h0, n - 1 ratios
-from the simple root vectors, and one check of the candidate against every
+the exact fit against the families decides, and runs first.  Each fit
+(fit_shape_family) reads its one candidate off the root images: the last
+column from the rank-one image of the corner E_n,1, the others through the
+n - 1 simple root vectors, then one check of the candidate against every
 basis element.  A fitted map is bijective and keeps square-zero elements
 square-zero, so the screens only pick the NotLocal certificate of a map
 that fits no family:
@@ -34,7 +35,6 @@ from .linalg import (
     cyclic_companion,
     invariant_factors,
     is_nonsingular,
-    kernel,
     matrix_from_flat,
     negated_factors,
 )
@@ -162,17 +162,18 @@ def fit_shape_family(model, d: Matrix, epsilon: int, sigma: str, images=None):
 
     a v = 0 gives a e v = 0 for every basis element e, so ker a is invariant
     under the irreducible action of sl_n (or M_n) on Q(i)^n: every nonzero
-    solution is invertible, and the space is 0 or a line.  The torus finds
-    the line's one candidate:
-    - h0 is diagonal with distinct entries and sigma(h0) = h0, so column c
-      of a solution lies in ker(Delta(h0) - epsilon h0_cc I).  A nonzero
-      solution makes Delta(h0) similar to epsilon h0, so each of these
-      kernels is a line v_c, or the space is 0, and then
-      a = [v_1 ... v_n] diag(c_1, ..., c_n).
+    solution is invertible, and the space is 0 or a line.  The root images
+    give the line's one candidate, with no inverse:
+    - a solution makes Delta(sigma(E_ij)) = epsilon a E_ij a^-1 the outer
+      product of epsilon a_i (column i of a) and row j of a^-1.  At the
+      corner E_n,1 this has rank one, or the space is 0, and its first
+      nonzero column is c a_n with c != 0.
     - Column i+1 of the equation for e = E_i,i+1 reads
-      c_i+1 X v_i+1 = epsilon c_i v_i with X = Delta(sigma(e)), and every
-      c_i is nonzero, so X v_i+1 is mu v_i with mu != 0, or the space is 0;
-      then c_i+1 = epsilon c_i / mu.
+      X a_i+1 = epsilon a_i with X = Delta(sigma(e)), so
+      a_i = epsilon X a_i+1 for i = n-1, ..., 1 turns c a_n into c a.
+    Two cheap tests refuse most other candidates before any inverse: the
+    last basis element h is diagonal and sigma(h) = h, so a solution has
+    Delta(h) a_c = epsilon h_cc a_c for every column, and it is nonsingular.
     The candidate solves every basis equation, checked as Delta(e) =
     CanonicalShape(epsilon, sigma, a).apply(e), or the space is 0.
     """
@@ -181,22 +182,30 @@ def fit_shape_family(model, d: Matrix, epsilon: int, sigma: str, images=None):
     n = model.n
     zero = Subspace(n * n, ())
     order = model.transpose_index if sigma == SIGMA_T else range(model.dim)
-    h0 = model.strongly_regular_element()
-    d_h0 = model.apply_map(d, h0)
-    columns = []
-    for c in range(n):
-        line = kernel(d_h0 - Matrix.diagonal([h0.data[c][c] * epsilon] * n))
-        if line.dim != 1:
+    corner = images[order[model.corner_index]].T.data
+    last = next((u for u in corner if any(y.a or y.b for y in u)), None)
+    if last is None:
+        return zero, None
+    r = next(k for k, y in enumerate(last) if y.a or y.b)
+    pivot = last[r]
+    for u in corner:
+        s = u[r] / pivot
+        if u != tuple(s * y for y in last):
             return zero, None
-        columns.append(line.basis[0])
-    scales = [GR_ONE]
-    for i, v in enumerate(columns[:-1]):
-        w = images[order[model.generator_indices[2 * i]]].apply(columns[i + 1])
-        mu = w[next(r for r, y in enumerate(v) if y.a or y.b)]  # v leads with 1
-        if mu.is_zero() or w != tuple(mu * y for y in v):
+    columns = [last]
+    for i in range(n - 2, -1, -1):
+        w = images[order[model.generator_indices[2 * i]]].apply(columns[-1])
+        columns.append(w if epsilon == 1 else tuple(-y for y in w))
+    columns.reverse()
+    h = model.basis[-1].data
+    for c, v in enumerate(columns):
+        s = h[c][c] * epsilon
+        if images[-1].apply(v) != tuple(s * y for y in v):
             return zero, None
-        scales.append(scales[-1] * epsilon / mu)
-    space = Subspace(n * n, [tuple(s * v[r] for r in range(n) for s, v in zip(scales, columns))])
+    a = Matrix._of_rows(tuple(zip(*columns)))
+    if not is_nonsingular(a):
+        return zero, None
+    space = Subspace(n * n, [a.flatten()])
     a = matrix_from_flat(space.basis[0], n)
     shape = CanonicalShape(epsilon, sigma, a)
     if any(shape.apply(e) != x for e, x in zip(model.basis, images)):

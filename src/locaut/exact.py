@@ -3,8 +3,9 @@
 GaussianRational is the workhorse scalar of the whole package.  It stores
 (a + b*i)/d as three machine-unbounded ints with gcd(a, b, d) == 1 and d > 0,
 which keeps the inner loops of Gaussian elimination roughly an order of
-magnitude faster than a pair of fractions.Fraction would be.  Every +, -
-and * reduces its result once, and not at all when it is a Gaussian
+magnitude faster than a pair of fractions.Fraction would be.  +, -, *, /
+and == take a GaussianRational operand as it is, with no coercion.  Every
++, - and * reduces its result once, and not at all when it is a Gaussian
 integer: with d = 1 on both sides the result is built with no gcd (a real
 product also skips the cross terms), and equal denominators add the
 numerators over that one d.  linalg's dot product reduces a whole sum once.
@@ -115,9 +116,10 @@ class GaussianRational:
         return GaussianRational._raw(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return other - self
 
     def __mul__(self, other):
@@ -138,15 +140,17 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return other * self.inverse()
 
     def __neg__(self):
@@ -196,9 +200,10 @@ class GaussianRational:
         return w
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):

@@ -7,13 +7,13 @@ product identity epsilon a sigma(x) = y a, with no inverse, and a != 0 (by
 Schur's lemma) or, for a pointwise witness, det(a) != 0; brackets come
 straight from structure constants, and a stored vector must equal the
 recomputed one entry for entry, length included.  Some reuse decision code:
-no_shape_fits re-runs fit_shape_family, the torus fit (column kernels at h0,
-simple-root ratios, the one candidate checked by CanonicalShape.apply), on
-exactly the model's families, in the classifier's order; the block lemma
-reads leibniz.is_irreducible, decided once per algebra
-(SemidirectLeibniz.irreducible), and the weight certificate reads weights
-with leibniz.weight_components, over the weight basis that the decision
-uses.
+no_shape_fits re-runs fit_shape_family, the root-image fit (the candidate
+read off the rank-one corner image and the simple root vectors, checked by
+CanonicalShape.apply), on exactly the model's families, in the
+classifier's order; the block lemma reads leibniz.is_irreducible, decided
+once per algebra (SemidirectLeibniz.irreducible), and the weight
+certificate reads weights with leibniz.weight_components, over the weight
+basis that the decision uses.
 
 Positive Leibniz verdicts, extensions and the weight certificate's reducer
 are checked by the block lemma (_recheck_block_automorphism) against the

@@ -25,20 +25,29 @@ class MatrixModel:
     dim and basis and define coords and its inverse, matrix."""
 
     @cached_property
+    def _index(self) -> dict:
+        """The index of each basis element in the basis."""
+        return {b: k for k, b in enumerate(self.basis)}
+
+    @cached_property
     def transpose_index(self) -> tuple:
         """transpose_index[k] is the index of basis[k].T in the basis."""
-        index = {b: k for k, b in enumerate(self.basis)}
-        return tuple(index[b.T] for b in self.basis)
+        return tuple(self._index[b.T] for b in self.basis)
 
     @cached_property
     def generator_indices(self) -> tuple:
         """Basis indices of e_k,k+1 and e_k+1,k for k < n - 1, in that order.
         On sl_n they are the Chevalley generators, which generate it under
         the bracket."""
-        index = {b: k for k, b in enumerate(self.basis)}
         return tuple(
-            index[_unit_matrix(self.n, *pair)] for k in range(self.n - 1) for pair in ((k, k + 1), (k + 1, k))
+            self._index[_unit_matrix(self.n, *pair)] for k in range(self.n - 1) for pair in ((k, k + 1), (k + 1, k))
         )
+
+    @cached_property
+    def corner_index(self) -> int:
+        """Basis index of the corner e_n,1 (0-based E_n-1,0): the lowest root
+        vector on sl_n, and the unit matrix on M_1."""
+        return self._index[_unit_matrix(self.n, self.n - 1, 0)]
 
     def map_matrix(self, f) -> Matrix:
         """Coordinate matrix of the linear map x -> f(x)."""
@@ -201,11 +210,6 @@ class MnModel(MatrixModel):
             _unit_matrix(n, i, j) for i in range(n) for j in range(n)
         )
         self.labels = [f"e{i+1}{j+1}" for i in range(n) for j in range(n)]
-
-    def strongly_regular_element(self) -> Matrix:
-        """diag(1, 2, ..., n): distinct eigenvalues, so its centralizer is the
-        diagonal matrices."""
-        return Matrix.diagonal(range(1, self.n + 1))
 
     def coords(self, x: Matrix):
         if x.nrows != self.n or x.ncols != self.n:

@@ -1,12 +1,13 @@
 """Classification pipeline on sl_n and M_n, with certificate checks."""
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from locaut import classify, linalg
+from locaut import linalg, sln
 from locaut.classify import (
     ANTI_AUTOMORPHISM,
     AUTOMORPHISM,
@@ -21,7 +22,7 @@ from locaut.classify import (
     required_probe_charpoly,
 )
 from locaut.exact import GR_ONE, GaussianRational, Polynomial, parse_scalar
-from locaut.linalg import Matrix, det, intertwiner_space, inverse, kernel, matrix_from_flat
+from locaut.linalg import Matrix, Subspace, det, intertwiner_space, inverse, kernel, matrix_from_flat
 from locaut.sln import (
     SHAPE_FAMILIES,
     SIGMA_ID,
@@ -167,14 +168,13 @@ def test_singular_map_not_injective():
 def test_injectivity_needs_a_kernel_only_for_a_singular_map(counting):
     """A full rank modulo p proves an n = 5 map injective with one F_p
     elimination; a singular map gets the same exact kernel vector as
-    always, found modulo p under both embeddings of i and checked, so it
-    makes no map-sized kernel call at all.  The family fits take n x n
-    kernels only."""
+    always, found modulo p under both embeddings of i and checked.  No
+    step, the family fits included, calls kernel."""
     model = SlnModel(5)
     inner = shape_map_matrix(model, CanonicalShape(1, SIGMA_ID, random_unimodular(5, random.Random(5))))
     singular = inner @ Matrix.diagonal([0 if i == 3 else 1 for i in range(model.dim)])
     expected = kernel(singular).basis[0]
-    calls = [counting(classify, "kernel"), counting(linalg, "kernel")]
+    kernels = counting(linalg, "kernel")
     eliminations = counting(linalg, "_echelon_mod_p")
 
     def map_sized(calls):
@@ -188,7 +188,7 @@ def test_injectivity_needs_a_kernel_only_for_a_singular_map(counting):
     assert v.obstruction.kind == "not_injective"
     assert v.obstruction.kernel_vector == expected
     assert map_sized(eliminations) == [(singular, linalg._R), (singular, linalg._P - linalg._R)]
-    assert [map_sized(c) for c in calls] == [[], []]
+    assert kernels == []
 
 
 def test_square_zero_broken():
@@ -333,8 +333,8 @@ def fit_maps(model, seed):
 )
 @pytest.mark.parametrize("eps,sigma", SHAPE_FAMILIES)
 def test_fit_space_unchanged_by_leading_h0_pair(model, eps, sigma):
-    # the prepended (Delta(h0), eps h0) pair follows from the basis pairs by
-    # linearity, so the canonical space is the same without it
+    # the fit's space is the canonical space of the basis pairs alone; a
+    # prepended (Delta(h0), eps h0) pair would follow from them by linearity
     for d in fit_maps(model, seed=model.dim):
         plain = intertwiner_space(
             (model.apply_map(d, e.T if sigma == SIGMA_T else e), e * eps) for e in model.basis
@@ -383,17 +383,28 @@ def test_fit_space_is_at_most_a_line_of_invertibles(case):
             assert a == b
 
 
-# -- the torus fit against the intertwiner system ---------------------------
+def one_entry_bump(d: Matrix, r: int, s: int) -> Matrix:
+    return Matrix(tuple(tuple(x + 1 if (i, j) == (r, s) else x for j, x in enumerate(row))
+                        for i, row in enumerate(d.data)))
+
+
+# -- the root-image fit against the intertwiner system -----------------------
 
 
 def intertwiner_fit(model, d, eps, sigma):
-    """The family fit solved as one intertwiner system: the h0 pair, then
-    every basis pair."""
-    h0 = model.strongly_regular_element()
-    pairs = [(model.apply_map(d, h0), h0 * eps)]
-    pairs += [(model.apply_map(d, e.T if sigma == SIGMA_T else e), e * eps) for e in model.basis]
+    """The family fit solved as one intertwiner system over every basis
+    pair."""
+    pairs = [(model.apply_map(d, e.T if sigma == SIGMA_T else e), e * eps) for e in model.basis]
     space = intertwiner_space(pairs)
     return space, matrix_from_flat(space.basis[0], model.n) if space.dim else None
+
+
+def torus_element(model):
+    """A diagonal element with distinct entries: h0 on sl_n, diag(1, ..., n)
+    on M_n."""
+    if isinstance(model, SlnModel):
+        return model.strongly_regular_element()
+    return Matrix.diagonal(range(1, model.n + 1))
 
 
 def repeated_eigenvalue_map(model, eps, rng):
@@ -401,7 +412,7 @@ def repeated_eigenvalue_map(model, eps, rng):
     diag(l, l, 0, ...) on M_n (n >= 2), for l = eps h0_11, so that the
     eigenspace of the first column has dimension 2; the root vectors go to
     random integer matrices."""
-    h0 = model.strongly_regular_element()
+    h0 = torus_element(model)
     lam = h0[0, 0] * eps
     tail = [-2 * lam] if isinstance(model, SlnModel) else []
     top = Matrix.diagonal(([lam, lam] + tail + [0] * model.n)[: model.n]) * h0[0, 0].inverse()
@@ -417,39 +428,105 @@ def repeated_eigenvalue_map(model, eps, rng):
     return model.map_matrix(f)
 
 
-@st.composite
-def torus_fit_cases(draw):
-    """A model, and on it a family map, a scaled or one-entry-bumped family
-    map, or a map whose Delta(h0) has a repeated eigenvalue."""
-    model = draw(st.sampled_from([SlnModel(n) for n in (2, 3, 4, 5)] + [MnModel(n) for n in (1, 2, 3, 4)]))
-    eps, sigma = draw(st.sampled_from(SHAPE_FAMILIES))
-    rng = random.Random(draw(st.integers(0, 10_000)))
+def read_by_the_candidate(model):
+    """Basis indices whose images a fit reads before its final check, for
+    either sigma: the corner and its transpose, the simple root vectors and
+    their transposes, and the last basis element."""
+    corner = model.corner_index
+    return {corner, model.transpose_index[corner], model.dim - 1, *model.generator_indices}
+
+
+def fit_case_kinds(model):
+    kinds = ["family", "scaled", "bumped", "swapped"]
+    if model.n >= 2:
+        kinds.append("rank2_corner")
+    if len(read_by_the_candidate(model)) < model.dim:
+        kinds.append("off_path")
     # sl_2 has no room for it: Delta(h0) is traceless, so l I is out of reach
-    repeats = model.n >= (3 if isinstance(model, SlnModel) else 2)
-    kinds = ["family", "scaled", "bumped"] + (["repeated"] if repeats else [])
-    kind = draw(st.sampled_from(kinds))
+    if model.n >= (3 if isinstance(model, SlnModel) else 2):
+        kinds.append("repeated")
+    return kinds
+
+
+def fit_case(model, kind, eps, sigma, seed):
+    """(model, kind, family, d): a map of the family (eps, sigma), changed as
+    kind says.  scaled multiplies it by 2, i or -1; bumped adds 1 to one
+    random entry; off_path adds 1 to the image of a basis element that no
+    step before the final check reads; swapped is the family of -eps;
+    rank2_corner is with_rank_two_corner; repeated is
+    repeated_eigenvalue_map."""
+    rng = random.Random(seed)
     if kind == "repeated":
-        return model, kind, repeated_eigenvalue_map(model, eps, rng)
-    d = shape_map_matrix(model, CanonicalShape(eps, sigma, random_unimodular(model.n, rng)))
+        return model, kind, (eps, sigma), repeated_eigenvalue_map(model, eps, rng)
+    sign = -eps if kind == "swapped" else eps
+    d = shape_map_matrix(model, CanonicalShape(sign, sigma, random_unimodular(model.n, rng)))
     if kind == "scaled":
-        d = d * draw(st.sampled_from([GaussianRational(2), GaussianRational(0, 1), GaussianRational(-1)]))
+        d = d * rng.choice([GaussianRational(2), GaussianRational(0, 1), GaussianRational(-1)])
     elif kind == "bumped":
         d = one_entry_bump(d, rng.randrange(model.dim), rng.randrange(model.dim))
-    return model, kind, d
+    elif kind == "off_path":
+        off = [k for k in range(model.dim) if k not in read_by_the_candidate(model)]
+        d = one_entry_bump(d, rng.randrange(model.dim), rng.choice(off))
+    elif kind == "rank2_corner":
+        d = with_rank_two_corner(model, d, sigma)
+    return model, kind, (eps, sigma), d
 
 
-@given(torus_fit_cases())
-@settings(max_examples=60, deadline=None)
+def with_rank_two_corner(model, d, sigma):
+    """d with the image T of sigma(E_n,1) made rank two.  When T's first
+    nonzero column u is not the last, E_m,n with u outside the line of e_m
+    is added, so that the fit's candidate, read from u, stays right and only
+    the rank test refuses T; otherwise T becomes E_n,1 + E_1,n."""
+    n = model.n
+    k = model.transpose_index[model.corner_index] if sigma == SIGMA_T else model.corner_index
+    t = model.matrix(d.column(k))
+    j, u = next((j, u) for j, u in enumerate(t.T.data) if any(u))
+    lines = [m for m in range(n - 1) if any(y for r, y in enumerate(u) if r != m)]
+    if j < n - 1 and lines:
+        t = t + Matrix(tuple(tuple(int((r, c) == (lines[0], n - 1)) for c in range(n)) for r in range(n)))
+    else:
+        t = model.basis[model.corner_index] + model.basis[model.corner_index].T
+    col = model.coords(t)
+    return Matrix(tuple(tuple(col[i] if c == k else x for c, x in enumerate(row)) for i, row in enumerate(d.data)))
+
+
+@st.composite
+def fit_cases(draw):
+    model = draw(st.sampled_from([SlnModel(n) for n in (2, 3, 4, 5)] + [MnModel(n) for n in (1, 2, 3, 4)]))
+    eps, sigma = draw(st.sampled_from(SHAPE_FAMILIES))
+    kind = draw(st.sampled_from(fit_case_kinds(model)))
+    return fit_case(model, kind, eps, sigma, draw(st.integers(0, 10_000)))
+
+
+@given(fit_cases())
+@example(fit_case(MnModel(1), "family", 1, SIGMA_T, 1))
+@example(fit_case(MnModel(1), "swapped", -1, SIGMA_ID, 2))
+@example(fit_case(MnModel(2), "off_path", 1, SIGMA_T, 3))
+@example(fit_case(MnModel(2), "rank2_corner", -1, SIGMA_ID, 4))
+@example(fit_case(SlnModel(2), "family", -1, SIGMA_ID, 5))
+@example(fit_case(SlnModel(2), "swapped", 1, SIGMA_T, 6))
+@example(fit_case(SlnModel(2), "rank2_corner", -1, SIGMA_T, 7))
+@example(fit_case(SlnModel(3), "off_path", -1, SIGMA_ID, 8))
+@settings(max_examples=80, deadline=None)
 def test_torus_fit_matches_the_intertwiner_system(case):
-    """Same canonical space and same witness, family by family."""
-    model, kind, d = case
+    """Same canonical space and same witness, family by family.  The map's
+    own family reaches the one inverse, in the final check, only when the
+    change lies off the candidate's path."""
+    model, kind, family, d = case
     dims = []
     for eps, sigma in SHAPE_FAMILIES:
-        got = fit_shape_family(model, d, eps, sigma)
+        with mock.patch.object(sln, "inverse", wraps=sln.inverse) as inverses:
+            got = fit_shape_family(model, d, eps, sigma)
         assert got == intertwiner_fit(model, d, eps, sigma)
         dims.append(got[0].dim)
+        if (eps, sigma) == family:
+            own = (got[0].dim, inverses.call_count)
     if kind == "family":
-        assert 1 in dims
+        assert own == (1, 1)
+    if kind == "off_path":
+        assert own == (0, 1)
+    if kind in ("swapped", "rank2_corner", "repeated"):
+        assert own == (0, 0)
     if kind == "repeated":
         assert dims == [0, 0, 0, 0]
 
@@ -457,16 +534,28 @@ def test_torus_fit_matches_the_intertwiner_system(case):
 @pytest.mark.parametrize("model", [SlnModel(3), SlnModel(4), MnModel(2), MnModel(3)], ids=["sl3", "sl4", "M2", "M3"])
 @pytest.mark.parametrize("eps", [1, -1])
 def test_a_repeated_eigenvalue_of_delta_h0_ends_the_fit(counting, model, eps):
-    """An eigenspace of Delta(h0) of dimension 2 rules the family out: a fit
-    would make Delta(h0) similar to eps h0, whose eigenvalues are simple."""
+    """An eigenspace of Delta(h0) of dimension 2 rules the family out, since
+    a fit would make Delta(h0) similar to eps h0.  The fit refuses such a
+    map from its root images alone: no kernel and no inverse."""
     d = repeated_eigenvalue_map(model, eps, random.Random(model.dim))
-    kernels = counting(classify, "kernel")
+    kernels = counting(linalg, "kernel")
+    inverses = counting(sln, "inverse")
     for sigma in (SIGMA_ID, SIGMA_T):
-        kernels.clear()
         space, a = fit_shape_family(model, d, eps, sigma)
         assert (space.dim, a) == (0, None)
-        assert [kernel(*args).dim for args in kernels] == [2]
+        assert (kernels, inverses) == ([], [])
         assert intertwiner_fit(model, d, eps, sigma)[0].dim == 0
+        kernels.clear()
+
+
+@pytest.mark.parametrize("eps,sigma", SHAPE_FAMILIES)
+def test_a_positive_sl9_fit_recovers_the_conjugator_line(eps, sigma):
+    model = SlnModel(9)
+    g = random_unimodular(9, random.Random(9))
+    d = shape_map_matrix(model, CanonicalShape(eps, sigma, g))
+    space, a = fit_shape_family(model, d, eps, sigma)
+    assert space == Subspace(81, [g.flatten()])
+    assert a == matrix_from_flat(space.basis[0], 9)
 
 
 def test_a_positive_n5_fit_solves_no_intertwiner_system(counting):
@@ -501,11 +590,6 @@ def test_dim7_near_miss_is_decided_without_search(monkeypatch):
 
 
 # -- automorphism test by fit ------------------------------------------------
-
-
-def one_entry_bump(d: Matrix, r: int, s: int) -> Matrix:
-    return Matrix(tuple(tuple(x + 1 if (i, j) == (r, s) else x for j, x in enumerate(row))
-                        for i, row in enumerate(d.data)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -359,6 +359,66 @@ def test_scalar_kernel_refuses_other_types():
         "1" * GR_I
 
 
+def complex_quotient(p, q):
+    """(p0 + p1 i) / (q0 + q1 i) over Fractions."""
+    n = q[0] * q[0] + q[1] * q[1]
+    return (p[0] * q[0] + p[1] * q[1]) / n, (p[1] * q[0] - p[0] * q[1]) / n
+
+
+@given(kernel_operands())
+@settings(max_examples=300, deadline=None)
+def test_division_and_equality_match_the_fraction_reference(pair):
+    x, y = pair
+    for u, v in ((x, y), (y, x)):
+        if v:
+            z = u / v
+            assert_canonical(z)
+            assert (z.re, z.im) == complex_quotient((u.re, u.im), (v.re, v.im))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                u / v
+    same = (x.re, x.im) == (y.re, y.im)
+    assert (x == y, y == x, x != y) == (same, same, not same)
+    assert x == GaussianRational._raw(x.a, x.b, x.d) and hash(x) == hash(GaussianRational._raw(x.a, x.b, x.d))
+
+
+@given(kernel_scalars, st.one_of(st.integers(-BIG, BIG), st.fractions(max_denominator=BIG)))
+@settings(max_examples=200, deadline=None)
+def test_division_and_equality_coerce_ints_and_fractions_on_either_side(x, q):
+    re, im = x.re, x.im
+    if q:
+        assert_canonical(x / q)
+        assert ((x / q).re, (x / q).im) == (re / q, im / q)
+    if x:
+        assert_canonical(q / x)
+        assert ((q / x).re, (q / x).im) == complex_quotient((Fraction(q), 0), (re, im))
+    assert_canonical(x.__rsub__(q))
+    assert (x.__rsub__(q).re, x.__rsub__(q).im) == (q - re, -im)
+    same = (re, im) == (q, 0)
+    assert (x == q, q == x, x != q) == (same, same, not same)
+    if same:
+        assert hash(x) == hash(q)
+    real = GaussianRational(q)
+    assert real == q and q == real and hash(real) == hash(q)
+
+
+def test_division_subtraction_and_equality_refuse_other_types():
+    for x in (GR_ZERO, GR_ONE, GR_I, GaussianRational(Fraction(1, 2))):
+        assert x.__truediv__(1.5) is NotImplemented
+        assert x.__rtruediv__("1") is NotImplemented
+        assert x.__rsub__(1.5) is NotImplemented
+        assert x.__eq__("1") is NotImplemented
+        assert x.__eq__(0.5) is NotImplemented
+        assert not x == 0.5 and x != 0.5
+        assert not x == "1" and x != "1"
+        with pytest.raises(TypeError):
+            x / 1.5
+        with pytest.raises(TypeError):
+            "1" / x
+        with pytest.raises(TypeError):
+            "1" - x
+
+
 # -- polynomials ------------------------------------------------------------
 
 
