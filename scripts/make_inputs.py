@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Generate ready-to-use JSON input files for the locaut CLI.
 
-Writes maps and points on sl_n, maps on M_n and three block maps into a
+Writes maps and points on sl_n, maps on M_n and four block maps into a
 directory, so the README examples can be run verbatim.
 """
 
@@ -13,7 +13,7 @@ from pathlib import Path
 
 from locaut.classify import random_unimodular
 from locaut.exact import GaussianRational as G
-from locaut.leibniz import BlockMap
+from locaut.leibniz import BlockMap, build_module, build_semidirect, extend_automorphism
 from locaut.linalg import Matrix
 from locaut.sln import SIGMA_ID, CanonicalShape, MnModel, SlnModel, shape_map_matrix
 
@@ -74,6 +74,17 @@ def main(argv=None) -> int:
     theta = Matrix(((1, 2, G(0, F(1, 2))), (0, 1, F(1, 3)), (1, 3, G(F(1, 3), F(1, 2)))))
     singular = BlockMap(Matrix.identity(3), Matrix.zeros(3, 3), theta)
     dump(out, "blockmap_singular_vm2.json", singular.to_json())
+
+    # A fixed anti-family map of sl_3 + natural, not drawn from rng: the
+    # omega = 0 extension of Ad(g) after (-1, 0, 1).  Its S-block fits
+    # (-1, identity) with conjugator g != 1, so its weight_structure
+    # certificate carries a reducer that is not the identity.
+    model = SlnModel(3)
+    lb = build_semidirect(model, build_module(model, "natural"))
+    g = Matrix(((1, 1, 0), (0, 1, 2), (1, 0, 1)))
+    inner = extend_automorphism(lb, shape_map_matrix(model, CanonicalShape(1, SIGMA_ID, g)), 0)
+    minus = BlockMap(model.scalar_map(-1), Matrix.zeros(3, 8), Matrix.identity(3))
+    dump(out, "blockmap_anti_natural3.json", inner.compose(minus).to_json())
 
     # Maps on M_n: an anti-automorphism, an automorphism, a scaling that moves
     # the identity, a singular map, and an injective unital map fitting no shape,

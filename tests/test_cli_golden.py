@@ -51,6 +51,7 @@ INVOCATIONS = (
         ("leibniz-decide", "--n", "2", "--module", "vm:2", "--map", f"blockmap_{name}_vm2.json")
         for name in ("identity", "transpose", "singular")
     ]
+    + [("leibniz-decide", "--n", "3", "--module", "natural", "--map", "blockmap_anti_natural3.json")]
     + [
         ("classify-mn", "--n", str(n), "--map", f"mn_{name}{n}.json")
         for n in (2, 3)
