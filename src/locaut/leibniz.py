@@ -54,7 +54,7 @@ from .linalg import (
     kernel,
     matrix_from_flat,
 )
-from .sln import SIGMA_ID, CanonicalShape, SlnModel, shape_map_matrix
+from .sln import SIGMA_ID, SIGMA_T, CanonicalShape, SlnModel, shape_map_matrix
 
 
 class RightModule:
@@ -328,14 +328,10 @@ class BlockMap:
             raise ValueError("block shapes are inconsistent")
 
     def full_matrix(self) -> Matrix:
-        ns = self.s_block.nrows
-        ni = self.i_block.nrows
-        rows = []
-        for i in range(ns):
-            rows.append(tuple(self.s_block.data[i]) + (GR_ZERO,) * ni)
-        for p in range(ni):
-            rows.append(tuple(self.coupling.data[p]) + tuple(self.i_block.data[p]))
-        return Matrix(rows)
+        pad = (GR_ZERO,) * self.i_block.nrows
+        s_rows = tuple(row + pad for row in self.s_block.data)
+        i_rows = tuple(c + t for c, t in zip(self.coupling.data, self.i_block.data))
+        return Matrix._of_rows(s_rows + i_rows)
 
     @cached_property
     def i_block_invertible(self) -> bool:
@@ -357,11 +353,6 @@ class BlockMap:
             self.coupling @ other.s_block + self.i_block @ other.coupling,
             self.i_block @ other.i_block,
         )
-
-    def inv(self) -> "BlockMap":
-        s = inverse(self.s_block)
-        i = inverse(self.i_block)
-        return BlockMap(s, -(i @ self.coupling @ s), i)
 
     def to_json(self):
         return {
@@ -683,12 +674,18 @@ def decide_local_aut(lb: SemidirectLeibniz, bm: BlockMap) -> LeibnizVerdict:
             cert = bracket_square_obstruction(lb, bm, z)
             if cert is not None:
                 return LeibnizVerdict(NOT_LOCAL, cert)
-        # Normalize the S-block by undoing Ad(a) of classify_sln's fit, then inspect weights.
+        # Undo Ad(a) of classify_sln's fit, then inspect weights.  The fit
+        # proved phi = Ad(a) tau exactly, with tau: x -> epsilon sigma(x) an
+        # involution, so Ad(a) = phi tau and Ad(a)^-1 phi = tau.  The reducer
+        # extends Ad(a) with coupling 0, so reducer^-1 after the map is
+        # (tau, theta_R^-1 C, theta_R^-1 theta): one inverse, of theta_R.
         shape = s_verdict.shape
-        inner = CanonicalShape(1, SIGMA_ID, shape.a)
-        reducer = _extend(lb, shape_map_matrix(lb.model, inner), GR_ZERO)
+        twist = lb.model.map_matrix(lambda x: (x.T if shape.sigma == SIGMA_T else x) * shape.epsilon)
+        reducer = _extend(lb, bm.s_block @ twist, GR_ZERO)
         internal_check(reducer is not None, "inner automorphisms always extend")
-        cert = _weight_obstruction(lb, reducer, inner, reducer.inv().compose(bm), shape.epsilon)
+        theta_inv = inverse(reducer.i_block)
+        reduced = BlockMap(twist, theta_inv @ bm.coupling, theta_inv @ bm.i_block)
+        cert = _weight_obstruction(lb, reducer, CanonicalShape(1, SIGMA_ID, shape.a), reduced, shape.epsilon)
         if cert is not None:
             return LeibnizVerdict(NOT_LOCAL, cert)
     pair = lb.algebra.failing_pair(bm.full_matrix())

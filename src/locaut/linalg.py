@@ -509,7 +509,7 @@ def inverse(m: Matrix) -> Matrix:
     pivots = _rref_in_place(rows, 2 * n)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return Matrix(tuple(tuple(r[n:]) for r in rows))
+    return Matrix._of_rows(tuple(tuple(r[n:]) for r in rows))
 
 
 def charpoly(m: Matrix) -> Polynomial:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_linalg import jordan_matrices, square_matrices
 
-from locaut import classify, leibniz, linalg
+from locaut import classify, leibniz, linalg, sln
 from locaut.algebra import StructureAlgebra
 from locaut.classify import (
     AUTOMORPHISM,
@@ -296,20 +296,29 @@ def test_a_weight_structure_decision_fits_no_shape_again(counting, n, name):
     """The weight certificate's reducer extends Ad(a) for the a of
     classify_sln's fit, and carries that shape: no extend_automorphism
     input check, and no fit beyond those of the block check and of
-    classify_sln on the S-block."""
+    classify_sln on the S-block.  Ad(a) is read off the S-block as phi tau,
+    so the decision inverts a no more often than classify_sln alone does,
+    builds no shape map, and forms one inverse of its own: theta_R's."""
     model = SlnModel(n)
     lb = build_semidirect(model, build_module(model, name))
     inner = extend_automorphism(lb, inner_automorphism_matrix(model, random_unimodular(n, random.Random(n))), 0)
     bm = inner.compose(BlockMap(model.scalar_map(-1), Matrix.zeros(lb.dim_i, lb.dim_s), Matrix.identity(lb.dim_i)))
     fits = counting(classify, "fit_shape_family")
+    shape_inverses = counting(sln, "inverse")
     assert block_automorphism_shape(lb, bm) is None
     a = classify_sln(model, bm.s_block).shape.a
-    expected = len(fits)
+    expected, expected_inverses = len(fits), len(shape_inverses)
     fits.clear()
+    shape_inverses.clear()
     extensions = counting(leibniz, "extend_automorphism")
+    inverses = counting(leibniz, "inverse")
+    shape_maps = [counting(owner, "shape_map_matrix") for owner in (sln, leibniz)]
     cert = decide_local_aut(lb, bm).certificate
     assert cert.kind == "weight_structure"
     assert extensions == [] and len(fits) == expected
+    assert len(shape_inverses) <= expected_inverses
+    assert inverses == [(cert.reducer.i_block,)]
+    assert shape_maps == [[], []]
     assert cert.reducer_shape == CanonicalShape(1, SIGMA_ID, a)
     assert shape_map_matrix(model, cert.reducer_shape) == cert.reducer.s_block
 

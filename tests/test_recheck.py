@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locaut import classify, leibniz, linalg, recheck, sln
+from locaut import algebra, classify, cli, filiform, leibniz, linalg, recheck, sln
 from locaut.algebra import unit_vector
 from locaut.classify import automorphism_shape, classify_sln, classify_mn, pointwise_witness, random_unimodular
 from locaut.exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial
@@ -393,16 +393,21 @@ def anti_maps_after_inner(lb, rng):
 @pytest.mark.parametrize("n, name", ANTI_ALGEBRAS)
 def test_anti_maps_after_an_inner_extension_recheck(counting, n, name):
     """The product check of a weight certificate's reduced map meets
-    reducers other than the identity; no recheck inverts a block map."""
+    reducers other than the identity; no recheck inverts a matrix, through
+    any module's binding of linalg.inverse."""
     lb = semidirect(n, name)
-    inversions = counting(BlockMap, "inv")
+    owners = [m for m in (algebra, classify, cli, filiform, leibniz, linalg, recheck, sln)
+              if getattr(m, "inverse", None) is linalg.inverse]
+    assert {linalg, leibniz, sln} <= set(owners)
+    inversions = [counting(owner, "inverse") for owner in owners]
     reducers = []
     for bm in anti_maps_after_inner(lb, random.Random(8000 + n)):
         v = decide_local_aut(lb, bm)
         assert v.verdict == "NotLocal"
-        inversions.clear()
+        for calls in inversions:
+            calls.clear()
         recheck_leibniz_verdict(lb, bm, v)
-        assert inversions == []
+        assert inversions == [[]] * len(owners)
         if v.certificate.kind == "weight_structure":
             reducers.append(v.certificate.reducer)
     assert len(reducers) == 2  # both minus_s maps
