@@ -86,6 +86,13 @@ def main(argv=None) -> int:
     minus = BlockMap(model.scalar_map(-1), Matrix.zeros(3, 8), Matrix.identity(3))
     dump(out, "blockmap_anti_natural3.json", inner.compose(minus).to_json())
 
+    # The same construction on sl_3 + adjoint: the reducer's I-block is an
+    # 8 x 8 module isomorphism, pinned here by the certificate.
+    lb = build_semidirect(model, build_module(model, "adjoint"))
+    inner = extend_automorphism(lb, shape_map_matrix(model, CanonicalShape(1, SIGMA_ID, g)), 0)
+    minus = BlockMap(model.scalar_map(-1), Matrix.zeros(8, 8), Matrix.identity(8))
+    dump(out, "blockmap_anti_adjoint3.json", inner.compose(minus).to_json())
+
     # Maps on M_n: an anti-automorphism, an automorphism, a scaling that moves
     # the identity, a singular map, and an injective unital map fitting no shape,
     # on the M_n sizes the golden CLI cases use.

@@ -51,7 +51,10 @@ INVOCATIONS = (
         ("leibniz-decide", "--n", "2", "--module", "vm:2", "--map", f"blockmap_{name}_vm2.json")
         for name in ("identity", "transpose", "singular")
     ]
-    + [("leibniz-decide", "--n", "3", "--module", "natural", "--map", "blockmap_anti_natural3.json")]
+    + [
+        ("leibniz-decide", "--n", "3", "--module", name, "--map", f"blockmap_anti_{name}3.json")
+        for name in ("natural", "adjoint")
+    ]
     + [
         ("classify-mn", "--n", str(n), "--map", f"mn_{name}{n}.json")
         for n in (2, 3)
