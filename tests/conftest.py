@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 
@@ -52,5 +53,21 @@ def counting(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
         return calls
+
+    return install
+
+
+@pytest.fixture
+def forbid(monkeypatch):
+    """forbid(name) rebinds name, in every locaut module that holds it, to a
+    function that fails the test when called."""
+
+    def install(name):
+        def forbidden(*args):
+            raise AssertionError(f"{name} was called")
+
+        for key, mod in list(sys.modules.items()):
+            if key.split(".")[0] == "locaut" and hasattr(mod, name):
+                monkeypatch.setattr(mod, name, forbidden)
 
     return install

@@ -324,6 +324,17 @@ def test_a_weight_structure_decision_fits_no_shape_again(counting, n, name):
 
 
 @pytest.mark.parametrize("n, name", LEIBNIZ_CASES)
+def test_decision_solves_no_intertwiner_system(forbid, n, name):
+    """Module isomorphisms come from the highest-weight line, so no map of
+    any kind, the anti-family ones whose reducer extends Ad(a) included,
+    reaches intertwiner_space."""
+    lb, maps = leibniz_case(n, name)
+    forbid("intertwiner_space")
+    kinds = [kind_of(decide_local_aut(lb, bm)) for bm in maps]
+    assert kinds == (TRIVIAL_KINDS if name == "vm:0" else NONTRIVIAL_KINDS)
+
+
+@pytest.mark.parametrize("n, name", LEIBNIZ_CASES)
 def test_bracket_scan_runs_only_to_name_a_bracket_failure_pair(counting, n, name):
     lb, maps = leibniz_case(n, name)
     scans = counting(StructureAlgebra, "failing_pair")

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locaut import linalg
+from locaut import leibniz, linalg
 from locaut.algebra import unit_vector
 from locaut.classify import random_unimodular
 from locaut.exact import GaussianRational, internal_check
 from locaut.leibniz import (
+    BlockMap,
     RightModule,
     WeightSpace,
     build_module,
@@ -150,10 +151,11 @@ def test_non_weight_basis_module_raises():
 
 
 @pytest.mark.parametrize("n, name", [(2, "vm:6"), (3, "natural"), (3, "adjoint")])
-def test_extension_solves_no_kronecker_system(monkeypatch, n, name):
-    """intertwiner_space solves through linalg.kernel; with the diagonal
-    Cartan pair first, no system has the dim_i^2 columns of the Kronecker
-    form."""
+def test_extension_solves_no_kronecker_system(monkeypatch, forbid, n, name):
+    """The extension pushes the highest-weight line along the module's word
+    basis: it calls no intertwiner_space, and no kernel it solves, through
+    leibniz or inside linalg, is wider than the dim_i columns of the
+    highest-weight system."""
     lb = semidirect(n, name)
     widths = []
 
@@ -161,13 +163,16 @@ def test_extension_solves_no_kronecker_system(monkeypatch, n, name):
         widths.append(m.ncols)
         return kernel(m)
 
+    forbid("intertwiner_space")
     monkeypatch.setattr(linalg, "kernel", spy)
+    monkeypatch.setattr(leibniz, "kernel", spy)
     inner = inner_automorphism_matrix(lb.model, random_unimodular(n, random.Random(5)))
     minus_t = lb.model.map_matrix(lambda x: -(x.T))
     for phi in (inner, minus_t):
-        extend_automorphism(lb, phi, 1)
+        for omega in (0, 1):
+            extend_automorphism(lb, phi, omega)
     assert widths
-    assert lb.dim_i ** 2 not in widths
+    assert max(widths) <= lb.dim_i
 
 
 # -- (d) the same isomorphism as the Kronecker-first order -------------------
@@ -183,6 +188,91 @@ def test_isomorphism_matches_kronecker_first_order(module, seed):
     space = reference_intertwiner_space(list(zip(twisted, m1.actions)))
     assert space.dim == 1
     assert module_isomorphism(m1, twisted) == matrix_from_flat(space.basis[0], m1.dim)
+
+
+def reference_isomorphism(module, actions):
+    """The canonical basis matrix of the Kronecker intertwiner line, or None
+    when the intertwiner space is 0."""
+    space = reference_intertwiner_space(list(zip(actions, module.actions)))
+    if space.dim == 0:
+        return None
+    assert space.dim == 1
+    return matrix_from_flat(space.basis[0], module.dim)
+
+
+OMEGAS = [1, 2, -1, GaussianRational(0, 1), GaussianRational(Fraction(-3, 2), 1)]
+
+
+@given(
+    st.sampled_from([m for m in MODULES if m != (4, "adjoint")]),
+    st.integers(0, 10_000),
+    st.booleans(),
+    st.sampled_from(OMEGAS),
+)
+@settings(max_examples=40, deadline=None)
+def test_extension_blocks_are_the_kronecker_lines(module, seed, minus_transpose, omega):
+    """Over inner and -transpose twists, the I-block and, where dim S =
+    dim I, the coupling omega scales are the Kronecker solve's lines, or
+    None with an empty intertwiner space."""
+    n, name = module
+    lb = semidirect(n, name)
+    phi = inner_automorphism_matrix(lb.model, random_unimodular(n, random.Random(seed)))
+    if minus_transpose:
+        phi = phi @ lb.model.map_matrix(lambda x: -(x.T))
+    twisted = twisted_actions(lb.module, phi)
+    phi_i = reference_isomorphism(lb.module, twisted)
+    assert module_isomorphism(lb.module, twisted) == phi_i
+    bm = extend_automorphism(lb, phi, omega)
+    assert (bm is None) == (phi_i is None)
+    if lb.dim_s != lb.dim_i or bm is None:
+        return
+    theta = reference_isomorphism(lb.adjoint_module, twisted)
+    assert theta is not None
+    assert module_isomorphism(lb.adjoint_module, twisted) == theta
+    assert bm == BlockMap(phi, theta * omega, phi_i)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_minus_transpose_twist_of_the_natural_module_has_no_isomorphism(n):
+    """-x^T twists the natural module into its dual, which differs from it
+    for n >= 3: both the Kronecker solve and the word basis find nothing."""
+    lb = semidirect(n, "natural")
+    twisted = twisted_actions(lb.module, lb.model.map_matrix(lambda x: -(x.T)))
+    assert reference_isomorphism(lb.module, twisted) is None
+    assert module_isomorphism(lb.module, twisted) is None
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_tampered_generator_gives_no_isomorphism(data):
+    """Twisted actions with one Chevalley generator's matrix moved by a
+    matrix unit obey no module law with the rest, and no T passes."""
+    n, name = data.draw(st.sampled_from([m for m in MODULES if m != (4, "adjoint")]))
+    m1 = semidirect(n, name).module
+    phi = inner_automorphism_matrix(m1.model, random_unimodular(n, random.Random(data.draw(st.integers(0, 10_000)))))
+    twisted = twisted_actions(m1, phi)
+    assert module_isomorphism(m1, twisted) is not None
+    g = data.draw(st.sampled_from(m1.model.generator_indices))
+    p, q = data.draw(st.integers(0, m1.dim - 1)), data.draw(st.integers(0, m1.dim - 1))
+    c = data.draw(st.sampled_from([1, -1, GaussianRational(0, 1)]))
+    bump = Matrix(tuple(tuple(c if (r, s) == (p, q) else 0 for s in range(m1.dim)) for r in range(m1.dim)))
+    twisted[g] = twisted[g] + bump
+    assert module_isomorphism(m1, twisted) is None
+
+
+@pytest.mark.parametrize("n, name", [(2, "vm:6"), (3, "natural"), (3, "adjoint")])
+def test_word_basis_is_built_once_per_module(counting, n, name):
+    """The module's own highest-weight line is solved once, for its word
+    basis; each call then solves only the line of the actions it is given."""
+    model = SlnModel(n)
+    module = build_module(model, name)
+    solves = counting(leibniz, "_highest_weight_space")
+    rng = random.Random(n)
+    for _ in range(3):
+        phi = inner_automorphism_matrix(model, random_unimodular(n, rng))
+        assert module_isomorphism(module, twisted_actions(module, phi)) is not None
+    assert len(solves) == 4
+    assert sum(args[1] is module.actions for args in solves) == 1
 
 
 # -- (e) h0 + y_beta is no bracket-square point ------------------------------
