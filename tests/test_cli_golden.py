@@ -66,6 +66,7 @@ INVOCATIONS = (
         ("leibniz-build", "--n", "3", "--module", "natural", "--map", "conjugation3.json"),
         ("leibniz-build", "--n", "3", "--module", "natural", "--map", "negtranspose3.json"),
         ("leibniz-build", "--n", "2", "--module", "vm:2", "--map", "transpose2.json"),
+        ("filiform-demo", "--n", "3", "--samples", "12", "--seed", "3"),
         ("filiform-demo", "--n", "5", "--samples", "12", "--seed", "3"),
         ("filiform-demo", "--n", "20", "--samples", "40", "--seed", "3"),
         ("selfcheck",),
