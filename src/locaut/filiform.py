@@ -7,13 +7,18 @@ drive everything here:
     phi_alpha(x) = x + alpha x_2 e_{n-1} + x_3 e_n
     psi_beta(u)  = u + beta u_2 e_n
 
-psi_beta is an automorphism for every beta (proved from beta = 0, 1, 2 by
-witnesses_are_automorphisms), phi_alpha only for alpha = 1.  The map
+Both are the identity plus one or two entries, and each family keeps those
+entries, a {(row, column): value} dict, as its one source of truth;
+matrix(fl) builds the dense map only for a bracket scan.  psi_beta is an
+automorphism for every beta (proved from beta = 0, 1, 2 by
+witnesses_are_automorphisms, which checks the affinity in beta and the
+inverse identity on the entries), phi_alpha only for alpha = 1.  The map
 delta = phi_0 is therefore not an automorphism, yet at every single point it
 agrees with phi_1 (when x_2 = 0) or with psi_{x_3/x_2} (otherwise), which
-makes it a local automorphism.  n = 3 is degenerate (e_{n-1} = e_2, so
-phi_alpha is diagonal rather than unitriangular) but the same conclusions
-hold and are checked literally rather than assumed.
+makes it a local automorphism; each sample applies both maps entry-wise.
+n = 3 is degenerate (e_{n-1} = e_2, so phi_alpha is diagonal rather than
+unitriangular) but the same conclusions hold and are checked literally
+rather than assumed.
 """
 
 from __future__ import annotations
@@ -60,8 +65,11 @@ class PhiAlpha:
 
     alpha: GaussianRational
 
+    def entries(self, fl: FiliformAlgebra) -> dict:
+        return {(fl.n - 2, 1): self.alpha, (fl.n - 1, 2): GR_ONE}
+
     def matrix(self, fl: FiliformAlgebra) -> Matrix:
-        return _identity_plus(fl.n, {(fl.n - 2, 1): self.alpha, (fl.n - 1, 2): GR_ONE})
+        return _identity_plus(fl.n, self.entries(fl))
 
 
 @dataclass(frozen=True)
@@ -70,8 +78,11 @@ class PsiBeta:
 
     beta: GaussianRational
 
+    def entries(self, fl: FiliformAlgebra) -> dict:
+        return {(fl.n - 1, 1): self.beta}
+
     def matrix(self, fl: FiliformAlgebra) -> Matrix:
-        return _identity_plus(fl.n, {(fl.n - 1, 1): self.beta})
+        return _identity_plus(fl.n, self.entries(fl))
 
 
 def _identity_plus(n: int, entries) -> Matrix:
@@ -80,6 +91,33 @@ def _identity_plus(n: int, entries) -> Matrix:
     for (r, c), value in entries.items():
         rows[r][c] = rows[r][c] + value
     return Matrix._of_rows(tuple(map(tuple, rows)))
+
+
+def _apply_entries(entries, x) -> tuple:
+    """(I + entries) x: each entry (r, c) adds value * x_c to coordinate r."""
+    y = list(x)
+    for (r, c), value in entries.items():
+        y[r] = y[r] + value * x[c]
+    return tuple(y)
+
+
+def _entry_sum(*parts) -> dict:
+    """The nonzero entries of A + B + ..., for entry dicts A, B, ..."""
+    total = {}
+    for part in parts:
+        for key, value in part.items():
+            total[key] = total.get(key, GR_ZERO) + value
+    return {key: value for key, value in total.items() if not value.is_zero()}
+
+
+def _entry_product(a, b) -> dict:
+    """The entries of AB: (r, c) sums a_rk b_kc over matching inner indices k."""
+    product = {}
+    for (r, k), x in a.items():
+        for (k2, c), y in b.items():
+            if k == k2:
+                product[(r, c)] = product.get((r, c), GR_ZERO) + x * y
+    return product
 
 
 def map_is_automorphism(fl: FiliformAlgebra, m: Matrix):
@@ -97,15 +135,21 @@ def delta_map(fl: FiliformAlgebra) -> Matrix:
 
 
 def witnesses_are_automorphisms(fl: FiliformAlgebra) -> bool:
-    """phi_1 and every psi_beta, beta in Q(i), are automorphisms, from five
+    """phi_1 and every psi_beta, beta in Q(i), are automorphisms, from four
     bracket scans.  The entries of psi_beta are affine in beta (checked:
     psi_0 + psi_2 = 2 psi_1), so each bracket equation and the identity
     psi_beta psi_{-beta} = 1 have degree <= 2 in beta: holding at
-    beta = 0, 1, 2, they hold for every beta."""
-    psi = {b: PsiBeta(GaussianRational(b)).matrix(fl) for b in range(-2, 3)}
-    affine = psi[0] + psi[2] == psi[1] + psi[1]
+    beta = 0, 1, 2, they hold for every beta.
+
+    Both identities are checked on the maps' entries, psi_beta = I + E_beta.
+    The identity cancels from the affinity, which holds iff
+    E_0 + E_2 = 2 E_1, and (I + A)(I + B) = 1 iff A + B + AB = 0."""
+    psi = {b: PsiBeta(GaussianRational(b)) for b in range(-2, 3)}
+    e = {b: p.entries(fl) for b, p in psi.items()}
+    affine = _entry_sum(e[0], e[2]) == _entry_sum(e[1], e[1])
     return affine and phi_is_automorphism(fl, 1)[0] and all(
-        fl.algebra.failing_pair(psi[b]) is None and psi[b] @ psi[-b] == Matrix.identity(fl.n)
+        fl.algebra.failing_pair(psi[b].matrix(fl)) is None
+        and not _entry_sum(e[b], e[-b], _entry_product(e[b], e[-b]))
         for b in range(3)
     )
 
@@ -113,12 +157,14 @@ def witnesses_are_automorphisms(fl: FiliformAlgebra) -> bool:
 def _pick_witness(fl: FiliformAlgebra, x):
     """(witness, agrees): the family member meant to match delta at x, and
     whether it does.  x_2 = 0: phi_1 adds x_2 e_{n-1} + x_3 e_n = x_3 e_n.
-    Otherwise psi with beta = x_3 / x_2 adds beta x_2 e_n = x_3 e_n."""
+    Otherwise psi with beta = x_3 / x_2 adds beta x_2 e_n = x_3 e_n.  Both
+    maps are applied to x from their entries."""
     x = tuple(as_scalar(c) for c in x)
     if len(x) != fl.n:
         raise ValueError("point has wrong dimension")
     witness = PhiAlpha(GR_ONE) if x[1].is_zero() else PsiBeta(x[2] * x[1].inverse())
-    return witness, tuple(witness.matrix(fl).apply(x)) == tuple(delta_map(fl).apply(x))
+    delta = PhiAlpha(GR_ZERO).entries(fl)
+    return witness, _apply_entries(witness.entries(fl), x) == _apply_entries(delta, x)
 
 
 def filiform_local_witness(fl: FiliformAlgebra, x):

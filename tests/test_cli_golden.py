@@ -15,6 +15,8 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -25,7 +27,8 @@ from locaut.cli import main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_outputs.json"
 DIGESTS = Path(__file__).with_name("golden") / "make_inputs_sha256.json"
-MAKE_INPUTS = Path(__file__).resolve().parents[1] / "scripts" / "make_inputs.py"
+ROOT = Path(__file__).resolve().parents[1]
+MAKE_INPUTS = ROOT / "scripts" / "make_inputs.py"
 
 # Input file names are relative to the make_inputs.py output directory.
 INVOCATIONS = (
@@ -124,6 +127,19 @@ def test_make_inputs_files_match_digests(tmp_path):
 @pytest.mark.parametrize("argv", CASES, ids=case_id)
 def test_cli_output_matches_golden(argv, inputs, golden):
     assert run_cli(argv, inputs) == golden[case_id(argv)]
+
+
+def test_python_m_locaut_prints_the_golden_bytes(golden):
+    """python -m locaut runs the same main as the locaut console script."""
+    argv = ("filiform-demo", "--n", "5", "--samples", "12", "--seed", "3")
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-m", "locaut", *argv], cwd=ROOT, env=env, capture_output=True, timeout=300
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == golden[case_id(argv)]["stdout"].encode()
 
 
 def record() -> None:

@@ -3,10 +3,14 @@
 import importlib.util
 import json
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from locaut import filiform
 from locaut.algebra import StructureAlgebra, unit_vector
 from locaut.cli import main
 from locaut.exact import GR_ONE, GR_ZERO, GaussianRational, InternalCheckError
@@ -14,6 +18,10 @@ from locaut.filiform import (
     FiliformAlgebra,
     PhiAlpha,
     PsiBeta,
+    _apply_entries,
+    _entry_product,
+    _entry_sum,
+    _identity_plus,
     delta_map,
     filiform_local_witness,
     map_is_automorphism,
@@ -23,7 +31,7 @@ from locaut.filiform import (
     counterexample_demo,
     witnesses_are_automorphisms,
 )
-from locaut.linalg import Matrix
+from locaut.linalg import Matrix, inverse, is_nonsingular
 
 
 def gr(x):
@@ -209,11 +217,96 @@ def test_each_demo_scans_five_maps(counting):
     assert [m for _, m in calls] == [f.matrix(fl) for f in scanned] * 3
 
 
+def test_a_demo_applies_no_matrix_and_builds_one_per_scan(counting):
+    """Samples apply the maps entry-wise and the proof multiplies entries:
+    a demo builds only the five matrices it scans, whatever its sample
+    count, and never multiplies or applies a Matrix."""
+    fl = model_filiform(6)
+    matmuls = counting(Matrix, "__matmul__")
+    applies = counting(Matrix, "apply")
+    builds = counting(filiform, "_identity_plus")
+    per_demo = []
+    for samples in (1, 40):
+        before = len(builds)
+        assert counterexample_demo(fl, samples=samples, seed=3).all_verified
+        per_demo.append(len(builds) - before)
+    assert matmuls == [] and applies == []
+    assert per_demo == [5, 5]
+
+
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+scalars = st.builds(GaussianRational, fractions, fractions)
+
+
+@cache
+def _model(n):
+    return model_filiform(n)
+
+
+@st.composite
+def sparse_entries(draw, n):
+    """An entry dict of up to six entries, diagonal ones drawn as often as
+    any other: the map I + entries."""
+    index = st.integers(0, n - 1)
+    keys = st.one_of(st.tuples(index, index), index.map(lambda i: (i, i)))
+    return draw(st.dictionaries(keys, scalars, max_size=6))
+
+
+def _entries_of(m: Matrix) -> dict:
+    """The entries of m - I, zeros dropped."""
+    n = m.nrows
+    return {
+        (i, j): v
+        for i, row in enumerate((m - Matrix.identity(n)).data)
+        for j, v in enumerate(row)
+        if not v.is_zero()
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_entrywise_application_matches_the_matrix(data):
+    n = data.draw(st.integers(3, 12), label="n")
+    fl = _model(n)
+    x = tuple(data.draw(st.lists(scalars, min_size=n, max_size=n), label="x"))
+    for entries in (
+        PhiAlpha(data.draw(scalars, label="alpha")).entries(fl),
+        PsiBeta(data.draw(scalars, label="beta")).entries(fl),
+        data.draw(sparse_entries(n), label="entries"),
+    ):
+        assert _identity_plus(n, entries) == Matrix(
+            [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
+        ) + Matrix([[entries.get((i, j), GR_ZERO) for j in range(n)] for i in range(n)])
+        assert _apply_entries(entries, x) == _identity_plus(n, entries).apply(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_entrywise_proof_identities_match_the_dense_checks(data):
+    """A + B + AB against (I + A)(I + B), and E_0 + E_2 = 2 E_1 against
+    psi_0 + psi_2 = 2 psi_1, with the identities made to hold half the time."""
+    n = data.draw(st.integers(3, 12), label="n")
+    one = Matrix.identity(n)
+    a = data.draw(sparse_entries(n), label="a")
+    b = data.draw(sparse_entries(n), label="b")
+    ma = _identity_plus(n, a)
+    if data.draw(st.booleans(), label="inverse holds") and is_nonsingular(ma):
+        b = _entries_of(inverse(ma))
+    mb = _identity_plus(n, b)
+    product = _entry_sum(a, b, _entry_product(a, b))
+    assert _identity_plus(n, product) == ma @ mb
+    assert (not product) == (ma @ mb == one)
+
+    c = data.draw(sparse_entries(n), label="c")
+    if data.draw(st.booleans(), label="affinity holds"):
+        c = _entries_of(mb + mb - ma)
+    mc = _identity_plus(n, c)
+    assert (_entry_sum(a, c) == _entry_sum(b, b)) == (ma + mc == mb + mb)
+
+
 def _psi_on_e_n_minus_1(self, fl):
     """u + beta u_2 e_{n-1}: breaks [e_1, e_2] = e_3 for beta != 0."""
-    rows = [[gr(1 if i == j else 0) for j in range(fl.n)] for i in range(fl.n)]
-    rows[fl.n - 2][1] = rows[fl.n - 2][1] + self.beta
-    return Matrix(rows)
+    return {(fl.n - 2, 1): self.beta}
 
 
 def _run_filiform_sweep(argv):
@@ -225,7 +318,7 @@ def _run_filiform_sweep(argv):
 
 
 def test_a_broken_psi_family_is_reported_not_verified(monkeypatch, capsys):
-    monkeypatch.setattr(PsiBeta, "matrix", _psi_on_e_n_minus_1)
+    monkeypatch.setattr(PsiBeta, "entries", _psi_on_e_n_minus_1)
     fl = model_filiform(6)
     assert not witnesses_are_automorphisms(fl)
     assert counterexample_demo(fl, samples=12, seed=3).all_verified is False
@@ -267,8 +360,8 @@ def test_a_delta_that_passes_the_bracket_check_is_reported_not_verified(monkeypa
 def test_a_witness_that_misses_delta_is_caught_by_sampling(monkeypatch):
     """psi_{2 beta} is still an automorphism, so the proof holds; only the
     per-sample comparison with delta sees the wrong witness."""
-    matrix = PsiBeta.matrix
-    monkeypatch.setattr(PsiBeta, "matrix", lambda self, fl: matrix(PsiBeta(self.beta + self.beta), fl))
+    entries = PsiBeta.entries
+    monkeypatch.setattr(PsiBeta, "entries", lambda self, fl: entries(PsiBeta(self.beta + self.beta), fl))
     fl = model_filiform(6)
     assert witnesses_are_automorphisms(fl)
     assert counterexample_demo(fl, samples=12, seed=3).all_verified is False
@@ -280,15 +373,12 @@ def test_a_family_that_matches_delta_everywhere_still_needs_the_proof(monkeypatc
     """u + beta u_2 e_n + (beta u_2 - u_3) e_{n-1} equals delta at every
     point where it is picked (beta = x_3 / x_2), but breaks [e_1, e_2] = e_3:
     only the proof sees it, so all_verified reads it."""
-    matrix = PsiBeta.matrix
+    entries = PsiBeta.entries
 
     def matches_delta(self, fl):
-        m = [list(row) for row in matrix(self, fl).data]
-        m[fl.n - 2][1] = self.beta
-        m[fl.n - 2][2] = -GR_ONE
-        return Matrix(m)
+        return {**entries(self, fl), (fl.n - 2, 1): self.beta, (fl.n - 2, 2): -GR_ONE}
 
-    monkeypatch.setattr(PsiBeta, "matrix", matches_delta)
+    monkeypatch.setattr(PsiBeta, "entries", matches_delta)
     fl = model_filiform(6)
     rep = counterexample_demo(fl, samples=12, seed=3)
     assert rep.psi_witnesses > 0 and rep.all_verified is False
@@ -300,9 +390,9 @@ def test_a_singular_psi_family_fails_the_proof(monkeypatch):
     """u -> u_1 e_1 + (1 - beta) (u - u_1 e_1) preserves every bracket but
     is singular at beta = 1: only psi_beta psi_{-beta} = 1 catches it."""
     def scaled(self, fl):
-        return Matrix.diagonal([GR_ONE] + [GR_ONE - self.beta] * (fl.n - 1))
+        return {(i, i): -self.beta for i in range(1, fl.n)}
 
-    monkeypatch.setattr(PsiBeta, "matrix", scaled)
+    monkeypatch.setattr(PsiBeta, "entries", scaled)
     assert not witnesses_are_automorphisms(model_filiform(6))
 
 
@@ -313,14 +403,9 @@ def test_a_psi_family_quadratic_in_beta_fails_the_proof(monkeypatch):
     beta, so the proof refuses it."""
     def exp_ad_e1(self, fl):
         b = self.beta
-        return Matrix([
-            [GR_ONE, GR_ZERO, GR_ZERO, GR_ZERO],
-            [GR_ZERO, GR_ONE, GR_ZERO, GR_ZERO],
-            [GR_ZERO, b, GR_ONE, GR_ZERO],
-            [GR_ZERO, b * b * gr(Fraction(1, 2)), b, GR_ONE],
-        ])
+        return {(2, 1): b, (3, 1): b * b * gr(Fraction(1, 2)), (3, 2): b}
 
-    monkeypatch.setattr(PsiBeta, "matrix", exp_ad_e1)
+    monkeypatch.setattr(PsiBeta, "entries", exp_ad_e1)
     fl = model_filiform(4)
     psi = {b: PsiBeta(gr(b)).matrix(fl) for b in range(-2, 3)}
     for b in range(3):
