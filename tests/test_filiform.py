@@ -274,9 +274,8 @@ def test_entrywise_application_matches_the_matrix(data):
         PsiBeta(data.draw(scalars, label="beta")).entries(fl),
         data.draw(sparse_entries(n), label="entries"),
     ):
-        assert _identity_plus(n, entries) == Matrix(
-            [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
-        ) + Matrix([[entries.get((i, j), GR_ZERO) for j in range(n)] for i in range(n)])
+        dense = Matrix([[entries.get((i, j), GR_ZERO) for j in range(n)] for i in range(n)])
+        assert _identity_plus(n, entries) == Matrix.identity(n) + dense
         assert _apply_entries(entries, x) == _identity_plus(n, entries).apply(x)
 
 
