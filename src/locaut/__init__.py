@@ -6,7 +6,7 @@ sl_n + irreducible module, and filiform nilpotent Lie algebras.
 """
 
 from .classify import classify_mn, classify_sln, pointwise_witness
-from .exact import GaussianRational, Polynomial, Rational, format_scalar, parse_scalar
+from .exact import GaussianRational, Polynomial, format_scalar, parse_scalar
 from .filiform import filiform_local_witness, model_filiform, counterexample_demo
 from .leibniz import (
     BlockMap,
@@ -25,7 +25,6 @@ __all__ = [
     "Matrix",
     "MnModel",
     "Polynomial",
-    "Rational",
     "SlnModel",
     "build_module",
     "build_semidirect",

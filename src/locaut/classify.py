@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial, format_scalar, internal_check
+from .exact import GR_ONE, GaussianRational, Polynomial, format_scalar, internal_check
 from .linalg import (
     Matrix,
     Subspace,
@@ -257,11 +257,11 @@ def probe_element(model: SlnModel) -> Matrix:
     return Matrix.diagonal(entries)
 
 
-def required_probe_charpoly(n: int) -> Polynomial:
-    # (t - 1)(t + 1) t^(n-2)
-    t2 = Polynomial((-1, 0, 1))
-    shift = Polynomial((0,) * (n - 2) + (1,))
-    return t2 * shift
+def scaled_probe_charpoly(n: int, lam_sq) -> Polynomial:
+    """t^(n-2) (t^2 - lam_sq), the probe's charpoly under a family scaled by
+    lam; lam_sq = 1 gives (t - 1)(t + 1) t^(n-2), the one a local
+    automorphism must give."""
+    return Polynomial((0,) * (n - 2) + (-lam_sq, 0, 1))
 
 
 def local_aut_probe(model: SlnModel, d: Matrix):
@@ -271,19 +271,14 @@ def local_aut_probe(model: SlnModel, d: Matrix):
     probe has the scaled form t^(n-2) (t^2 - lam^2); lam is its canonical
     square root in Q(i) when one exists.
     """
-    y = probe_element(model)
-    p = charpoly(model.apply_map(d, y))
-    required = required_probe_charpoly(model.n)
     n = model.n
-    lam_sq = None
-    cs = list(p.coeffs) + [GR_ZERO] * (n + 1 - len(p.coeffs))
-    scaled = cs[n].is_one() and all(
-        cs[k].is_zero() for k in range(n) if k != n - 2
-    )
-    if scaled:
-        lam_sq = -cs[n - 2]
+    p = charpoly(model.apply_map(d, probe_element(model)))
+    # p is monic of degree n, so only its t^(n-2) coefficient can be -lam^2
+    lam_sq = -p.coeffs[n - 2]
+    if p != scaled_probe_charpoly(n, lam_sq):
+        lam_sq = None
     lam = lam_sq.sqrt() if lam_sq is not None else None
-    return p, required, lam_sq, lam
+    return p, scaled_probe_charpoly(n, 1), lam_sq, lam
 
 
 def square_zero_counterexample(model: SlnModel, d: Matrix, images) -> Matrix | None:

@@ -235,14 +235,14 @@ def _check_conjugation_roundtrips(seed):
 
 
 def _check_probe_polynomial(seed):
-    from .classify import probe_element, required_probe_charpoly
+    from .classify import probe_element, scaled_probe_charpoly
     from .linalg import charpoly
 
     for n in range(2, 6):
         model = SlnModel(n)
         y = probe_element(model)
         p = charpoly(y)
-        if p != required_probe_charpoly(n):
+        if p != scaled_probe_charpoly(n, 1):
             raise RecheckError(f"n={n}: probe charpoly mismatch")
         if n <= 4 and charpoly_via_cofactor(y) != p:
             raise RecheckError(f"n={n}: cofactor cross-check failed")

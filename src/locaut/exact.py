@@ -1,4 +1,4 @@
-"""Exact scalars: rationals, Gaussian rationals and dense polynomials.
+"""Exact scalars: Gaussian rationals and dense polynomials.
 
 GaussianRational is the workhorse scalar of the whole package.  It stores
 (a + b*i)/d as three machine-unbounded ints with gcd(a, b, d) == 1 and d > 0,
@@ -16,11 +16,6 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from math import gcd, isqrt
-
-# Plain rationals are stdlib Fractions: big-int backed, always reduced,
-# positive denominator.  No reason to reinvent them.
-Rational = Fraction
-
 
 class InternalCheckError(Exception):
     """An internal consistency check failed: a bug in this package, never bad
@@ -159,18 +154,6 @@ class GaussianRational:
         z.b = -self.b
         z.d = self.d
         return z
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = GR_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def sqrt(self) -> "GaussianRational | None":
         """Canonical exact square root in Q(i), or None if none exists.
@@ -413,13 +396,6 @@ class Polynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __call__(self, t) -> GaussianRational:
-        acc = GR_ZERO
-        t = _coerce(t)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
     def __eq__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
@@ -431,22 +407,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({[str(c) for c in self.coeffs]})"
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero():
-                continue
-            if k == 0:
-                parts.append(f"({format_scalar(c)})")
-            elif k == 1:
-                parts.append(f"({format_scalar(c)})*t")
-            else:
-                parts.append(f"({format_scalar(c)})*t^{k}")
-        return " + ".join(parts)
 
     def to_json(self) -> list[str]:
         return [format_scalar(c) for c in self.coeffs]

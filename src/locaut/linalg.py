@@ -637,38 +637,29 @@ def negated_factors(factors) -> tuple:
 def intertwiner_space(pairs) -> Subspace:
     """All a with A a = a B for every pair (A, B), as a subspace of Q(i)^(n*n).
 
-    When the first pair's B is diagonal, A a = a B says column by column
-    that column c of a lies in ker(A - B[c][c] I), so n kernels of n x n
-    matrices are solved.  Otherwise refinement starts from the n^2 unit
-    matrices.  Each pair refines the surviving directions, so put the most
-    restrictive pair first.  The space comes back in canonical form, so its
-    basis does not depend on how the first pair was solved.
+    One system is solved: the kernel of a -> (A a - a B over every pair), the
+    stacked map A (x) I - I (x) B^T on the row-major flattening of a, with
+    n^2 rows per pair and n^2 columns.  The kernel comes back in canonical
+    form.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one pair")
     n = pairs[0][0].nrows
+    rows = []
     for a, b in pairs:
         if a.nrows != n or a.ncols != n or b.nrows != n or b.ncols != n:
             raise ValueError("pairs must be square matrices of equal size")
-    a, b = pairs[0]
-    if b.is_diagonal():
-        basis = []
-        for c in range(n):
-            for v in kernel(a - Matrix.diagonal([b.data[c][c]] * n)).basis:
-                flat = [GR_ZERO] * (n * n)
-                flat[c::n] = v
-                basis.append(tuple(flat))
-        pairs = pairs[1:]
-    else:
-        basis = Matrix.identity(n * n).data
-    for a, b in pairs:
-        if not basis:
-            break
-        cols = [(a @ m - m @ b).flatten() for m in (matrix_from_flat(v, n) for v in basis)]
-        coeff_space = kernel(Matrix(zip(*cols)))
-        basis = [combine(coeffs, basis) for coeffs in coeff_space.basis]
-    return Subspace(n * n, basis)
+        for r in range(n):
+            for c in range(n):
+                # entry (r, c) of A a - a B: sum_k A[r][k] a[k][c] - a[r][k] B[k][c]
+                row = [GR_ZERO] * (n * n)
+                for k in range(n):
+                    row[k * n + c] = a.data[r][k]
+                for k in range(n):
+                    row[r * n + k] = row[r * n + k] - b.data[k][c]
+                rows.append(tuple(row))
+    return kernel(Matrix._of_rows(tuple(rows)))
 
 
 def combine(coeffs, vectors) -> Vector:

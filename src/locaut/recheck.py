@@ -39,7 +39,7 @@ from .classify import (
     basis_images,
     fit_shape_family,
     probe_element,
-    required_probe_charpoly,
+    scaled_probe_charpoly,
 )
 from .exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial
 from .leibniz import (
@@ -184,16 +184,17 @@ def recheck_sln_verdict(model: SlnModel, d: Matrix, v: Verdict):
         p = _probe_charpoly(model, d)
         _need(p == ob.probe_charpoly, "stored probe polynomial is wrong")
         _need(
-            ob.required_charpoly == required_probe_charpoly(model.n),
+            ob.required_charpoly == scaled_probe_charpoly(model.n, 1),
             "stored required polynomial is wrong",
         )
         _need(
             not (ob.lam_squared - GR_ONE).is_zero(),
             "lambda squared is 1: certificate vacuous",
         )
-        shift = Polynomial((0,) * (model.n - 2) + (1,))
-        scaled = Polynomial((-ob.lam_squared, GR_ZERO, GR_ONE)) * shift
-        _need(p == scaled, "probe polynomial does not have the scaled form")
+        _need(
+            p == scaled_probe_charpoly(model.n, ob.lam_squared),
+            "probe polynomial does not have the scaled form",
+        )
         _need(ob.lam == ob.lam_squared.sqrt(), "stored lambda is not the canonical square root")
     elif kind == "no_shape_fits":
         on_mn = isinstance(model, MnModel)
@@ -208,7 +209,7 @@ def recheck_sln_verdict(model: SlnModel, d: Matrix, v: Verdict):
             _need(space.dim == dim, "stored fit dimension is wrong")
             _need(a is None, "a family fits after all")
         # M_n certificates carry no probe; sl_n ones carry both polynomials
-        want = (None, None) if on_mn else (_probe_charpoly(model, d), required_probe_charpoly(model.n))
+        want = (None, None) if on_mn else (_probe_charpoly(model, d), scaled_probe_charpoly(model.n, 1))
         _need(ob.probe_charpoly == want[0], "stored probe polynomial is wrong")
         _need(ob.required_charpoly == want[1], "stored required polynomial is wrong")
     elif kind == "identity_not_fixed":

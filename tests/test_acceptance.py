@@ -17,7 +17,7 @@ from locaut.classify import (
     pointwise_witness,
     probe_element,
     random_unimodular,
-    required_probe_charpoly,
+    scaled_probe_charpoly,
 )
 from locaut.exact import GaussianRational, Polynomial, parse_scalar
 from locaut.filiform import (
@@ -126,7 +126,7 @@ def test_criterion_2_scalings_rejected():
             for _ in range(n - 2):
                 want = want * T
             assert ob.probe_charpoly == want
-            assert ob.required_charpoly == required_probe_charpoly(n)
+            assert ob.required_charpoly == scaled_probe_charpoly(n, 1)
             recheck_sln_verdict(model, d, v)
     for lam, want in ((1, AUTOMORPHISM), (-1, ANTI_AUTOMORPHISM)):
         for n in (2, 3, 4):
@@ -164,7 +164,7 @@ def test_criterion_4_charpoly_probe():
             want = want * T
         cp = charpoly(m)
         assert cp == want
-        assert cp == required_probe_charpoly(n)
+        assert cp == scaled_probe_charpoly(n, 1)
         if n <= 4:
             assert charpoly_via_cofactor(m) == cp
 

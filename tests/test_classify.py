@@ -19,7 +19,7 @@ from locaut.classify import (
     local_aut_probe,
     pointwise_witness,
     random_unimodular,
-    required_probe_charpoly,
+    scaled_probe_charpoly,
 )
 from locaut.exact import GR_ONE, GaussianRational, Polynomial, parse_scalar
 from locaut.linalg import Matrix, Subspace, det, intertwiner_space, inverse, kernel, matrix_from_flat
@@ -129,7 +129,8 @@ def test_scaled_identity_rejected(n, lam_text):
     t = Polynomial((0, 1))
     shift = Polynomial((0,) * (n - 2) + (1,))
     assert ob.probe_charpoly == (t - lam) * (t + lam) * shift
-    assert ob.required_charpoly == required_probe_charpoly(n)
+    assert ob.probe_charpoly == scaled_probe_charpoly(n, lam * lam)
+    assert ob.required_charpoly == scaled_probe_charpoly(n, 1)
 
 
 @pytest.mark.parametrize("n", list(range(2, 7)))

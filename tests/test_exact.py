@@ -222,12 +222,6 @@ def test_sqrt_matches_the_fraction_reference_at_hand_values(z):
     assert z.sqrt() == reference_sqrt(z)
 
 
-def test_pow():
-    z = GaussianRational(1, 1)
-    assert z**4 == GaussianRational(-4)
-    assert z**0 == GR_ONE
-
-
 # -- the scalar kernel against (Fraction re, Fraction im) pairs ---------------
 #
 # +, - and * take shortcuts when both denominators are 1, when they are
@@ -433,7 +427,6 @@ def test_polynomial_arithmetic():
     t = Polynomial((0, 1))
     p = (t - 1) * (t + 1)
     assert p == Polynomial((-1, 0, 1))
-    assert p(GaussianRational(3)) == GaussianRational(8)
 
 
 def test_polynomial_divmod():

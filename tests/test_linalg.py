@@ -608,10 +608,74 @@ def intertwiner_pairs(draw):
     return pairs
 
 
-@given(intertwiner_pairs())
-@settings(max_examples=60, deadline=None)
+@st.composite
+def diagonal_first_pairs(draw):
+    """A diagonal first B with repeated and zero entries, an A that shares
+    some of its eigenvalues (g D' g^-1) or a random one, then 0-2 more
+    pairs, similar through one g or random."""
+    n = draw(st.integers(1, 4))
+    values = st.sampled_from([0, 0, 1, -1, 2, GaussianRational(0, 1)])
+    b = Matrix.diagonal([draw(values) for _ in range(n)])
+    g = random_unimodular(n, random.Random(draw(st.integers(0, 10_000))))
+    ginv = inverse(g)
+    if draw(st.booleans()):
+        a = g @ Matrix.diagonal([draw(values) for _ in range(n)]) @ ginv
+    else:
+        a = draw(gaussian_matrices(n, -1, 1))
+    pairs = [(a, b)]
+    for _ in range(draw(st.integers(0, 2))):
+        x = draw(gaussian_matrices(n, -1, 1))
+        pairs.append((g @ x @ ginv if draw(st.booleans()) else draw(gaussian_matrices(n, -1, 1)), x))
+    return pairs
+
+
+@given(st.one_of(intertwiner_pairs(), diagonal_first_pairs()))
+@settings(max_examples=80, deadline=None)
 def test_intertwiner_space_matches_kronecker_kernel(pairs):
     assert intertwiner_space(pairs) == kronecker_intertwiner_space(pairs)
+
+
+@given(st.one_of(intertwiner_pairs(), diagonal_first_pairs()))
+@settings(max_examples=80, deadline=None)
+def test_intertwiner_space_basis_intertwines_every_pair(pairs):
+    """Each basis vector, as a matrix a, solves A a = a B for every pair,
+    checked by matrix products rather than by the stacked system."""
+    n = pairs[0][0].nrows
+    for v in intertwiner_space(pairs).basis:
+        a = matrix_from_flat(v, n)
+        assert all(x @ a == a @ y for x, y in pairs)
+
+
+_E = int_matrix([[0, 1], [0, 0]])
+_F = int_matrix([[0, 0], [1, 0]])
+_H = int_matrix([[1, 0], [0, -1]])
+_G3 = int_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+_D3 = Matrix.diagonal([1, 2, 3])
+_J3 = int_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(_G3 @ _D3 @ inverse(_G3), _D3)],  # a diagonal first pair
+        [(-(x.T), x) for x in (_E, _F, _H)],  # three pairs, none diagonal
+        [(-(x.T), x) for x in (_H, _E, _F)],  # a diagonal first pair, then two more
+        [(_G3 @ _J3 @ inverse(_G3), _J3)],  # one pair, not diagonal
+    ],
+)
+def test_intertwiner_space_solves_one_stacked_system(monkeypatch, pairs):
+    """One kernel call per call, on n^2 columns and n^2 rows per pair."""
+    shapes = []
+
+    def spy(m):
+        shapes.append((m.nrows, m.ncols))
+        return kernel(m)
+
+    monkeypatch.setattr(linalg, "kernel", spy)
+    space = intertwiner_space(pairs)
+    n = pairs[0][0].nrows
+    assert shapes == [(n * n * len(pairs), n * n)]
+    assert space == kronecker_intertwiner_space(pairs)
 
 
 def test_matrix_from_flat_roundtrip():
@@ -762,66 +826,10 @@ def test_similarity_witness_matches_search_first_reference(pair):
         assert got == reference_similarity_witness(x, y)
 
 
-# -- reference: the Kronecker first pair ------------------------------------
-#
-# intertwiner_space as it was before a diagonal first pair was split by
-# columns: the first pair always went in as one n^2 x n^2 system.  The space
-# is canonical, so the split must give the very same basis.
-
-
-def reference_intertwiner_space(pairs) -> Subspace:
-    pairs = list(pairs)
-    n = pairs[0][0].nrows
-    a, b = pairs[0]
-    first = [[GR_ZERO] * (n * n) for _ in range(n * n)]
-    for r in range(n):
-        for c in range(n):
-            row = first[r * n + c]
-            for k in range(n):
-                row[k * n + c] = a.data[r][k]
-            for k in range(n):
-                row[r * n + k] = row[r * n + k] - b.data[k][c]
-    basis = list(kernel(Matrix(first)).basis)
-    for a, b in pairs[1:]:
-        if not basis:
-            break
-        cols = [(a @ m - m @ b).flatten() for m in (matrix_from_flat(v, n) for v in basis)]
-        coeff_space = kernel(Matrix(zip(*cols)))
-        basis = [combine(coeffs, basis) for coeffs in coeff_space.basis]
-    return Subspace(n * n, basis)
-
-
-@st.composite
-def diagonal_first_pairs(draw):
-    """A diagonal first B with repeated and zero entries, an A that shares
-    some of its eigenvalues (g D' g^-1) or a random one, then 0-2 more
-    pairs, similar through one g or random."""
-    n = draw(st.integers(1, 4))
-    values = st.sampled_from([0, 0, 1, -1, 2, GaussianRational(0, 1)])
-    b = Matrix.diagonal([draw(values) for _ in range(n)])
-    g = random_unimodular(n, random.Random(draw(st.integers(0, 10_000))))
-    ginv = inverse(g)
-    if draw(st.booleans()):
-        a = g @ Matrix.diagonal([draw(values) for _ in range(n)]) @ ginv
-    else:
-        a = draw(gaussian_matrices(n, -1, 1))
-    pairs = [(a, b)]
-    for _ in range(draw(st.integers(0, 2))):
-        x = draw(gaussian_matrices(n, -1, 1))
-        pairs.append((g @ x @ ginv if draw(st.booleans()) else draw(gaussian_matrices(n, -1, 1)), x))
-    return pairs
-
-
-@given(diagonal_first_pairs())
-@settings(max_examples=80, deadline=None)
-def test_column_split_matches_kronecker_first_pair(pairs):
-    assert intertwiner_space(pairs) == reference_intertwiner_space(pairs)
-
-
 def reference_conjugator(x, y):
     """similarity_witness on a similar pair, as it was before conjugator:
     the search over the Kronecker intertwiner space."""
-    return invertible_element(reference_intertwiner_space([(y, x)]), x.nrows)
+    return invertible_element(kronecker_intertwiner_space([(y, x)]), x.nrows)
 
 
 @st.composite

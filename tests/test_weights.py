@@ -35,7 +35,7 @@ from locaut.leibniz import (
 from locaut.linalg import Matrix, Subspace, combine, inverse, kernel, matrix_from_flat, solve_linear
 from locaut.sln import SlnModel
 from test_leibniz import twisted_actions
-from test_linalg import reference_intertwiner_space
+from test_linalg import kronecker_intertwiner_space
 
 MODULES = (
     [(2, f"vm:{m}") for m in range(9)]
@@ -185,7 +185,7 @@ def test_isomorphism_matches_kronecker_first_order(module, seed):
     m1 = semidirect(n, name).module
     phi = inner_automorphism_matrix(m1.model, random_unimodular(n, random.Random(seed)))
     twisted = twisted_actions(m1, phi)
-    space = reference_intertwiner_space(list(zip(twisted, m1.actions)))
+    space = kronecker_intertwiner_space(list(zip(twisted, m1.actions)))
     assert space.dim == 1
     assert module_isomorphism(m1, twisted) == matrix_from_flat(space.basis[0], m1.dim)
 
@@ -193,7 +193,7 @@ def test_isomorphism_matches_kronecker_first_order(module, seed):
 def reference_isomorphism(module, actions):
     """The canonical basis matrix of the Kronecker intertwiner line, or None
     when the intertwiner space is 0."""
-    space = reference_intertwiner_space(list(zip(actions, module.actions)))
+    space = kronecker_intertwiner_space(list(zip(actions, module.actions)))
     if space.dim == 0:
         return None
     assert space.dim == 1
