@@ -52,6 +52,10 @@ def main(argv=None) -> int:
     # tr(x^3) != 0 rules out x ~ -x.
     point = Matrix(((1, 1, 0), (0, 2, 1), (1, 0, -3)))
     dump(out, "point_regular_3.json", point.to_json())
+    # Its upper-triangular part, also not drawn from rng: e3 is a cyclic
+    # vector of x, but e1 is an eigenvector of x, so not a cyclic one.
+    point = Matrix(((1, 1, 0), (0, 2, 1), (0, 0, -3)))
+    dump(out, "point_upper_3.json", point.to_json())
 
     # A fixed singular map of sl_4, also not drawn from rng: conjugation by a
     # Gaussian-integer g with det 1 - i after a map that sends coordinates 6

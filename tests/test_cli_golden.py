@@ -50,6 +50,7 @@ INVOCATIONS = (
         ("witness", "--n", "3", "--map", f"{name}3.json", "--at", "point_regular_3.json")
         for name in ("transpose", "negation")
     ]
+    + [("witness", "--n", "3", "--map", "transpose3.json", "--at", "point_upper_3.json")]
     + [
         ("leibniz-decide", "--n", "2", "--module", "vm:2", "--map", f"blockmap_{name}_vm2.json")
         for name in ("identity", "transpose", "singular")
