@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Generate ready-to-use JSON input files for the locaut CLI.
 
-Writes maps and points on sl_n, maps on M_n and four block maps into a
+Writes maps and points on sl_n, maps on M_n and block maps into a
 directory, so the README examples can be run verbatim.
 """
 
@@ -69,6 +69,11 @@ def main(argv=None) -> int:
     conj = shape_map_matrix(model, CanonicalShape(1, SIGMA_ID, g))
     dump(out, "singular4.json", (conj @ Matrix(fold)).to_json())
 
+    # A fixed injective map of sl_3 that fits no family, not drawn from rng:
+    # the identity except e12 -> e12 + e21, whose square is e11 + e22 != 0.
+    model = SlnModel(3)
+    dump(out, "square_break3.json", model.map_matrix(lambda x: x + model.e(1, 0) * x[0, 1]).to_json())
+
     model = SlnModel(2)
     ident = BlockMap(Matrix.identity(3), Matrix.zeros(3, 3), Matrix.identity(3))
     dump(out, "blockmap_identity_vm2.json", ident.to_json())
@@ -78,6 +83,13 @@ def main(argv=None) -> int:
     theta = Matrix(((1, 2, G(0, F(1, 2))), (0, 1, F(1, 3)), (1, 3, G(F(1, 3), F(1, 2)))))
     singular = BlockMap(Matrix.identity(3), Matrix.zeros(3, 3), theta)
     dump(out, "blockmap_singular_vm2.json", singular.to_json())
+    # An invertible map whose S-block is the scaling by 2, never local on
+    # sl_2, and one whose S-block is the identity but whose theta
+    # diag(1, 2, 3) is no module isomorphism, so a bracket breaks.
+    double = BlockMap(model.scalar_map(2), Matrix.zeros(3, 3), Matrix.identity(3))
+    dump(out, "blockmap_double_vm2.json", double.to_json())
+    stretch = BlockMap(Matrix.identity(3), Matrix.zeros(3, 3), Matrix.diagonal([1, 2, 3]))
+    dump(out, "blockmap_stretch_vm2.json", stretch.to_json())
 
     # A fixed anti-family map of sl_3 + natural, not drawn from rng: the
     # omega = 0 extension of Ad(g) after (-1, 0, 1).  Its S-block fits

@@ -38,6 +38,7 @@ INVOCATIONS = (
         for name in ("transpose", "negation", "double", "conjugation")
     ]
     + [("classify-sln", "--n", "4", "--map", "singular4.json")]
+    + [("classify-sln", "--n", "3", "--map", "square_break3.json")]
     + [
         ("witness", "--n", str(n), "--map", f"negation{n}.json", "--at", f"point_e12_{n}.json")
         for n in (2, 3, 4)
@@ -53,7 +54,7 @@ INVOCATIONS = (
     + [("witness", "--n", "3", "--map", "transpose3.json", "--at", "point_upper_3.json")]
     + [
         ("leibniz-decide", "--n", "2", "--module", "vm:2", "--map", f"blockmap_{name}_vm2.json")
-        for name in ("identity", "transpose", "singular")
+        for name in ("identity", "transpose", "singular", "double", "stretch")
     ]
     + [
         ("leibniz-decide", "--n", "3", "--module", name, "--map", f"blockmap_anti_{name}3.json")
