@@ -356,19 +356,20 @@ def pointwise_witness(model: SlnModel, d: Matrix, x: Matrix) -> CanonicalShape |
     which together exhaust the automorphisms of sl_n.  Invariant factors
     decide which one matches; those of -x^T follow from x's by
     negated_factors.  A side with a cyclic unit vector has the one factor
-    chi, which cyclic_companion reads off its Krylov basis; only a side
-    without one takes a Smith form.  Only the matching candidate builds a
-    conjugator, and conjugation reuses x's Krylov search, failed or not.
+    chi, which cyclic_companion reads off its Krylov basis, searched on
+    Delta(x)^T for the target (the same chi) so that conjugator can start
+    from e_1; only a side without one takes a Smith form.  Only the matching
+    candidate builds a conjugator, reusing the searches, failed or not.
     """
     target = model.apply_map(d, x)
     cx = cyclic_companion(x)
-    ct = cyclic_companion(target)
-    fx = invariant_factors(x) if cx is None else (cx[1],)
-    ft = invariant_factors(target) if ct is None else (ct[1],)
+    ct = cyclic_companion(target.T)
+    fx = invariant_factors(x) if cx is None else (cx[2],)
+    ft = invariant_factors(target) if ct is None else (ct[2],)
     if fx == ft:
-        return CanonicalShape(1, SIGMA_ID, conjugator(x, target, cx))
+        return CanonicalShape(1, SIGMA_ID, conjugator(x, target, cx, ct))
     if negated_factors(fx) == ft:
-        return CanonicalShape(-1, SIGMA_T, conjugator(-(x.T), target, cyclic_companion(-(x.T))))
+        return CanonicalShape(-1, SIGMA_T, conjugator(-(x.T), target, cyclic_companion(-(x.T)), ct))
     return None
 
 

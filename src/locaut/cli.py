@@ -361,7 +361,7 @@ def _check_exact_kernel(seed):
         if chi != charpoly_via_cofactor(m):
             raise RecheckError("charpoly disagrees with cofactor expansion")
         companion = cyclic_companion(m)
-        if companion is not None and companion[1] != chi:
+        if companion is not None and companion[2] != chi:
             raise RecheckError("companion polynomial disagrees with charpoly")
         if not cofactor_det(m).is_zero():
             if inverse(m) @ m != Matrix.identity(3):

@@ -14,6 +14,11 @@ only once m v = 0 holds exactly; both fall back to Q(i) when the residues
 settle nothing.  Every other elimination is plain Gauss-Jordan over Q(i)
 with division: Q(i) is a field and the triple-of-ints scalar keeps entries
 normalized, so fraction-free pivoting buys nothing here.
+
+conjugator builds a similarity witness a (y a = a x) from Krylov
+matrices, one candidate per first row of a (proof in its docstring); the
+stacked n^2 x n^2 intertwiner system is solved only when no unit vector is
+cyclic for x or e_1 is not cyclic for y^T.
 """
 
 from __future__ import annotations
@@ -681,6 +686,22 @@ def matrix_from_flat(v, n: int) -> Matrix:
 _RANDOM_TRIES = 64
 
 
+def _coefficient_tries(k: int, n: int):
+    """The coefficient vectors invertible_element tries, in order: for
+    k > 3, 64 seeded random points in [-n, n]^k, then the grid {0..n}^k."""
+    if k > 3:
+        rng = random.Random(0x1E7E57)
+        for _ in range(_RANDOM_TRIES):
+            yield tuple(rng.randint(-n, n) for _ in range(k))
+    yield from product(range(n + 1), repeat=k)
+
+
+def _first_nonsingular(matrices) -> Matrix:
+    m = next((m for m in matrices if is_nonsingular(m)), None)
+    internal_check(m is not None, "complete grid holds no invertible element")
+    return m
+
+
 def invertible_element(space: Subspace, n: int) -> Matrix:
     """An invertible n x n matrix inside a subspace of flattened matrices.
 
@@ -693,25 +714,8 @@ def invertible_element(space: Subspace, n: int) -> Matrix:
     """
     k = space.dim
     internal_check(k > 0, "no invertible element in the zero space")
-
-    def candidate(coeffs) -> Matrix | None:
-        flat = combine([GaussianRational(c) for c in coeffs], space.basis)
-        if not any(x.a or x.b for x in flat):
-            return None
-        m = matrix_from_flat(flat, n)
-        return m if is_nonsingular(m) else None
-
-    def first_hit(points) -> Matrix | None:
-        return next((m for m in map(candidate, points) if m is not None), None)
-
-    a = None
-    if k > 3:
-        rng = random.Random(0x1E7E57)
-        a = first_hit(tuple(rng.randint(-n, n) for _ in range(k)) for _ in range(_RANDOM_TRIES))
-    if a is None:
-        a = first_hit(product(range(n + 1), repeat=k))
-        internal_check(a is not None, "complete grid holds no invertible element")
-    return a
+    flats = (combine([GaussianRational(c) for c in coeffs], space.basis) for coeffs in _coefficient_tries(k, n))
+    return _first_nonsingular(matrix_from_flat(f, n) for f in flats if any(x.a or x.b for x in f))
 
 
 def _krylov(m: Matrix, v) -> Matrix:
@@ -722,49 +726,64 @@ def _krylov(m: Matrix, v) -> Matrix:
     return Matrix._of_rows(tuple(zip(*cols)))
 
 
-def _unit_vectors(n: int) -> list:
-    return [tuple(GR_ONE if i == j else GR_ZERO for i in range(n)) for j in range(n)]
-
-
 def cyclic_companion(m: Matrix) -> tuple | None:
-    """(K^-1, chi_m) for the first unit vector v whose Krylov matrix
+    """(K, K^-1, chi_m) for the first unit vector v whose Krylov matrix
     K = [v, m v, ..., m^(n-1) v] is nonsingular, or None when no unit vector
-    is cyclic.
+    is cyclic.  v is K's first column.
 
     K^-1 m K is the companion matrix of chi_m (Hoffman-Kunze, Linear Algebra,
     7.1): its last column c = K^-1 m^n v gives m^n v = sum_k c_k m^k v, so
     chi_m(t) = t^n - sum_k c_k t^k.  A matrix with a cyclic vector is
     nonderogatory, so (chi_m,) is then exactly invariant_factors(m).
     """
-    for v in _unit_vectors(m.nrows):
-        k = _krylov(m, v)
+    n = m.nrows
+    for j in range(n):
+        k = _krylov(m, tuple(GR_ONE if i == j else GR_ZERO for i in range(n)))
         if is_nonsingular(k):
             k_inv = inverse(k)
-            c = k_inv.apply(m.apply(k.column(m.nrows - 1)))
-            return k_inv, Polynomial(tuple(-x for x in c) + (GR_ONE,))
+            c = k_inv.apply(m.apply(k.column(n - 1)))
+            return k, k_inv, Polynomial(tuple(-x for x in c) + (GR_ONE,))
     return None
 
 
-def conjugator(x: Matrix, y: Matrix, companion) -> Matrix:
+def conjugator(x: Matrix, y: Matrix, companion, target_companion) -> Matrix:
     """Invertible a with a x a^-1 = y; precondition: x and y are similar.
 
-    companion is cyclic_companion(x): (K_x(v)^-1, chi_x) for the first unit
-    vector v with K_x(v) invertible, or None when no unit vector is.  An
-    intertwiner a (y a = a x) sends x^k v to y^k (a v), so
-    a = K_y(a v) K_x(v)^-1; conversely every w gives the intertwiner
-    K_y(w) K_x(v)^-1, because chi_x(y) = chi_y(y) = 0.  The n matrices
-    K_y(e_j) K_x(v)^-1 therefore span the intertwiner space, and only n x n
-    products are needed.  When no unit vector is cyclic (x derogatory, or
-    diagonal-like), intertwiner_space solves the n^2 x n^2 system instead.
-    Both give the same canonical space, so the same witness.
+    companion is cyclic_companion(x) and target_companion is
+    cyclic_companion(y^T).  The witness is invertible_element's first hit in
+    the intertwiner space I = {a : y a = a x}, held in its canonical
+    reduced-echelon basis.  It is found in one of two ways.
+
+    From the first row, when a unit vector v is cyclic for x and e_1 is
+    cyclic for y^T.  An intertwiner sends x^k v to y^k (a v), so
+    a = K_y(a v) K_x^-1; conversely every w gives the intertwiner
+    K_y(w) K_x^-1, because chi_x(y) = chi_y(y) = 0.  So dim I = n.  The rows
+    e_1^T y^k form O = K_{y^T}(e_1)^T, which is invertible, and
+    e_1^T y^k a = e_1^T a x^k, so an a in I with first row 0 has O a = 0 and
+    is 0: a -> (row 1 of a) is a bijection of I onto Q(i)^n.  Row 1 is the
+    first n coordinates of the row-major flattening, so the reduced echelon
+    basis of I has its pivots there, and, the reduced echelon form being
+    unique, its j-th vector is the a in I with first row e_j.
+    invertible_element's candidate for coefficients c != 0 is therefore the
+    a in I with first row c: K_y(w) K_x^-1 with e_1^T K_y(w) = c^T K_x, that
+    is O w = K_x^T c, or w = (K_x K_{y^T}(e_1)^-1)^T c.  That a is
+    invertible iff K_y(w) is, so each try costs n mat-vecs and the hit one
+    n x n product, and the same tries in the same order give the same a.
+
+    Otherwise (no unit vector is cyclic for x, or e_1 is not for y^T),
+    intertwiner_space solves the n^2 x n^2 system and invertible_element
+    searches it.
     """
     n = x.nrows
-    if companion is None:
-        space = intertwiner_space([(y, x)])  # a with y a = a x, i.e. a x a^-1 = y
+    if companion is None or target_companion is None or target_companion[0][0, 0] != GR_ONE:  # y^T's v != e_1
+        a = invertible_element(intertwiner_space([(y, x)]), n)  # y a = a x, i.e. a x a^-1 = y
     else:
-        k_inv = companion[0]
-        space = Subspace(n * n, [(_krylov(y, e) @ k_inv).flatten() for e in _unit_vectors(n)])
-    a = invertible_element(space, n)
+        k_x, k_x_inv, _ = companion
+        to_w = (k_x @ target_companion[1]).T
+        k_y = _first_nonsingular(
+            _krylov(y, to_w.apply([GaussianRational(t) for t in c])) for c in _coefficient_tries(n, n) if any(c)
+        )
+        a = k_y @ k_x_inv
     internal_check(y @ a == a @ x, "similarity witness does not intertwine")
     return a
 
@@ -780,4 +799,4 @@ def similarity_witness(x: Matrix, y: Matrix) -> Matrix | None:
         raise ValueError("similarity needs square matrices of equal size")
     if invariant_factors(x) != invariant_factors(y):
         return None
-    return conjugator(x, y, cyclic_companion(x))
+    return conjugator(x, y, cyclic_companion(x), cyclic_companion(y.T))

@@ -513,9 +513,11 @@ def reference_pointwise_witness(model, d, x):
     fx = invariant_factors(x)
     ft = invariant_factors(target)
     if fx == ft:
-        return CanonicalShape(1, SIGMA_ID, conjugator(x, target, cyclic_companion(x)))
+        return CanonicalShape(1, SIGMA_ID, conjugator(x, target, cyclic_companion(x), cyclic_companion(target.T)))
     if negated_factors(fx) == ft:
-        return CanonicalShape(-1, SIGMA_T, conjugator(-(x.T), target, cyclic_companion(-(x.T))))
+        return CanonicalShape(
+            -1, SIGMA_T, conjugator(-(x.T), target, cyclic_companion(-(x.T)), cyclic_companion(target.T))
+        )
     return None
 
 
@@ -570,7 +572,8 @@ def test_pointwise_witness_matches_the_two_smith_form_reference(case):
             assert companion is None
         if companion is None:
             continue
-        k_inv, chi = companion
+        k, k_inv, chi = companion
+        assert k_inv @ k == Matrix.identity(model.n)
         assert (chi,) == factors
         assert chi == charpoly(m)
         if model.n <= 4:

@@ -834,13 +834,19 @@ def reference_conjugator(x, y):
 
 @st.composite
 def similar_pairs(draw):
-    """(x, g x g^-1) for n = 2..4 where x is a random integer matrix (cyclic,
+    """(x, g x g^-1) for n = 2..5 where x is a random integer matrix (cyclic,
     with a cyclic unit vector, in most draws), diag(1, .., n) (cyclic, but no
     unit vector is) or a conjugated Jordan form with eigenvalues in {0, 1}
-    (often derogatory)."""
-    n = draw(st.integers(2, 4))
+    (often derogatory); or (h y h^-1, y) for a random integer y whose first
+    row is (lam, 0, .., 0), so that e_1 is an eigenvector of y^T and not
+    cyclic for it."""
+    n = draw(st.integers(2, 5))
     h = random_unimodular(n, random.Random(draw(st.integers(0, 10_000))))
-    kind = draw(st.sampled_from(["random", "diagonal", "jordan"]))
+    kind = draw(st.sampled_from(["random", "diagonal", "jordan", "eigenrow"]))
+    if kind == "eigenrow":
+        y = draw(square_matrices(n, -3, 3))
+        y = Matrix((((draw(st.integers(-2, 2)),) + (0,) * (n - 1)),) + y.data[1:])
+        return h @ y @ inverse(h), y
     if kind == "random":
         x = draw(square_matrices(n, -3, 3))
     elif kind == "diagonal":
@@ -852,21 +858,30 @@ def similar_pairs(draw):
 
 
 @given(similar_pairs())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_conjugator_matches_kronecker_search(pair):
     x, y = pair
-    assert conjugator(x, y, cyclic_companion(x)) == reference_conjugator(x, y)
+    assert conjugator(x, y, cyclic_companion(x), cyclic_companion(y.T)) == reference_conjugator(x, y)
+
+
+_REGULAR = int_matrix([[1, 1, 0], [0, 2, 1], [1, 0, -3]])  # e1 is cyclic for it and its transpose
+_UPPER = int_matrix([[1, 1, 0], [0, 2, 1], [0, 0, -3]])  # e3 is cyclic, e1 an eigenvector
+_G7 = random_unimodular(3, random.Random(7))
 
 
 @pytest.mark.parametrize(
-    "x, krylov",
+    "x, y, stacked",
     [
-        (int_matrix([[1, 1, 0], [0, 2, 1], [1, 0, -3]]), True),  # e1 is cyclic
-        (Matrix.diagonal([1, 2, 3]), False),  # cyclic, but no unit vector is
-        (int_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), False),  # derogatory
+        (_REGULAR, _G7 @ _REGULAR @ inverse(_G7), False),
+        (_UPPER, _G7 @ _UPPER @ inverse(_G7), False),  # v = e3 for x, e1 for y^T
+        (_UPPER, _UPPER.T, True),  # e1 is not cyclic for y^T = x
+        (Matrix.diagonal([1, 2, 3]), _G7 @ Matrix.diagonal([1, 2, 3]) @ inverse(_G7), True),  # no cyclic unit vector
+        (_J3, _G7 @ _J3 @ inverse(_G7), True),  # derogatory
     ],
 )
-def test_conjugator_solves_the_kronecker_system_only_without_a_cyclic_unit_vector(monkeypatch, x, krylov):
+def test_conjugator_solves_the_kronecker_system_only_off_the_first_row_path(monkeypatch, x, y, stacked):
+    """The stacked system is solved exactly when no unit vector is cyclic
+    for x or e1 is not cyclic for y^T."""
     calls = []
 
     def counted(pairs):
@@ -874,10 +889,24 @@ def test_conjugator_solves_the_kronecker_system_only_without_a_cyclic_unit_vecto
         return intertwiner_space(pairs)
 
     monkeypatch.setattr(linalg, "intertwiner_space", counted)
-    g = random_unimodular(3, random.Random(7))
-    y = g @ x @ inverse(g)
-    assert conjugator(x, y, cyclic_companion(x)) == reference_conjugator(x, y)
-    assert len(calls) == (0 if krylov else 1)
+    cx, ct = cyclic_companion(x), cyclic_companion(y.T)
+    assert stacked == (cx is None or ct is None or ct[0].column(0) != tuple(Matrix.identity(3).column(0)))
+    assert conjugator(x, y, cx, ct) == reference_conjugator(x, y)
+    assert len(calls) == (1 if stacked else 0)
+
+
+@pytest.mark.parametrize("x", [_REGULAR, _UPPER])
+def test_conjugator_on_the_first_row_path_searches_no_subspace(monkeypatch, x):
+    """From the first row, conjugator calls no invertible_element and no
+    intertwiner_space, and builds no Subspace."""
+    y = _G7 @ x @ inverse(_G7)
+    cx, ct = cyclic_companion(x), cyclic_companion(y.T)
+    want = reference_conjugator(x, y)
+    calls = []
+    for name in ("invertible_element", "intertwiner_space", "Subspace"):
+        monkeypatch.setattr(linalg, name, lambda *args, name=name: calls.append(name))
+    assert conjugator(x, y, cx, ct) == want
+    assert calls == []
 
 
 # -- subspaces --------------------------------------------------------------
