@@ -1,6 +1,7 @@
 """Tamper-resistance of the first-principles certificate rechecker."""
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -850,3 +851,145 @@ def test_no_shape_fits_on_m_n_carries_no_probe_polynomials():
     for field, bad in (("probe_charpoly", probe), ("required_charpoly", Polynomial((-1, 0, 1)))):
         with pytest.raises(RecheckError, match="polynomial is wrong"):
             recheck_sln_verdict(mn, d, replace(v, obstruction=replace(ob, **{field: bad})))
+
+
+# -- stored probe polynomials, checked by Newton's power sums ---------------
+
+
+def random_gaussian_matrix(n, rng):
+    return Matrix(tuple(tuple(GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(n))
+                        for _ in range(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_power_sum_check_accepts_the_characteristic_polynomial(n):
+    """Laplace (the oracle up to n = 4) and Faddeev-LeVerrier agree with the
+    power-sum check on seeded Gaussian-integer matrices."""
+    rng = random.Random(100 + n)
+    for _ in range(4):
+        m = random_gaussian_matrix(n, rng)
+        assert recheck._is_charpoly(m, charpoly(m))
+        if n <= 4:
+            assert recheck._is_charpoly(m, charpoly_via_cofactor(m))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_power_sum_check_refuses_one_added_at_each_coefficient(n):
+    """p + t^k for every k: the constant term (k = 0) is seen only by the
+    k = n identity, and k = n makes p non-monic."""
+    m = random_gaussian_matrix(n, random.Random(200 + n))
+    p = charpoly(m)
+    for k in range(n + 1):
+        assert not recheck._is_charpoly(m, p + Polynomial((0,) * k + (1,)))
+
+
+def probe_polynomial_tampers(p):
+    """Each single-coefficient change, None, a non-monic p and the degrees
+    n - 1 and n + 1, both monic."""
+    n = p.degree
+    yield from (p + Polynomial((0,) * k + (1,)) for k in range(n))
+    yield from (None, p * 2, Polynomial(p.coeffs[1:]), p * Polynomial((0, 1)))
+
+
+def lambda_not_unit_case(n):
+    model = SlnModel(n)
+    d = model.scalar_map(2)
+    return model, d, classify_sln(model, d)
+
+
+def no_shape_fits_case():
+    model = SlnModel(2)
+    d = no_shape_map(model)
+    return model, d, classify_sln(model, d)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda: lambda_not_unit_case(3), id="lambda_not_unit-3"),
+    pytest.param(lambda: lambda_not_unit_case(5), id="lambda_not_unit-5"),
+    pytest.param(no_shape_fits_case, id="no_shape_fits-2"),
+])
+def test_tampered_probe_polynomial_rejected(case):
+    model, d, v = case()
+    ob = v.obstruction
+    assert ob.kind in ("lambda_not_unit", "no_shape_fits")
+    recheck_sln_verdict(model, d, v)
+    for bad in probe_polynomial_tampers(ob.probe_charpoly):
+        with pytest.raises(RecheckError, match="stored probe polynomial is wrong"):
+            recheck_sln_verdict(model, d, replace(v, obstruction=replace(ob, probe_charpoly=bad)))
+
+
+def test_lambda_not_unit_rechecks_at_n_9_in_under_a_second():
+    """n - 1 = 8 products of 9 x 9 matrices check the probe polynomial,
+    where a Laplace expansion over polynomial entries has up to 9! terms."""
+    model, d, v = lambda_not_unit_case(9)
+    ob = v.obstruction
+    assert ob.kind == "lambda_not_unit"
+    start = time.perf_counter()
+    recheck_sln_verdict(model, d, v)
+    assert time.perf_counter() - start < 1.0
+    bad = ob.probe_charpoly + Polynomial((1,))
+    with pytest.raises(RecheckError, match="stored probe polynomial is wrong"):
+        recheck_sln_verdict(model, d, replace(v, obstruction=replace(ob, probe_charpoly=bad)))
+
+
+def test_probe_polynomials_are_checked_without_computing_one(forbid):
+    """Neither linalg.charpoly nor the Laplace charpoly runs in a
+    lambda_not_unit, a no_shape_fits or a Leibniz sln_block recheck."""
+    sln_cases = [lambda_not_unit_case(3), no_shape_fits_case()]
+    lb, cases = leibniz_cases()
+    bm = cases["sln_block"]
+    lv = decide_local_aut(lb, bm)
+    assert lv.certificate.kind == "sln_block"
+    assert not hasattr(recheck, "charpoly")
+    forbid("charpoly")
+    forbid("charpoly_via_cofactor")
+    for model, d, v in sln_cases:
+        recheck_sln_verdict(model, d, v)
+    recheck_leibniz_verdict(lb, bm, lv)
+
+
+# -- malformed fields raise RecheckError like false ones --------------------
+
+
+def sln_obstruction_with(case, **fields):
+    model, d, v = case
+    return model, d, replace(v, obstruction=replace(v.obstruction, **fields))
+
+
+@pytest.mark.parametrize("bad", [None, "4"])
+def test_lambda_squared_of_the_wrong_type_rejected(bad):
+    model, d, v = sln_obstruction_with(lambda_not_unit_case(3), lam_squared=bad)
+    with pytest.raises(RecheckError, match="lambda squared"):
+        recheck_sln_verdict(model, d, v)
+
+
+@pytest.mark.parametrize("bad", [None, (0, 0, 1)])
+def test_kernel_vector_of_the_wrong_type_rejected(bad):
+    """The sl_n and Leibniz not_injective checks share the guard."""
+    m2 = SlnModel(2)
+    d = Matrix.diagonal([0, 1, 1])
+    model, d, v = sln_obstruction_with((m2, d, classify_sln(m2, d)), kernel_vector=bad)
+    with pytest.raises(RecheckError, match="kernel vector"):
+        recheck_sln_verdict(model, d, v)
+    lb, cases = leibniz_cases()
+    bm = cases["not_injective"]
+    lv = decide_local_aut(lb, bm)
+    with pytest.raises(RecheckError, match="kernel vector"):
+        recheck_leibniz_verdict(lb, bm, replace(lv, certificate=replace(lv.certificate, kernel_vector=bad)))
+
+
+@pytest.mark.parametrize("bad", [None, ((0, 1), (0, 0))])
+def test_square_zero_witness_of_the_wrong_type_rejected(bad):
+    m2 = SlnModel(2)
+    cols = [m2.coords(m2.e(0, 1) + m2.h(0)), m2.coords(m2.e(1, 0)), m2.coords(m2.h(0))]
+    d = Matrix(zip(*cols))
+    model, d, v = sln_obstruction_with((m2, d, classify_sln(m2, d)), witness=bad)
+    with pytest.raises(RecheckError, match="witness is not a matrix"):
+        recheck_sln_verdict(model, d, v)
+
+
+@pytest.mark.parametrize("bad", [None, (0, 0, 0, 0)])
+def test_fit_dimensions_of_the_wrong_type_rejected(bad):
+    model, d, v = sln_obstruction_with(no_shape_fits_case(), fit_dimensions=bad)
+    with pytest.raises(RecheckError, match="fit dimensions"):
+        recheck_sln_verdict(model, d, v)
