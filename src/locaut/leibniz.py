@@ -9,9 +9,10 @@ Right modules satisfy R([b1, b2]) = R(b2) R(b1) - R(b1) R(b2), which makes
 positive-root actions lower Cartan weights; the joint kernel of the positive
 actions is the canonical one-dimensional line y_beta used throughout.
 Every module built here is written in a weight basis: the Cartan actions are
-diagonal and the weights are read off their diagonals, so
-weight_decomposition raises ValueError on a module whose Cartan actions are
-not diagonal.
+diagonal and the weights are read off their diagonals, so the weight table
+raises ValueError on a module whose Cartan actions are not diagonal.  Each
+fact of I, its highest-weight line and its weight table, is computed once
+per RightModule, on first use, however many algebras are built on it.
 
 An automorphism phi of sl_n extends to L when I twisted by phi is
 isomorphic to I.  By Schur the isomorphism is fixed by where it sends the
@@ -104,6 +105,23 @@ class RightModule:
         return [f"v{p+1}" for p in range(self.dim)]
 
     @cached_property
+    def highest_weight_line(self) -> Subspace:
+        """The joint kernel of the positive-root actions, solved once per
+        module on first use; a line exactly when the module is irreducible."""
+        return _highest_weight_space(self.model, self.actions)
+
+    @cached_property
+    def weight_table(self) -> tuple:
+        """weight_table[p] is the weight (H_1[p][p], ..., H_(n-1)[p][p]) of
+        unit vector p, read on first use.  The module must be in a weight
+        basis (ValueError otherwise); the weights are integers, as for every
+        finite-dimensional sl_n-module."""
+        cartans = self.actions[len(self.model.off_pairs):]
+        if not all(h.is_diagonal() for h in cartans):
+            raise ValueError("Cartan actions are not diagonal: the module is not in a weight basis")
+        return tuple(tuple(h.data[p][p].re for h in cartans) for p in range(self.dim))
+
+    @cached_property
     def word_basis(self) -> tuple:
         """(words, W^-1): the highest-weight line pushed down to a basis,
         built on first use by module_isomorphism.
@@ -113,7 +131,7 @@ class RightModule:
         images are taken breadth first and kept when independent; they span
         the module when it is irreducible, since the lowering operators
         carry its highest-weight line onto it.  W = [w_0 ... w_(dim-1)]."""
-        line = _highest_weight_space(self.model, self.actions)
+        line = self.highest_weight_line
         internal_check(line.dim == 1, "the highest-weight space of a module is not a line: it is reducible")
         lowering = self.model.generator_indices[1::2]
         vectors = [line.basis[0]]
@@ -208,18 +226,12 @@ class WeightSpace:
 
 
 def weight_decomposition(module: RightModule):
-    """Weight spaces of the module, sorted by weight descending.
-
-    The module must be in a weight basis (ValueError otherwise): unit vector
-    p then has weight (H_1[p][p], ..., H_(n-1)[p][p]), and each space's
-    basis is its unit vectors in index order.  The weights are integers, as
-    for every finite-dimensional sl_n-module."""
-    cartans = module.actions[len(module.model.off_pairs):]
-    if not all(h.is_diagonal() for h in cartans):
-        raise ValueError("Cartan actions are not diagonal: the module is not in a weight basis")
+    """Weight spaces of the module, sorted by weight descending: the
+    module's weight table grouped, each space's basis its unit vectors in
+    index order.  ValueError when the module is not in a weight basis."""
     groups: dict = {}
-    for p in range(module.dim):
-        groups.setdefault(tuple(h.data[p][p].re for h in cartans), []).append(unit_vector(p, module.dim))
+    for p, w in enumerate(module.weight_table):
+        groups.setdefault(w, []).append(unit_vector(p, module.dim))
     return [WeightSpace(values=w, basis=tuple(groups[w])) for w in sorted(groups, reverse=True)]
 
 
@@ -235,18 +247,18 @@ def _highest_weight_space(model: SlnModel, actions) -> Subspace:
 
 
 def highest_weight_vector(module: RightModule):
-    """The joint kernel of the positive-root actions, normalized; errors if
-    that kernel is not a line (i.e. the module is not irreducible)."""
-    ker = _highest_weight_space(module.model, module.actions)
-    if ker.dim != 1:
-        raise ValueError(f"highest-weight space has dimension {ker.dim}, expected 1")
-    return ker.basis[0]
+    """The module's highest-weight line, normalized; errors if it is not a
+    line (i.e. the module is not irreducible)."""
+    line = module.highest_weight_line
+    if line.dim != 1:
+        raise ValueError(f"highest-weight space has dimension {line.dim}, expected 1")
+    return line.basis[0]
 
 
 def is_irreducible(module: RightModule) -> bool:
     """Complete reducibility holds for sl_n modules, so one highest-weight
     line means exactly one irreducible summand."""
-    return _highest_weight_space(module.model, module.actions).dim == 1
+    return module.highest_weight_line.dim == 1
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +267,8 @@ def is_irreducible(module: RightModule) -> bool:
 
 class SemidirectLeibniz:
     """L = sl_n + I with basis: model basis first, then module basis.  The
-    sl_n model is the module's own."""
+    sl_n model is the module's own, and so are the facts of I: its
+    highest-weight line and its weights are read off the module."""
 
     def __init__(self, module: RightModule):
         self.model = model = module.model
@@ -296,10 +309,6 @@ class SemidirectLeibniz:
     def bracket(self, x, y):
         return self.algebra.bracket(x, y)
 
-    @property
-    def h0(self) -> Matrix:
-        return self.model.strongly_regular_element()
-
     @cached_property
     def y_beta(self):
         return highest_weight_vector(self.module)
@@ -313,21 +322,6 @@ class SemidirectLeibniz:
         if self.module.actions == actions:
             return self.module
         return RightModule(self.model, "adjoint", actions)
-
-    @cached_property
-    def weights(self):
-        """weight_decomposition of the module, computed once per algebra."""
-        return weight_decomposition(self.module)
-
-    @cached_property
-    def irreducible(self) -> bool:
-        """is_irreducible of the module, decided once per algebra."""
-        return is_irreducible(self.module)
-
-    def beta(self):
-        weights = weight_components(self, self.y_beta)
-        internal_check(len(weights) == 1, "y_beta is not a weight vector")
-        return next(iter(weights))
 
 
 def build_semidirect(model: SlnModel, module: RightModule) -> SemidirectLeibniz:
@@ -344,7 +338,7 @@ def is_simple(lb: SemidirectLeibniz) -> bool:
     irreducible, and the action is nontrivial.  The sl_n table is
     alternating, so every square [x, x] = (0, v . g) lies in I: equal
     dimensions make the ideal I, and a zero action has no nonzero square."""
-    return lb.algebra.squares_ideal().dim == lb.dim_i and lb.irreducible
+    return lb.algebra.squares_ideal().dim == lb.dim_i and is_irreducible(lb.module)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +671,7 @@ def weight_components(lb: SemidirectLeibniz, v) -> set:
     """The weights of I on whose spaces the module vector v has a nonzero
     coordinate.  The weight basis vectors are unit vectors, so their
     coefficients are coordinates of v."""
-    return {ws.values for ws in lb.weights for b in ws.basis if not v[b.index(GR_ONE)].is_zero()}
+    return {w for w, x in zip(lb.module.weight_table, v) if not x.is_zero()}
 
 
 def _weight_obstruction(
@@ -687,13 +681,14 @@ def _weight_obstruction(
     The reduced S-block is x -> sign sigma(x), and sigma fixes the diagonal
     h0, so it sends h0 to sign h0.  A nonzero beta differs from -beta, so
     the all-zero test is the only one."""
-    beta = lb.beta()
+    y = lb.y_beta
+    (beta,) = weight_components(lb, y)
     if all(b == 0 for b in beta):
         return None
     target = beta if sign == 1 else tuple(-b for b in beta)
     zero_w = tuple(Fraction(0) for _ in beta)
-    h0c = lb.model.coords(lb.h0)
-    z = tuple(a + b for a, b in zip(lb.embed_s(h0c), lb.embed_i(lb.y_beta)))
+    h0c = lb.model.coords(lb.model.strongly_regular_element())
+    z = tuple(a + b for a, b in zip(lb.embed_s(h0c), lb.embed_i(y)))
     _, i_part = lb.split(reduced.apply(z))
     weights = weight_components(lb, i_part)
     if target in weights and weights <= {zero_w, target}:

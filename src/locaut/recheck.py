@@ -11,10 +11,11 @@ entry for entry, length included.  Some reuse decision code:
 no_shape_fits re-runs fit_shape_family, the root-image fit (the candidate
 read off the rank-one corner image and the simple root vectors, checked by
 CanonicalShape.apply), on exactly the model's families, in the
-classifier's order; the block lemma reads leibniz.is_irreducible, decided
-once per algebra (SemidirectLeibniz.irreducible), and the weight
-certificate reads weights with leibniz.weight_components, over the weight
-basis that the decision uses.
+classifier's order; the block lemma reads leibniz.is_irreducible, the
+module's one highest-weight line (RightModule.highest_weight_line, solved
+once per module), and the weight certificate reads weights with
+leibniz.weight_components, off the module's one weight table, as the
+decision does.
 
 Positive Leibniz verdicts, extensions and the weight certificate's reducer
 are checked by the block lemma (_recheck_block_automorphism) against the
@@ -48,6 +49,7 @@ from .leibniz import (
     LOCAL_AUT,
     LeibnizVerdict,
     SemidirectLeibniz,
+    is_irreducible,
     weight_components,
 )
 from .linalg import Matrix, _poly_matrix_char
@@ -116,13 +118,18 @@ def adjugate_inverse(m: Matrix) -> Matrix:
 # sl_n verdicts
 
 
+def _need_vector(v, length: int, what: str):
+    """v is a tuple of length Q(i) scalars."""
+    _need(
+        isinstance(v, tuple) and all(isinstance(x, GaussianRational) for x in v),
+        f"{what} is not a tuple of Q(i) scalars",
+    )
+    _need(len(v) == length, f"{what} has the wrong length")
+
+
 def _recheck_kernel_vector(m: Matrix, vker):
     """vker is a nonzero vector of the right length that m sends to zero."""
-    _need(
-        isinstance(vker, tuple) and all(isinstance(x, GaussianRational) for x in vker),
-        "kernel vector is not a tuple of Q(i) scalars",
-    )
-    _need(len(vker) == m.ncols, "kernel vector has the wrong length")
+    _need_vector(vker, m.ncols, "kernel vector")
     _need(any(x.a or x.b for x in vker), "kernel vector is zero")
     _need(all(x.is_zero() for x in m.apply(vker)), "kernel vector not annihilated")
 
@@ -131,7 +138,7 @@ def _recheck_conjugation(model: SlnModel, shape: CanonicalShape, pairs, msg: str
     """epsilon a sigma(x) = y a, so epsilon a sigma(x) a^-1 = y once a is
     shown invertible, for each pair (x, y) of n x n matrices."""
     a = shape.a
-    _need(a.nrows == a.ncols == model.n, "conjugator has the wrong size")
+    _need(isinstance(a, Matrix) and a.nrows == a.ncols == model.n, "conjugator has the wrong size")
     for x, y in pairs:
         img = a @ (x.T if shape.sigma == SIGMA_T else x)
         _need((img if shape.epsilon == 1 else -img) == y @ a, msg)
@@ -180,6 +187,11 @@ def _recheck_probe(model: SlnModel, d: Matrix, p):
 def recheck_sln_verdict(model: SlnModel, d: Matrix, v: Verdict):
     if v.verdict in (AUTOMORPHISM, ANTI_AUTOMORPHISM):
         _need(v.shape is not None, "positive verdict without a shape")
+        _need(
+            isinstance(v.shapes, tuple) and all(isinstance(s, CanonicalShape) for s in (v.shape, *v.shapes)),
+            "positive verdict's shapes are not canonical shapes",
+        )
+        _need(v.obstruction is None, "positive verdict carries a certificate")
         want_auto = v.shape.is_automorphism_family()
         _need(
             (v.verdict == AUTOMORPHISM) == want_auto,
@@ -191,9 +203,10 @@ def recheck_sln_verdict(model: SlnModel, d: Matrix, v: Verdict):
             recheck_shape(model, images, shape)
         return
     _need(v.verdict == NOT_LOCAL, f"unknown verdict {v.verdict}")
+    _need(v.shape is None and v.shapes == (), "negative verdict carries a shape")
     ob = v.obstruction
     _need(ob is not None, "negative verdict without a certificate")
-    kind = ob.kind
+    kind = getattr(ob, "kind", None)
     if kind == "not_injective":
         _recheck_kernel_vector(d, ob.kernel_vector)
     elif kind == "square_zero_broken":
@@ -267,7 +280,10 @@ def _recheck_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap, shape: Cano
     _need(lb.has_block_sizes(bm), "block sizes do not match the algebra")
     model, module = lb.model, lb.module
     phi, coupling, theta = bm.s_block, bm.coupling, bm.i_block
-    _need(shape is not None and shape.is_automorphism_family(), "S-shape is not of an automorphism family")
+    _need(
+        isinstance(shape, CanonicalShape) and shape.is_automorphism_family(),
+        "S-shape is not of an automorphism family",
+    )
     recheck_shape(model, basis_images(model, phi), shape)
     rho = None if coupling.is_zero() else lb.adjoint_module.actions
     for g in model.generator_indices:
@@ -282,31 +298,35 @@ def _recheck_block_automorphism(lb: SemidirectLeibniz, bm: BlockMap, shape: Cano
                 f"coupling is not a module map from the adjoint at {model.labels[g]}",
             )
     _need(not theta.is_zero(), "I-block is zero")
-    _need(lb.irreducible, "module is not irreducible")
+    _need(is_irreducible(module), "module is not irreducible")
 
 
 def recheck_leibniz_verdict(lb: SemidirectLeibniz, bm: BlockMap, v: LeibnizVerdict):
     if v.verdict == LOCAL_AUT:
         _need(v.s_shape is not None, "positive verdict without an S-shape")
+        _need(v.certificate is None, "positive verdict carries a certificate")
         _recheck_block_automorphism(lb, bm, v.s_shape)
         return
     _need(v.verdict == NOT_LOCAL, f"unknown verdict {v.verdict}")
+    _need(v.s_shape is None, "negative verdict carries an S-shape")
     cert = v.certificate
     _need(cert is not None, "negative verdict without a certificate")
-    kind = cert.kind
+    kind = getattr(cert, "kind", None)
     if kind == "sln_block":
+        _need(isinstance(cert.verdict, Verdict), "inherited sl_n verdict is not a Verdict")
         _need(cert.verdict.verdict == NOT_LOCAL, "inherited sl_n verdict is not NotLocal")
         recheck_sln_verdict(lb.model, bm.s_block, cert.verdict)
     elif kind == "not_injective":
         _recheck_kernel_vector(bm.full_matrix(), cert.kernel_vector)
     elif kind == "bracket_square":
-        z = tuple(cert.z)
+        z = cert.z
         zero = (GR_ZERO,) * lb.dim
-        _need(len(z) == lb.dim, "stored z has the wrong length")
+        _need_vector(z, lb.dim, "stored z")
+        _need_vector(cert.image_square, lb.dim, "stored image square")
         _need(lb.bracket(z, z) == zero, "[z, z] is not zero")
         dz = bm.full_matrix().apply(z)
         sq = lb.bracket(dz, dz)
-        _need(sq == tuple(cert.image_square), "stored image square is wrong")
+        _need(sq == cert.image_square, "stored image square is wrong")
         _need(sq != zero, "image square vanishes")
     elif kind == "weight_structure":
         _recheck_weight_obstruction(lb, bm, cert)
@@ -335,18 +355,22 @@ def _recheck_weight_obstruction(lb: SemidirectLeibniz, bm: BlockMap, cert):
     z is checked from its parts: h0, and a unit vector of weight beta that
     every positive-root action kills, which on an irreducible module is y_beta.
     """
+    _need(
+        isinstance(cert.reducer, BlockMap) and isinstance(cert.reduced, BlockMap),
+        "stored reducer or reduced map is not a block map",
+    )
     _recheck_block_automorphism(lb, cert.reducer, cert.reducer_shape)
     # the module is irreducible and the reducer invertible, so reducer after
     # reduced = the map pins reduced down as reducer^-1 after the map
     _need(lb.has_block_sizes(cert.reduced), "stored reduced map has the wrong block sizes")
     _need(cert.reducer.compose(cert.reduced) == bm, "stored reduced map is not reducer^-1 after the map")
-    model = lb.model
-    z = tuple(cert.z)
-    _need(len(z) == lb.dim, "stored z has the wrong length")
+    model, z = lb.model, cert.z
+    _need_vector(z, lb.dim, "stored z")
+    _need_vector(cert.i_part, lb.dim_i, "stored I-part of the image")
     h0c, y = lb.split(z)
-    _need(h0c == model.coords(lb.h0), "S-part of z is not h0")
+    _need(h0c == model.coords(model.strongly_regular_element()), "S-part of z is not h0")
     _need([x for x in y if not x.is_zero()] == [GR_ONE], "I-part of z is not a unit vector")
-    positive = [lb.module.actions[model.off_pairs.index(p)] for p in model.positive_roots()]
+    positive = [lb.module.actions[k] for k, (i, j) in enumerate(model.off_pairs) if i < j]
     _need(all(vec_is_zero(e.apply(y)) for e in positive), "a positive root does not kill the I-part of z")
     _need(list(weight_components(lb, y)) == [cert.beta], "stored beta is not the weight of z's I-part")
     _need(any(b != 0 for b in cert.beta), "beta is zero: certificate not applicable")
@@ -355,7 +379,7 @@ def _recheck_weight_obstruction(lb: SemidirectLeibniz, bm: BlockMap, cert):
     want = h0c if cert.sign == 1 else tuple(-x for x in h0c)
     _need(img_h0 == want, "reduced S-block does not send h0 to sign*h0")
     _, i_part = lb.split(cert.reduced.full_matrix().apply(z))
-    _need(i_part == tuple(cert.i_part), "stored I-part of the image is wrong")
+    _need(i_part == cert.i_part, "stored I-part of the image is wrong")
     weights = weight_components(lb, i_part)
     target = cert.beta if cert.sign == 1 else tuple(-b for b in cert.beta)
     zero_w = tuple(0 * b for b in cert.beta)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import StructureAlgebra
-from .exact import GR_ZERO, GaussianRational, as_scalar, internal_check
+from .exact import GR_ZERO, as_scalar, internal_check
 from .linalg import Matrix, Subspace, inverse, matrix_from_flat
 
 
@@ -141,14 +141,6 @@ class SlnModel(MatrixModel):
 
     # -- roots -------------------------------------------------------------
 
-    def positive_roots(self):
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n) ]
-
-    @staticmethod
-    def root_value(h: Matrix, i: int, j: int) -> GaussianRational:
-        """alpha_ij(h) = h_ii - h_jj for diagonal h."""
-        return h[i, i] - h[j, j]
-
     def strongly_regular_element(self) -> Matrix:
         """diag(4, 4^2, ..., 4^n) minus its trace average; verified regular
         once per model."""
@@ -161,12 +153,12 @@ class SlnModel(MatrixModel):
         return self._h0
 
     def is_strongly_regular(self, h: Matrix) -> bool:
-        """Diagonal with nonzero, pairwise-distinct root values.  Nonzero root
-        values already make the centralizer the Cartan: ad h scales e_ij by
-        alpha_ij(h) and kills the diagonal."""
+        """Diagonal with nonzero, pairwise-distinct root values alpha_ij(h) =
+        h_ii - h_jj.  Nonzero root values already make the centralizer the
+        Cartan: ad h scales e_ij by alpha_ij(h) and kills the diagonal."""
         if not h.is_diagonal():
             return False
-        values = [self.root_value(h, i, j) for i, j in self.off_pairs]
+        values = [h[i, i] - h[j, j] for i, j in self.off_pairs]
         if any(v.is_zero() for v in values):
             return False
         return len({(v.a, v.b, v.d) for v in values}) == len(values)

@@ -164,19 +164,48 @@ def test_recheck_refuses_a_reducible_module():
         recheck_leibniz_verdict(lb, projection, claim)
 
 
-def test_positive_rechecks_decide_irreducibility_once_per_algebra(counting):
-    """The module of an algebra never changes, so two positive rechecks on
-    one algebra, and is_simple after them, solve the highest-weight system
-    once."""
+def own_line_solves(solves, module):
+    """The highest-weight solves, of those counted, on the module's own
+    actions; module_isomorphism's solves on twisted actions are not."""
+    return sum(args[1] is module.actions for args in solves)
+
+
+def test_positive_rechecks_decide_irreducibility_once_per_module(counting):
+    """Irreducibility is a fact of the module, so extending, deciding, two
+    positive rechecks and is_simple solve its highest-weight line once."""
     model = SlnModel(2)
-    lb = build_semidirect(model, build_module(model, "vm:2"))
-    bm = extend_automorphism(lb, inner_automorphism_matrix(model, random_unimodular(2, random.Random(5))), 1)
-    claim = LeibnizVerdict(LOCAL_AUT, s_shape=automorphism_shape(model, bm.s_block))
+    module = build_module(model, "vm:2")
     solves = counting(leibniz, "_highest_weight_space")
+    lb = build_semidirect(model, module)
+    bm = extend_automorphism(lb, inner_automorphism_matrix(model, random_unimodular(2, random.Random(5))), 1)
+    claim = decide_local_aut(lb, bm)
+    assert claim.verdict == LOCAL_AUT
     recheck_leibniz_verdict(lb, bm, claim)
     recheck_leibniz_verdict(lb, bm, claim)
     assert is_simple(lb)
-    assert len(solves) == 1
+    assert own_line_solves(solves, module) == 1
+
+
+@pytest.mark.parametrize("n, name", [(2, "vm:2"), (3, "natural"), (3, "adjoint")])
+def test_two_algebras_on_one_module_solve_its_highest_weight_line_once(counting, n, name):
+    """Each algebra built on one RightModule reads the module's one line:
+    for y_beta, a weight certificate, positive and negative rechecks and
+    is_simple."""
+    model = SlnModel(n)
+    module = build_module(model, name)
+    solves = counting(leibniz, "_highest_weight_space")
+    rng = random.Random(n)
+    for lb in (build_semidirect(model, module), build_semidirect(model, module)):
+        local = extend_automorphism(lb, inner_automorphism_matrix(model, random_unimodular(n, rng)), 1)
+        minus_s = BlockMap(model.scalar_map(-1), Matrix.zeros(lb.dim_i, lb.dim_s), Matrix.identity(lb.dim_i))
+        verdicts = [(bm, decide_local_aut(lb, bm)) for bm in (local, minus_s)]
+        assert [v.verdict for _, v in verdicts] == [LOCAL_AUT, "NotLocal"]
+        assert verdicts[1][1].certificate.kind == "weight_structure"
+        for bm, v in verdicts:
+            recheck_leibniz_verdict(lb, bm, v)
+        assert is_simple(lb)
+        assert lb.y_beta == module.highest_weight_line.basis[0]
+    assert own_line_solves(solves, module) == 1
 
 
 def test_recheck_checks_the_fitted_s_shape(monkeypatch):

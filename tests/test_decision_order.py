@@ -116,7 +116,7 @@ def reference_obstruction_points(lb):
             zs = lb.embed_s(lb.model.coords(lb.model.e(k, k + 1)))
             zi = lb.embed_i(tuple(x * GaussianRational(c) for x in y))
             pts.append(tuple(a + b for a, b in zip(zs, zi)))
-    h0c = lb.embed_s(lb.model.coords(lb.h0))
+    h0c = lb.embed_s(lb.model.coords(lb.model.strongly_regular_element()))
     pts.append(tuple(a + b for a, b in zip(h0c, lb.embed_i(y))))
     return pts
 

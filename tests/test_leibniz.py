@@ -24,6 +24,7 @@ from locaut.leibniz import (
     module_isomorphism,
     module_natural,
     module_vm,
+    weight_components,
     weight_decomposition,
 )
 from locaut.linalg import Matrix, Subspace, det, inverse
@@ -258,11 +259,11 @@ def test_squares_lie_in_the_module_part(n, module_text):
 
 def test_h0_y_beta():
     lb = semidirect(2, "vm:2")
-    assert lb.model.is_strongly_regular(lb.h0)
+    assert lb.model.is_strongly_regular(lb.model.strongly_regular_element())
     assert lb.y_beta == vec(1, 0, 0)
-    assert lb.beta() == (Fraction(-2),)
+    assert weight_components(lb, lb.y_beta) == {(Fraction(-2),)}
     lb3 = semidirect(3, "natural")
-    assert lb3.beta() == (Fraction(-1), Fraction(0))
+    assert weight_components(lb3, lb3.y_beta) == {(Fraction(-1), Fraction(0))}
 
 
 # -- block maps -------------------------------------------------------------
@@ -436,7 +437,7 @@ def test_diagonal_inner_extension_keeps_weight_spaces_and_scales_y_beta(n, name)
     lb = semidirect(n, name)
     a = Matrix.diagonal(DIAGONAL_ENTRIES[:n])
     bm = extend_automorphism(lb, inner_automorphism_matrix(lb.model, a), 0)
-    for ws in lb.weights:
+    for ws in weight_decomposition(lb.module):
         space = Subspace(lb.dim_i, ws.basis)
         assert all(space.contains(bm.i_block.apply(v)) for v in ws.basis)
     y = lb.y_beta

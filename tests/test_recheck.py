@@ -4,6 +4,7 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -19,6 +20,7 @@ from locaut.leibniz import (
     BracketFailure,
     InheritedSlnObstruction,
     LeibnizVerdict,
+    RightModule,
     build_module,
     build_semidirect,
     decide_local_aut,
@@ -340,7 +342,7 @@ def test_tampered_bracket_square_rejected():
     h0y = tuple(
         a + b
         for a, b in zip(
-            lb.embed_s(lb.model.coords(lb.h0)), lb.embed_i(lb.y_beta)
+            lb.embed_s(lb.model.coords(lb.model.strongly_regular_element())), lb.embed_i(lb.y_beta)
         )
     )
     bad_z = replace(v.certificate, z=h0y)
@@ -449,22 +451,28 @@ def test_tampered_reduced_map_raises_recheck_error(n, name):
         recheck_leibniz_verdict(lb, bm, replace(v, certificate=replace(v.certificate, reducer=oversized)))
 
 
-def test_weight_decomposition_runs_once_per_algebra(monkeypatch):
-    """Deciding and rechecking a weight_structure verdict share the
-    algebra's one weight decomposition."""
+def test_weight_table_is_read_once_per_module(monkeypatch):
+    """Deciding and rechecking a weight_structure verdict, on two algebras
+    built on one module, and its weight decomposition share the module's one
+    weight table."""
     calls = []
+    real = RightModule.weight_table.func
 
     def counting(module):
         calls.append(module.name)
-        return weight_decomposition(module)
+        return real(module)
 
-    monkeypatch.setattr(leibniz, "weight_decomposition", counting)
-    monkeypatch.setattr(recheck, "weight_decomposition", counting, raising=False)
-    lb = semidirect(2, "vm:2")
-    bm = BlockMap(lb.model.scalar_map(-1), Matrix.zeros(lb.dim_i, lb.dim_s), Matrix.identity(lb.dim_i))
-    v = decide_local_aut(lb, bm)
-    assert v.certificate.kind == "weight_structure"
-    recheck_leibniz_verdict(lb, bm, v)
+    spy = cached_property(counting)
+    spy.__set_name__(RightModule, "weight_table")
+    monkeypatch.setattr(RightModule, "weight_table", spy)
+    model = SlnModel(2)
+    module = build_module(model, "vm:2")
+    for lb in (build_semidirect(model, module), build_semidirect(model, module)):
+        bm = BlockMap(model.scalar_map(-1), Matrix.zeros(lb.dim_i, lb.dim_s), Matrix.identity(lb.dim_i))
+        v = decide_local_aut(lb, bm)
+        assert v.certificate.kind == "weight_structure"
+        recheck_leibniz_verdict(lb, bm, v)
+    assert [ws.values for ws in weight_decomposition(module)] == [(2,), (0,), (-2,)]
     assert calls == ["V(2)"]
 
 
@@ -680,13 +688,16 @@ def test_positive_recheck_at_n_9_takes_no_determinant(counting):
 @pytest.mark.parametrize("a, message", [
     (Matrix.zeros(2, 2), "conjugator is zero"),
     (Matrix.identity(3), "wrong size"),
+    (None, "wrong size"),
+    (((1, 0), (0, 1)), "wrong size"),
     (Matrix(((1, 0), (0, 0))), "shape does not reproduce the map"),
 ])
 def test_positive_verdict_with_a_bad_conjugator_rejected(a, message):
     """a = 0 satisfies epsilon a sigma(x) = y a at every basis element, so
     only a != 0 rules it out; a singular nonzero a, here the rank-one E_11,
     breaks the product identity, because sl_2 acts irreducibly on Q(i)^2;
-    a 3 x 3 conjugator on sl_2 is refused before any product."""
+    a 3 x 3 conjugator on sl_2, or one that is no Matrix, is refused before
+    any product."""
     m2 = SlnModel(2)
     d = m2.identity_map()
     v = classify_sln(m2, d)
@@ -993,3 +1004,66 @@ def test_fit_dimensions_of_the_wrong_type_rejected(bad):
     model, d, v = sln_obstruction_with(no_shape_fits_case(), fit_dimensions=bad)
     with pytest.raises(RecheckError, match="fit dimensions"):
         recheck_sln_verdict(model, d, v)
+
+
+@pytest.mark.parametrize("bad", [None, 5])
+@pytest.mark.parametrize("kind, field", [
+    ("sln_block", "verdict"),
+    ("bracket_square", "z"),
+    ("bracket_square", "image_square"),
+    ("weight_structure", "z"),
+    ("weight_structure", "i_part"),
+    ("weight_structure", "reducer"),
+    ("weight_structure", "reduced"),
+    ("weight_structure", "reducer_shape"),
+])
+def test_leibniz_certificate_field_of_the_wrong_type_rejected(kind, field, bad):
+    lb, cases = leibniz_cases()
+    bm = cases[kind]
+    v = decide_local_aut(lb, bm)
+    assert v.certificate.kind == kind
+    with pytest.raises(RecheckError):
+        recheck_leibniz_verdict(lb, bm, replace(v, certificate=replace(v.certificate, **{field: bad})))
+
+
+@pytest.mark.parametrize("case, field, bad", [
+    ("local", "s_shape", 5),
+    ("local", "certificate", 5),
+    ("sln_block", "certificate", None),
+    ("sln_block", "certificate", 5),
+    ("sln_block", "s_shape", 5),
+])
+def test_leibniz_verdict_field_of_the_wrong_type_rejected(case, field, bad):
+    """A positive verdict carries an S-shape and no certificate, a negative
+    one a certificate and no S-shape."""
+    lb, cases = leibniz_cases()
+    bm = cases[case]
+    v = decide_local_aut(lb, bm)
+    recheck_leibniz_verdict(lb, bm, v)
+    with pytest.raises(RecheckError):
+        recheck_leibniz_verdict(lb, bm, replace(v, **{field: bad}))
+
+
+# -- sl_n verdict fields that contradict the label --------------------------
+
+
+@pytest.mark.parametrize("field, bad", [("obstruction", 5), ("shape", 5), ("shapes", (5,)), ("shapes", 5)])
+def test_positive_sln_verdict_with_a_contradicting_field_rejected(field, bad):
+    m2 = SlnModel(2)
+    d = m2.identity_map()
+    v = classify_sln(m2, d)
+    recheck_sln_verdict(m2, d, v)
+    with pytest.raises(RecheckError):
+        recheck_sln_verdict(m2, d, replace(v, **{field: bad}))
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("shape", 5),
+    ("shapes", (5,)),
+    ("shape", CanonicalShape(1, SIGMA_ID, Matrix.identity(3))),
+])
+def test_negative_sln_verdict_with_a_shape_rejected(field, bad):
+    model, d, v = lambda_not_unit_case(3)
+    recheck_sln_verdict(model, d, v)
+    with pytest.raises(RecheckError, match="negative verdict carries a shape"):
+        recheck_sln_verdict(model, d, replace(v, **{field: bad}))

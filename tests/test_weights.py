@@ -116,7 +116,7 @@ def reference_weight_components(weights, v):
 @pytest.mark.parametrize("n, name", MODULES, ids=[f"{name}-n{n}" for n, name in MODULES])
 def test_weights_match_eigenvalue_scan(n, name):
     lb = semidirect(n, name)
-    assert lb.weights == reference_weight_decomposition(lb.module)
+    assert weight_decomposition(lb.module) == reference_weight_decomposition(lb.module)
 
 
 @given(data=st.data())
@@ -284,8 +284,9 @@ def test_h0_plus_y_beta_squares_to_a_positive_multiple_of_y_beta(n, name):
     beta(h0) > 0 on every nontrivial module, so z is not square-zero; on the
     trivial module V(0) the action, and so every image square, vanishes."""
     lb = semidirect(n, name)
-    h0c = lb.model.coords(lb.h0)
-    beta_h0 = sum(c.re * b for c, b in zip(h0c[len(lb.model.off_pairs):], lb.beta()))
+    h0c = lb.model.coords(lb.model.strongly_regular_element())
+    (beta,) = weight_components(lb, lb.y_beta)
+    beta_h0 = sum(c.re * b for c, b in zip(h0c[len(lb.model.off_pairs):], beta))
     z = tuple(a + b for a, b in zip(lb.embed_s(h0c), lb.embed_i(lb.y_beta)))
     assert lb.bracket(z, z) == lb.embed_i(tuple(x * GaussianRational(beta_h0) for x in lb.y_beta))
     if name == "vm:0":
