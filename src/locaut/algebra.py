@@ -3,6 +3,12 @@
 An algebra lives entirely in its table c[i][j] = coordinates of [e_i, e_j].
 Elements are coordinate tuples over Q(i).  Nothing here assumes the bracket
 is antisymmetric; Leibniz tables go through the same machinery.
+
+Every bracket goes through one kernel that works on supports, the
+(index, value) pairs of a vector's nonzero coordinates: it sums
+c_ijk x_i y_j over the nonzero x_i, y_j and c_ijk only.  The table's own
+nonzero constants are stored in that form, so identity checks pass them,
+and unit supports ((k, 1),), straight to the kernel.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ def vec_is_zero(u) -> bool:
 def unit_vector(i: int, dim: int):
     return tuple(GR_ONE if j == i else GR_ZERO for j in range(dim))
 
+def support(v):
+    """The (index, value) pairs of v's nonzero coordinates."""
+    return tuple((i, c) for i, c in enumerate(v) if c.a or c.b)
+
 
 class StructureAlgebra:
     """Finite-dimensional algebra given by its structure constants."""
@@ -51,29 +61,32 @@ class StructureAlgebra:
             vec_is_zero(t[i][i]) and all(vec_is_zero(vec_add(t[i][j], t[j][i])) for j in range(i))
             for i in range(dim)
         )
-        # _nonzero[i][j]: the (k, c) with c = c_ijk != 0, the only terms any
+        # _nonzero[i][j]: the support of [e_i, e_j], the only terms any
         # product needs.
-        self._nonzero = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(v) if c.a or c.b) for v in row)
-            for row in self.table
-        )
+        self._nonzero = tuple(tuple(support(v) for v in row) for row in self.table)
 
     def unit(self, i: int):
         return unit_vector(i, self.dim)
 
     def bracket(self, x, y):
+        return self._bracket(support(x), support(y))
+
+    def _bracket(self, xs, ys):
+        """[x, y] from the supports xs of x and ys of y."""
         out = [GR_ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not (xi.a or xi.b):
-                continue
+        for i, xi in xs:
             row = self._nonzero[i]
-            for j, yj in enumerate(y):
+            for j, yj in ys:
                 terms = row[j]
-                if terms and (yj.a or yj.b):
+                if terms:
                     f = xi * yj
                     for k, c in terms:
                         out[k] = out[k] + f * c
         return tuple(out)
+
+    def _unit_supports(self):
+        """The support ((k, 1),) of each unit vector e_k."""
+        return [((k, GR_ONE),) for k in range(self.dim)]
 
     def automorphism_check(self, m: Matrix):
         """(ok, pair): m is invertible and no basis pair fails; a singular m
@@ -89,18 +102,21 @@ class StructureAlgebra:
 
         On an alternating table both sides are alternating in (i, j): (i, j)
         fails iff (j, i) does, and (i, i) never fails.  The first failing pair
-        of the full scan therefore has i < j, and scanning j > i finds it."""
-        images = [m.column(k) for k in range(self.dim)]
+        of the full scan therefore has i < j, and scanning j > i finds it.
+
+        Each image m e_k is held as the support of column k, taken once, so
+        both sides sum over nonzero entries only: m c_ij over the nonzero
+        c_ijk and the nonzero entries of m e_k, the bracket by the kernel."""
+        dim = self.dim
+        images = [support(column) for column in zip(*m.data)]
         for i, row in enumerate(self._nonzero):
-            for j in range(i + 1 if self.alternating else 0, self.dim):
-                terms = row[j]
-                # m c_ij = sum_k c_ijk m e_k over the nonzero constants
-                want = [GR_ZERO] * self.dim
-                for k, c in terms:
-                    for r, x in enumerate(images[k]):
-                        if x.a or x.b:
-                            want[r] = want[r] + c * x
-                if tuple(want) != self.bracket(images[i], images[j]):
+            xs = images[i]
+            for j in range(i + 1 if self.alternating else 0, dim):
+                want = [GR_ZERO] * dim
+                for k, c in row[j]:
+                    for r, x in images[k]:
+                        want[r] = want[r] + c * x
+                if tuple(want) != self._bracket(xs, images[j]):
                     return i, j
         return None
 
@@ -117,12 +133,13 @@ class StructureAlgebra:
             for j in range(i + 1, self.dim):
                 if not vec_is_zero(vec_add(self.table[i][j], self.table[j][i])):
                     bad.append(("alt", i, j))
+        nz, units, br = self._nonzero, self._unit_supports(), self._bracket
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
-                    s = self.bracket(self.table[i][j], self.unit(k))
-                    s = vec_add(s, self.bracket(self.table[j][k], self.unit(i)))
-                    s = vec_add(s, self.bracket(self.table[k][i], self.unit(j)))
+                    s = br(nz[i][j], units[k])
+                    s = vec_add(s, br(nz[j][k], units[i]))
+                    s = vec_add(s, br(nz[k][i], units[j]))
                     if not vec_is_zero(s):
                         bad.append(("jacobi", i, j, k))
         return bad
@@ -130,15 +147,12 @@ class StructureAlgebra:
     def validate_leibniz(self):
         """Violations of [x,[y,z]] = [[x,y],z] - [[x,z],y] on basis triples."""
         bad = []
+        nz, units, br = self._nonzero, self._unit_supports(), self._bracket
         for i in range(self.dim):
-            ei = self.unit(i)
             for j in range(self.dim):
                 for k in range(self.dim):
-                    lhs = self.bracket(ei, self.table[j][k])
-                    rhs = vec_sub(
-                        self.bracket(self.table[i][j], self.unit(k)),
-                        self.bracket(self.table[i][k], self.unit(j)),
-                    )
+                    lhs = br(units[i], nz[j][k])
+                    rhs = vec_sub(br(nz[i][j], units[k]), br(nz[i][k], units[j]))
                     if not vec_is_zero(vec_sub(lhs, rhs)):
                         bad.append(("leibniz", i, j, k))
         return bad
@@ -168,25 +182,20 @@ class StructureAlgebra:
             residual = ideal.reduce(v)[1]
             return tuple(residual[j] for j in free)
 
-        table = [
-            [
-                project(self.bracket(self.unit(a), self.unit(b)))
-                for b in free
-            ]
-            for a in free
-        ]
+        table = [[project(self.table[a][b]) for b in free] for a in free]
         quotient = StructureAlgebra(len(free), [self.labels[j] for j in free], table)
         return quotient, free, project
 
     def lower_central_series(self):
         """[L,L], [[L,L],L], ... down to stabilization (0 for nilpotent L)."""
         current = Subspace(self.dim, [self.unit(i) for i in range(self.dim)])
+        units = self._unit_supports()
         series = []
         while True:
             gens = []
             for v in current.basis:
-                for j in range(self.dim):
-                    gens.append(self.bracket(v, self.unit(j)))
+                vs = support(v)
+                gens.extend(self._bracket(vs, unit) for unit in units)
             nxt = Subspace(self.dim, gens)
             series.append(nxt)
             if nxt.dim == 0 or nxt.dim == current.dim:
@@ -207,7 +216,16 @@ class StructureAlgebra:
         dim = data["dim"]
         labels = data.get("labels") or [f"e{i+1}" for i in range(dim)]
         table = [[[GR_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        seen = set()
         for i, j, k, s in data["constants"]:
+            for index in (i, j, k):
+                if isinstance(index, bool) or not isinstance(index, int):
+                    raise ValueError(f"constant index {index!r} is not an integer")
+                if not 0 <= index < dim:
+                    raise ValueError(f"constant index {index} is outside 0..{dim - 1}")
+            if (i, j, k) in seen:
+                raise ValueError(f"constant ({i}, {j}, {k}) is given twice")
+            seen.add((i, j, k))
             table[i][j][k] = parse_scalar(s)
         return cls(dim, labels, table)
 

@@ -15,7 +15,7 @@ from locaut.algebra import (
 )
 from locaut.classify import random_unimodular
 from locaut.exact import GR_ONE, GR_ZERO, GaussianRational
-from locaut.filiform import PhiAlpha, model_filiform
+from locaut.filiform import PhiAlpha, PsiBeta, model_filiform
 from locaut.leibniz import (
     RightModule,
     build_module,
@@ -24,7 +24,7 @@ from locaut.leibniz import (
     inner_automorphism_matrix,
     module_vm,
 )
-from locaut.linalg import Matrix, det, inverse
+from locaut.linalg import Matrix, Subspace, det, inverse
 from locaut.sln import SlnModel
 
 
@@ -129,6 +129,28 @@ def test_json_default_labels():
     assert back.labels == ("e1", "e2")
 
 
+@pytest.mark.parametrize(
+    "constant, message",
+    [
+        ([0, "1", 1, "1"], "not an integer"),
+        ([0, 1.0, 1, "1"], "not an integer"),
+        ([0, True, 1, "1"], "not an integer"),
+        ([0, -1, 1, "1"], "outside 0..1"),
+        ([0, 1, 2, "1"], "outside 0..1"),
+    ],
+)
+def test_from_json_rejects_bad_indices(constant, message):
+    data = {"dim": 2, "constants": [constant]}
+    with pytest.raises(ValueError, match=message):
+        StructureAlgebra.from_json(data)
+
+
+def test_from_json_rejects_a_repeated_constant():
+    data = {"dim": 2, "constants": [[0, 0, 1, "1"], [0, 0, 1, "2"]]}
+    with pytest.raises(ValueError, match=r"\(0, 0, 1\) is given twice"):
+        StructureAlgebra.from_json(data)
+
+
 def test_filiform_check_positive():
     chk = filiform_check(model_filiform(4).algebra)
     assert chk.is_lie and chk.filiform and chk.adapted
@@ -217,11 +239,16 @@ def test_sln_structure_algebra_is_built_once_per_model():
 
 
 def dense_bracket_reference(alg, x, y):
+    """sum over all i, j of x_i y_j [e_i, e_j], read off the dense table; a
+    zero product x_i y_j adds nothing, so its row of the table is skipped."""
     out = [GR_ZERO] * alg.dim
     for i in range(alg.dim):
         for j in range(alg.dim):
+            f = x[i] * y[j]
+            if f.is_zero():
+                continue
             for k in range(alg.dim):
-                out[k] = out[k] + x[i] * y[j] * alg.table[i][j][k]
+                out[k] = out[k] + f * alg.table[i][j][k]
     return tuple(out)
 
 
@@ -250,6 +277,38 @@ def test_bracket_matches_dense_reference(bracket_algebra, data):
     assert alg.bracket(x, y) == dense_bracket_reference(alg, x, y)
 
 
+def dense_lower_central_series(alg):
+    """lower_central_series from dense brackets of basis vectors."""
+    current = Subspace(alg.dim, [alg.unit(i) for i in range(alg.dim)])
+    series = []
+    while True:
+        gens = [dense_bracket_reference(alg, v, alg.unit(j)) for v in current.basis for j in range(alg.dim)]
+        nxt = Subspace(alg.dim, gens)
+        series.append(nxt)
+        if nxt.dim == 0 or nxt.dim == current.dim:
+            return series
+        current = nxt
+
+
+_SERIES_ALGEBRAS = {
+    "heisenberg": heisenberg,
+    "vm2_semidirect": _BRACKET_ALGEBRAS["vm2_semidirect"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES_ALGEBRAS))
+def test_series_and_liezation_match_dense_brackets(name):
+    alg = _SERIES_ALGEBRAS[name]()
+    assert [s.basis for s in alg.lower_central_series()] == [
+        s.basis for s in dense_lower_central_series(alg)
+    ]
+    quotient, free, project = alg.liezation()
+    assert quotient.table == tuple(
+        tuple(project(dense_bracket_reference(alg, alg.unit(a), alg.unit(b))) for b in free)
+        for a in free
+    )
+
+
 # -- one ordering per alternating identity, against the full scans ----------
 
 
@@ -264,7 +323,7 @@ def full_scan_automorphism_check(alg, m):
             for k, c in enumerate(alg.table[i][j]):
                 for r, x in enumerate(images[k]):
                     want[r] = want[r] + c * x
-            if tuple(want) != alg.bracket(images[i], images[j]):
+            if tuple(want) != dense_bracket_reference(alg, images[i], images[j]):
                 return False, (i, j)
     return True, None
 
@@ -281,9 +340,9 @@ def full_scan_validate_lie(alg):
     for i in range(alg.dim):
         for j in range(alg.dim):
             for k in range(alg.dim):
-                s = alg.bracket(alg.table[i][j], alg.unit(k))
-                s = tuple(a + b for a, b in zip(s, alg.bracket(alg.table[j][k], alg.unit(i))))
-                s = tuple(a + b for a, b in zip(s, alg.bracket(alg.table[k][i], alg.unit(j))))
+                s = dense_bracket_reference(alg, alg.table[i][j], alg.unit(k))
+                s = tuple(a + b for a, b in zip(s, dense_bracket_reference(alg, alg.table[j][k], alg.unit(i))))
+                s = tuple(a + b for a, b in zip(s, dense_bracket_reference(alg, alg.table[k][i], alg.unit(j))))
                 if not vec_is_zero(s):
                     bad.append(("jacobi", i, j, k))
     return bad
@@ -386,11 +445,14 @@ def test_validate_lie_matches_full_scan_on_perturbed_lie_tables(name, data):
     )
 
 
-@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("n", [3, 6, 10])
 def test_filiform_maps_match_full_scan(n):
     fl = model_filiform(n)
-    for alpha in (0, 1, 2):  # phi_0 is delta
-        m = PhiAlpha(GaussianRational(alpha)).matrix(fl)
+    # phi_0 is delta; psi_0, psi_1, psi_2 are the maps the demo's proof scans
+    maps = [PhiAlpha(GaussianRational(a)) for a in (0, 1, 2)]
+    maps += [PsiBeta(GaussianRational(b)) for b in (0, 1, 2)]
+    for family_map in maps:
+        m = family_map.matrix(fl)
         assert fl.algebra.automorphism_check(m) == full_scan_automorphism_check(fl.algebra, m)
 
 
