@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import GR_ONE, GR_ZERO, as_scalar, format_scalar, parse_scalar
+from .exact import GR_ONE, GR_ZERO, as_scalar, format_scalar, json_fields, parse_scalar
 from .linalg import Matrix, Subspace, is_nonsingular
 
 
@@ -213,11 +213,20 @@ class StructureAlgebra:
 
     @classmethod
     def from_json(cls, data) -> "StructureAlgebra":
-        dim = data["dim"]
+        dim, constants = json_fields(data, "algebra", ("dim", "constants"))
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+            raise ValueError(f"dim {dim!r} is not a non-negative integer")
+        if not isinstance(constants, list):
+            raise ValueError('"constants" must be a JSON list')
         labels = data.get("labels") or [f"e{i+1}" for i in range(dim)]
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise ValueError('"labels" must be a JSON list of strings')
         table = [[[GR_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         seen = set()
-        for i, j, k, s in data["constants"]:
+        for constant in constants:
+            if not isinstance(constant, list) or len(constant) != 4:
+                raise ValueError(f"constant {constant!r} is not a list [i, j, k, value]")
+            i, j, k, s = constant
             for index in (i, j, k):
                 if isinstance(index, bool) or not isinstance(index, int):
                     raise ValueError(f"constant index {index!r} is not an integer")

@@ -297,6 +297,18 @@ def parse_scalar(text: str) -> GaussianRational:
     return GaussianRational(re_part, im_part)
 
 
+def json_fields(data, what: str, keys) -> tuple:
+    """The values at keys of data, which must be a JSON object holding them
+    all; anything else raises ValueError naming what is wrong."""
+    if not isinstance(data, dict):
+        names = ", ".join(f'"{k}"' for k in keys)
+        raise ValueError(f"{what} must be a JSON object with keys {names}")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(repr(k) for k in missing)}")
+    return tuple(data[k] for k in keys)
+
+
 class Polynomial:
     """Dense univariate polynomial over Q(i), coefficients constant-first."""
 
@@ -413,6 +425,8 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data) -> "Polynomial":
+        if not isinstance(data, list):
+            raise ValueError("polynomial must be a JSON list of coefficients, constant first")
         return cls(tuple(parse_scalar(c) for c in data))
 
 

@@ -10,12 +10,13 @@ drive everything here:
 Both are the identity plus one or two entries, and each family keeps those
 entries, a {(row, column): value} dict, as its one source of truth;
 matrix(fl) builds the dense map only for a bracket scan.  psi_beta is an
-automorphism for every beta (proved from beta = 0, 1, 2 by
-witnesses_are_automorphisms, which checks the affinity in beta and the
-inverse identity on the entries), phi_alpha only for alpha = 1.  The map
-delta = phi_0 is therefore not an automorphism, yet at every single point it
-agrees with phi_1 (when x_2 = 0) or with psi_{x_3/x_2} (otherwise), which
-makes it a local automorphism; each sample applies both maps entry-wise.
+automorphism for every beta, phi_alpha only for alpha = 1.
+witnesses_are_automorphisms proves the psi family from its entries, which
+are linear in beta and strictly below the diagonal, and two bracket scans,
+at beta = 1 and 2.  The map delta = phi_0 is therefore not an automorphism,
+yet at every single point it agrees with phi_1 (when x_2 = 0) or with
+psi_{x_3/x_2} (otherwise), which makes it a local automorphism; each sample
+applies both maps entry-wise.
 n = 3 is degenerate (e_{n-1} = e_2, so phi_alpha is diagonal rather than
 unitriangular) but the same conclusions hold and are checked literally
 rather than assumed.
@@ -101,25 +102,6 @@ def _apply_entries(entries, x) -> tuple:
     return tuple(y)
 
 
-def _entry_sum(*parts) -> dict:
-    """The nonzero entries of A + B + ..., for entry dicts A, B, ..."""
-    total = {}
-    for part in parts:
-        for key, value in part.items():
-            total[key] = total.get(key, GR_ZERO) + value
-    return {key: value for key, value in total.items() if not value.is_zero()}
-
-
-def _entry_product(a, b) -> dict:
-    """The entries of AB: (r, c) sums a_rk b_kc over matching inner indices k."""
-    product = {}
-    for (r, k), x in a.items():
-        for (k2, c), y in b.items():
-            if k == k2:
-                product[(r, c)] = product.get((r, c), GR_ZERO) + x * y
-    return product
-
-
 def map_is_automorphism(fl: FiliformAlgebra, m: Matrix):
     """(ok, failing_pair): bijectivity plus bracket preservation on basis pairs."""
     return fl.algebra.automorphism_check(m)
@@ -135,22 +117,23 @@ def delta_map(fl: FiliformAlgebra) -> Matrix:
 
 
 def witnesses_are_automorphisms(fl: FiliformAlgebra) -> bool:
-    """phi_1 and every psi_beta, beta in Q(i), are automorphisms, from four
-    bracket scans.  The entries of psi_beta are affine in beta (checked:
-    psi_0 + psi_2 = 2 psi_1), so each bracket equation and the identity
-    psi_beta psi_{-beta} = 1 have degree <= 2 in beta: holding at
-    beta = 0, 1, 2, they hold for every beta.
+    """phi_1 and every psi_beta, beta in Q(i), are automorphisms, from three
+    bracket scans.  psi_beta = I + beta E with E the entries of psi_1:
 
-    Both identities are checked on the maps' entries, psi_beta = I + E_beta.
-    The identity cancels from the affinity, which holds iff
-    E_0 + E_2 = 2 E_1, and (I + A)(I + B) = 1 iff A + B + AB = 0."""
-    psi = {b: PsiBeta(GaussianRational(b)) for b in range(-2, 3)}
+    - the entries of psi_beta are beta times those of psi_1 (checked at
+      beta = 0 and 2), so psi_0 = I and the bracket defect
+      [psi x, psi y] - psi [x, y] = beta D_1 + beta^2 D_2 vanishes for every
+      beta once it vanishes at beta = 1 and 2;
+    - E lies strictly below the diagonal (checked), so every psi_beta is
+      unitriangular, hence invertible.
+
+    phi_1 gets the full automorphism check."""
+    psi = {b: PsiBeta(GaussianRational(b)) for b in range(3)}
     e = {b: p.entries(fl) for b, p in psi.items()}
-    affine = _entry_sum(e[0], e[2]) == _entry_sum(e[1], e[1])
-    return affine and phi_is_automorphism(fl, 1)[0] and all(
-        fl.algebra.failing_pair(psi[b].matrix(fl)) is None
-        and not _entry_sum(e[b], e[-b], _entry_product(e[b], e[-b]))
-        for b in range(3)
+    linear = all(v.is_zero() for v in e[0].values()) and e[2] == {k: v + v for k, v in e[1].items()}
+    lower = all(r > c for r, c in e[1])
+    return linear and lower and phi_is_automorphism(fl, 1)[0] and all(
+        fl.algebra.failing_pair(psi[b].matrix(fl)) is None for b in (1, 2)
     )
 
 

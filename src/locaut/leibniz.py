@@ -50,7 +50,7 @@ from .classify import (
     automorphism_shape,
     classify_sln,
 )
-from .exact import GR_ONE, GR_ZERO, GaussianRational, as_scalar, format_scalar, internal_check
+from .exact import GR_ONE, GR_ZERO, GaussianRational, as_scalar, format_scalar, internal_check, json_fields
 from .linalg import (
     Matrix,
     Subspace,
@@ -306,9 +306,6 @@ class SemidirectLeibniz:
     def split(self, v):
         return tuple(v[: self.dim_s]), tuple(v[self.dim_s :])
 
-    def bracket(self, x, y):
-        return self.algebra.bracket(x, y)
-
     @cached_property
     def y_beta(self):
         return highest_weight_vector(self.module)
@@ -393,16 +390,8 @@ class BlockMap:
 
     @classmethod
     def from_json(cls, data) -> "BlockMap":
-        if not isinstance(data, dict):
-            raise ValueError('block map must be a JSON object with keys "s", "si", "i"')
-        missing = [k for k in ("s", "si", "i") if k not in data]
-        if missing:
-            raise ValueError(f"block map is missing {', '.join(repr(k) for k in missing)}")
-        return cls(
-            Matrix.from_json(data["s"]),
-            Matrix.from_json(data["si"]),
-            Matrix.from_json(data["i"]),
-        )
+        s, si, i = json_fields(data, "block map", ("s", "si", "i"))
+        return cls(Matrix.from_json(s), Matrix.from_json(si), Matrix.from_json(i))
 
 
 def is_automorphism(lb: SemidirectLeibniz, bm: BlockMap):
@@ -642,10 +631,10 @@ LOCAL_AUT = "LocalAutomorphism"
 
 def bracket_square_obstruction(lb: SemidirectLeibniz, bm: BlockMap, z) -> BracketSquareObstruction | None:
     """The certificate at a single point, or None when it does not apply."""
-    if not vec_is_zero(lb.bracket(z, z)):
+    if not vec_is_zero(lb.algebra.bracket(z, z)):
         return None
     dz = bm.apply(z)
-    sq = lb.bracket(dz, dz)
+    sq = lb.algebra.bracket(dz, dz)
     if vec_is_zero(sq):
         return None
     return BracketSquareObstruction(z=tuple(z), image_square=tuple(sq))

@@ -323,9 +323,9 @@ def recheck_leibniz_verdict(lb: SemidirectLeibniz, bm: BlockMap, v: LeibnizVerdi
         zero = (GR_ZERO,) * lb.dim
         _need_vector(z, lb.dim, "stored z")
         _need_vector(cert.image_square, lb.dim, "stored image square")
-        _need(lb.bracket(z, z) == zero, "[z, z] is not zero")
+        _need(lb.algebra.bracket(z, z) == zero, "[z, z] is not zero")
         dz = bm.full_matrix().apply(z)
-        sq = lb.bracket(dz, dz)
+        sq = lb.algebra.bracket(dz, dz)
         _need(sq == cert.image_square, "stored image square is wrong")
         _need(sq != zero, "image square vanishes")
     elif kind == "weight_structure":
@@ -335,7 +335,7 @@ def recheck_leibniz_verdict(lb: SemidirectLeibniz, bm: BlockMap, v: LeibnizVerdi
         _need(all(type(k) is int and 0 <= k < lb.dim for k in (i, j)), "no such basis pair")
         full = bm.full_matrix()
         lhs = full.apply(lb.algebra.table[i][j])
-        rhs = lb.bracket(
+        rhs = lb.algebra.bracket(
             full.apply(unit_vector(i, lb.dim)), full.apply(unit_vector(j, lb.dim))
         )
         _need(lhs != rhs, "brackets agree at the stored pair")

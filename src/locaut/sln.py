@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import StructureAlgebra
-from .exact import GR_ZERO, as_scalar, internal_check
+from .exact import GR_ZERO, as_scalar, internal_check, json_fields
 from .linalg import Matrix, Subspace, inverse, matrix_from_flat
 
 
@@ -269,7 +269,8 @@ class CanonicalShape:
 
     @classmethod
     def from_json(cls, data) -> "CanonicalShape":
-        return cls(data["epsilon"], data["sigma"], Matrix.from_json(data["a"]))
+        epsilon, sigma, a = json_fields(data, "shape", ("epsilon", "sigma", "a"))
+        return cls(epsilon, sigma, Matrix.from_json(a))
 
 
 def shape_map_matrix(model: MatrixModel, shape: CanonicalShape) -> Matrix:

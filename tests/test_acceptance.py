@@ -225,9 +225,9 @@ def test_criterion_5_leibniz_both_directions():
             assert sum(1 for c in s_part if not c.is_zero()) == 1
             assert sum(1 for c in i_part if not c.is_zero()) == 1
             zero = (GR0,) * lb.dim
-            assert tuple(lb.bracket(cert.z, cert.z)) == zero
+            assert tuple(lb.algebra.bracket(cert.z, cert.z)) == zero
             image = bm.full_matrix().apply(cert.z)
-            square = lb.bracket(image, image)
+            square = lb.algebra.bracket(image, image)
             assert tuple(square) == tuple(cert.image_square)
             assert any(not c.is_zero() for c in square)
             recheck_leibniz_verdict(lb, bm, v)
@@ -266,7 +266,7 @@ def test_criterion_7_squares_ideal_liezation():
         zero = (GR0,) * lb.dim
         for i in range(lb.dim):
             for p in range(lb.dim_i):
-                assert tuple(lb.bracket(unit(i, lb.dim), lb.embed_i(unit(p, lb.dim_i)))) == zero
+                assert tuple(lb.algebra.bracket(unit(i, lb.dim), lb.embed_i(unit(p, lb.dim_i)))) == zero
         quotient, free, _project = lb.algebra.liezation()
         assert quotient.dim == n * n - 1
         assert len(free) == n * n - 1

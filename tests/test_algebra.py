@@ -145,6 +145,23 @@ def test_from_json_rejects_bad_indices(constant, message):
         StructureAlgebra.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"dim": True, "constants": []}, "dim True is not a non-negative integer"),
+        ({"dim": "2", "constants": []}, "dim '2' is not a non-negative integer"),
+        ([2, []], "algebra must be a JSON object"),
+        ({"dim": 2}, "algebra is missing 'constants'"),
+        ({"dim": 2, "constants": {"0": [0, 1, 1, "1"]}}, '"constants" must be a JSON list'),
+        ({"dim": 2, "labels": "ab", "constants": []}, '"labels" must be a JSON list of strings'),
+        ({"dim": 2, "constants": [[0, 1, "1"]]}, r"is not a list \[i, j, k, value\]"),
+    ],
+)
+def test_from_json_rejects_malformed_input(data, message):
+    with pytest.raises(ValueError, match=message):
+        StructureAlgebra.from_json(data)
+
+
 def test_from_json_rejects_a_repeated_constant():
     data = {"dim": 2, "constants": [[0, 0, 1, "1"], [0, 0, 1, "2"]]}
     with pytest.raises(ValueError, match=r"\(0, 0, 1\) is given twice"):

@@ -450,6 +450,13 @@ def test_poly_json_roundtrip():
     assert Polynomial.from_json(p.to_json()) == p
 
 
+@pytest.mark.parametrize("data", [5, "12"])
+def test_poly_from_json_requires_a_list(data):
+    """A bare string is not read as its characters: "12" is not 1 + 2t."""
+    with pytest.raises(ValueError, match="JSON list of coefficients"):
+        Polynomial.from_json(data)
+
+
 @given(st.lists(st.integers(-5, 5), max_size=5), st.lists(st.integers(-5, 5), min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_divmod_reconstructs(pc, qc):

@@ -19,8 +19,6 @@ from locaut.filiform import (
     PhiAlpha,
     PsiBeta,
     _apply_entries,
-    _entry_product,
-    _entry_sum,
     _identity_plus,
     delta_map,
     filiform_local_witness,
@@ -31,7 +29,7 @@ from locaut.filiform import (
     counterexample_demo,
     witnesses_are_automorphisms,
 )
-from locaut.linalg import Matrix, inverse, is_nonsingular
+from locaut.linalg import Matrix
 
 
 def gr(x):
@@ -206,20 +204,20 @@ def test_counterexample_demo_report():
     assert data["delta_is_automorphism"] is False
 
 
-def test_each_demo_scans_five_maps(counting):
-    """A demo scans delta once and proves the witness families from phi_1
-    and psi_0, psi_1, psi_2; no sample runs a scan."""
+def test_each_demo_scans_four_maps(counting):
+    """A demo scans delta once and proves the witness families from phi_1,
+    psi_1 and psi_2; no sample runs a scan."""
     fl = model_filiform(6)
     calls = counting(StructureAlgebra, "failing_pair")
     for seed in range(3):
         assert counterexample_demo(fl, samples=12, seed=seed).all_verified
-    scanned = [PhiAlpha(gr(0)), PhiAlpha(gr(1)), PsiBeta(gr(0)), PsiBeta(gr(1)), PsiBeta(gr(2))]
+    scanned = [PhiAlpha(gr(0)), PhiAlpha(gr(1)), PsiBeta(gr(1)), PsiBeta(gr(2))]
     assert [m for _, m in calls] == [f.matrix(fl) for f in scanned] * 3
 
 
 def test_a_demo_applies_no_matrix_and_builds_one_per_scan(counting):
-    """Samples apply the maps entry-wise and the proof multiplies entries:
-    a demo builds only the five matrices it scans, whatever its sample
+    """Samples apply the maps entry-wise and the proof reads psi's entries:
+    a demo builds only the four matrices it scans, whatever its sample
     count, and never multiplies or applies a Matrix."""
     fl = model_filiform(6)
     matmuls = counting(Matrix, "__matmul__")
@@ -231,7 +229,7 @@ def test_a_demo_applies_no_matrix_and_builds_one_per_scan(counting):
         assert counterexample_demo(fl, samples=samples, seed=3).all_verified
         per_demo.append(len(builds) - before)
     assert matmuls == [] and applies == []
-    assert per_demo == [5, 5]
+    assert per_demo == [4, 4]
 
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -252,17 +250,6 @@ def sparse_entries(draw, n):
     return draw(st.dictionaries(keys, scalars, max_size=6))
 
 
-def _entries_of(m: Matrix) -> dict:
-    """The entries of m - I, zeros dropped."""
-    n = m.nrows
-    return {
-        (i, j): v
-        for i, row in enumerate((m - Matrix.identity(n)).data)
-        for j, v in enumerate(row)
-        if not v.is_zero()
-    }
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_entrywise_application_matches_the_matrix(data):
@@ -279,28 +266,21 @@ def test_entrywise_application_matches_the_matrix(data):
         assert _apply_entries(entries, x) == _identity_plus(n, entries).apply(x)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_entrywise_proof_identities_match_the_dense_checks(data):
-    """A + B + AB against (I + A)(I + B), and E_0 + E_2 = 2 E_1 against
-    psi_0 + psi_2 = 2 psi_1, with the identities made to hold half the time."""
+def test_the_psi_family_is_linear_unitriangular_and_preserves_brackets(data):
+    """The premises of the proof against dense oracles at a random beta:
+    psi_beta - I = beta (psi_1 - I), strictly lower triangular, inverted by
+    psi_{-beta}, with no failing basis pair."""
     n = data.draw(st.integers(3, 12), label="n")
+    fl = _model(n)
+    beta = data.draw(scalars, label="beta")
     one = Matrix.identity(n)
-    a = data.draw(sparse_entries(n), label="a")
-    b = data.draw(sparse_entries(n), label="b")
-    ma = _identity_plus(n, a)
-    if data.draw(st.booleans(), label="inverse holds") and is_nonsingular(ma):
-        b = _entries_of(inverse(ma))
-    mb = _identity_plus(n, b)
-    product = _entry_sum(a, b, _entry_product(a, b))
-    assert _identity_plus(n, product) == ma @ mb
-    assert (not product) == (ma @ mb == one)
-
-    c = data.draw(sparse_entries(n), label="c")
-    if data.draw(st.booleans(), label="affinity holds"):
-        c = _entries_of(mb + mb - ma)
-    mc = _identity_plus(n, c)
-    assert (_entry_sum(a, c) == _entry_sum(b, b)) == (ma + mc == mb + mb)
+    psi, step = PsiBeta(beta).matrix(fl), PsiBeta(GR_ONE).matrix(fl) - one
+    assert psi - one == step * beta
+    assert all(step[i, j].is_zero() for i in range(n) for j in range(i, n))
+    assert psi @ PsiBeta(-beta).matrix(fl) == one
+    assert fl.algebra.failing_pair(psi) is None
 
 
 def _psi_on_e_n_minus_1(self, fl):
@@ -386,8 +366,9 @@ def test_a_family_that_matches_delta_everywhere_still_needs_the_proof(monkeypatc
 
 
 def test_a_singular_psi_family_fails_the_proof(monkeypatch):
-    """u -> u_1 e_1 + (1 - beta) (u - u_1 e_1) preserves every bracket but
-    is singular at beta = 1: only psi_beta psi_{-beta} = 1 catches it."""
+    """u -> u_1 e_1 + (1 - beta) (u - u_1 e_1) preserves every bracket and
+    is linear in beta, but singular at beta = 1: its entries lie on the
+    diagonal, and only the triangularity check catches it."""
     def scaled(self, fl):
         return {(i, i): -self.beta for i in range(1, fl.n)}
 
@@ -397,9 +378,10 @@ def test_a_singular_psi_family_fails_the_proof(monkeypatch):
 
 def test_a_psi_family_quadratic_in_beta_fails_the_proof(monkeypatch):
     """exp(beta ad e_1) on the 4-dimensional algebra has the entry beta^2 / 2.
-    It passes the bracket and psi_beta psi_{-beta} = 1 checks at beta = 0, 1,
-    2, but three values prove a degree-2 identity only for a family affine in
-    beta, so the proof refuses it."""
+    It is unitriangular and passes the bracket and psi_beta psi_{-beta} = 1
+    checks at beta = 0, 1, 2, but two bracket scans prove the family only
+    when its entries are linear in beta: psi_2's entries are not twice
+    psi_1's, so the proof refuses it."""
     def exp_ad_e1(self, fl):
         b = self.beta
         return {(2, 1): b, (3, 1): b * b * gr(Fraction(1, 2)), (3, 2): b}
@@ -410,3 +392,35 @@ def test_a_psi_family_quadratic_in_beta_fails_the_proof(monkeypatch):
     for b in range(3):
         assert fl.algebra.failing_pair(psi[b]) is None and psi[b] @ psi[-b] == Matrix.identity(4)
     assert not witnesses_are_automorphisms(fl)
+
+
+def test_an_affine_psi_family_of_automorphisms_fails_the_proof(monkeypatch, counting):
+    """u + (u_1 + beta u_2) e_n is an automorphism for every beta (e_n is
+    central and no bracket has an e_1 or e_2 part), but psi_0 != I, so the
+    entries are not beta times psi_1's and the proof refuses the family
+    before scanning it."""
+    def affine(self, fl):
+        return {(fl.n - 1, 0): GR_ONE, (fl.n - 1, 1): self.beta}
+
+    monkeypatch.setattr(PsiBeta, "entries", affine)
+    fl = model_filiform(6)
+    for b in (0, 1, 2, -3):
+        assert map_is_automorphism(fl, PsiBeta(gr(b)).matrix(fl)) == (True, None)
+    scans = counting(StructureAlgebra, "failing_pair")
+    assert not witnesses_are_automorphisms(fl)
+    assert scans == []
+
+
+def test_a_psi_family_broken_only_at_beta_zero_fails_the_proof(monkeypatch):
+    """u + (beta - 1)(beta - 2) u_2 e_{n-1} is the identity at beta = 1 and
+    2, so both scans pass and psi_2's entries are twice psi_1's (all zero),
+    but psi_0 breaks [e_1, e_2] = e_3: only the check psi_0 = I refuses it."""
+    def broken_at_zero(self, fl):
+        b = self.beta
+        return {(fl.n - 2, 1): (b - GR_ONE) * (b - gr(2))}
+
+    monkeypatch.setattr(PsiBeta, "entries", broken_at_zero)
+    fl = model_filiform(6)
+    assert not map_is_automorphism(fl, PsiBeta(GR_ZERO).matrix(fl))[0]
+    assert not witnesses_are_automorphisms(fl)
+

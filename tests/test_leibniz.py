@@ -209,11 +209,11 @@ def test_bracket_orientation():
     g = lb.model.e(1, 0)
     v = vec(1, 0, 0)
     # the module part multiplies from the left slot only
-    got = lb.bracket(lb.embed_i(v), lb.embed_s(lb.model.coords(g)))
+    got = lb.algebra.bracket(lb.embed_i(v), lb.embed_s(lb.model.coords(g)))
     assert got == lb.embed_i(action(lb.module, g).apply(v))
     assert all(
         x.is_zero()
-        for x in lb.bracket(lb.embed_s(lb.model.coords(g)), lb.embed_i(v))
+        for x in lb.algebra.bracket(lb.embed_s(lb.model.coords(g)), lb.embed_i(v))
     )
 
 
@@ -221,7 +221,7 @@ def test_everything_right_annihilates_module():
     lb = semidirect(2, "vm:3")
     for i in range(lb.dim):
         for p in range(lb.dim_i):
-            got = lb.bracket(lb.algebra.unit(i), lb.algebra.unit(lb.dim_s + p))
+            got = lb.algebra.bracket(lb.algebra.unit(i), lb.algebra.unit(lb.dim_s + p))
             assert all(x.is_zero() for x in got)
 
 
@@ -327,7 +327,7 @@ def test_is_automorphism_failure_pair():
     i, j = pair
     full = bm.full_matrix()
     lhs = full.apply(lb.algebra.table[i][j])
-    rhs = lb.bracket(full.apply(lb.algebra.unit(i)), full.apply(lb.algebra.unit(j)))
+    rhs = lb.algebra.bracket(full.apply(lb.algebra.unit(i)), full.apply(lb.algebra.unit(j)))
     assert lhs != rhs
 
 
@@ -505,9 +505,9 @@ def test_decide_transpose_bracket_square():
     assert cert.kind == "bracket_square"
     # z = e12 + y_beta, with [z, z] = 0 but a nonzero image square
     assert cert.z == lb.embed_s(lb.model.coords(lb.model.e(0, 1)))[:3] + tuple(lb.y_beta)
-    assert all(x.is_zero() for x in lb.bracket(cert.z, cert.z))
+    assert all(x.is_zero() for x in lb.algebra.bracket(cert.z, cert.z))
     dz = bm.apply(cert.z)
-    assert tuple(lb.bracket(dz, dz)) == cert.image_square
+    assert tuple(lb.algebra.bracket(dz, dz)) == cert.image_square
     assert any(not x.is_zero() for x in cert.image_square)
 
 

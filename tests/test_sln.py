@@ -203,6 +203,18 @@ def test_shape_json_roundtrip():
     assert CanonicalShape.from_json(s.to_json()) == s
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([1, "id", [["1"]]], "shape must be a JSON object"),
+        ({"epsilon": 1, "a": [["1"]]}, "shape is missing 'sigma'"),
+    ],
+)
+def test_shape_from_json_rejects_malformed_input(data, message):
+    with pytest.raises(ValueError, match=message):
+        CanonicalShape.from_json(data)
+
+
 def test_bracket_behavior_by_family():
     model = SlnModel(2)
     g = Matrix(((2, 1), (1, 1)))

@@ -288,7 +288,7 @@ def test_h0_plus_y_beta_squares_to_a_positive_multiple_of_y_beta(n, name):
     (beta,) = weight_components(lb, lb.y_beta)
     beta_h0 = sum(c.re * b for c, b in zip(h0c[len(lb.model.off_pairs):], beta))
     z = tuple(a + b for a, b in zip(lb.embed_s(h0c), lb.embed_i(lb.y_beta)))
-    assert lb.bracket(z, z) == lb.embed_i(tuple(x * GaussianRational(beta_h0) for x in lb.y_beta))
+    assert lb.algebra.bracket(z, z) == lb.embed_i(tuple(x * GaussianRational(beta_h0) for x in lb.y_beta))
     if name == "vm:0":
         assert all(a.is_zero() for a in lb.module.actions)
     else:
