@@ -39,6 +39,7 @@ from .recheck import (
     RecheckError,
     cofactor_det,
     charpoly_via_cofactor,
+    full_rank_mod_p,
     recheck_extension_structure,
     recheck_leibniz_verdict,
     recheck_sln_verdict,
@@ -369,6 +370,9 @@ def _check_exact_kernel(seed):
         dependent = Matrix(m.data[:2] + (tuple(x + y for x, y in zip(*m.data[:2])),))
         if any(certified_kernel(x) != kernel(x) for x in (m, dependent)):
             raise RecheckError("kernel found modulo p disagrees with the exact kernel")
+        # |det| <= 750 < p, so the rank mod p is the exact rank here
+        if any(full_rank_mod_p(x) == det(x).is_zero() for x in (m, dependent)):
+            raise RecheckError("rank modulo p disagrees with the determinant")
     t = Polynomial((0, 1))
     cases = [
         (Matrix.zeros(2, 2), [t, t]),

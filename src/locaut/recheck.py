@@ -1,16 +1,17 @@
 """Re-verification of verdicts and certificates.
 
-Most checks recompute claims from first principles: determinants come from
-one Laplace expansion, not from elimination; a stored probe polynomial is
-checked, not recomputed, by Newton's power sums (_is_charpoly); a shape
-x -> epsilon a sigma(x) a^-1 is checked by the product identity
-epsilon a sigma(x) = y a, with no inverse, and a != 0 (by Schur's lemma)
-or, for a pointwise witness, det(a) != 0; brackets come straight from
-structure constants, and a stored vector must equal the recomputed one
-entry for entry, length included.  Some reuse decision code:
-no_shape_fits re-runs fit_shape_family, the root-image fit (the candidate
-read off the rank-one corner image and the simple root vectors, checked by
-CanonicalShape.apply), on exactly the model's families, in the
+Most checks recompute claims from first principles: a nonzero determinant
+comes from a full rank mod p by this module's own elimination
+(full_rank_mod_p), with linalg.det only where that proves nothing; a
+stored probe polynomial is checked, not recomputed, by Newton's power sums
+(_is_charpoly); a shape x -> epsilon a sigma(x) a^-1 is checked by the
+product identity epsilon a sigma(x) = y a, with no inverse, and a != 0
+(by Schur's lemma) or, for a pointwise witness, det(a) != 0; brackets
+come straight from structure constants, and a stored vector must equal
+the recomputed one entry for entry, length included.  Some reuse decision
+code: no_shape_fits re-runs fit_shape_family, the root-image fit (the
+candidate read off the rank-one corner image and the simple root vectors,
+checked by CanonicalShape.apply), on exactly the model's families, in the
 classifier's order; the block lemma reads leibniz.is_irreducible, the
 module's one highest-weight line (RightModule.highest_weight_line, solved
 once per module), and the weight certificate reads weights with
@@ -30,6 +31,8 @@ on success.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .algebra import unit_vector, vec_is_zero
 from .classify import (
@@ -52,7 +55,7 @@ from .leibniz import (
     is_irreducible,
     weight_components,
 )
-from .linalg import Matrix, _poly_matrix_char
+from .linalg import _P, _R, Matrix, _poly_matrix_char, det
 from .sln import SHAPE_FAMILIES, SIGMA_T, CanonicalShape, MnModel, SlnModel
 
 
@@ -83,8 +86,44 @@ def _laplace(rows):
     return acc
 
 
+def full_rank_mod_p(m: Matrix) -> bool:
+    """True when the image of the square m in F_p, p = 2^61 - 31, under
+    i -> -R has full rank; False when it is singular or p divides a
+    denominator.
+
+    With R^2 = -1 (mod p), (a + b i)/d -> (a - b R) d^-1 is a ring map onto
+    F_p from the Gaussian rationals whose denominator p does not divide, so
+    det of the image is the image of det m, and True proves det m != 0.
+    False proves nothing.  Each row is scaled by the lcm of its
+    denominators, and each step replaces a row by g row - f pivot with
+    g != 0: both multiply det by a unit, and no inverse is taken.  The
+    elimination is this module's own, under the conjugate of linalg's root,
+    so a fault in linalg's, which the decision uses, cannot pass here too.
+    """
+    p, r = _P, _P - _R
+    rows = []
+    for row in m.data:
+        den = lcm(*(x.d for x in row))
+        if den % p == 0:
+            return False
+        rows.append([(x.a + x.b * r) * (den // x.d) % p for x in row])
+    n = len(rows)
+    for c in range(n):
+        k = next((k for k in range(c, n) if rows[k][c]), None)
+        if k is None:
+            return False
+        rows[c], rows[k] = rows[k], rows[c]
+        g, tail = rows[c][c], rows[c][c + 1:]
+        for row in rows[c + 1:]:
+            f = row[c]
+            if f:
+                row[c + 1:] = [(g * x - f * y) % p for x, y in zip(row[c + 1:], tail)]
+    return True
+
+
 def cofactor_det(m: Matrix) -> GaussianRational:
-    """Determinant by Laplace expansion, independent of elimination code."""
+    """Determinant by Laplace expansion, independent of elimination code;
+    an oracle for the tests and selfcheck."""
     if not m.is_square():
         raise ValueError("determinant of non-square matrix")
     return _laplace(m.data)
@@ -154,12 +193,16 @@ def recheck_shape(model: SlnModel, images, shape: CanonicalShape):
 
 def recheck_witness_at(model: SlnModel, d: Matrix, x: Matrix, shape: CanonicalShape):
     """A pointwise witness: the shape agrees with the map at x exactly.  One
-    pair says nothing of ker a, so det(a) != 0 by Laplace expansion: on the
-    seed-1 sln-witness conjugators, n = 3 / 4 / 5, it takes 0.010 / 0.15 /
-    0.70 ms, a power-sum det 0.071 / 0.22 / 0.64 ms, and a carried W = a^-1
-    would add 0.038 / 0.18 / 0.37 ms to decisions of 0.42 / 0.80 / 1.34 ms."""
+    pair says nothing of ker a, so det(a) != 0, by a full rank mod p
+    (full_rank_mod_p), or by exact elimination (linalg.det) when p divides a
+    denominator or the image mod p is singular, which for a random a happens
+    with probability about n/p.  On the seed-1 sln-witness conjugators,
+    n = 3 / 4 / 5, the rank mod p takes 0.008 / 0.018 / 0.030 ms, where a
+    Laplace expansion takes 0.008 / 0.12 / 0.53 ms, and the whole recheck
+    0.069 / 0.13 / 0.24 ms; a power-sum det (0.071 / 0.22 / 0.64 ms) or a
+    carried a^-1 would cost more."""
     _recheck_conjugation(model, shape, [(x, model.apply_map(d, x))], "witness does not match the map at x")
-    _need(not cofactor_det(shape.a).is_zero(), "conjugator is singular")
+    _need(full_rank_mod_p(shape.a) or not det(shape.a).is_zero(), "conjugator is singular")
 
 
 def _is_charpoly(m: Matrix, p) -> bool:

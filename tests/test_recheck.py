@@ -1,6 +1,7 @@
 """Tamper-resistance of the first-principles certificate rechecker."""
 
 import random
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -101,6 +102,9 @@ def qi_matrices(draw):
 @settings(max_examples=80, deadline=None)
 def test_laplace_kernels_match_elimination(m):
     assert cofactor_det(m) == det(m)
+    # det's numerator is far below p here, so its image mod p vanishes
+    # only when it does
+    assert recheck.full_rank_mod_p(m) == (not det(m).is_zero())
     assert charpoly_via_cofactor(m) == charpoly(m)
     if not det(m).is_zero():
         assert adjugate_inverse(m) == inverse(m)
@@ -214,6 +218,75 @@ def test_recheck_witness_at_rejects_a_singular_conjugator():
     d = m2.transpose_map()
     with pytest.raises(RecheckError, match="singular"):
         recheck_witness_at(m2, d, m2.e(0, 1), CanonicalShape(1, SIGMA_ID, Matrix.zeros(2, 2)))
+
+
+def _locaut_modules_holding(name):
+    return [mod for key, mod in list(sys.modules.items()) if key.split(".")[0] == "locaut" and hasattr(mod, name)]
+
+
+def _diagonal_witness(n, entries):
+    """The identity map at a diagonal x, with the diagonal conjugator
+    diag(entries): a x = x a, so only det(a) != 0 is in question."""
+    model = SlnModel(n)
+    x = Matrix.diagonal([gr(k + 1) for k in range(n - 1)] + [gr(-n * (n - 1) // 2)])
+    a = Matrix.diagonal([gr(e) for e in entries])
+    return model, model.identity_map(), x, CanonicalShape(1, SIGMA_ID, a)
+
+
+@pytest.mark.parametrize("first", [linalg._P, Fraction(1, linalg._P)], ids=["det_p", "denominator_p"])
+def test_recheck_witness_at_falls_back_to_exact_elimination(counting, first):
+    """diag(p, 1, 1) is singular mod p, and p divides a denominator of
+    diag(1/p, 1, 1): neither proves anything mod p, so the exact
+    determinant decides, and both are invertible."""
+    model, d, x, shape = _diagonal_witness(3, [first, 1, 1])
+    assert not recheck.full_rank_mod_p(shape.a)
+    dets = counting(recheck, "det")
+    recheck_witness_at(model, d, x, shape)
+    assert dets == [(shape.a,)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_recheck_witness_at_refuses_a_conjugator_of_rank_n_minus_1(n):
+    model, d, x, shape = _diagonal_witness(n, [1] * (n - 1) + [0])
+    with pytest.raises(RecheckError, match="conjugator is singular"):
+        recheck_witness_at(model, d, x, shape)
+
+
+def test_witness_determinant_does_not_lean_on_linalg_elimination_mod_p(monkeypatch):
+    """With linalg's test mod p answering "nonsingular" for everything, a
+    rank n - 1 conjugator is still refused: the recheck runs its own
+    elimination."""
+    model, d, x, shape = _diagonal_witness(3, [1, 1, 0])
+
+    def echelon_full_rank(m, root):
+        return [list(row) for row in m.data], list(range(m.nrows))
+
+    for mod in _locaut_modules_holding("is_nonsingular"):
+        monkeypatch.setattr(mod, "is_nonsingular", lambda m: True)
+    monkeypatch.setattr(linalg, "_echelon_mod_p", echelon_full_rank)
+    assert linalg.is_nonsingular(shape.a)
+    with pytest.raises(RecheckError, match="conjugator is singular"):
+        recheck_witness_at(model, d, x, shape)
+
+
+def test_pointwise_witnesses_recheck_past_the_workload_sizes():
+    """At n = 6, 7, 8 the transpose and the negation have a witness at
+    random traceless integer points, each rechecked in well under the time
+    of a Laplace determinant (67.8 ms at n = 7), and the full rank mod p
+    agrees with det(a) != 0."""
+    rng = random.Random(68)
+    for n in (6, 7, 8):
+        model = SlnModel(n)
+        for d in (model.transpose_map(), model.scalar_map(-1)):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            rows[-1][-1] -= sum(rows[i][i] for i in range(n))
+            x = Matrix(rows)
+            shape = pointwise_witness(model, d, x)
+            assert shape is not None
+            start = time.perf_counter()
+            recheck_witness_at(model, d, x, shape)
+            assert time.perf_counter() - start < 0.05
+            assert recheck.full_rank_mod_p(shape.a) == (not det(shape.a).is_zero())
 
 
 def test_recheck_mn_identity_not_fixed():
@@ -627,7 +700,8 @@ def test_positive_verdicts_and_witnesses_invert_nothing(counting):
     verdict's conjugator and I-block are invertible by Schur's lemma, so no
     positive sl_n or Leibniz verdict, extension or weight certificate's
     reducer is rechecked with an inverse or a determinant; a pointwise
-    witness takes exactly one Laplace determinant."""
+    witness takes exactly one full rank mod p, on its conjugator, with no
+    Laplace determinant, no exact fallback and no linalg.is_nonsingular."""
     rng = random.Random(19)
     cases = []
     for n in (2, 3, 4):
@@ -651,7 +725,10 @@ def test_positive_verdicts_and_witnesses_invert_nothing(counting):
     # every binding of linalg.inverse, and the adjugate
     inversions = [counting(owner, "inverse") for owner in (linalg, leibniz, sln)]
     inversions.append(counting(recheck, "adjugate_inverse"))
-    dets = counting(recheck, "cofactor_det")
+    dets = [counting(recheck, name) for name in ("cofactor_det", "det")]
+    # every binding of linalg.is_nonsingular, which the decision uses
+    nonsingular = [counting(mod, "is_nonsingular") for mod in _locaut_modules_holding("is_nonsingular")]
+    ranks = counting(recheck, "full_rank_mod_p")
     for model, d, v, x, shape in cases:
         assert v.verdict in ("Automorphism", "AntiAutomorphism")
         recheck_sln_verdict(model, d, v)
@@ -660,11 +737,13 @@ def test_positive_verdicts_and_witnesses_invert_nothing(counting):
     for lb, bm, shape in extensions:
         recheck_extension_structure(lb, bm, shape)
     assert inversions == [[], [], [], []]
-    assert dets == []
+    assert ranks == []
     for model, d, _, x, shape in cases:
         recheck_witness_at(model, d, x, shape)
     assert inversions == [[], [], [], []]
-    assert [a for (a,) in dets] == [shape.a for *_, shape in cases]
+    assert dets == [[], []]
+    assert nonsingular and all(calls == [] for calls in nonsingular)
+    assert [a for (a,) in ranks] == [shape.a for *_, shape in cases]
 
 
 def test_positive_recheck_at_n_9_takes_no_determinant(counting):
