@@ -13,8 +13,6 @@ and unit supports ((k, 1),), straight to the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exact import GR_ONE, GR_ZERO, as_scalar, format_scalar, json_fields, parse_scalar
 from .linalg import Matrix, Subspace, is_nonsingular
 
@@ -237,35 +235,3 @@ class StructureAlgebra:
             seen.add((i, j, k))
             table[i][j][k] = parse_scalar(s)
         return cls(dim, labels, table)
-
-
-@dataclass(frozen=True)
-class FiliformCheck:
-    is_lie: bool
-    series_dims: tuple
-    filiform: bool
-    adapted: bool
-
-
-def filiform_check(alg: StructureAlgebra) -> FiliformCheck:
-    """Filiform test: Lie + lower central dims n-k-1, plus adapted-basis check.
-
-    Adapted means [e_1, e_i] = e_{i+1} for 2 <= i <= n-1 and, as a
-    consequence of filiformity, [e_i, e_{n-1}] = 0 for i >= 3 (1-indexed).
-    """
-    n = alg.dim
-    is_lie = not alg.validate_lie()
-    series = alg.lower_central_series()
-    dims = tuple(s.dim for s in series)
-    expected = tuple(n - k - 1 for k in range(1, n))  # k = 1 .. n-1
-    # series stops at stabilization; pad/compare against expected tail of zeros
-    padded = dims + (dims[-1],) * max(0, len(expected) - len(dims))
-    filiform = is_lie and padded[: len(expected)] == expected
-    adapted = True
-    for i in range(1, n - 1):
-        if alg.table[0][i] != unit_vector(i + 1, n):
-            adapted = False
-    for i in range(2, n):
-        if not vec_is_zero(alg.table[i][n - 2]):
-            adapted = False
-    return FiliformCheck(is_lie=is_lie, series_dims=dims, filiform=filiform, adapted=adapted)

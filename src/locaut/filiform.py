@@ -12,11 +12,11 @@ entries, a {(row, column): value} dict, as its one source of truth;
 matrix(fl) builds the dense map only for a bracket scan.  psi_beta is an
 automorphism for every beta, phi_alpha only for alpha = 1.
 witnesses_are_automorphisms proves the psi family from its entries, which
-are linear in beta and strictly below the diagonal, and two bracket scans,
-at beta = 1 and 2.  The map delta = phi_0 is therefore not an automorphism,
-yet at every single point it agrees with phi_1 (when x_2 = 0) or with
-psi_{x_3/x_2} (otherwise), which makes it a local automorphism; each sample
-applies both maps entry-wise.
+are linear in beta, strictly below the diagonal and in rows whose basis
+vectors commute, and one bracket scan, at beta = 1.  The map delta = phi_0
+is therefore not an automorphism, yet at every single point it agrees with
+phi_1 (when x_2 = 0) or with psi_{x_3/x_2} (otherwise), which makes it a
+local automorphism; each sample applies both maps entry-wise.
 n = 3 is degenerate (e_{n-1} = e_2, so phi_alpha is diagonal rather than
 unitriangular) but the same conclusions hold and are checked literally
 rather than assumed.
@@ -27,24 +27,36 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import StructureAlgebra, filiform_check, unit_vector
+from .algebra import StructureAlgebra, unit_vector, vec_is_zero
 from .exact import GR_ONE, GR_ZERO, GaussianRational, as_scalar, internal_check
 from .linalg import Matrix
 
 
 class FiliformAlgebra:
-    """An n-dimensional filiform Lie algebra in an adapted basis."""
+    """An n-dimensional filiform Lie algebra in an adapted basis.
+
+    Filiform: a Lie algebra whose lower central series has dimensions
+    n-2, n-3, ..., 0.  Adapted: [e_1, e_i] = e_{i+1} for 2 <= i <= n-1 and,
+    as a consequence of filiformity, [e_i, e_{n-1}] = 0 for i >= 3
+    (1-indexed).  The constructor checks the three in that order and
+    raises ValueError at the first that fails."""
 
     def __init__(self, algebra: StructureAlgebra):
-        check = filiform_check(algebra)
-        if not check.is_lie:
+        n, table = algebra.dim, algebra.table
+        if algebra.validate_lie():
             raise ValueError("not a Lie algebra")
-        if not check.filiform:
-            raise ValueError(f"lower central series dims {check.series_dims} are not filiform")
-        if not check.adapted:
+        # the series stops at 0 or where it stabilises, so its first n-1
+        # dims decide filiformity
+        dims = tuple(s.dim for s in algebra.lower_central_series())
+        expected = tuple(n - k - 1 for k in range(1, n))
+        if dims[: len(expected)] != expected:
+            raise ValueError(f"lower central series dims {dims} are not filiform")
+        if any(table[0][i] != unit_vector(i + 1, n) for i in range(1, n - 1)) or not all(
+            vec_is_zero(table[i][n - 2]) for i in range(2, n)
+        ):
             raise ValueError("basis is not adapted to the filiform chain")
         self.algebra = algebra
-        self.n = algebra.dim
+        self.n = n
 
 
 def model_filiform(n: int) -> FiliformAlgebra:
@@ -56,7 +68,7 @@ def model_filiform(n: int) -> FiliformAlgebra:
         table[0][i] = unit_vector(i + 1, n)
         table[i][0] = tuple(-x for x in unit_vector(i + 1, n))
     labels = [f"e{i+1}" for i in range(n)]
-    # FiliformAlgebra validates the Jacobi identity (filiform_check)
+    # FiliformAlgebra validates the Jacobi identity (validate_lie)
     return FiliformAlgebra(StructureAlgebra(n, labels, table))
 
 
@@ -117,23 +129,32 @@ def delta_map(fl: FiliformAlgebra) -> Matrix:
 
 
 def witnesses_are_automorphisms(fl: FiliformAlgebra) -> bool:
-    """phi_1 and every psi_beta, beta in Q(i), are automorphisms, from three
+    """phi_1 and every psi_beta, beta in Q(i), are automorphisms, from two
     bracket scans.  psi_beta = I + beta E with E the entries of psi_1:
 
     - the entries of psi_beta are beta times those of psi_1 (checked at
       beta = 0 and 2), so psi_0 = I and the bracket defect
-      [psi x, psi y] - psi [x, y] = beta D_1 + beta^2 D_2 vanishes for every
-      beta once it vanishes at beta = 1 and 2;
+      [psi x, psi y] - psi [x, y] = beta D_1 + beta^2 D_2, with
+      D_2(x, y) = [Ex, Ey];
+    - Ex lies in the span of the basis vectors e_r of the rows r that E's
+      entries occupy, and [e_r, e_s] = 0 for all such r, s (checked on the
+      stored structure constants), so D_2 = 0 and the defect vanishes for
+      every beta once the scan at beta = 1 shows D_1 = 0;
     - E lies strictly below the diagonal (checked), so every psi_beta is
       unitriangular, hence invertible.
 
     phi_1 gets the full automorphism check."""
-    psi = {b: PsiBeta(GaussianRational(b)) for b in range(3)}
-    e = {b: p.entries(fl) for b, p in psi.items()}
+    e = {b: PsiBeta(GaussianRational(b)).entries(fl) for b in range(3)}
     linear = all(v.is_zero() for v in e[0].values()) and e[2] == {k: v + v for k, v in e[1].items()}
     lower = all(r > c for r, c in e[1])
-    return linear and lower and phi_is_automorphism(fl, 1)[0] and all(
-        fl.algebra.failing_pair(psi[b].matrix(fl)) is None for b in (1, 2)
+    rows = {r for r, _ in e[1]}
+    commuting = all(vec_is_zero(fl.algebra.table[r][s]) for r in rows for s in rows)
+    return (
+        linear
+        and lower
+        and commuting
+        and phi_is_automorphism(fl, 1)[0]
+        and fl.algebra.failing_pair(PsiBeta(GR_ONE).matrix(fl)) is None
     )
 
 

@@ -1,5 +1,5 @@
-"""Structure-constant algebras: identities, ideals, quotients, filiformity,
-the bracket and the bracket-preservation check."""
+"""Structure-constant algebras: identities, ideals, quotients, the bracket
+and the bracket-preservation check."""
 
 import random
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from locaut.algebra import (
     StructureAlgebra,
-    filiform_check,
     unit_vector,
     vec_is_zero,
 )
@@ -166,43 +165,6 @@ def test_from_json_rejects_a_repeated_constant():
     data = {"dim": 2, "constants": [[0, 0, 1, "1"], [0, 0, 1, "2"]]}
     with pytest.raises(ValueError, match=r"\(0, 0, 1\) is given twice"):
         StructureAlgebra.from_json(data)
-
-
-def test_filiform_check_positive():
-    chk = filiform_check(model_filiform(4).algebra)
-    assert chk.is_lie and chk.filiform and chk.adapted
-    assert chk.series_dims == (2, 1, 0)
-
-
-def test_filiform_check_abelian_negative():
-    abelian = StructureAlgebra(4, [f"e{i}" for i in range(4)], zero_table(4))
-    chk = filiform_check(abelian)
-    assert chk.is_lie
-    assert not chk.filiform
-
-
-def test_filiform_check_shallow_negative():
-    # [e1,e2]=e3 in dim 4: nilpotent of class 2, not filiform
-    t = zero_table(4)
-    t[0][1] = unit_vector(2, 4)
-    t[1][0] = [-x for x in unit_vector(2, 4)]
-    chk = filiform_check(StructureAlgebra(4, ["a", "b", "c", "d"], t))
-    assert chk.is_lie
-    assert not chk.filiform
-
-
-def test_filiform_check_non_adapted_basis():
-    # same tower but the first chain step is scaled: still filiform, not adapted
-    n = 4
-    t = zero_table(n)
-    two_e3 = [x + x for x in unit_vector(2, n)]
-    t[0][1] = two_e3
-    t[1][0] = [-x for x in two_e3]
-    t[0][2] = unit_vector(3, n)
-    t[2][0] = [-x for x in unit_vector(3, n)]
-    chk = filiform_check(StructureAlgebra(n, ["e1", "e2", "e3", "e4"], t))
-    assert chk.filiform
-    assert not chk.adapted
 
 
 # -- bracket and automorphism_check against reference loops -----------------
@@ -465,7 +427,7 @@ def test_validate_lie_matches_full_scan_on_perturbed_lie_tables(name, data):
 @pytest.mark.parametrize("n", [3, 6, 10])
 def test_filiform_maps_match_full_scan(n):
     fl = model_filiform(n)
-    # phi_0 is delta; psi_0, psi_1, psi_2 are the maps the demo's proof scans
+    # phi_0 is delta; phi_1 and psi_1 are the maps the demo's proof scans
     maps = [PhiAlpha(GaussianRational(a)) for a in (0, 1, 2)]
     maps += [PsiBeta(GaussianRational(b)) for b in (0, 1, 2)]
     for family_map in maps:

@@ -46,6 +46,7 @@ def test_model_filiform_valid(n):
     assert all(
         x.is_zero() for x in fl.algebra.bracket(fl.algebra.unit(0), fl.algebra.unit(n - 1))
     )
+    assert [s.dim for s in fl.algebra.lower_central_series()] == list(range(n - 2, -1, -1))
 
 
 def test_model_filiform_validates_jacobi_once(monkeypatch):
@@ -66,24 +67,51 @@ def test_model_filiform_dimension_floor():
         model_filiform(2)
 
 
-def test_filiform_rejects_abelian():
-    n = 4
+def _table(n, brackets):
+    """The antisymmetric table with [e_i, e_j] = v for each (i, j): v."""
     table = [[[GR_ZERO] * n for _ in range(n)] for _ in range(n)]
-    with pytest.raises(ValueError):
-        FiliformAlgebra(StructureAlgebra(n, ["a", "b", "c", "d"], table))
+    for (i, j), v in brackets.items():
+        table[i][j] = tuple(v)
+        table[j][i] = tuple(-x for x in v)
+    return table
 
 
-def test_filiform_rejects_non_adapted():
-    # scale the first chain step: filiform but the basis is not adapted
-    n = 4
-    table = [[[GR_ZERO] * n for _ in range(n)] for _ in range(n)]
-    two_e3 = [x + x for x in unit_vector(2, n)]
-    table[0][1] = two_e3
-    table[1][0] = [-x for x in two_e3]
-    table[0][2] = unit_vector(3, n)
-    table[2][0] = [-x for x in unit_vector(3, n)]
-    with pytest.raises(ValueError):
-        FiliformAlgebra(StructureAlgebra(n, [f"e{i}" for i in range(n)], table))
+def _chain(n):
+    """The model's brackets [e1, e_i] = e_{i+1}."""
+    return {(0, i): unit_vector(i + 1, n) for i in range(1, n - 1)}
+
+
+def _with_a_square(table):
+    """table plus [e2, e2] = e3."""
+    table[1][1] = unit_vector(2, len(table))
+    return table
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # filiform and adapted, but not alternating
+        (_with_a_square(_table(4, _chain(4))), "not a Lie algebra"),
+        # [e1, e2] = e3, [e1, e3] = e4, [e2, e3] = e2: alternating and
+        # adapted, Jacobi fails on (e1, e2, e3), and [L, L] has dimension 3
+        (_table(4, {**_chain(4), (1, 2): unit_vector(1, 4)}), "not a Lie algebra"),
+        # abelian, and not adapted either
+        (_table(4, {}), r"lower central series dims \(0,\) are not filiform"),
+        # [e1, e2] = e3 in dimension 4: nilpotent of class 2
+        (_table(4, {(0, 1): unit_vector(2, 4)}), r"lower central series dims \(1, 0\) are not filiform"),
+        # the first chain step scaled by 2: filiform, but not adapted
+        (
+            _table(4, {**_chain(4), (0, 1): [x + x for x in unit_vector(2, 4)]}),
+            "basis is not adapted to the filiform chain",
+        ),
+    ],
+    ids=["non-alternating", "jacobi", "abelian", "class-two", "non-adapted"],
+)
+def test_filiform_rejects(table, message):
+    """Lie, then the series dimensions, then the adapted basis: the first
+    check that fails names itself."""
+    with pytest.raises(ValueError, match=message):
+        FiliformAlgebra(StructureAlgebra(4, [f"e{i + 1}" for i in range(4)], table))
 
 
 def test_phi_matrix_general_n():
@@ -204,20 +232,20 @@ def test_counterexample_demo_report():
     assert data["delta_is_automorphism"] is False
 
 
-def test_each_demo_scans_four_maps(counting):
-    """A demo scans delta once and proves the witness families from phi_1,
-    psi_1 and psi_2; no sample runs a scan."""
+def test_each_demo_scans_three_maps(counting):
+    """A demo scans delta once and proves the witness families from phi_1
+    and psi_1; no sample runs a scan."""
     fl = model_filiform(6)
     calls = counting(StructureAlgebra, "failing_pair")
     for seed in range(3):
         assert counterexample_demo(fl, samples=12, seed=seed).all_verified
-    scanned = [PhiAlpha(gr(0)), PhiAlpha(gr(1)), PsiBeta(gr(1)), PsiBeta(gr(2))]
+    scanned = [PhiAlpha(gr(0)), PhiAlpha(gr(1)), PsiBeta(gr(1))]
     assert [m for _, m in calls] == [f.matrix(fl) for f in scanned] * 3
 
 
 def test_a_demo_applies_no_matrix_and_builds_one_per_scan(counting):
     """Samples apply the maps entry-wise and the proof reads psi's entries:
-    a demo builds only the four matrices it scans, whatever its sample
+    a demo builds only the three matrices it scans, whatever its sample
     count, and never multiplies or applies a Matrix."""
     fl = model_filiform(6)
     matmuls = counting(Matrix, "__matmul__")
@@ -229,7 +257,7 @@ def test_a_demo_applies_no_matrix_and_builds_one_per_scan(counting):
         assert counterexample_demo(fl, samples=samples, seed=3).all_verified
         per_demo.append(len(builds) - before)
     assert matmuls == [] and applies == []
-    assert per_demo == [4, 4]
+    assert per_demo == [3, 3]
 
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -424,3 +452,23 @@ def test_a_psi_family_broken_only_at_beta_zero_fails_the_proof(monkeypatch):
     assert not map_is_automorphism(fl, PsiBeta(GR_ZERO).matrix(fl))[0]
     assert not witnesses_are_automorphisms(fl)
 
+
+def test_a_psi_family_in_non_commuting_rows_fails_the_proof(monkeypatch, counting):
+    """On the adapted filiform algebra [e1, e_i] = e_{i+1}, [e2, e3] = e5,
+    psi_beta = I + beta E with E's entries in rows e2..e5 passes the
+    linearity and triangularity checks, and phi_1 and psi_1 pass their
+    scans, but psi_2 breaks the bracket of (e1, e2): the quadratic term
+    [Ex, Ey] of the bracket defect is not zero, because [e2, e3] != 0.
+    Only the check on E's rows sees it, so the proof refuses the family
+    before scanning it."""
+    n = 5
+    table = _table(n, {**_chain(n), (1, 2): unit_vector(4, n)})
+    fl = FiliformAlgebra(StructureAlgebra(n, [f"e{i + 1}" for i in range(n)], table))
+    e = {(1, 0): 1, (2, 0): -1, (2, 1): -1, (3, 1): 1, (3, 2): -1, (4, 2): 1}
+    monkeypatch.setattr(PsiBeta, "entries", lambda self, fl: {k: self.beta * gr(v) for k, v in e.items()})
+    assert phi_is_automorphism(fl, 1)[0]
+    assert fl.algebra.failing_pair(PsiBeta(gr(1)).matrix(fl)) is None
+    assert fl.algebra.failing_pair(PsiBeta(gr(2)).matrix(fl)) == (0, 1)
+    scans = counting(StructureAlgebra, "failing_pair")
+    assert not witnesses_are_automorphisms(fl)
+    assert scans == []
