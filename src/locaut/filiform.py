@@ -7,16 +7,15 @@ drive everything here:
     phi_alpha(x) = x + alpha x_2 e_{n-1} + x_3 e_n
     psi_beta(u)  = u + beta u_2 e_n
 
-Both are the identity plus one or two entries, and each family keeps those
-entries, a {(row, column): value} dict, as its one source of truth;
-matrix(fl) builds the dense map only for a bracket scan.  psi_beta is an
-automorphism for every beta, phi_alpha only for alpha = 1.
-witnesses_are_automorphisms proves the psi family from its entries, which
-are linear in beta, strictly below the diagonal and in rows whose basis
-vectors commute, and one bracket scan, at beta = 1.  The map delta = phi_0
-is therefore not an automorphism, yet at every single point it agrees with
-phi_1 (when x_2 = 0) or with psi_{x_3/x_2} (otherwise), which makes it a
-local automorphism; each sample applies both maps entry-wise.
+Both are the identity plus one or two entries, a {(row, column): value}
+dict that each family keeps as its one source of truth (psi_beta's are
+beta times one stored E); matrix(fl) builds the dense map only for a
+bracket scan.  psi_beta is an automorphism for every beta, phi_alpha only
+for alpha = 1; witnesses_are_automorphisms proves both with one scan.  The
+map delta = phi_0 is therefore not an automorphism, yet at every single
+point it agrees with phi_1 (when x_2 = 0) or with psi_{x_3/x_2}
+(otherwise), which makes it a local automorphism; each sample applies both
+maps entry-wise.
 n = 3 is degenerate (e_{n-1} = e_2, so phi_alpha is diagonal rather than
 unitriangular) but the same conclusions hold and are checked literally
 rather than assumed.
@@ -38,11 +37,13 @@ class FiliformAlgebra:
     Filiform: a Lie algebra whose lower central series has dimensions
     n-2, n-3, ..., 0.  Adapted: [e_1, e_i] = e_{i+1} for 2 <= i <= n-1 and,
     as a consequence of filiformity, [e_i, e_{n-1}] = 0 for i >= 3
-    (1-indexed).  The constructor checks the three in that order and
-    raises ValueError at the first that fails."""
+    (1-indexed).  The constructor checks the dimension (n >= 3), then the
+    three in that order, and raises ValueError at the first that fails."""
 
     def __init__(self, algebra: StructureAlgebra):
         n, table = algebra.dim, algebra.table
+        if n < 3:
+            raise ValueError("filiform algebras need dimension >= 3")
         if algebra.validate_lie():
             raise ValueError("not a Lie algebra")
         # the series stops at 0 or where it stabilises, so its first n-1
@@ -87,12 +88,16 @@ class PhiAlpha:
 
 @dataclass(frozen=True)
 class PsiBeta:
-    """u + beta u_2 e_n in coordinates."""
+    """u + beta u_2 e_n in coordinates: I + beta E, E = direction(fl)."""
 
     beta: GaussianRational
 
+    @staticmethod
+    def direction(fl: FiliformAlgebra) -> dict:
+        return {(fl.n - 1, 1): GR_ONE}
+
     def entries(self, fl: FiliformAlgebra) -> dict:
-        return {(fl.n - 1, 1): self.beta}
+        return {k: self.beta * v for k, v in self.direction(fl).items()}
 
     def matrix(self, fl: FiliformAlgebra) -> Matrix:
         return _identity_plus(fl.n, self.entries(fl))
@@ -128,34 +133,28 @@ def delta_map(fl: FiliformAlgebra) -> Matrix:
     return PhiAlpha(GR_ZERO).matrix(fl)
 
 
-def witnesses_are_automorphisms(fl: FiliformAlgebra) -> bool:
-    """phi_1 and every psi_beta, beta in Q(i), are automorphisms, from two
-    bracket scans.  psi_beta = I + beta E with E the entries of psi_1:
-
-    - the entries of psi_beta are beta times those of psi_1 (checked at
-      beta = 0 and 2), so psi_0 = I and the bracket defect
-      [psi x, psi y] - psi [x, y] = beta D_1 + beta^2 D_2, with
-      D_2(x, y) = [Ex, Ey];
-    - Ex lies in the span of the basis vectors e_r of the rows r that E's
-      entries occupy, and [e_r, e_s] = 0 for all such r, s (checked on the
-      stored structure constants), so D_2 = 0 and the defect vanishes for
-      every beta once the scan at beta = 1 shows D_1 = 0;
-    - E lies strictly below the diagonal (checked), so every psi_beta is
-      unitriangular, hence invertible.
-
-    phi_1 gets the full automorphism check."""
-    e = {b: PsiBeta(GaussianRational(b)).entries(fl) for b in range(3)}
-    linear = all(v.is_zero() for v in e[0].values()) and e[2] == {k: v + v for k, v in e[1].items()}
-    lower = all(r > c for r, c in e[1])
-    rows = {r for r, _ in e[1]}
-    commuting = all(vec_is_zero(fl.algebra.table[r][s]) for r in rows for s in rows)
+def _every_multiple_is_automorphism(algebra: StructureAlgebra, e) -> bool:
+    """I + beta E is an automorphism for every beta in Q(i), read from the
+    structure constants.  Its bracket defect is
+    beta ([Ex, y] + [x, Ey] - E[x, y]) + beta^2 [Ex, Ey]: E's rows r are
+    central ([e_r, e_s] = [e_s, e_r] = 0 for every s), so the brackets with
+    Ex or Ey vanish, and no structure constant has a component in E's
+    columns, so E[x, y] vanishes.  E strictly lower makes it invertible."""
+    table, dim = algebra.table, algebra.dim
     return (
-        linear
-        and lower
-        and commuting
-        and phi_is_automorphism(fl, 1)[0]
-        and fl.algebra.failing_pair(PsiBeta(GR_ONE).matrix(fl)) is None
+        all(vec_is_zero(table[r][s]) and vec_is_zero(table[s][r]) for r, _ in e for s in range(dim))
+        and all(table[i][j][c].is_zero() for i in range(dim) for j in range(dim) for _, c in e)
+        and all(r > c for r, c in e)
     )
+
+
+def witnesses_are_automorphisms(fl: FiliformAlgebra) -> bool:
+    """phi_1 and every psi_beta, beta in Q(i), are automorphisms: every
+    psi_beta from the one stored E, with no scan, then phi_1 by its one
+    bracket scan.  The checks on E = e_n e_2^T hold on any adapted filiform
+    algebra: e_n spans the last nonzero term of the lower central series, so
+    it is central, and [L, L] = span(e_3..e_n) has no e_2 component."""
+    return _every_multiple_is_automorphism(fl.algebra, PsiBeta.direction(fl)) and phi_is_automorphism(fl, 1)[0]
 
 
 def _pick_witness(fl: FiliformAlgebra, x):

@@ -427,7 +427,7 @@ def test_validate_lie_matches_full_scan_on_perturbed_lie_tables(name, data):
 @pytest.mark.parametrize("n", [3, 6, 10])
 def test_filiform_maps_match_full_scan(n):
     fl = model_filiform(n)
-    # phi_0 is delta; phi_1 and psi_1 are the maps the demo's proof scans
+    # phi_0 is delta, phi_1 the map the demo's proof scans, psi_beta a witness
     maps = [PhiAlpha(GaussianRational(a)) for a in (0, 1, 2)]
     maps += [PsiBeta(GaussianRational(b)) for b in (0, 1, 2)]
     for family_map in maps:

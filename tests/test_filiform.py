@@ -19,6 +19,7 @@ from locaut.filiform import (
     PhiAlpha,
     PsiBeta,
     _apply_entries,
+    _every_multiple_is_automorphism,
     _identity_plus,
     delta_map,
     filiform_local_witness,
@@ -30,6 +31,7 @@ from locaut.filiform import (
     witnesses_are_automorphisms,
 )
 from locaut.linalg import Matrix
+from test_algebra import full_scan_automorphism_check
 
 
 def gr(x):
@@ -79,6 +81,29 @@ def _table(n, brackets):
 def _chain(n):
     """The model's brackets [e1, e_i] = e_{i+1}."""
     return {(0, i): unit_vector(i + 1, n) for i in range(1, n - 1)}
+
+
+def _algebra(n, brackets):
+    return StructureAlgebra(n, [f"e{i + 1}" for i in range(n)], _table(n, brackets))
+
+
+def _filiform(n, brackets):
+    """The adapted filiform algebra with the chain plus brackets."""
+    return FiliformAlgebra(_algebra(n, {**_chain(n), **brackets}))
+
+
+# [e1, e_i] = e_{i+1} and [e2, e3] = e5
+E23 = (5, {(1, 2): unit_vector(4, 5)})
+# Q_6: [e1, e_i] = e_{i+1} and [e_i, e_{7-i}] = (-1)^i e6
+Q6 = (6, {(1, 4): unit_vector(5, 6), (2, 3): tuple(-x for x in unit_vector(5, 6))})
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_filiform_refuses_dimensions_below_three(n):
+    """The abelian algebras of dimension 1 and 2 have no e_3 for phi and psi
+    to reach: refused before any other check, as model_filiform refuses."""
+    with pytest.raises(ValueError, match=r"filiform algebras need dimension >= 3"):
+        FiliformAlgebra(_algebra(n, {}))
 
 
 def _with_a_square(table):
@@ -232,21 +257,21 @@ def test_counterexample_demo_report():
     assert data["delta_is_automorphism"] is False
 
 
-def test_each_demo_scans_three_maps(counting):
-    """A demo scans delta once and proves the witness families from phi_1
-    and psi_1; no sample runs a scan."""
+def test_each_demo_scans_delta_and_phi_1(counting):
+    """A demo scans delta once and proves the witness families with one
+    scan, of phi_1; the psi family and the samples run none."""
     fl = model_filiform(6)
     calls = counting(StructureAlgebra, "failing_pair")
     for seed in range(3):
         assert counterexample_demo(fl, samples=12, seed=seed).all_verified
-    scanned = [PhiAlpha(gr(0)), PhiAlpha(gr(1)), PsiBeta(gr(1))]
+    scanned = [PhiAlpha(gr(0)), PhiAlpha(gr(1))]
     assert [m for _, m in calls] == [f.matrix(fl) for f in scanned] * 3
 
 
 def test_a_demo_applies_no_matrix_and_builds_one_per_scan(counting):
-    """Samples apply the maps entry-wise and the proof reads psi's entries:
-    a demo builds only the three matrices it scans, whatever its sample
-    count, and never multiplies or applies a Matrix."""
+    """Samples apply the maps entry-wise and the proof reads psi's stored E:
+    a demo builds only the two matrices it scans, whatever its sample count,
+    and never multiplies or applies a Matrix."""
     fl = model_filiform(6)
     matmuls = counting(Matrix, "__matmul__")
     applies = counting(Matrix, "apply")
@@ -257,7 +282,7 @@ def test_a_demo_applies_no_matrix_and_builds_one_per_scan(counting):
         assert counterexample_demo(fl, samples=samples, seed=3).all_verified
         per_demo.append(len(builds) - before)
     assert matmuls == [] and applies == []
-    assert per_demo == [3, 3]
+    assert per_demo == [2, 2]
 
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -311,9 +336,56 @@ def test_the_psi_family_is_linear_unitriangular_and_preserves_brackets(data):
     assert fl.algebra.failing_pair(psi) is None
 
 
-def _psi_on_e_n_minus_1(self, fl):
-    """u + beta u_2 e_{n-1}: breaks [e_1, e_2] = e_3 for beta != 0."""
-    return {(fl.n - 2, 1): self.beta}
+def _store(monkeypatch, direction):
+    """Rebind the one stored E, so every psi_beta is I + beta direction(fl)."""
+    monkeypatch.setattr(PsiBeta, "direction", staticmethod(direction))
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_every_psi_beta_is_beta_times_the_one_stored_e(monkeypatch, n):
+    """psi_beta's entries and matrix are built from E alone, so the family
+    is linear in beta by construction, whatever E is stored."""
+    fl = model_filiform(n)
+    assert PsiBeta.direction(fl) == {(n - 1, 1): GR_ONE}
+    stored = {(n - 1, 1): GR_ONE, (n - 1, 0): gr(Fraction(2, 3)), (1, 2): -GR_ONE}
+    for e in (PsiBeta.direction(fl), stored):
+        _store(monkeypatch, lambda fl, e=e: dict(e))
+        dense = Matrix([[e.get((i, j), GR_ZERO) for j in range(n)] for i in range(n)])
+        for b in (0, 1, 2, 3, Fraction(-1, 2)):
+            beta = gr(b)
+            assert PsiBeta(beta).entries(fl) == {k: beta * v for k, v in e.items()}
+            assert PsiBeta(beta).matrix(fl) == Matrix.identity(n) + dense * beta
+
+
+def test_the_proof_reads_e_once_and_scans_no_psi(monkeypatch, counting):
+    """The psi family is proved from the stored E and the structure
+    constants: one read of E, no psi_beta built, and the one bracket scan
+    is phi_1's."""
+    fl = model_filiform(6)
+    reads = []
+    direction = PsiBeta.direction
+    _store(monkeypatch, lambda fl: reads.append(fl) or direction(fl))
+    entries = counting(PsiBeta, "entries")
+    scans = counting(StructureAlgebra, "failing_pair")
+    assert witnesses_are_automorphisms(fl)
+    assert reads == [fl] and entries == []
+    assert [m for _, m in scans] == [PhiAlpha(GR_ONE).matrix(fl)]
+
+
+@pytest.mark.parametrize("case", [E23, Q6], ids=["e2e3", "Q6"])
+@settings(max_examples=15, deadline=None)
+@given(beta=scalars)
+def test_the_proof_holds_beyond_the_model_algebra(case, beta):
+    """The proof reads the structure constants, not L_n's: on two other
+    adapted filiform algebras it holds, and a dense scan agrees at beta."""
+    fl = _filiform(*case)
+    assert witnesses_are_automorphisms(fl)
+    assert full_scan_automorphism_check(fl.algebra, PsiBeta(beta).matrix(fl)) == (True, None)
+
+
+def _e_n_minus_1_direction(fl):
+    """E = e_{n-1} e_2^T: psi_beta breaks [e_1, e_2] = e_3 for beta != 0."""
+    return {(fl.n - 2, 1): GR_ONE}
 
 
 def _run_filiform_sweep(argv):
@@ -325,7 +397,8 @@ def _run_filiform_sweep(argv):
 
 
 def test_a_broken_psi_family_is_reported_not_verified(monkeypatch, capsys):
-    monkeypatch.setattr(PsiBeta, "entries", _psi_on_e_n_minus_1)
+    """E's row e_{n-1} is not central: [e_1, e_{n-1}] = e_n."""
+    _store(monkeypatch, _e_n_minus_1_direction)
     fl = model_filiform(6)
     assert not witnesses_are_automorphisms(fl)
     assert counterexample_demo(fl, samples=12, seed=3).all_verified is False
@@ -365,10 +438,10 @@ def test_a_delta_that_passes_the_bracket_check_is_reported_not_verified(monkeypa
 
 
 def test_a_witness_that_misses_delta_is_caught_by_sampling(monkeypatch):
-    """psi_{2 beta} is still an automorphism, so the proof holds; only the
-    per-sample comparison with delta sees the wrong witness."""
-    entries = PsiBeta.entries
-    monkeypatch.setattr(PsiBeta, "entries", lambda self, fl: entries(PsiBeta(self.beta + self.beta), fl))
+    """E doubled gives psi_{2 beta}, still an automorphism, so the proof
+    holds; only the per-sample comparison with delta sees the wrong
+    witness."""
+    _store(monkeypatch, lambda fl: {(fl.n - 1, 1): gr(2)})
     fl = model_filiform(6)
     assert witnesses_are_automorphisms(fl)
     assert counterexample_demo(fl, samples=12, seed=3).all_verified is False
@@ -376,96 +449,47 @@ def test_a_witness_that_misses_delta_is_caught_by_sampling(monkeypatch):
         filiform_local_witness(fl, (gr(1), gr(1), gr(1), gr(0), gr(0), gr(0)))
 
 
-def test_a_family_that_matches_delta_everywhere_still_needs_the_proof(monkeypatch):
-    """u + beta u_2 e_n + (beta u_2 - u_3) e_{n-1} equals delta at every
-    point where it is picked (beta = x_3 / x_2), but breaks [e_1, e_2] = e_3:
-    only the proof sees it, so all_verified reads it."""
-    entries = PsiBeta.entries
-
-    def matches_delta(self, fl):
-        return {**entries(self, fl), (fl.n - 2, 1): self.beta, (fl.n - 2, 2): -GR_ONE}
-
-    monkeypatch.setattr(PsiBeta, "entries", matches_delta)
+def test_a_singular_psi_family_fails_the_proof(monkeypatch, counting):
+    """E = -(I - e_1 e_1^T): u -> u_1 e_1 + (1 - beta) (u - u_1 e_1)
+    preserves every bracket of L_6 but is singular at beta = 1.  Its rows
+    are not central, so the proof refuses it before any scan.  On an abelian
+    algebra every row is central and no bracket reads a column, so there
+    only the triangularity check refuses a diagonal E."""
+    _store(monkeypatch, lambda fl: {(i, i): -GR_ONE for i in range(1, fl.n)})
     fl = model_filiform(6)
-    rep = counterexample_demo(fl, samples=12, seed=3)
-    assert rep.psi_witnesses > 0 and rep.all_verified is False
-    with pytest.raises(InternalCheckError, match="automorphism check"):
-        filiform_local_witness(fl, (gr(1), gr(1), gr(2), gr(0), gr(0), gr(0)))
-
-
-def test_a_singular_psi_family_fails_the_proof(monkeypatch):
-    """u -> u_1 e_1 + (1 - beta) (u - u_1 e_1) preserves every bracket and
-    is linear in beta, but singular at beta = 1: its entries lie on the
-    diagonal, and only the triangularity check catches it."""
-    def scaled(self, fl):
-        return {(i, i): -self.beta for i in range(1, fl.n)}
-
-    monkeypatch.setattr(PsiBeta, "entries", scaled)
-    assert not witnesses_are_automorphisms(model_filiform(6))
-
-
-def test_a_psi_family_quadratic_in_beta_fails_the_proof(monkeypatch):
-    """exp(beta ad e_1) on the 4-dimensional algebra has the entry beta^2 / 2.
-    It is unitriangular and passes the bracket and psi_beta psi_{-beta} = 1
-    checks at beta = 0, 1, 2, but two bracket scans prove the family only
-    when its entries are linear in beta: psi_2's entries are not twice
-    psi_1's, so the proof refuses it."""
-    def exp_ad_e1(self, fl):
-        b = self.beta
-        return {(2, 1): b, (3, 1): b * b * gr(Fraction(1, 2)), (3, 2): b}
-
-    monkeypatch.setattr(PsiBeta, "entries", exp_ad_e1)
-    fl = model_filiform(4)
-    psi = {b: PsiBeta(gr(b)).matrix(fl) for b in range(-2, 3)}
-    for b in range(3):
-        assert fl.algebra.failing_pair(psi[b]) is None and psi[b] @ psi[-b] == Matrix.identity(4)
+    assert fl.algebra.failing_pair(PsiBeta(GR_ONE).matrix(fl)) is None
+    scans = counting(StructureAlgebra, "failing_pair")
     assert not witnesses_are_automorphisms(fl)
+    assert scans == []
+
+    abelian = _algebra(3, {})
+    assert not _every_multiple_is_automorphism(abelian, {(i, i): -GR_ONE for i in range(1, 3)})
+    assert _every_multiple_is_automorphism(abelian, {(2, 1): -GR_ONE, (1, 0): GR_ONE})
 
 
-def test_an_affine_psi_family_of_automorphisms_fails_the_proof(monkeypatch, counting):
-    """u + (u_1 + beta u_2) e_n is an automorphism for every beta (e_n is
-    central and no bracket has an e_1 or e_2 part), but psi_0 != I, so the
-    entries are not beta times psi_1's and the proof refuses the family
-    before scanning it."""
-    def affine(self, fl):
-        return {(fl.n - 1, 0): GR_ONE, (fl.n - 1, 1): self.beta}
-
-    monkeypatch.setattr(PsiBeta, "entries", affine)
+def test_a_psi_family_reading_a_bracket_column_fails_the_proof(monkeypatch, counting):
+    """E = e_n e_3^T on L_6: its row e_6 is central and it is strictly lower,
+    but [e_1, e_2] = e_3 has a component in its column, so psi_1 breaks that
+    bracket.  Only the column check sees it, before any scan."""
+    _store(monkeypatch, lambda fl: {(fl.n - 1, 2): GR_ONE})
     fl = model_filiform(6)
-    for b in (0, 1, 2, -3):
-        assert map_is_automorphism(fl, PsiBeta(gr(b)).matrix(fl)) == (True, None)
+    assert full_scan_automorphism_check(fl.algebra, PsiBeta(GR_ONE).matrix(fl)) == (False, (0, 1))
     scans = counting(StructureAlgebra, "failing_pair")
     assert not witnesses_are_automorphisms(fl)
     assert scans == []
 
 
-def test_a_psi_family_broken_only_at_beta_zero_fails_the_proof(monkeypatch):
-    """u + (beta - 1)(beta - 2) u_2 e_{n-1} is the identity at beta = 1 and
-    2, so both scans pass and psi_2's entries are twice psi_1's (all zero),
-    but psi_0 breaks [e_1, e_2] = e_3: only the check psi_0 = I refuses it."""
-    def broken_at_zero(self, fl):
-        b = self.beta
-        return {(fl.n - 2, 1): (b - GR_ONE) * (b - gr(2))}
-
-    monkeypatch.setattr(PsiBeta, "entries", broken_at_zero)
-    fl = model_filiform(6)
-    assert not map_is_automorphism(fl, PsiBeta(GR_ZERO).matrix(fl))[0]
-    assert not witnesses_are_automorphisms(fl)
-
-
 def test_a_psi_family_in_non_commuting_rows_fails_the_proof(monkeypatch, counting):
     """On the adapted filiform algebra [e1, e_i] = e_{i+1}, [e2, e3] = e5,
-    psi_beta = I + beta E with E's entries in rows e2..e5 passes the
-    linearity and triangularity checks, and phi_1 and psi_1 pass their
-    scans, but psi_2 breaks the bracket of (e1, e2): the quadratic term
-    [Ex, Ey] of the bracket defect is not zero, because [e2, e3] != 0.
-    Only the check on E's rows sees it, so the proof refuses the family
-    before scanning it."""
-    n = 5
-    table = _table(n, {**_chain(n), (1, 2): unit_vector(4, n)})
-    fl = FiliformAlgebra(StructureAlgebra(n, [f"e{i + 1}" for i in range(n)], table))
+    psi_beta = I + beta E with E's entries in rows e2..e5 is strictly
+    lower, and phi_1 and psi_1 pass their scans, but psi_2 breaks the
+    bracket of (e1, e2): the quadratic term [Ex, Ey] of the bracket defect
+    is not zero, because [e2, e3] != 0.  E's rows are not central (and
+    [e1, e2] = e3 reads its column e3), so the proof refuses the family
+    before any scan."""
+    fl = _filiform(*E23)
     e = {(1, 0): 1, (2, 0): -1, (2, 1): -1, (3, 1): 1, (3, 2): -1, (4, 2): 1}
-    monkeypatch.setattr(PsiBeta, "entries", lambda self, fl: {k: self.beta * gr(v) for k, v in e.items()})
+    _store(monkeypatch, lambda fl: {k: gr(v) for k, v in e.items()})
     assert phi_is_automorphism(fl, 1)[0]
     assert fl.algebra.failing_pair(PsiBeta(gr(1)).matrix(fl)) is None
     assert fl.algebra.failing_pair(PsiBeta(gr(2)).matrix(fl)) == (0, 1)
