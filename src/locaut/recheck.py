@@ -4,14 +4,18 @@ Most checks recompute claims from first principles: a nonzero determinant
 comes from a full rank mod p by this module's own elimination
 (full_rank_mod_p), with linalg.det only where that proves nothing; a
 stored probe polynomial is checked, not recomputed, by Newton's power sums
-(_is_charpoly); a shape x -> epsilon a sigma(x) a^-1 is checked by the
-product identity epsilon a sigma(x) = y a, with no inverse, and a != 0
-(by Schur's lemma) or, for a pointwise witness, det(a) != 0; brackets
-come straight from structure constants, and a stored vector must equal
-the recomputed one entry for entry, length included.  Some reuse decision
-code: no_shape_fits re-runs fit_shape_family, the root-image fit (the
-candidate read off the rank-one corner image and the simple root vectors,
-checked by CanonicalShape.apply), on exactly the model's families, in the
+(_is_charpoly); a shape x -> epsilon a sigma(x) a^-1 of a positive
+verdict or an S-block is checked in O(n^4) with no matrix inverse: the
+rows of W = epsilon a^-1 are read off the map's own root images, one
+product W a = epsilon 1 proves them right and a invertible, and each
+basis image must equal its outer products (recheck_shape); a pointwise
+witness is checked by the one identity epsilon a sigma(x) = Delta(x) a
+and det(a) != 0; brackets come straight from structure constants, and a
+stored vector must equal the recomputed one entry for entry, length
+included.  Some reuse decision code: no_shape_fits re-runs
+fit_shape_family, the root-image fit (the candidate read off the rank-one
+corner image and the simple root vectors, checked by
+CanonicalShape.apply), on exactly the model's families, in the
 classifier's order; the block lemma reads leibniz.is_irreducible, the
 module's one highest-weight line (RightModule.highest_weight_line, solved
 once per module), and the weight certificate reads weights with
@@ -173,27 +177,87 @@ def _recheck_kernel_vector(m: Matrix, vker):
     _need(all(x.is_zero() for x in m.apply(vker)), "kernel vector not annihilated")
 
 
-def _recheck_conjugation(model: SlnModel, shape: CanonicalShape, pairs, msg: str):
-    """epsilon a sigma(x) = y a, so epsilon a sigma(x) a^-1 = y once a is
-    shown invertible, for each pair (x, y) of n x n matrices."""
-    a = shape.a
-    _need(isinstance(a, Matrix) and a.nrows == a.ncols == model.n, "conjugator has the wrong size")
-    for x, y in pairs:
-        img = a @ (x.T if shape.sigma == SIGMA_T else x)
-        _need((img if shape.epsilon == 1 else -img) == y @ a, msg)
+def _is_outer_sum(y: Matrix, terms) -> bool:
+    """y is the sum of c u w over the triples (c, u, w) of terms: c a Q(i)
+    scalar, u a column and w a row of Q(i) scalars, u w their outer
+    product.  Each entry's sum is built over a running common denominator,
+    as in linalg._dot, and compared with y's entry by cross-multiplying, so
+    no scalar is built or reduced."""
+    for r, y_row in enumerate(y.data):
+        xs = []
+        for c, u, w in terms:
+            x = u[r]
+            if x.a or x.b:
+                xs.append((c.a * x.a - c.b * x.b, c.a * x.b + c.b * x.a, c.d * x.d, w))
+        if not xs:
+            if any(z.a or z.b for z in y_row):
+                return False
+            continue
+        for s, z in enumerate(y_row):
+            sa = sb = 0
+            sd = 1
+            for xa, xb, xd, w in xs:
+                v = w[s]
+                va, vb = v.a, v.b
+                if xb or vb:
+                    ta, tb = xa * va - xb * vb, xa * vb + xb * va
+                else:
+                    ta, tb = xa * va, 0
+                td = xd * v.d
+                if td == sd:
+                    sa += ta
+                    sb += tb
+                else:
+                    sa, sb, sd = sa * td + ta * sd, sb * td + tb * sd, sd * td
+            if sa * z.d != z.a * sd or sb * z.d != z.b * sd:
+                return False
+    return True
 
 
 def recheck_shape(model: SlnModel, images, shape: CanonicalShape):
-    """The shape reproduces the map's basis images (classify.basis_images).
-    ker a is then invariant under sigma(sl_n) = sl_n (M_n on M_n), which
-    acts irreducibly on Q(i)^n, so a != 0 is invertible by Schur's lemma."""
-    _recheck_conjugation(model, shape, zip(model.basis, images), "shape does not reproduce the map")
-    _need(not shape.a.is_zero(), "conjugator is zero")
+    """The shape reproduces the map's basis images (classify.basis_images),
+    checked in O(n^4) with one matrix product and no matrix inverse.
+
+    A sigma(b) with the one nonzero entry c at (p, q) must go to Delta(b) =
+    c (column p of a)(row q of W), W = epsilon a^-1; every root vector of
+    sl_n and every unit of M_n has this form, so each q is reached.  For
+    the first such b, with k the first nonzero entry of column p of a, row
+    q of W is read off as row k of Delta(b) over c a_kp.  Then one product
+    proves the rest:
+    W a = epsilon 1  =>  a is invertible and W = epsilon a^-1
+                     =>  sum c (column p of a)(row q of W), over the
+                         entries (p, q, c) of sigma(b), is
+                         epsilon a sigma(b) a^-1,
+    so its equality with Delta(b), entry by entry at every basis element b,
+    makes Delta the shape's map.  W comes from the map's images, not from
+    the decision's inverse, so a fault in the one does not hide in the
+    other."""
+    a = shape.a
+    n = model.n
+    _need(isinstance(a, Matrix) and a.nrows == a.ncols == n, "conjugator has the wrong size")
+    _need(not a.is_zero(), "conjugator is zero")
+    cols = a.T.data
+    flip = shape.sigma == SIGMA_T
+    entries = [[(q, p, c) for p, q, c in es] for es in model.basis_entries] if flip else model.basis_entries
+    rows = [None] * n
+    for es, y in zip(entries, images):
+        if len(es) == 1 and rows[es[0][1]] is None:
+            p, q, c = es[0]
+            k = next((k for k, x in enumerate(cols[p]) if x.a or x.b), None)
+            _need(k is not None, "shape does not reproduce the map")
+            s = (c * cols[p][k]).inverse()
+            rows[q] = tuple(x * s for x in y.data[k])
+    e = GR_ONE if shape.epsilon == 1 else -GR_ONE
+    one = tuple(tuple(e if i == j else GR_ZERO for j in range(n)) for i in range(n))
+    _need((Matrix._of_rows(tuple(rows)) @ a).data == one, "shape does not reproduce the map")
+    for es, y in zip(entries, images):
+        _need(_is_outer_sum(y, [(c, cols[p], rows[q]) for p, q, c in es]), "shape does not reproduce the map")
 
 
 def recheck_witness_at(model: SlnModel, d: Matrix, x: Matrix, shape: CanonicalShape):
-    """A pointwise witness: the shape agrees with the map at x exactly.  One
-    pair says nothing of ker a, so det(a) != 0, by a full rank mod p
+    """A pointwise witness: epsilon a sigma(x) = Delta(x) a, so the shape
+    agrees with the map at x exactly once a is invertible.  One pair says
+    nothing of ker a, so det(a) != 0, by a full rank mod p
     (full_rank_mod_p), or by exact elimination (linalg.det) when p divides a
     denominator or the image mod p is singular, which for a random a happens
     with probability about n/p.  On the seed-1 sln-witness conjugators,
@@ -201,8 +265,11 @@ def recheck_witness_at(model: SlnModel, d: Matrix, x: Matrix, shape: CanonicalSh
     Laplace expansion takes 0.008 / 0.12 / 0.53 ms, and the whole recheck
     0.069 / 0.13 / 0.24 ms; a power-sum det (0.071 / 0.22 / 0.64 ms) or a
     carried a^-1 would cost more."""
-    _recheck_conjugation(model, shape, [(x, model.apply_map(d, x))], "witness does not match the map at x")
-    _need(full_rank_mod_p(shape.a) or not det(shape.a).is_zero(), "conjugator is singular")
+    y, a = model.apply_map(d, x), shape.a
+    _need(isinstance(a, Matrix) and a.nrows == a.ncols == model.n, "conjugator has the wrong size")
+    img = a @ (x.T if shape.sigma == SIGMA_T else x)
+    _need((img if shape.epsilon == 1 else -img) == y @ a, "witness does not match the map at x")
+    _need(full_rank_mod_p(a) or not det(a).is_zero(), "conjugator is singular")
 
 
 def _is_charpoly(m: Matrix, p) -> bool:

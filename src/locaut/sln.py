@@ -35,6 +35,15 @@ class MatrixModel:
         return tuple(self._index[b.T] for b in self.basis)
 
     @cached_property
+    def basis_entries(self) -> tuple:
+        """basis_entries[k] holds the nonzero entries (p, q, c) of basis[k],
+        in row-major order."""
+        return tuple(
+            tuple((p, q, c) for p, row in enumerate(b.data) for q, c in enumerate(row) if c.a or c.b)
+            for b in self.basis
+        )
+
+    @cached_property
     def generator_indices(self) -> tuple:
         """Basis indices of e_k,k+1 and e_k+1,k for k < n - 1, in that order.
         On sl_n they are the Chevalley generators, which generate it under

@@ -9,12 +9,19 @@ from functools import cached_property
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from locaut import algebra, classify, cli, filiform, leibniz, linalg, recheck, sln
 from locaut.algebra import unit_vector
-from locaut.classify import automorphism_shape, classify_sln, classify_mn, pointwise_witness, random_unimodular
+from locaut.classify import (
+    automorphism_shape,
+    basis_images,
+    classify_mn,
+    classify_sln,
+    pointwise_witness,
+    random_unimodular,
+)
 from locaut.exact import GR_ONE, GR_ZERO, GaussianRational, Polynomial
 from locaut.leibniz import (
     BlockMap,
@@ -41,7 +48,7 @@ from locaut.recheck import (
     recheck_sln_verdict,
     recheck_witness_at,
 )
-from locaut.sln import SIGMA_ID, SIGMA_T, CanonicalShape, MnModel, SlnModel, shape_map_matrix
+from locaut.sln import SHAPE_FAMILIES, SIGMA_ID, SIGMA_T, CanonicalShape, MnModel, SlnModel, shape_map_matrix
 
 
 def gr(x):
@@ -696,12 +703,14 @@ def test_recheck_shape_runs_once_per_distinct_shape(monkeypatch, n, calls):
 
 
 def test_positive_verdicts_and_witnesses_invert_nothing(counting):
-    """Shapes are checked by epsilon a sigma(x) = y a, and a positive
-    verdict's conjugator and I-block are invertible by Schur's lemma, so no
-    positive sl_n or Leibniz verdict, extension or weight certificate's
-    reducer is rechecked with an inverse or a determinant; a pointwise
-    witness takes exactly one full rank mod p, on its conjugator, with no
-    Laplace determinant, no exact fallback and no linalg.is_nonsingular."""
+    """A shape is checked by reading the rows of W = epsilon a^-1 off the
+    map's root images, one scalar division each, and one product
+    W a = epsilon 1, which makes a invertible; an I-block is invertible by
+    Schur's lemma.  So no positive sl_n or Leibniz verdict, extension or
+    weight certificate's reducer is rechecked with a matrix inverse or a
+    determinant; a pointwise witness takes exactly one full rank mod p, on
+    its conjugator, with no Laplace determinant, no exact fallback and no
+    linalg.is_nonsingular."""
     rng = random.Random(19)
     cases = []
     for n in (2, 3, 4):
@@ -748,10 +757,10 @@ def test_positive_verdicts_and_witnesses_invert_nothing(counting):
 
 def test_positive_recheck_at_n_9_takes_no_determinant(counting):
     """A conjugator's Laplace determinant has up to n! terms; the positive
-    recheck shows it invertible by Schur's lemma instead, so both
-    automorphism families recheck at n = 9, where the expansion would have
-    up to 9! = 362880.  The maps come from shape_map_matrix, so no decision
-    runs."""
+    recheck shows it invertible by the one product W a = epsilon 1 instead,
+    so both automorphism families recheck at n = 9, where the expansion
+    would have up to 9! = 362880.  The maps come from shape_map_matrix, so
+    no decision runs."""
     model = SlnModel(9)
     a = random_unimodular(9, random.Random(9))
     claims = []
@@ -783,6 +792,236 @@ def test_positive_verdict_with_a_bad_conjugator_rejected(a, message):
     bad = replace(v.shape, a=a)
     with pytest.raises(RecheckError, match=message):
         recheck_sln_verdict(m2, d, replace(v, shape=bad, shapes=(bad,)))
+
+
+# -- the shape check: W = epsilon a^-1 read off the images, one product -----
+
+
+def _shape_case(n=3, eps=1, sigma=SIGMA_ID, a=None):
+    """sl_n, a shape with the conjugator a (by default a seeded unimodular
+    one), and its map's basis images."""
+    model = SlnModel(n)
+    shape = CanonicalShape(eps, sigma, a or random_unimodular(n, random.Random(39)))
+    return model, shape, basis_images(model, shape_map_matrix(model, shape))
+
+
+def _bumped(images, k, m):
+    """images with m added to the image of basis element k."""
+    return [y + m if i == k else y for i, y in enumerate(images)]
+
+
+def _w_source(model, shape):
+    """The basis index of e_12, the first root vector sigma(b) with its entry
+    in column 1 (0-based), and the first nonzero row k of column 0 of a: the
+    row of Delta(e_12) that row 1 of W is read from."""
+    k = next(r for r in range(model.n) if not shape.a[r, 0].is_zero())
+    return model.basis.index(model.e(0, 1)), k
+
+
+def test_root_image_altered_in_the_row_w_is_read_from_rejected(counting):
+    """The altered row becomes a wrong row of W, so W a = epsilon 1 fails and
+    no image is compared."""
+    model, shape, images = _shape_case()
+    b, k = _w_source(model, shape)
+    bad = _bumped(images, b, sln._unit_matrix(3, k, (k + 1) % 3))
+    compared = counting(recheck, "_is_outer_sum")
+    with pytest.raises(RecheckError, match="shape does not reproduce the map"):
+        recheck.recheck_shape(model, bad, shape)
+    assert compared == []
+
+
+@pytest.mark.parametrize("other", [1, 2])
+def test_root_image_altered_in_another_row_rejected(counting, other):
+    """W is read right, W a = epsilon 1 holds, and the image itself differs
+    from its outer product by i in row 1, where column 0 of a is nonzero,
+    or in row 2, where it is zero and the image's row must be too."""
+    a = Matrix(((1, 0, 0), (1, 1, 0), (0, 1, 1)))
+    model, shape, images = _shape_case(a=a)
+    b, k = _w_source(model, shape)
+    assert k == 0
+    bad = _bumped(images, b, sln._unit_matrix(3, other, k) * GaussianRational(0, 1))
+    compared = counting(recheck, "_is_outer_sum")
+    with pytest.raises(RecheckError, match="shape does not reproduce the map"):
+        recheck.recheck_shape(model, bad, shape)
+    assert compared
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_only_a_cartan_image_altered_rejected(k):
+    """No row of W comes from h_k, and its image is compared all the same."""
+    model, shape, images = _shape_case()
+    h = len(model.off_pairs) + k
+    with pytest.raises(RecheckError, match="shape does not reproduce the map"):
+        recheck.recheck_shape(model, _bumped(images, h, sln._unit_matrix(3, 2, 0)), shape)
+
+
+@pytest.mark.parametrize("column, products", [(1, 0), (2, 1)])
+def test_nonzero_conjugator_with_a_zero_column_rejected(counting, column, products):
+    """Column 1 of a is where row 0 of W is read (sigma(e_21) = E_21), so its
+    zero refuses before any product; column 2 is read nowhere, and W a,
+    whose column 2 is zero, cannot be 1."""
+    model, shape, images = _shape_case()
+    a = Matrix(tuple(tuple(GR_ZERO if c == column else x for c, x in enumerate(row)) for row in shape.a.data))
+    made = counting(Matrix, "__matmul__")
+    with pytest.raises(RecheckError, match="shape does not reproduce the map"):
+        recheck.recheck_shape(model, images, replace(shape, a=a))
+    assert len(made) == products
+
+
+def test_conjugator_with_w_a_other_than_epsilon_one_rejected(counting):
+    """A conjugator with no zero column but off the map's line: the rows read
+    for it make W a != epsilon 1, and no image is compared."""
+    model, shape, images = _shape_case()
+    a = shape.a + sln._unit_matrix(3, 0, 2)
+    compared = counting(recheck, "_is_outer_sum")
+    with pytest.raises(RecheckError, match="shape does not reproduce the map"):
+        recheck.recheck_shape(model, images, replace(shape, a=a))
+    assert compared == []
+
+
+@pytest.mark.parametrize("eps, sigma", SHAPE_FAMILIES)
+def test_shape_with_epsilon_flipped_rejected(eps, sigma):
+    model, shape, images = _shape_case(eps=eps, sigma=sigma)
+    recheck.recheck_shape(model, images, shape)
+    with pytest.raises(RecheckError, match="shape does not reproduce the map"):
+        recheck.recheck_shape(model, images, replace(shape, epsilon=-eps))
+
+
+@pytest.mark.parametrize("eps, sigma", SHAPE_FAMILIES)
+def test_shape_with_sigma_flipped_rejected(eps, sigma):
+    model, shape, images = _shape_case(eps=eps, sigma=sigma)
+    flipped = SIGMA_ID if sigma == SIGMA_T else SIGMA_T
+    with pytest.raises(RecheckError, match="shape does not reproduce the map"):
+        recheck.recheck_shape(model, images, replace(shape, sigma=flipped))
+
+
+def _product_identity_oracle(model, images, shape):
+    """The check that recheck_shape replaced, as the message it refuses with,
+    or None: epsilon a sigma(b) = Delta(b) a at every basis element b, then
+    a != 0, which makes a invertible by Schur's lemma."""
+    a = shape.a
+    if not (isinstance(a, Matrix) and a.nrows == a.ncols == model.n):
+        return "conjugator has the wrong size"
+    for b, y in zip(model.basis, images):
+        img = a @ (b.T if shape.sigma == SIGMA_T else b)
+        if (img if shape.epsilon == 1 else -img) != y @ a:
+            return "shape does not reproduce the map"
+    return "conjugator is zero" if a.is_zero() else None
+
+
+def _recheck_shape_refusal(model, images, shape):
+    try:
+        recheck.recheck_shape(model, images, shape)
+    except RecheckError as e:
+        return str(e)
+    return None
+
+
+_small_gaussians = st.builds(
+    lambda re, im, d: GaussianRational(Fraction(re, d), Fraction(im, d)),
+    st.integers(-3, 3),
+    st.integers(-2, 2),
+    st.integers(1, 3),
+)
+
+
+@st.composite
+def shape_claims(draw):
+    """A model, a map near a family and a claimed shape.  The map is a shape
+    map, with or without one rank-one bump c u v^T (traceless on sl_n, c in
+    Q(i)) on the image of one basis element, Cartan elements included.  The
+    claim is the map's own shape, a scalar multiple of it, the same
+    conjugator with epsilon or sigma flipped, or a random conjugator, maybe
+    singular or 0."""
+    model = draw(st.sampled_from([SlnModel(n) for n in (2, 3, 4)] + [MnModel(n) for n in (1, 2, 3)]))
+    n = model.n
+    entry = st.one_of(st.just(GR_ZERO), _small_gaussians)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    eps, sigma = draw(st.sampled_from(SHAPE_FAMILIES))
+    a = Matrix(draw(square))
+    assume(not det(a).is_zero())
+    d = shape_map_matrix(model, CanonicalShape(eps, sigma, a))
+    if draw(st.booleans()):
+        u = [draw(st.integers(-2, 2)) for _ in range(n)]
+        v = [draw(st.integers(-2, 2)) for _ in range(n)]
+        if isinstance(model, SlnModel):
+            uu, vu = sum(x * x for x in u), sum(x * y for x, y in zip(u, v))
+            v = [x * uu - y * vu for x, y in zip(v, u)]
+        k = draw(st.integers(0, model.dim - 1))
+        bump = model.coords(Matrix(tuple(tuple(x * y for y in v) for x in u)) * draw(_small_gaussians))
+        d = Matrix(tuple(tuple(x + bump[i] if c == k else x for c, x in enumerate(row)) for i, row in enumerate(d.data)))
+    kind = draw(st.sampled_from(["own", "scaled", "epsilon", "sigma", "random"]))
+    if kind == "scaled":
+        a = a * draw(_small_gaussians.filter(lambda c: not c.is_zero()))
+    elif kind == "epsilon":
+        eps = -eps
+    elif kind == "sigma":
+        sigma = SIGMA_ID if sigma == SIGMA_T else SIGMA_T
+    elif kind == "random":
+        a = Matrix(draw(square))
+    return model, basis_images(model, d), CanonicalShape(eps, sigma, a)
+
+
+@given(shape_claims())
+@example((SlnModel(2), basis_images(SlnModel(2), Matrix.identity(3)), CanonicalShape(1, SIGMA_ID, Matrix.zeros(2, 2))))
+@example((MnModel(1), basis_images(MnModel(1), Matrix(((-1,),))), CanonicalShape(-1, SIGMA_T, Matrix(((3,),)))))
+@settings(max_examples=150, deadline=None)
+def test_recheck_shape_agrees_with_the_product_identity(case):
+    """Pass or refuse, with the same message, exactly when the product
+    identity and a != 0 do, on sl_n for n = 2..4 and M_n for n = 1..3."""
+    model, images, shape = case
+    assert _recheck_shape_refusal(model, images, shape) == _product_identity_oracle(model, images, shape)
+
+
+def test_positive_sln_recheck_makes_one_product_per_shape(counting, monkeypatch):
+    """A positive verdict's recheck reads W = epsilon a^-1 off the map's
+    images and makes exactly one Matrix product per distinct shape, W a.  It
+    calls no binding of linalg.inverse and reaches neither
+    CanonicalShape.apply nor its cached outer factors (columns of a, rows of
+    epsilon a^-1)."""
+    rng = random.Random(39)
+    cases = [(SlnModel(2), SlnModel(2).transpose_map())]
+    for model in [SlnModel(n) for n in (2, 3, 4)] + [MnModel(n) for n in (1, 2, 3)]:
+        for eps, sigma in classify.MN_FAMILIES if isinstance(model, MnModel) else SHAPE_FAMILIES:
+            shape = CanonicalShape(eps, sigma, random_unimodular(model.n, rng))
+            cases.append((model, shape_map_matrix(model, shape)))
+    claims = []
+    for model, d in cases:
+        v = (classify_mn if isinstance(model, MnModel) else classify_sln)(model, d)
+        assert v.verdict in ("Automorphism", "AntiAutomorphism")
+        claims.append((model, d, v, len(dict.fromkeys((v.shape, *v.shapes)))))
+    assert {shapes for *_, shapes in claims} == {1, 2}
+
+    def unreachable(*args):
+        raise AssertionError("the recheck reached the decision's shape routine")
+
+    monkeypatch.setattr(CanonicalShape, "apply", unreachable)
+    monkeypatch.setattr(CanonicalShape, "_outer_factors", property(unreachable))
+    inversions = [counting(mod, "inverse") for mod in _locaut_modules_holding("inverse")]
+    products = counting(Matrix, "__matmul__")
+    for model, d, v, shapes in claims:
+        del products[:]
+        recheck_sln_verdict(model, d, v)
+        assert len(products) == shapes
+    assert inversions and all(calls == [] for calls in inversions)
+
+
+def test_positive_verdicts_recheck_past_the_workload_sizes():
+    """At n = 6, 7, 8 one map of each shape family, a random unimodular
+    conjugator's, is decided as its family's verdict and rechecked, each
+    recheck in under 25 ms (the product identity took 29 ms at n = 8)."""
+    rng = random.Random(12)
+    for n in (6, 7, 8):
+        model = SlnModel(n)
+        for eps, sigma in SHAPE_FAMILIES:
+            shape = CanonicalShape(eps, sigma, random_unimodular(n, rng))
+            d = shape_map_matrix(model, shape)
+            v = classify_sln(model, d)
+            assert v.verdict == ("Automorphism" if shape.is_automorphism_family() else "AntiAutomorphism")
+            assert (v.shape.epsilon, v.shape.sigma) == (eps, sigma)
+            start = time.perf_counter()
+            recheck_sln_verdict(model, d, v)
+            assert time.perf_counter() - start < 0.025
 
 
 @pytest.mark.parametrize("n, name", [(2, "vm:2"), (3, "natural")])
